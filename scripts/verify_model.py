@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Run the full verification battery on the shipped tables and print a
-findings summary.  Exits 1 if any law is violated."""
+"""Run the verification battery (`nomsub.analyze`) on the shipped tables
+and print a findings summary.  Exits 1 if any law is violated; unlike
+`nomsub report`, co-free Galois mismatches, mutual pairs and inductively
+valid terms that are not coinductively valid count as violations too."""
 
 from __future__ import annotations
 
@@ -11,20 +13,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from nomsub import (  # noqa: E402
-    BOTTOM,
-    build_relation,
-    check_galois,
-    check_monotonicity,
-    check_validity,
-    closure_class,
-    closure_type,
-    format_type,
-    maximal_f_subtypes,
-    minimal_f_supertypes,
-    mutual_pairs,
-    parse_class_table,
-)
+from nomsub import analyze, build_relation, parse_class_table  # noqa: E402
 
 RUNS = [("sample.table", 1), ("reduced.table", 2)]
 
@@ -35,47 +24,31 @@ def verify(name: str, depth: int) -> bool:
     rel = build_relation(table, depth)
     print(f"== {name} @ depth {depth}: {len(rel.universe)} terms, "
           f"{rel.iterations} iterations, {time.monotonic() - started:.2f}s")
+    doc = analyze(table, rel)
 
-    ok = True
-    galois = check_galois(table, rel)
-    print(f"   adjunction grid: {len(galois.violations)} violations / "
-          f"{galois.checked_pairs} pairs")
-    ok &= galois.fully_ok
-
-    unit_bad = [t for t in rel.universe if t != BOTTOM
-                and not closure_type(table, rel, t)[1]]
-    counit_bad = [c for c in table.class_names if not closure_class(table, c)[1]]
-    print(f"   closure laws: {len(unit_bad)} unit violations, "
-          f"{len(counit_bad)} counit violations")
-    ok &= not unit_bad and not counit_bad
-
-    mono = check_monotonicity(table, rel)
-    print(f"   monotonicity: erasure {'ok' if mono.erasure_ok else 'BROKEN'}, "
-          f"free type {'ok' if mono.free_type_ok else 'BROKEN'}")
-    ok &= mono.erasure_ok and mono.free_type_ok
-
-    pairs = mutual_pairs(rel)
-    print(f"   mutual pairs: {len(pairs)}")
-    ok &= not pairs
-
-    ind = check_validity(table, rel, "ind")
-    coind = check_validity(table, rel, "coind")
-    print(f"   validity: {len(ind.valid)} inductive / {len(coind.valid)} "
-          f"coinductive (agree: {ind.valid == coind.valid})")
-    ok &= ind.valid <= coind.valid
-
-    for cls in table.class_names:
-        if table.arity(cls) != 1:
-            continue
-        mx = maximal_f_subtypes(table, rel, cls)
-        mn = minimal_f_supertypes(table, rel, cls)
-        print(f"   {cls}: maximal coalgebras "
-              f"{[format_type(t, table) for t in mx.maxima]} "
-              f"(free type member={mx.free_type.is_member}, "
-              f"greatest={mx.free_type.is_greatest}); "
-              f"minimal algebras {[format_type(t, table) for t in mn.minima]} "
-              f"(co-free member={mn.cofree.is_member}, least={mn.cofree.is_least})")
-    return ok
+    galois = doc["galois"]
+    print(f"   adjunction grid: {len(galois['violations'])} violations / "
+          f"{galois['checked_pairs']} pairs")
+    closures = doc["closure_laws"]
+    print(f"   closure laws: {len(closures['unit_violations'])} unit violations, "
+          f"{len(closures['counit_violations'])} counit violations")
+    mono = doc["monotonicity"]
+    print(f"   monotonicity: erasure {'ok' if mono['erasure_ok'] else 'BROKEN'}, "
+          f"free type {'ok' if mono['free_type_ok'] else 'BROKEN'}")
+    print(f"   mutual pairs: {len(doc['mutual_pairs'])}")
+    validity = doc["validity"]
+    ind, coind = (set(validity[mode]["valid"]) for mode in ("inductive", "coinductive"))
+    print(f"   validity: {len(ind)} inductive / {len(coind)} "
+          f"coinductive (agree: {validity['agree']})")
+    for cls, fx in doc["fixpoints"].items():
+        print(f"   {cls}: maximal coalgebras {fx['maxima']} "
+              f"(free type member={fx['free_type']['is_member']}, "
+              f"greatest={fx['free_type']['is_greatest']}); "
+              f"minimal algebras {fx['minima']} "
+              f"(co-free member={fx['cofree']['is_member']}, "
+              f"least={fx['cofree']['is_least']})")
+    return (doc["verification_ok"] and not galois["cofree_violations"]
+            and not doc["mutual_pairs"] and ind <= coind)
 
 
 def main() -> int:

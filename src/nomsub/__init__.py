@@ -17,6 +17,7 @@ from .adjunction import (
     closure_class,
     closure_type,
 )
+from .analysis import analyze
 from .class_table import (
     ClassDecl,
     ClassTable,

@@ -48,8 +48,6 @@ class AdjunctionReport:
     cofree_violations: list[GaloisViolation] = field(default_factory=list)
     bottom_skipped: int = 0
     quantified_over: str = "admittable"
-    monotonicity_violations: list = field(default_factory=list)
-    closure_violations: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -61,20 +59,19 @@ class AdjunctionReport:
 
 
 def check_galois(table: ClassTable, rel: SubtypeRelation,
-                 quantify: str = "admittable",
-                 validity=None) -> AdjunctionReport:
+                 quantify: str = "admittable") -> AdjunctionReport:
     """Evaluate both sides of the adjunction condition over the whole
     (term, class) grid and record every mismatch with its direction.
 
-    `quantify` narrows the term domain to "valid" instantiations when a
-    validity assignment is supplied (computed inductively otherwise).
+    `quantify="valid"` narrows the term domain to the instantiations that
+    are valid under the inductively computed validity assignment.
     """
     free = _free_types(table, rel)
     if quantify not in ("admittable", "valid"):
         raise ValueError("quantify must be 'admittable' or 'valid'")
     domain: list[TypeTerm] = []
     bottom_skipped = 0
-    if quantify == "valid" and validity is None:
+    if quantify == "valid":
         from .fixpoints import check_validity
         validity = check_validity(table, rel, mode="ind")
     for term in rel.universe:

@@ -1,0 +1,131 @@
+"""The verification battery over one constructed relation.
+
+`analyze` runs every check the construction must pass (the adjunction grid,
+the closure laws, monotonicity, antisymmetry, the per-class F-(co)algebra
+analyses and both validity fixpoints) and gathers the findings into the
+report document of `schema/report.schema.json`, minus the `table` field
+that names the input file.  The `*_doc` helpers render one analysis each
+and are shared with the single-analysis CLI subcommands.
+"""
+
+from __future__ import annotations
+
+from . import adjunction, fixpoints, relation
+from .class_table import ClassTable
+from .relation import SubtypeRelation
+from .terms import BOTTOM, format_type
+
+
+def analyze(table: ClassTable, rel: SubtypeRelation,
+            quantify: str = "admittable") -> dict:
+    """The report document for `rel`; `verification_ok` holds when the
+    adjunction grid, the closure laws and monotonicity show no violation.
+    `quantify` picks the adjunction grid's term domain, as in check_galois."""
+    galois = adjunction.check_galois(table, rel, quantify=quantify)
+    closures = closure_doc(table, rel)
+    mono = adjunction.check_monotonicity(table, rel)
+    pairs = relation.mutual_pairs(rel)
+    analyses = {name: _fixpoint_doc(table, rel, name)
+                for name in table.class_names if table.arity(name) == 1}
+    validity = {
+        "inductive": validity_doc(rel, fixpoints.check_validity(table, rel, "ind")),
+        "coinductive": validity_doc(rel, fixpoints.check_validity(table, rel, "coind")),
+    }
+    validity["agree"] = validity["inductive"]["valid"] == validity["coinductive"]["valid"]
+    return {
+        "depth": rel.depth,
+        "universe_size": len(rel.universe),
+        "iterations": rel.iterations,
+        "include_cofree": rel.include_cofree,
+        "galois": galois_doc(galois),
+        "closure_laws": closures,
+        "monotonicity": {
+            "erasure_ok": mono.erasure_ok,
+            "free_type_ok": mono.free_type_ok,
+            "erasure_witnesses": [labels(rel, w) for w in mono.erasure_witnesses],
+            "free_type_witnesses": [list(w) for w in mono.free_type_witnesses],
+        },
+        "mutual_pairs": [labels(rel, p) for p in pairs],
+        "fixpoints": analyses,
+        "validity": validity,
+        "verification_ok": (galois.ok and closure_laws_hold(closures)
+                            and mono.erasure_ok and mono.free_type_ok),
+    }
+
+
+def labels(rel: SubtypeRelation, terms) -> list[str]:
+    return [rel.label(t) for t in terms]
+
+
+def galois_doc(report: adjunction.AdjunctionReport) -> dict:
+    def violations(vs):
+        return [{"type": format_type(v.term), "class": v.cls, "direction": v.direction}
+                for v in vs]
+
+    return {
+        "checked_pairs": report.checked_pairs,
+        "bottom_skipped": report.bottom_skipped,
+        "quantified_over": report.quantified_over,
+        "violations": violations(report.violations),
+        "cofree_violations": violations(report.cofree_violations),
+    }
+
+
+def closure_doc(table: ClassTable, rel: SubtypeRelation) -> dict:
+    """Unit and idempotence violations over the universe (bottom excluded),
+    counit violations over the classes, and the closed types."""
+    unit, idem = [], []
+    for term in rel.universe:
+        if term == BOTTOM:
+            continue
+        closed, holds = adjunction.closure_type(table, rel, term)
+        if not holds:
+            unit.append(rel.label(term))
+        again, _ = adjunction.closure_type(table, rel, closed)
+        if again != closed:
+            idem.append(rel.label(term))
+    counit = [c for c in table.class_names
+              if not adjunction.closure_class(table, c)[1]]
+    return {
+        "unit_violations": unit,
+        "counit_violations": counit,
+        "idempotence_violations": idem,
+        "closed_types": sorted(labels(rel, adjunction.closed_types(rel, table))),
+    }
+
+
+def closure_laws_hold(doc: dict) -> bool:
+    return not (doc["unit_violations"] or doc["counit_violations"]
+                or doc["idempotence_violations"])
+
+
+def maxima_doc(rel: SubtypeRelation, report: fixpoints.MaximaReport) -> dict:
+    return {"maxima": labels(rel, report.maxima),
+            "free_type": {"is_member": report.free_type.is_member,
+                          "is_greatest": report.free_type.is_greatest}}
+
+
+def minima_doc(rel: SubtypeRelation, report: fixpoints.MinimaReport) -> dict:
+    return {"minima": labels(rel, report.minima),
+            "cofree": {"is_member": report.cofree.is_member,
+                       "is_least": report.cofree.is_least}}
+
+
+def validity_doc(rel: SubtypeRelation, assignment: fixpoints.ValidityAssignment) -> dict:
+    return {
+        "mode": assignment.mode,
+        "valid": sorted(labels(rel, assignment.valid)),
+        "invalid": sorted(labels(rel, assignment.invalid)),
+    }
+
+
+def _fixpoint_doc(table: ClassTable, rel: SubtypeRelation, cls: str) -> dict:
+    maxima = maxima_doc(rel, fixpoints.maximal_f_subtypes(table, rel, cls))
+    minima = minima_doc(rel, fixpoints.minimal_f_supertypes(table, rel, cls))
+    return {
+        "f_subtypes": labels(rel, fixpoints.f_subtypes(table, rel, cls)),
+        "f_supertypes": labels(rel, fixpoints.f_supertypes(table, rel, cls)),
+        "exact_fixed_points": labels(rel, fixpoints.exact_fixed_points(table, rel, cls)),
+        **maxima,
+        **minima,
+    }

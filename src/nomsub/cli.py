@@ -11,38 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import adjunction, fixpoints, relation
+from .analysis import (analyze, closure_doc, closure_laws_hold, galois_doc,
+                       labels, maxima_doc, minima_doc, validity_doc)
 from .class_table import ClassTable, parse_class_table
 from .errors import NomsubError
 from .relation import DEFAULT_CAP, SubtypeRelation, build_relation
 from .terms import TypeTerm, format_type, nesting_depth, parse_type
 
 MAX_GUARDED_DEPTH = 3
-
-
-@dataclass
-class RunConfig:
-    table_path: str
-    depth: int = 1
-    cap: int = DEFAULT_CAP
-    mode: str = "ind"
-    fmt: str = "text"
-    include_cofree: bool = True
-    quantify: str = "admittable"
-    no_depth_guard: bool = False
-
-    def validate(self) -> None:
-        if self.depth < 0:
-            raise UsageError("--depth must be >= 0")
-        if self.depth > MAX_GUARDED_DEPTH and not self.no_depth_guard:
-            raise UsageError(
-                f"--depth {self.depth} exceeds the cost guard of "
-                f"{MAX_GUARDED_DEPTH}; pass --no-depth-guard to override")
-        if self.cap <= 0:
-            raise UsageError("--cap must be > 0")
 
 
 class UsageError(Exception):
@@ -55,32 +34,23 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    config = RunConfig(
-        table_path=args.table,
-        depth=args.depth,
-        cap=args.cap,
-        mode=getattr(args, "mode", "ind"),
-        fmt=getattr(args, "format", "text"),
-        include_cofree=args.include_cofree,
-        quantify=getattr(args, "quantify", "admittable"),
-        no_depth_guard=args.no_depth_guard,
-    )
     try:
-        config.validate()
-        table = _load_table(config.table_path)
-        return args.handler(args, config, table)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NomsubError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        _validate(args)
+        return args.handler(args, _load_table(args.table))
+    except (UsageError, NomsubError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-run = main
+def _validate(args) -> None:
+    if args.depth < 0:
+        raise UsageError("--depth must be >= 0")
+    if args.depth > MAX_GUARDED_DEPTH and not args.no_depth_guard:
+        raise UsageError(
+            f"--depth {args.depth} exceeds the cost guard of "
+            f"{MAX_GUARDED_DEPTH}; pass --no-depth-guard to override")
+    if args.cap <= 0:
+        raise UsageError("--cap must be > 0")
 
 
 def _load_table(path: str) -> ClassTable:
@@ -94,9 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="universe nesting depth (default 1)")
     common.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help=f"universe size cap (default {DEFAULT_CAP})")
-    common.add_argument("--include-cofree", dest="include_cofree",
-                        action="store_true", default=True,
-                        help="apply the co-free axioms (default)")
     common.add_argument("--no-cofree", dest="include_cofree",
                         action="store_false",
                         help="build without the co-free axioms")
@@ -170,9 +137,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build(table: ClassTable, config: RunConfig, depth: int | None = None) -> SubtypeRelation:
-    return build_relation(table, config.depth if depth is None else depth,
-                          cap=config.cap, include_cofree=config.include_cofree)
+def _build(table: ClassTable, args, depth: int | None = None) -> SubtypeRelation:
+    return build_relation(table, args.depth if depth is None else depth,
+                          cap=args.cap, include_cofree=args.include_cofree)
 
 
 def _emit_json(doc) -> None:
@@ -182,14 +149,14 @@ def _emit_json(doc) -> None:
 # -- handlers ----------------------------------------------------------------
 
 
-def _cmd_check(args, config: RunConfig, table: ClassTable) -> int:
+def _cmd_check(args, table: ClassTable) -> int:
     print(f"ok: {len(table.decls)} classes, root {table.root}")
     return 0
 
 
-def _cmd_universe(args, config: RunConfig, table: ClassTable) -> int:
-    rel = _build(table, config)
-    if config.fmt == "json":
+def _cmd_universe(args, table: ClassTable) -> int:
+    rel = _build(table, args)
+    if args.format == "json":
         _emit_json({"depth": rel.depth, "universe": list(rel.labels)})
     else:
         for label in rel.labels:
@@ -197,18 +164,18 @@ def _cmd_universe(args, config: RunConfig, table: ClassTable) -> int:
     return 0
 
 
-def _cmd_subtype(args, config: RunConfig, table: ClassTable) -> int:
+def _cmd_subtype(args, table: ClassTable) -> int:
     t1 = parse_type(table, args.t1)
     t2 = parse_type(table, args.t2)
-    needed = max(config.depth, nesting_depth(t1), nesting_depth(t2))
-    if needed > config.depth:
-        if needed > MAX_GUARDED_DEPTH and not config.no_depth_guard:
+    needed = max(args.depth, nesting_depth(t1), nesting_depth(t2))
+    if needed > args.depth:
+        if needed > MAX_GUARDED_DEPTH and not args.no_depth_guard:
             raise UsageError(
                 f"query terms need depth {needed}, above the cost guard; "
                 "pass --no-depth-guard to override")
         print(f"note: rebuilding at depth {needed} to cover the query terms",
               file=sys.stderr)
-    rel = _build(table, config, depth=needed)
+    rel = _build(table, args, depth=needed)
     for term, text in ((t1, args.t1), (t2, args.t2)):
         if term not in rel:
             _warn_unordered(rel, term, text)
@@ -231,8 +198,8 @@ def _warn_unordered(rel: SubtypeRelation, term: TypeTerm, text: str) -> None:
                   file=sys.stderr)
 
 
-def _cmd_build(args, config: RunConfig, table: ClassTable) -> int:
-    rel = _build(table, config)
+def _cmd_build(args, table: ClassTable) -> int:
+    rel = _build(table, args)
     if args.export == "dot":
         sys.stdout.write(relation.export_dot(rel))
     else:
@@ -240,25 +207,11 @@ def _cmd_build(args, config: RunConfig, table: ClassTable) -> int:
     return 0
 
 
-def _galois_doc(report: adjunction.AdjunctionReport) -> dict:
-    def violations(vs):
-        return [{"type": format_type(v.term), "class": v.cls, "direction": v.direction}
-                for v in vs]
-
-    return {
-        "checked_pairs": report.checked_pairs,
-        "bottom_skipped": report.bottom_skipped,
-        "quantified_over": report.quantified_over,
-        "violations": violations(report.violations),
-        "cofree_violations": violations(report.cofree_violations),
-    }
-
-
-def _cmd_galois(args, config: RunConfig, table: ClassTable) -> int:
-    rel = _build(table, config)
-    report = adjunction.check_galois(table, rel, quantify=config.quantify)
-    if config.fmt == "json":
-        _emit_json(_galois_doc(report))
+def _cmd_galois(args, table: ClassTable) -> int:
+    rel = _build(table, args)
+    report = adjunction.check_galois(table, rel, quantify=args.quantify)
+    if args.format == "json":
+        _emit_json(galois_doc(report))
     else:
         print(f"{len(report.violations)} violations / {report.checked_pairs} pairs "
               f"({len(report.cofree_violations)} co-free-isolated, "
@@ -268,35 +221,10 @@ def _cmd_galois(args, config: RunConfig, table: ClassTable) -> int:
     return 0 if report.ok else 1
 
 
-def _closure_doc(table: ClassTable, rel: SubtypeRelation) -> dict:
-    from .terms import BOTTOM
-    unit, idem = [], []
-    for term in rel.universe:
-        if term == BOTTOM:
-            continue
-        closed, holds = adjunction.closure_type(table, rel, term)
-        if not holds:
-            unit.append(rel.label(term))
-        again, _ = adjunction.closure_type(table, rel, closed)
-        if again != closed:
-            idem.append(rel.label(term))
-    counit = [c for c in table.class_names
-              if not adjunction.closure_class(table, c)[1]]
-    closed_set = adjunction.closed_types(rel, table)
-    closed_labels = sorted(rel.label(t) for t in closed_set)
-    return {
-        "unit_violations": unit,
-        "counit_violations": counit,
-        "idempotence_violations": idem,
-        "closed_types": closed_labels,
-    }
-
-
-def _cmd_closures(args, config: RunConfig, table: ClassTable) -> int:
-    rel = _build(table, config)
-    doc = _closure_doc(table, rel)
-    bad = doc["unit_violations"] or doc["counit_violations"] or doc["idempotence_violations"]
-    if config.fmt == "json":
+def _cmd_closures(args, table: ClassTable) -> int:
+    rel = _build(table, args)
+    doc = closure_doc(table, rel)
+    if args.format == "json":
         _emit_json(doc)
     else:
         print(f"unit violations: {len(doc['unit_violations'])}; "
@@ -305,42 +233,38 @@ def _cmd_closures(args, config: RunConfig, table: ClassTable) -> int:
         print(f"closed types ({len(doc['closed_types'])}):")
         for label in doc["closed_types"]:
             print(f"  {label}")
-    return 1 if bad else 0
+    return 0 if closure_laws_hold(doc) else 1
 
 
 def _print_terms(rel: SubtypeRelation, terms, fmt: str, key: str) -> None:
-    labels = [rel.label(t) for t in terms]
+    names = labels(rel, terms)
     if fmt == "json":
-        _emit_json({key: labels, "count": len(labels)})
+        _emit_json({key: names, "count": len(names)})
     else:
-        print(f"{key}: {len(labels)}")
-        for label in labels:
+        print(f"{key}: {len(names)}")
+        for label in names:
             print(f"  {label}")
 
 
-def _cmd_fsub(args, config: RunConfig, table: ClassTable) -> int:
-    rel = _build(table, config)
-    _print_terms(rel, fixpoints.f_subtypes(table, rel, args.cls), config.fmt,
+def _cmd_fsub(args, table: ClassTable) -> int:
+    rel = _build(table, args)
+    _print_terms(rel, fixpoints.f_subtypes(table, rel, args.cls), args.format,
                  f"f-subtypes of {args.cls}")
     return 0
 
 
-def _cmd_fsup(args, config: RunConfig, table: ClassTable) -> int:
-    rel = _build(table, config)
-    _print_terms(rel, fixpoints.f_supertypes(table, rel, args.cls), config.fmt,
+def _cmd_fsup(args, table: ClassTable) -> int:
+    rel = _build(table, args)
+    _print_terms(rel, fixpoints.f_supertypes(table, rel, args.cls), args.format,
                  f"f-supertypes of {args.cls}")
     return 0
 
 
-def _cmd_maxima(args, config: RunConfig, table: ClassTable) -> int:
-    rel = _build(table, config)
+def _cmd_maxima(args, table: ClassTable) -> int:
+    rel = _build(table, args)
     report = fixpoints.maximal_f_subtypes(table, rel, args.cls)
-    doc = {
-        "maxima": [rel.label(t) for t in report.maxima],
-        "free_type": {"is_member": report.free_type.is_member,
-                      "is_greatest": report.free_type.is_greatest},
-    }
-    if config.fmt == "json":
+    doc = maxima_doc(rel, report)
+    if args.format == "json":
         _emit_json(doc)
     else:
         print(f"maximal f-subtypes of {args.cls}: "
@@ -350,15 +274,11 @@ def _cmd_maxima(args, config: RunConfig, table: ClassTable) -> int:
     return 0
 
 
-def _cmd_minima(args, config: RunConfig, table: ClassTable) -> int:
-    rel = _build(table, config)
+def _cmd_minima(args, table: ClassTable) -> int:
+    rel = _build(table, args)
     report = fixpoints.minimal_f_supertypes(table, rel, args.cls)
-    doc = {
-        "minima": [rel.label(t) for t in report.minima],
-        "cofree": {"is_member": report.cofree.is_member,
-                   "is_least": report.cofree.is_least},
-    }
-    if config.fmt == "json":
+    doc = minima_doc(rel, report)
+    if args.format == "json":
         _emit_json(doc)
     else:
         print(f"minimal f-supertypes of {args.cls}: "
@@ -368,19 +288,11 @@ def _cmd_minima(args, config: RunConfig, table: ClassTable) -> int:
     return 0
 
 
-def _validity_doc(rel: SubtypeRelation, assignment: fixpoints.ValidityAssignment) -> dict:
-    return {
-        "mode": assignment.mode,
-        "valid": sorted(rel.label(t) for t in assignment.valid),
-        "invalid": sorted(rel.label(t) for t in assignment.invalid),
-    }
-
-
-def _cmd_validity(args, config: RunConfig, table: ClassTable) -> int:
-    rel = _build(table, config)
-    assignment = fixpoints.check_validity(table, rel, mode=config.mode)
-    doc = _validity_doc(rel, assignment)
-    if config.fmt == "json":
+def _cmd_validity(args, table: ClassTable) -> int:
+    rel = _build(table, args)
+    assignment = fixpoints.check_validity(table, rel, mode=args.mode)
+    doc = validity_doc(rel, assignment)
+    if args.format == "json":
         _emit_json(doc)
     else:
         print(f"mode {assignment.mode}: {len(doc['valid'])} valid, "
@@ -390,63 +302,10 @@ def _cmd_validity(args, config: RunConfig, table: ClassTable) -> int:
     return 0
 
 
-def _cmd_report(args, config: RunConfig, table: ClassTable) -> int:
-    rel = _build(table, config)
-    galois = adjunction.check_galois(table, rel, quantify=config.quantify)
-    closures = _closure_doc(table, rel)
-    mono = adjunction.check_monotonicity(table, rel)
-    pairs = relation.mutual_pairs(rel)
-
-    analyses = {}
-    for name in table.class_names:
-        if table.arity(name) != 1:
-            continue
-        maxima = fixpoints.maximal_f_subtypes(table, rel, name)
-        minima = fixpoints.minimal_f_supertypes(table, rel, name)
-        analyses[name] = {
-            "f_subtypes": [rel.label(t) for t in fixpoints.f_subtypes(table, rel, name)],
-            "f_supertypes": [rel.label(t) for t in fixpoints.f_supertypes(table, rel, name)],
-            "exact_fixed_points": [rel.label(t)
-                                   for t in fixpoints.exact_fixed_points(table, rel, name)],
-            "maxima": [rel.label(t) for t in maxima.maxima],
-            "minima": [rel.label(t) for t in minima.minima],
-            "free_type": {"is_member": maxima.free_type.is_member,
-                          "is_greatest": maxima.free_type.is_greatest},
-            "cofree": {"is_member": minima.cofree.is_member,
-                       "is_least": minima.cofree.is_least},
-        }
-
-    validity = {
-        "inductive": _validity_doc(rel, fixpoints.check_validity(table, rel, "ind")),
-        "coinductive": _validity_doc(rel, fixpoints.check_validity(table, rel, "coind")),
-    }
-    validity["agree"] = validity["inductive"]["valid"] == validity["coinductive"]["valid"]
-
-    closure_ok = not (closures["unit_violations"] or closures["counit_violations"]
-                      or closures["idempotence_violations"])
-    verification_ok = galois.ok and closure_ok and mono.erasure_ok and mono.free_type_ok
-    doc = {
-        "table": config.table_path,
-        "depth": rel.depth,
-        "universe_size": len(rel.universe),
-        "iterations": rel.iterations,
-        "include_cofree": rel.include_cofree,
-        "galois": _galois_doc(galois),
-        "closure_laws": closures,
-        "monotonicity": {
-            "erasure_ok": mono.erasure_ok,
-            "free_type_ok": mono.free_type_ok,
-            "erasure_witnesses": [[rel.label(a), rel.label(b)]
-                                  for a, b in mono.erasure_witnesses],
-            "free_type_witnesses": [list(w) for w in mono.free_type_witnesses],
-        },
-        "mutual_pairs": [[rel.label(a), rel.label(b)] for a, b in pairs],
-        "fixpoints": analyses,
-        "validity": validity,
-        "verification_ok": verification_ok,
-    }
+def _cmd_report(args, table: ClassTable) -> int:
+    doc = {"table": args.table, **analyze(table, _build(table, args), quantify=args.quantify)}
     _emit_json(doc)
-    return 0 if verification_ok else 1
+    return 0 if doc["verification_ok"] else 1
 
 
 if __name__ == "__main__":

@@ -49,8 +49,9 @@ class SubtypeRelation:
     """Constructed subtyping preorder over an enumerated universe.
 
     Frozen after construction: the edge matrix is read-only and every query
-    is safe to run concurrently.  Equality compares depth, universe, and
-    edges; iteration provenance and build flags are excluded.
+    is safe to run concurrently.  Equality compares depth, universe, edges
+    and the include_cofree flag; iteration provenance and the cap are
+    excluded, since they record how the relation was built, not what it is.
     """
 
     def __init__(self, universe: tuple[TypeTerm, ...], labels: tuple[str, ...],
@@ -86,6 +87,7 @@ class SubtypeRelation:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SubtypeRelation)
                 and self.depth == other.depth
+                and self.include_cofree == other.include_cofree
                 and self.universe == other.universe
                 and bool(np.array_equal(self.edges, other.edges)))
 
@@ -335,10 +337,12 @@ def _transitive_closure(edges: np.ndarray) -> np.ndarray:
 
 
 def export_json(rel: SubtypeRelation) -> str:
-    """Serialize as {depth, universe, edges} with indices into the canonical
-    universe order; deterministic."""
+    """Serialize as {depth, include_cofree, cap, universe, edges} with indices
+    into the canonical universe order; deterministic."""
     doc = {
         "depth": rel.depth,
+        "include_cofree": rel.include_cofree,
+        "cap": rel.cap,
         "universe": list(rel.labels),
         "edges": [[int(i), int(j)] for i, j in np.argwhere(rel.edges)],
     }
@@ -347,7 +351,8 @@ def export_json(rel: SubtypeRelation) -> str:
 
 def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
     """Rebuild a relation exported by export_json, using the table to parse
-    the printed terms."""
+    the printed terms; a document without the build flags gets the
+    build_relation defaults."""
     doc = json.loads(text)
     labels = tuple(doc["universe"])
     universe = tuple(parse_type(table, s) for s in labels)
@@ -355,7 +360,8 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
     edges = np.zeros((n, n), dtype=bool)
     for i, j in doc["edges"]:
         edges[i, j] = True
-    return SubtypeRelation(universe, labels, edges, 0, int(doc["depth"]))
+    return SubtypeRelation(universe, labels, edges, 0, int(doc["depth"]),
+                           doc.get("include_cofree", True), doc.get("cap", DEFAULT_CAP))
 
 
 def export_dot(rel: SubtypeRelation) -> str:
