@@ -15,7 +15,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from nomsub import analyze, build_relation, parse_class_table  # noqa: E402
 
-RUNS = [("sample.table", 1), ("reduced.table", 2)]
+RUNS = [("sample.table", 1), ("sample.table", 2), ("reduced.table", 2)]
 
 
 def verify(name: str, depth: int) -> bool:

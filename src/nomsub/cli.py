@@ -130,7 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", parents=[common],
                        help="run every analysis, one JSON document")
-    p.add_argument("--mode", choices=["ind", "coind"], default="ind")
     p.add_argument("--quantify", choices=["admittable", "valid"],
                    default="admittable")
     p.set_defaults(handler=_cmd_report)

@@ -3,8 +3,11 @@ admittable-versus-valid split for bounded instantiations.
 
 For a unary generic class F, the F-subtypes are the terms Ty with
 ``Ty <: F<Ty>`` and the F-supertypes those with ``F<Ty> <: Ty``.  Applying
-F to a depth-d term lands at depth d+1, so membership is judged in a
-companion relation one depth up, built lazily and cached.
+F to a depth-d term lands at depth d+1, so membership is judged in the
+depth-(d+1) relation.  No deeper universe is built: each question is decided
+by recursing through the construction's own rules (climb the superclass
+chain, then compare intervals endpoint by endpoint), which touches only the
+terms the question mentions.
 
 Maximality/minimality diagnostics never fail a run: whether the free type
 is the greatest F-subtype (and the co-free atom the least F-supertype) is
@@ -14,24 +17,71 @@ model-dependent, so the comparisons are reported as findings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .class_table import ClassTable, TypeUse
-from .errors import NotUnaryGeneric
-from .relation import SubtypeRelation, build_relation, is_subtype
+from .class_table import ClassTable, TypeUse, subclass_of
+from .errors import NotUnaryGeneric, TermOutsideUniverse
+from .relation import SubtypeRelation, is_subtype
 from .terms import (
+    BOTTOM,
     Cofree,
     Ground,
-    Interval,
     TypeTerm,
+    format_type,
     free_type,
+    nesting_depth,
     point,
+    super_instantiation,
     term_from_typeuse,
 )
 
+_Decider = Callable[[TypeTerm, TypeTerm], bool]
 
-def _companion(table: ClassTable, rel: SubtypeRelation) -> SubtypeRelation:
-    return build_relation(table, rel.depth + 1, cap=rel.cap,
-                          include_cofree=rel.include_cofree)
+
+def _one_deeper(table: ClassTable, rel: SubtypeRelation) -> _Decider:
+    """Decide ``t1 <: t2`` in the depth-(d+1) relation over `rel`'s depth d.
+
+    A co-free atom lies below the terms of its superclasses (and nothing
+    else but bottom and co-free atoms lies below it).  A ground term lies
+    below another when the member of its superclass chain with the other's
+    class fits the depth bound and has intervals inside the other's; the
+    endpoints are compared by the same recursion.  A pair met again while
+    still being decided is answered False, as in the oracle.
+    """
+    depth = rel.depth + 1
+    memo: dict[tuple[TypeTerm, TypeTerm], bool] = {}
+
+    def sub(t1: TypeTerm, t2: TypeTerm) -> bool:
+        if t1 == t2 or t1 == BOTTOM:
+            return True
+        if t2 == BOTTOM:
+            return False
+        if isinstance(t1, Cofree):
+            return subclass_of(table, t1.cls, t2.cls)
+        if isinstance(t2, Cofree) or not subclass_of(table, t1.cls, t2.cls):
+            return False
+        key = (t1, t2)
+        known = memo.get(key)
+        if known is None:
+            memo[key] = False
+            u = t1
+            while u is not None and u.cls != t2.cls:
+                u = super_instantiation(table, u)
+            known = memo[key] = (
+                u is not None and nesting_depth(u) <= depth
+                and all(sub(b.lo, a.lo) and sub(a.hi, b.hi)
+                        for a, b in zip(u.args, t2.args)))
+        return known
+
+    def decide(t1: TypeTerm, t2: TypeTerm) -> bool:
+        for term in (t1, t2):
+            if nesting_depth(term) > depth:
+                raise TermOutsideUniverse(
+                    f"term '{format_type(term)}' is outside the depth-{depth} "
+                    "universe (rebuild at a higher depth)")
+        return sub(t1, t2)
+
+    return decide
 
 
 def _unary(table: ClassTable, cls: str) -> None:
@@ -47,18 +97,16 @@ def f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeT
     """Terms Ty of the universe with Ty <: F<Ty> (coalgebras of F), in
     universe order."""
     _unary(table, cls)
-    comp = _companion(table, rel)
-    return tuple(t for t in rel.universe
-                 if is_subtype(comp, t, _applied(cls, t)))
+    deeper = _one_deeper(table, rel)
+    return tuple(t for t in rel.universe if deeper(t, _applied(cls, t)))
 
 
 def f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeTerm, ...]:
     """Terms Ty of the universe with F<Ty> <: Ty (algebras of F), in
     universe order."""
     _unary(table, cls)
-    comp = _companion(table, rel)
-    return tuple(t for t in rel.universe
-                 if is_subtype(comp, _applied(cls, t), t))
+    deeper = _one_deeper(table, rel)
+    return tuple(t for t in rel.universe if deeper(_applied(cls, t), t))
 
 
 def exact_fixed_points(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeTerm, ...]:
@@ -95,16 +143,16 @@ def maximal_f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> Max
     """Maxima of the F-subtypes under the relation, with a diagnostic
     comparison against the free type (reported, not asserted).
 
-    The comparison runs in the companion relation, where the free type is
-    always present even when the base universe is too shallow for it.
+    The comparison is judged one depth up, where the free type always
+    exists even when the base universe is too shallow for it.
     """
     members = f_subtypes(table, rel, cls)
     maxima = tuple(_maximal(rel, members))
     ft = free_type(table, cls)
-    comp = _companion(table, rel)
+    deeper = _one_deeper(table, rel)
     comparison = FreeTypeComparison(
         is_member=ft in set(members),
-        is_greatest=all(is_subtype(comp, m, ft) for m in members),
+        is_greatest=all(deeper(m, ft) for m in members),
     )
     return MaximaReport(maxima, comparison)
 
@@ -119,11 +167,11 @@ def minimal_f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> M
     members = f_supertypes(table, rel, cls)
     minima = tuple(_minimal(rel, members))
     atom = Cofree(cls)
-    comp = _companion(table, rel)
-    if atom in comp:
+    if rel.include_cofree:
+        deeper = _one_deeper(table, rel)
         comparison = CofreeComparison(
             is_member=atom in set(members),
-            is_least=all(is_subtype(comp, atom, m) for m in members),
+            is_least=all(deeper(atom, m) for m in members),
         )
     else:
         comparison = CofreeComparison(is_member=False, is_least=False)
@@ -178,13 +226,13 @@ def check_validity(table: ClassTable, rel: SubtypeRelation,
     """
     if mode not in ("ind", "coind"):
         raise ValueError("mode must be 'ind' or 'coind'")
-    comp = _companion(table, rel)
+    deeper = _one_deeper(table, rel)
     grounds = [t for t in rel.universe if isinstance(t, Ground)]
 
     passes: dict[TypeTerm, bool] = {}
     deps: dict[TypeTerm, frozenset[TypeTerm]] = {}
     for term in grounds:
-        ok, used = _bound_check(table, comp, term)
+        ok, used = _bound_check(table, deeper, term)
         passes[term] = ok
         deps[term] = used
 
@@ -211,7 +259,7 @@ def check_validity(table: ClassTable, rel: SubtypeRelation,
     return ValidityAssignment(mode, frozenset(valid), invalid, rel.depth, table)
 
 
-def _bound_check(table: ClassTable, comp: SubtypeRelation,
+def _bound_check(table: ClassTable, deeper: _Decider,
                  term: Ground) -> tuple[bool, frozenset[TypeTerm]]:
     decl = table.decl(term.cls)
     if not decl.params:
@@ -224,13 +272,13 @@ def _bound_check(table: ClassTable, comp: SubtypeRelation,
     for i, p in enumerate(decl.params):
         if p.upper_bound is not None:
             bound = term_from_typeuse(table, p.upper_bound, env_hi)
-            if not is_subtype(comp, term.args[i].hi, bound):
+            if not deeper(term.args[i].hi, bound):
                 ok = False
             if _mentions(p.upper_bound, param_names) and isinstance(bound, Ground):
                 used.add(bound)
         if p.lower_bound is not None:
             low = term_from_typeuse(table, p.lower_bound, env_lo)
-            if not is_subtype(comp, low, term.args[i].lo):
+            if not deeper(low, term.args[i].lo):
                 ok = False
             if _mentions(p.lower_bound, param_names) and isinstance(low, Ground):
                 used.add(low)

@@ -2,8 +2,8 @@
 
 Tables are always well-formed: superclasses point at earlier declarations
 (so the extends graph is acyclic with a single root) and every reference
-resolves with the right arity.  At most two generic classes per table keeps
-companion universes small enough for exhaustive checking.
+resolves with the right arity.  Every table has at most two generic
+classes, each with one parameter.
 """
 
 from __future__ import annotations

@@ -50,13 +50,13 @@ class SubtypeRelation:
 
     Frozen after construction: the edge matrix is read-only and every query
     is safe to run concurrently.  Equality compares depth, universe, edges
-    and the include_cofree flag; iteration provenance and the cap are
-    excluded, since they record how the relation was built, not what it is.
+    and the include_cofree flag; iteration provenance is excluded, since it
+    records how the relation was built, not what it is.
     """
 
     def __init__(self, universe: tuple[TypeTerm, ...], labels: tuple[str, ...],
                  edges: np.ndarray, iterations: int, depth: int,
-                 include_cofree: bool = True, cap: int = DEFAULT_CAP):
+                 include_cofree: bool = True):
         self.universe = universe
         self.labels = labels
         edges.setflags(write=False)
@@ -64,7 +64,6 @@ class SubtypeRelation:
         self.iterations = iterations
         self.depth = depth
         self.include_cofree = include_cofree
-        self.cap = cap
         self._index = {t: i for i, t in enumerate(universe)}
 
     def __len__(self) -> int:
@@ -182,7 +181,7 @@ def _stage(table: ClassTable, depth: int, cap: int, include_cofree: bool):
     labeled = sorted((format_type(t, table), t) for t in terms)
     universe = tuple(t for _, t in labeled)
     labels = tuple(s for s, _ in labeled)
-    rel = _solve(table, universe, labels, depth, cap, include_cofree)
+    rel = _solve(table, universe, labels, depth, include_cofree)
     return universe, rel
 
 
@@ -195,7 +194,7 @@ def initial_relation(table: ClassTable, depth: int, cap: int = DEFAULT_CAP,
     point for construction_step."""
     universe, rel = _stage(table, depth, cap, include_cofree)
     eye = np.eye(len(universe), dtype=bool)
-    return SubtypeRelation(universe, rel.labels, eye, 0, depth, include_cofree, cap)
+    return SubtypeRelation(universe, rel.labels, eye, 0, depth, include_cofree)
 
 
 def construction_step(table: ClassTable, rel: SubtypeRelation) -> SubtypeRelation:
@@ -206,7 +205,7 @@ def construction_step(table: ClassTable, rel: SubtypeRelation) -> SubtypeRelatio
     bottom = rel._index.get(BOTTOM)
     new = _apply_step(rel.edges, static, groups, bottom)
     return SubtypeRelation(rel.universe, rel.labels, new, rel.iterations + 1,
-                           rel.depth, rel.include_cofree, rel.cap)
+                           rel.depth, rel.include_cofree)
 
 
 def build_relation(table: ClassTable, depth: int, cap: int = DEFAULT_CAP,
@@ -220,7 +219,7 @@ def build_relation(table: ClassTable, depth: int, cap: int = DEFAULT_CAP,
 
 
 def _solve(table: ClassTable, universe: tuple[TypeTerm, ...],
-           labels: tuple[str, ...], depth: int, cap: int,
+           labels: tuple[str, ...], depth: int,
            include_cofree: bool) -> SubtypeRelation:
     index = {t: i for i, t in enumerate(universe)}
     static = _static_edges(table, universe, index, include_cofree)
@@ -235,7 +234,7 @@ def _solve(table: ClassTable, universe: tuple[TypeTerm, ...],
             break
         edges = new
     return SubtypeRelation(universe, labels, edges, iterations, depth,
-                           include_cofree, cap)
+                           include_cofree)
 
 
 def _static_edges(table: ClassTable, universe, index, include_cofree: bool):
@@ -337,12 +336,11 @@ def _transitive_closure(edges: np.ndarray) -> np.ndarray:
 
 
 def export_json(rel: SubtypeRelation) -> str:
-    """Serialize as {depth, include_cofree, cap, universe, edges} with indices
+    """Serialize as {depth, include_cofree, universe, edges} with indices
     into the canonical universe order; deterministic."""
     doc = {
         "depth": rel.depth,
         "include_cofree": rel.include_cofree,
-        "cap": rel.cap,
         "universe": list(rel.labels),
         "edges": [[int(i), int(j)] for i, j in np.argwhere(rel.edges)],
     }
@@ -351,8 +349,9 @@ def export_json(rel: SubtypeRelation) -> str:
 
 def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
     """Rebuild a relation exported by export_json, using the table to parse
-    the printed terms; a document without the build flags gets the
-    build_relation defaults."""
+    the printed terms; a document without include_cofree gets the
+    build_relation default, and a `cap` key (written by older versions) is
+    ignored."""
     doc = json.loads(text)
     labels = tuple(doc["universe"])
     universe = tuple(parse_type(table, s) for s in labels)
@@ -361,7 +360,7 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
     for i, j in doc["edges"]:
         edges[i, j] = True
     return SubtypeRelation(universe, labels, edges, 0, int(doc["depth"]),
-                           doc.get("include_cofree", True), doc.get("cap", DEFAULT_CAP))
+                           doc.get("include_cofree", True))
 
 
 def export_dot(rel: SubtypeRelation) -> str:

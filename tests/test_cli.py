@@ -189,3 +189,33 @@ def test_type_syntax_error_exits_two(capsys):
     code, _, err = run(capsys, "subtype", SAMPLE, "List<", "List<?>")
     assert code == 2
     assert "error" in err
+
+
+def test_report_has_no_mode_flag(capsys):
+    # the report always carries both validity modes
+    code, out, err = run(capsys, "report", SAMPLE, "--mode", "coind")
+    assert code == 2
+    assert out == ""
+
+
+def test_report_at_depth_two(capsys):
+    code, out, _ = run(capsys, "report", SAMPLE, "--depth", "2")
+    assert code == 0
+    doc = json.loads(out)
+    schema = json.loads((ROOT / "schema" / "report.schema.json").read_text())
+    jsonschema.validate(doc, schema)
+    assert doc["verification_ok"] is True
+    for mode in ("inductive", "coinductive"):
+        assert "Enum<Weekday>" in doc["validity"][mode]["valid"]
+        assert "Enum<Object>" not in doc["validity"][mode]["valid"]
+
+
+def test_validity_bound_deeper_than_one_level_up_exits_two(capsys, tmp_path):
+    table = tmp_path / "deep_bound.table"
+    table.write_text("class Object\n"
+                     "class List<T> extends Object\n"
+                     "class Foo<T extends List<List<List<T>>>> extends Object")
+    code, out, err = run(capsys, "validity", str(table), "--depth", "1")
+    assert code == 2
+    assert out == ""
+    assert "outside the depth-2 universe" in err

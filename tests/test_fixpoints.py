@@ -1,5 +1,7 @@
 """F-subtypes/F-supertypes, extremal diagnostics, and validity modes."""
 
+import itertools
+
 import pytest
 
 from nomsub import (
@@ -12,7 +14,9 @@ from nomsub import (
     exact_fixed_points,
     f_subtypes,
     f_supertypes,
+    fixpoints,
     free_type,
+    is_subtype,
     maximal_f_subtypes,
     minimal_f_supertypes,
     parse_class_table,
@@ -156,3 +160,64 @@ class TestValidity:
     def test_rejects_unknown_mode(self, sample_table, sample_rel1):
         with pytest.raises(ValueError):
             check_validity(sample_table, sample_rel1, "both")
+
+
+# -- the depth-(d+1) decider against the depth-(d+1) relation -----------------
+
+# a superclass that nests a parameter: B<C<T>>
+NESTED = ("class Object\nclass Str extends Object\nclass C<T> extends Object\n"
+          "class B<T> extends Object\nclass A<T extends C<T>> extends B<C<T>>\n"
+          "class W extends A<W>")
+
+
+def _one_deeper_by_lookup(table, rel):
+    """The reference path: answers read from the whole depth-(d+1) relation."""
+    above = build_relation(table, rel.depth + 1, include_cofree=rel.include_cofree)
+    return lambda t1, t2: is_subtype(above, t1, t2)
+
+
+def _analyses(table, rel):
+    found = {}
+    for cls in table.class_names:
+        if table.arity(cls) == 1:
+            found[cls] = (f_subtypes(table, rel, cls), f_supertypes(table, rel, cls),
+                          maximal_f_subtypes(table, rel, cls),
+                          minimal_f_supertypes(table, rel, cls))
+    for mode in ("ind", "coind"):
+        found[mode] = check_validity(table, rel, mode).valid
+    return found
+
+
+def _table(name, request):
+    if name == "nested":
+        return parse_class_table(NESTED)
+    if name.startswith("seed"):
+        return random_table(int(name[4:]))
+    return request.getfixturevalue(f"{name}_table")
+
+
+@pytest.mark.parametrize("include_cofree", [True, False])
+@pytest.mark.parametrize("name, depth", [
+    ("sample", 0), ("sample", 1), ("reduced", 0), ("reduced", 1),
+    ("seed3", 0), ("seed3", 1), ("seed17", 0), ("seed17", 1),
+    ("seed102", 0), ("seed102", 1), ("nested", 0), ("nested", 1)])
+def test_analyses_match_the_depth_above(name, depth, include_cofree, request, monkeypatch):
+    table = _table(name, request)
+    rel = build_relation(table, depth, include_cofree=include_cofree)
+    decided = _analyses(table, rel)
+    monkeypatch.setattr(fixpoints, "_one_deeper", _one_deeper_by_lookup)
+    assert decided == _analyses(table, rel)
+
+
+@pytest.mark.parametrize("include_cofree", [True, False])
+@pytest.mark.parametrize("name", ["nested", "seed102"])
+def test_decider_matches_the_depth_above_pair_for_pair(name, include_cofree, request):
+    # depth-0 co-free rows (Beta<!> <: Alpha in seed 102) and nested
+    # superclass arguments are where the depth-1 relation is not the
+    # depth-0 one extended
+    table = _table(name, request)
+    rel = build_relation(table, 0, include_cofree=include_cofree)
+    above = build_relation(table, 1, include_cofree=include_cofree)
+    decide = fixpoints._one_deeper(table, rel)
+    for t1, t2 in itertools.product(above.universe, repeat=2):
+        assert decide(t1, t2) == is_subtype(above, t1, t2), (t1, t2)

@@ -7,7 +7,6 @@ import pytest
 
 from nomsub import (
     BOTTOM,
-    DEFAULT_CAP,
     Cofree,
     EndpointOutsideUniverse,
     Ground,
@@ -222,25 +221,32 @@ class TestExport:
     def test_json_roundtrip_keeps_build_flags(self, sample_table):
         bare = build_relation(sample_table, 1, cap=20_000, include_cofree=False)
         rebuilt = relation_from_json(sample_table, export_json(bare))
-        assert (rebuilt.include_cofree, rebuilt.cap) == (False, 20_000)
+        assert rebuilt.include_cofree is False
         assert rebuilt == bare
-        # the depth+1 companion must be rebuilt without co-free atoms too
+        # the depth+1 analyses must run without co-free atoms too
         assert (minimal_f_supertypes(sample_table, rebuilt, "List").cofree
                 == minimal_f_supertypes(sample_table, bare, "List").cofree)
 
     def test_json_without_build_flags_loads_with_defaults(self, sample_table, sample_rel1):
         doc = json.loads(export_json(sample_rel1))
-        del doc["include_cofree"], doc["cap"]
+        del doc["include_cofree"]
         rebuilt = relation_from_json(sample_table, json.dumps(doc))
-        assert (rebuilt.include_cofree, rebuilt.cap) == (True, DEFAULT_CAP)
+        assert rebuilt.include_cofree is True
         assert rebuilt == sample_rel1
+
+    def test_json_with_a_cap_key_still_loads(self, sample_table, sample_rel1):
+        # files written by older versions carry the universe cap; it is ignored
+        doc = json.loads(export_json(sample_rel1))
+        assert "cap" not in doc
+        doc["cap"] = 20_000
+        assert relation_from_json(sample_table, json.dumps(doc)) == sample_rel1
 
     def test_equality_compares_include_cofree_not_cap(self, sample_rel1):
         def variant(**flags):
             return SubtypeRelation(sample_rel1.universe, sample_rel1.labels,
                                    sample_rel1.edges.copy(), 0, sample_rel1.depth, **flags)
 
-        assert variant(cap=1) == sample_rel1
+        assert variant() == sample_rel1
         assert variant(include_cofree=False) != sample_rel1
 
     def test_json_is_deterministic(self, sample_rel1):
