@@ -120,12 +120,14 @@ def validity_doc(rel: SubtypeRelation, assignment: fixpoints.ValidityAssignment)
 
 
 def _fixpoint_doc(table: ClassTable, rel: SubtypeRelation, cls: str) -> dict:
-    maxima = maxima_doc(rel, fixpoints.maximal_f_subtypes(table, rel, cls))
-    minima = minima_doc(rel, fixpoints.minimal_f_supertypes(table, rel, cls))
+    # each member set is decided once and shared by the derived fields
+    subs = fixpoints.f_subtypes(table, rel, cls)
+    sups = fixpoints.f_supertypes(table, rel, cls)
+    algebras = set(sups)
     return {
-        "f_subtypes": labels(rel, fixpoints.f_subtypes(table, rel, cls)),
-        "f_supertypes": labels(rel, fixpoints.f_supertypes(table, rel, cls)),
-        "exact_fixed_points": labels(rel, fixpoints.exact_fixed_points(table, rel, cls)),
-        **maxima,
-        **minima,
+        "f_subtypes": labels(rel, subs),
+        "f_supertypes": labels(rel, sups),
+        "exact_fixed_points": labels(rel, [t for t in subs if t in algebras]),
+        **maxima_doc(rel, fixpoints._maxima_report(table, rel, cls, subs)),
+        **minima_doc(rel, fixpoints._minima_report(table, rel, cls, sups)),
     }

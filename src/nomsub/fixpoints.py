@@ -146,7 +146,11 @@ def maximal_f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> Max
     The comparison is judged one depth up, where the free type always
     exists even when the base universe is too shallow for it.
     """
-    members = f_subtypes(table, rel, cls)
+    return _maxima_report(table, rel, cls, f_subtypes(table, rel, cls))
+
+
+def _maxima_report(table: ClassTable, rel: SubtypeRelation, cls: str,
+                   members: tuple[TypeTerm, ...]) -> MaximaReport:
     maxima = tuple(_maximal(rel, members))
     ft = free_type(table, cls)
     deeper = _one_deeper(table, rel)
@@ -164,7 +168,11 @@ def minimal_f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> M
     In an extension-free build the atom does not exist, so both comparison
     flags come back False.
     """
-    members = f_supertypes(table, rel, cls)
+    return _minima_report(table, rel, cls, f_supertypes(table, rel, cls))
+
+
+def _minima_report(table: ClassTable, rel: SubtypeRelation, cls: str,
+                   members: tuple[TypeTerm, ...]) -> MinimaReport:
     minima = tuple(_minimal(rel, members))
     atom = Cofree(cls)
     if rel.include_cofree:

@@ -1,19 +1,25 @@
-"""Iterative construction of the depth-bounded subtyping relation.
+"""Stratified construction of the depth-bounded subtyping relation.
 
 The universe of terms at depth d is enumerated from the relation built at
-depth d-1 (intervals admit only endpoint-ordered pairs), then the relation
-over it is grown to a fixpoint by repeating one composable step:
+depth d-1 (intervals admit only endpoint-ordered pairs).  The relation over
+it is the least one closed under four rules:
 
   (a) containment edges between same-class instantiations,
   (b) inheritance edges along superclass chains,
   (c) co-free axioms (below the class's instantiations, between co-free
       atoms along subclassing, and below the root),
       plus bottom below everything,
-  (d) transitive closure.
+  (d) transitivity.
 
-Edges live in a dense boolean matrix with an index map; the closure is
-computed exactly on bit-packed rows.  Antisymmetry is not enforced —
-mutual_pairs exposes any collapse instead.
+construction_step applies the rules once and is the reference path: stepped
+from initial_relation it reaches the fixpoint.  build_relation computes the
+same fixpoint directly, one stratum from the one below, with no closure:
+containment is read off the depth-(d-1) relation, and each row is assembled
+from containment rows along the term's superclass chain.
+
+Edges live in a dense boolean matrix with an index map; rows are assembled
+as packed bits.  Antisymmetry is not enforced — mutual_pairs exposes any
+collapse instead.
 """
 
 from __future__ import annotations
@@ -155,6 +161,7 @@ def _stage(table: ClassTable, depth: int, cap: int, include_cofree: bool):
     fragment.
     """
     if depth == 0:
+        below = None
         terms = {BOTTOM}
         for decl in table.decls.values():
             if decl.is_generic:
@@ -163,9 +170,9 @@ def _stage(table: ClassTable, depth: int, cap: int, include_cofree: bool):
             else:
                 terms.add(Ground(decl.name))
     else:
-        prev_universe, prev_rel = _stage(table, depth - 1, cap, include_cofree)
+        prev_universe, below = _stage(table, depth - 1, cap, include_cofree)
         intervals = [Interval(prev_universe[i], prev_universe[j])
-                     for i, j in np.argwhere(prev_rel.edges)]
+                     for i, j in np.argwhere(below.edges)]
         terms = set(prev_universe)
         for decl in table.decls.values():
             if not decl.is_generic:
@@ -181,7 +188,7 @@ def _stage(table: ClassTable, depth: int, cap: int, include_cofree: bool):
     labeled = sorted((format_type(t, table), t) for t in terms)
     universe = tuple(t for _, t in labeled)
     labels = tuple(s for s, _ in labeled)
-    rel = _solve(table, universe, labels, depth, include_cofree)
+    rel = _stratum(table, universe, labels, depth, include_cofree, below)
     return universe, rel
 
 
@@ -210,31 +217,154 @@ def construction_step(table: ClassTable, rel: SubtypeRelation) -> SubtypeRelatio
 
 def build_relation(table: ClassTable, depth: int, cap: int = DEFAULT_CAP,
                    include_cofree: bool = True) -> SubtypeRelation:
-    """Enumerate the universe at `depth`, then apply construction_step to a
-    fixpoint; the iteration count includes the confirming pass."""
+    """Enumerate the universe at `depth` and build the fixpoint of
+    construction_step over it, each stratum directly from the one below.
+
+    `iterations` is the number of construction_step passes that stepping
+    from initial_relation takes to reach the same relation, confirming pass
+    included: 2 plus the deepest nesting in the universe.
+    """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     _universe, rel = _stage(table, depth, cap, include_cofree)
     return rel
 
 
-def _solve(table: ClassTable, universe: tuple[TypeTerm, ...],
-           labels: tuple[str, ...], depth: int,
-           include_cofree: bool) -> SubtypeRelation:
+def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
+             labels: tuple[str, ...], depth: int, include_cofree: bool,
+             below: SubtypeRelation | None) -> SubtypeRelation:
+    """The fixpoint of construction_step over `universe`, built row by row
+    from the relation `below` it (None at depth 0, where no term has
+    arguments).
+
+    Interval endpoints lie in the universe below, so containment is read off
+    the small relation there.  A ground term's row is its containment row
+    OR-ed with the containment rows of its superclass-chain members in the
+    universe (a member's chain is a suffix of the term's own chain).  A
+    co-free atom's row holds the co-free atoms of its superclasses, the rows
+    of every instantiation of those classes, and the root; bottom's row holds
+    every term.
+
+    The new stratum may relate old terms that the relation below did not: a
+    co-free atom reaches a plain superclass only through an instantiation,
+    and a term reaches its superclass-chain members only where they exist,
+    so an instantiation or chain member first enumerated here can add edges
+    between old terms.  While the result restricted to the old terms differs
+    from the relation used for containment, containment is recomputed from
+    that restriction (semi-naive evaluation); in practice this takes at most
+    one extra pass.
+
+    Stepping needs one construction_step pass per nesting level, one for the
+    static edges and a confirming one; `iterations` records that count.
+    """
+    n = len(universe)
     index = {t: i for i, t in enumerate(universe)}
-    static = _static_edges(table, universe, index, include_cofree)
-    groups = _containment_groups(table, universe, index)
+    blocks = _instantiation_blocks(universe, below)
+    chains = [(i, j) for i, term in enumerate(universe) if isinstance(term, Ground)
+              for j in map(index.get, super_chain(table, term)) if j is not None]
+    cofree_rows = _cofree_rows(table, universe, index, blocks) if include_cofree else []
+    diagonal = np.arange(n)
     bottom = index.get(BOTTOM)
-    edges = np.eye(len(universe), dtype=bool)
-    iterations = 0
+    below_edges = below.edges if below is not None else None
     while True:
-        new = _apply_step(edges, static, groups, bottom)
-        iterations += 1
-        if np.array_equal(new, edges):
+        packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+        for start, los, his in blocks:
+            _write_containment(packed, start, los, his, below_edges)
+        packed[diagonal, diagonal >> 3] |= _column_bits(diagonal)
+        for i, j in chains:
+            packed[i] |= packed[j]
+        if cofree_rows:
+            reach = {start: np.bitwise_or.reduce(packed[start:start + len(los)], axis=0)
+                     for start, los, _his in blocks}
+            for i, starts, direct in cofree_rows:
+                packed[i] |= direct
+                for start in starts:
+                    packed[i] |= reach[start]
+        if bottom is not None:
+            packed[bottom] = 0xFF
+        if below is None:
             break
-        edges = new
-    return SubtypeRelation(universe, labels, edges, iterations, depth,
-                           include_cofree)
+        old = np.fromiter((index[t] for t in below.universe), dtype=np.intp,
+                          count=len(below))
+        lifted = np.unpackbits(packed[old], axis=1, count=n).view(bool)[:, old]
+        if np.array_equal(lifted, below_edges):
+            break
+        below_edges = lifted
+    edges = np.unpackbits(packed, axis=1, count=n).view(bool)
+    # with a generic class, some instantiation is nested `depth` deep
+    nesting = depth if any(decl.is_generic for decl in table.decls.values()) else 0
+    return SubtypeRelation(universe, labels, edges, 2 + nesting, depth, include_cofree)
+
+
+def _instantiation_blocks(universe, below: SubtypeRelation | None):
+    """Per generic class with instantiations: the first universe index and
+    per-position endpoint indices into `below`'s universe.
+
+    A class's instantiations are contiguous in the label-sorted universe:
+    their labels share the prefix ``C<``, and the only other label with that
+    prefix, ``C<!>``, sorts before them.
+    """
+    members: dict[str, list[int]] = {}
+    for i, term in enumerate(universe):
+        if isinstance(term, Ground) and term.args:
+            members.setdefault(term.cls, []).append(i)
+    blocks = []
+    for cls, rows in members.items():
+        start = rows[0]
+        assert rows[-1] - start + 1 == len(rows), f"instantiations of {cls} not contiguous"
+        ends = np.array([[(below._index[iv.lo], below._index[iv.hi]) for iv in universe[i].args]
+                         for i in rows], dtype=np.intp)
+        blocks.append((start, ends[:, :, 0], ends[:, :, 1]))
+    return blocks
+
+
+def _write_containment(packed: np.ndarray, start: int, los: np.ndarray,
+                       his: np.ndarray, below: np.ndarray) -> None:
+    """OR one class's containment block into the packed rows: instantiation
+    i lies below j when every argument of i fits inside that of j, i.e.
+    ``below[lo_j, lo_i] and below[hi_i, hi_j]`` at each position.
+
+    Bit rows are laid out from byte ``start // 8`` so that the block is a
+    plain slice of the packed matrix.
+    """
+    k, arity = los.shape
+    offset = start % 8
+    cont = None
+    for p in range(arity):
+        lo, hi = los[:, p], his[:, p]
+        fits_lo = np.zeros((below.shape[0], offset + k), dtype=bool)
+        fits_lo[:, offset:] = below[lo, :].T  # [e, j]: lo_j <: e
+        fits_hi = np.zeros_like(fits_lo)
+        fits_hi[:, offset:] = below[:, hi]   # [e, j]: e <: hi_j
+        part = np.packbits(fits_lo, axis=1)[lo] & np.packbits(fits_hi, axis=1)[hi]
+        cont = part if cont is None else cont & part
+    first = start // 8
+    packed[start:start + k, first:first + cont.shape[1]] |= cont
+
+
+def _cofree_rows(table: ClassTable, universe, index, blocks):
+    """Per co-free atom ``C<!>``: its index, the blocks of the superclasses
+    of ``C`` whose instantiation rows it joins, and the packed row of the
+    terms it reaches directly (the superclasses' co-free atoms and the
+    root)."""
+    block_of = {universe[start].cls: start for start, _los, _his in blocks}
+    atoms = [(i, t) for i, t in enumerate(universe) if isinstance(t, Cofree)]
+    root = index.get(root_term(table))
+    rows = []
+    for i, atom in atoms:
+        supers = [other for _j, other in atoms if subclass_of(table, atom.cls, other.cls)]
+        starts = [block_of[s.cls] for s in supers if s.cls in block_of]
+        direct = np.zeros(len(universe), dtype=bool)
+        direct[[index[s] for s in supers]] = True
+        if root is not None:
+            direct[root] = True
+        rows.append((i, starts, np.packbits(direct)))
+    return rows
+
+
+def _column_bits(cols: np.ndarray) -> np.ndarray:
+    """The bit of each column within its byte of an `np.packbits` row."""
+    return (0x80 >> (cols & 7)).astype(np.uint8)
 
 
 def _static_edges(table: ClassTable, universe, index, include_cofree: bool):
@@ -342,7 +472,7 @@ def export_json(rel: SubtypeRelation) -> str:
         "depth": rel.depth,
         "include_cofree": rel.include_cofree,
         "universe": list(rel.labels),
-        "edges": [[int(i), int(j)] for i, j in np.argwhere(rel.edges)],
+        "edges": np.argwhere(rel.edges).tolist(),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -357,8 +487,8 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
     universe = tuple(parse_type(table, s) for s in labels)
     n = len(universe)
     edges = np.zeros((n, n), dtype=bool)
-    for i, j in doc["edges"]:
-        edges[i, j] = True
+    pairs = np.asarray(doc["edges"], dtype=np.intp).reshape(-1, 2)
+    edges[pairs[:, 0], pairs[:, 1]] = True
     return SubtypeRelation(universe, labels, edges, 0, int(doc["depth"]),
                            doc.get("include_cofree", True))
 
@@ -367,14 +497,18 @@ def export_dot(rel: SubtypeRelation) -> str:
     """Hasse diagram (transitive reduction) in DOT form, edges pointing from
     subtype to supertype; deterministic."""
     n = len(rel.universe)
-    strict = rel.edges & ~np.eye(n, dtype=bool)
-    f = strict.astype(np.float32)
-    indirect = (f @ f) > 0
-    hasse = strict & ~indirect
+    strict = np.packbits(rel.edges, axis=1)
+    diagonal = np.arange(n)
+    strict[diagonal, diagonal >> 3] &= ~_column_bits(diagonal)
     lines = ["digraph subtyping {", "  rankdir=BT;"]
     for label in rel.labels:
         lines.append(f'  "{label}";')
-    for i, j in np.argwhere(hasse):
-        lines.append(f'  "{rel.labels[i]}" -> "{rel.labels[j]}";')
+    for i in range(n):
+        # an edge is kept unless it is also a path of two strict edges
+        row = strict[i]
+        successors = np.flatnonzero(np.unpackbits(row, count=n))
+        hasse = row & ~np.bitwise_or.reduce(strict[successors], axis=0)
+        for j in np.flatnonzero(np.unpackbits(hasse, count=n)):
+            lines.append(f'  "{rel.labels[i]}" -> "{rel.labels[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
