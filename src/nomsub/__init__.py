@@ -32,6 +32,7 @@ from .errors import (
     BottomHasNoErasure,
     EndpointOutsideUniverse,
     FreeTypeOutsideUniverse,
+    InvalidRelationDocument,
     NomsubError,
     NotGeneric,
     NotUnaryGeneric,

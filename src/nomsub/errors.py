@@ -52,5 +52,9 @@ class TermOutsideUniverse(NomsubError):
     """A queried term is not a member of the relation's universe."""
 
 
+class InvalidRelationDocument(NomsubError):
+    """A relation document repeats a universe term or indexes outside it."""
+
+
 class FreeTypeOutsideUniverse(NomsubError):
     """A check needs every free type present; rebuild at depth >= 1."""

@@ -1,8 +1,8 @@
 """Stratified construction of the depth-bounded subtyping relation.
 
 The universe of terms at depth d is enumerated from the relation built at
-depth d-1 (intervals admit only endpoint-ordered pairs).  The relation over
-it is the least one closed under four rules:
+depth d-1, as products of its intervals (its edges, so endpoint-ordered
+pairs).  The relation over it is the least one closed under four rules:
 
   (a) containment edges between same-class instantiations,
   (b) inheritance edges along superclass chains,
@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .class_table import ClassTable, subclass_of
 from .errors import (
     EndpointOutsideUniverse,
+    InvalidRelationDocument,
     TermOutsideUniverse,
     UniverseCapExceeded,
 )
@@ -70,7 +71,10 @@ class SubtypeRelation:
         self.iterations = iterations
         self.depth = depth
         self.include_cofree = include_cofree
-        self._index = {t: i for i, t in enumerate(universe)}
+
+    @cached_property
+    def _index(self) -> dict[TypeTerm, int]:
+        return {t: i for i, t in enumerate(self.universe)}
 
     def __len__(self) -> int:
         return len(self.universe)
@@ -147,49 +151,60 @@ def enumerate_universe(table: ClassTable, depth: int,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    universe, _rel = _stage(table, depth, cap, True)
-    return universe
+    return _stage(table, depth, cap, True).universe
 
 
 @lru_cache(maxsize=64)
-def _stage(table: ClassTable, depth: int, cap: int, include_cofree: bool):
-    """Universe at `depth` plus the relation over it.
+def _stage(table: ClassTable, depth: int, cap: int,
+           include_cofree: bool) -> SubtypeRelation:
+    """The relation at `depth`, over its universe: the depth-0 terms plus,
+    per generic class, every product of the intervals (edges ``lo <: hi``)
+    of the stratum below, kept as endpoint indices into that stratum.  Edges
+    only grow from one stratum to the next, so the products re-generate
+    every instantiation below and the universe's size is known before any
+    term is built.  A class's instantiations are sorted within the class;
+    their labels all begin ``C<``, so merging the classes and the depth-0
+    terms by leading label gives the label order.
 
     Without the co-free axioms the atoms they define are dropped from the
     universe as well: the extension-free model contains only ordinary terms,
     which makes it directly comparable with the full model on its Ground
     fragment.
     """
+    singles = [BOTTOM]
+    for decl in table.decls.values():
+        if not decl.is_generic:
+            singles.append(Ground(decl.name))
+        elif include_cofree:
+            singles.append(Cofree(decl.name))
     if depth == 0:
-        below = None
-        terms = {BOTTOM}
-        for decl in table.decls.values():
-            if decl.is_generic:
-                if include_cofree:
-                    terms.add(Cofree(decl.name))
-            else:
-                terms.add(Ground(decl.name))
+        below, generics = None, []
     else:
-        prev_universe, below = _stage(table, depth - 1, cap, include_cofree)
-        intervals = [Interval(prev_universe[i], prev_universe[j])
-                     for i, j in np.argwhere(below.edges)]
-        terms = set(prev_universe)
-        for decl in table.decls.values():
-            if not decl.is_generic:
-                continue
-            for combo in itertools.product(intervals, repeat=decl.arity):
-                terms.add(Ground(decl.name, combo))
-                if len(terms) > cap:
-                    raise UniverseCapExceeded(
-                        f"universe at depth {depth} exceeds the cap of {cap} terms")
-    if len(terms) > cap:
+        below = _stage(table, depth - 1, cap, include_cofree)
+        pairs = np.argwhere(below.edges)
+        generics = [decl for decl in table.decls.values() if decl.is_generic]
+    if len(singles) + sum(len(pairs) ** decl.arity for decl in generics) > cap:
         raise UniverseCapExceeded(
             f"universe at depth {depth} exceeds the cap of {cap} terms")
-    labeled = sorted((format_type(t, table), t) for t in terms)
-    universe = tuple(t for _, t in labeled)
-    labels = tuple(s for s, _ in labeled)
-    rel = _stratum(table, universe, labels, depth, include_cofree, below)
-    return universe, rel
+    # (labels, terms, endpoint indices or None), each unit in label order
+    units = [([format_type(t, table)], [t], None) for t in singles]
+    if generics:
+        intervals = [Interval(below.universe[i], below.universe[j]) for i, j in pairs]
+    for decl in generics:
+        block = [Ground(decl.name, args)
+                 for args in itertools.product(intervals, repeat=decl.arity)]
+        # ends[k, p] = (lo, hi) of argument p of block[k], in product order
+        ends = pairs[np.indices((len(pairs),) * decl.arity).reshape(decl.arity, -1).T]
+        names = [format_type(t, table) for t in block]
+        order = sorted(range(len(block)), key=names.__getitem__)
+        units.append(([names[k] for k in order], [block[k] for k in order], ends[order]))
+    units.sort(key=lambda unit: unit[0][0])
+    starts = itertools.accumulate((len(unit[1]) for unit in units), initial=0)
+    blocks = [(start, ends[..., 0], ends[..., 1])
+              for start, (_names, _terms, ends) in zip(starts, units) if ends is not None]
+    return _stratum(table, tuple(t for unit in units for t in unit[1]),
+                    tuple(s for unit in units for s in unit[0]), blocks, depth,
+                    include_cofree, below)
 
 
 # -- construction ------------------------------------------------------------
@@ -199,9 +214,9 @@ def initial_relation(table: ClassTable, depth: int, cap: int = DEFAULT_CAP,
                      include_cofree: bool = True) -> SubtypeRelation:
     """The reflexive relation over the enumerated universe; the starting
     point for construction_step."""
-    universe, rel = _stage(table, depth, cap, include_cofree)
-    eye = np.eye(len(universe), dtype=bool)
-    return SubtypeRelation(universe, rel.labels, eye, 0, depth, include_cofree)
+    rel = _stage(table, depth, cap, include_cofree)
+    eye = np.eye(len(rel), dtype=bool)
+    return SubtypeRelation(rel.universe, rel.labels, eye, 0, depth, include_cofree)
 
 
 def construction_step(table: ClassTable, rel: SubtypeRelation) -> SubtypeRelation:
@@ -226,24 +241,24 @@ def build_relation(table: ClassTable, depth: int, cap: int = DEFAULT_CAP,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    _universe, rel = _stage(table, depth, cap, include_cofree)
-    return rel
+    return _stage(table, depth, cap, include_cofree)
 
 
 def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
-             labels: tuple[str, ...], depth: int, include_cofree: bool,
+             labels: tuple[str, ...], blocks, depth: int, include_cofree: bool,
              below: SubtypeRelation | None) -> SubtypeRelation:
     """The fixpoint of construction_step over `universe`, built row by row
     from the relation `below` it (None at depth 0, where no term has
     arguments).
 
-    Interval endpoints lie in the universe below, so containment is read off
-    the small relation there.  A ground term's row is its containment row
-    OR-ed with the containment rows of its superclass-chain members in the
-    universe (a member's chain is a suffix of the term's own chain).  A
-    co-free atom's row holds the co-free atoms of its superclasses, the rows
-    of every instantiation of those classes, and the root; bottom's row holds
-    every term.
+    `blocks` holds each generic class's first universe index and its
+    instantiations' endpoint indices into the universe below, where
+    containment is read off the small relation.  A ground term's row is its
+    containment row OR-ed with the containment rows of its superclass-chain
+    members in the universe (a member's chain is a suffix of the term's own
+    chain).  A co-free atom's row holds the co-free atoms of its
+    superclasses, the rows of every instantiation of those classes, and the
+    root; bottom's row holds every term.
 
     The new stratum may relate old terms that the relation below did not: a
     co-free atom reaches a plain superclass only through an instantiation,
@@ -259,7 +274,6 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
     """
     n = len(universe)
     index = {t: i for i, t in enumerate(universe)}
-    blocks = _instantiation_blocks(universe, below)
     chains = [(i, j) for i, term in enumerate(universe) if isinstance(term, Ground)
               for j in map(index.get, super_chain(table, term)) if j is not None]
     cofree_rows = _cofree_rows(table, universe, index, blocks) if include_cofree else []
@@ -293,29 +307,9 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
     edges = np.unpackbits(packed, axis=1, count=n).view(bool)
     # with a generic class, some instantiation is nested `depth` deep
     nesting = depth if any(decl.is_generic for decl in table.decls.values()) else 0
-    return SubtypeRelation(universe, labels, edges, 2 + nesting, depth, include_cofree)
-
-
-def _instantiation_blocks(universe, below: SubtypeRelation | None):
-    """Per generic class with instantiations: the first universe index and
-    per-position endpoint indices into `below`'s universe.
-
-    A class's instantiations are contiguous in the label-sorted universe:
-    their labels share the prefix ``C<``, and the only other label with that
-    prefix, ``C<!>``, sorts before them.
-    """
-    members: dict[str, list[int]] = {}
-    for i, term in enumerate(universe):
-        if isinstance(term, Ground) and term.args:
-            members.setdefault(term.cls, []).append(i)
-    blocks = []
-    for cls, rows in members.items():
-        start = rows[0]
-        assert rows[-1] - start + 1 == len(rows), f"instantiations of {cls} not contiguous"
-        ends = np.array([[(below._index[iv.lo], below._index[iv.hi]) for iv in universe[i].args]
-                         for i in rows], dtype=np.intp)
-        blocks.append((start, ends[:, :, 0], ends[:, :, 1]))
-    return blocks
+    rel = SubtypeRelation(universe, labels, edges, 2 + nesting, depth, include_cofree)
+    rel._index = index
+    return rel
 
 
 def _write_containment(packed: np.ndarray, start: int, los: np.ndarray,
@@ -467,30 +461,61 @@ def _transitive_closure(edges: np.ndarray) -> np.ndarray:
 
 def export_json(rel: SubtypeRelation) -> str:
     """Serialize as {depth, include_cofree, universe, edges} with indices
-    into the canonical universe order; deterministic."""
-    doc = {
-        "depth": rel.depth,
-        "include_cofree": rel.include_cofree,
-        "universe": list(rel.labels),
-        "edges": np.argwhere(rel.edges).tolist(),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    into the canonical universe order; deterministic.
+
+    The text is that of ``json.dumps(doc, indent=2, sort_keys=True)``,
+    written directly: the pure-Python encoder that ``indent`` selects is
+    slow on large edge lists.
+    """
+    # one string per nonempty row, its pairs joined with the row's head
+    tails = np.array([f"{j}\n    ]" for j in range(len(rel))], dtype=object)
+    edges = []
+    for i, row in enumerate(rel.edges):
+        if row.any():
+            head = f"    [\n      {i},\n      "
+            edges.append(head + (",\n" + head).join(tails[row]))
+    universe = [f"    {json.dumps(label)}" for label in rel.labels]
+    return (f'{{\n  "depth": {json.dumps(rel.depth)},\n'
+            f'  "edges": {_json_array(edges)},\n'
+            f'  "include_cofree": {json.dumps(rel.include_cofree)},\n'
+            f'  "universe": {_json_array(universe)}\n}}\n')
+
+
+def _json_array(items: list[str]) -> str:
+    """Encoded items (runs of items joined by ``",\\n"`` count as one) as the
+    array value of a top-level key, laid out as ``json.dumps(indent=2)``
+    lays it out."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
     """Rebuild a relation exported by export_json, using the table to parse
     the printed terms; a document without include_cofree gets the
     build_relation default, and a `cap` key (written by older versions) is
-    ignored."""
+    ignored.  A universe entry that repeats an earlier term, or an edge
+    index outside the universe, raises InvalidRelationDocument."""
     doc = json.loads(text)
     labels = tuple(doc["universe"])
     universe = tuple(parse_type(table, s) for s in labels)
+    index: dict[TypeTerm, int] = {}
+    for k, term in enumerate(universe):
+        first = index.setdefault(term, k)
+        if first != k:
+            raise InvalidRelationDocument(
+                f"universe entry {k} '{labels[k]}' repeats entry {first} '{labels[first]}'")
     n = len(universe)
-    edges = np.zeros((n, n), dtype=bool)
     pairs = np.asarray(doc["edges"], dtype=np.intp).reshape(-1, 2)
+    bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if bad.size:
+        raise InvalidRelationDocument(
+            f"edge {bad[0]} {pairs[bad[0]].tolist()} has an index outside the "
+            f"universe of {n} terms")
+    edges = np.zeros((n, n), dtype=bool)
     edges[pairs[:, 0], pairs[:, 1]] = True
-    return SubtypeRelation(universe, labels, edges, 0, int(doc["depth"]),
-                           doc.get("include_cofree", True))
+    rel = SubtypeRelation(universe, labels, edges, 0, int(doc["depth"]),
+                          doc.get("include_cofree", True))
+    rel._index = index
+    return rel
 
 
 def export_dot(rel: SubtypeRelation) -> str:

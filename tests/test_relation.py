@@ -11,6 +11,7 @@ from nomsub import (
     EndpointOutsideUniverse,
     Ground,
     Interval,
+    InvalidRelationDocument,
     SubtypeRelation,
     TermOutsideUniverse,
     build_relation,
@@ -31,6 +32,8 @@ from nomsub import (
     wildcard,
 )
 from nomsub.random_tables import random_table
+
+from nested_tables import NESTED_TABLES
 
 
 class TestConstructionStep:
@@ -107,15 +110,6 @@ class TestBuildRelation:
         for _ in range(sample_rel1.iterations):
             rel = construction_step(sample_table, rel)
         assert rel == sample_rel1
-
-
-NESTED_TABLES = {
-    "nested": ("class Object\nclass Str extends Object\nclass C<T> extends Object\n"
-               "class B<T> extends Object\nclass A<T extends C<T>> extends B<C<T>>\n"
-               "class W extends A<W>"),
-    "nested_plain": ("class Object\nclass C<T> extends Object\nclass B<T> extends Object\n"
-                     "class A<T> extends B<C<T>>"),
-}
 
 
 def _stepped_to_fixpoint(table, depth, include_cofree):
@@ -290,6 +284,34 @@ class TestExport:
 
     def test_json_is_deterministic(self, sample_rel1):
         assert export_json(sample_rel1) == export_json(sample_rel1)
+
+    @pytest.mark.parametrize("depth, include_cofree", [(1, True), (2, True), (2, False)])
+    def test_json_text_is_that_of_the_json_encoder(self, sample_table, depth, include_cofree):
+        rel = build_relation(sample_table, depth, include_cofree=include_cofree)
+        doc = {"depth": rel.depth, "include_cofree": rel.include_cofree,
+               "universe": list(rel.labels), "edges": np.argwhere(rel.edges).tolist()}
+        assert export_json(rel) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_json_negative_edge_index_is_rejected(self, sample_table, sample_rel1):
+        doc = json.loads(export_json(sample_rel1))
+        doc["edges"].append([-1, 0])
+        bad = len(doc["edges"]) - 1
+        with pytest.raises(InvalidRelationDocument, match=rf"edge {bad} \[-1, 0\]"):
+            relation_from_json(sample_table, json.dumps(doc))
+
+    def test_json_edge_index_past_the_universe_is_rejected(self, sample_table, sample_rel1):
+        doc = json.loads(export_json(sample_rel1))
+        doc["edges"].insert(0, [99, 0])
+        with pytest.raises(InvalidRelationDocument,
+                           match=rf"edge 0 \[99, 0\] .* universe of {len(sample_rel1)} terms"):
+            relation_from_json(sample_table, json.dumps(doc))
+
+    def test_json_repeated_universe_label_is_rejected(self, sample_table, sample_rel1):
+        doc = json.loads(export_json(sample_rel1))
+        doc["universe"].append(doc["universe"][3])
+        with pytest.raises(InvalidRelationDocument,
+                           match=rf"universe entry {len(sample_rel1)} .* repeats entry 3"):
+            relation_from_json(sample_table, json.dumps(doc))
 
     def test_dot_two_type_chain(self):
         table = parse_class_table("class Object\nclass String extends Object")

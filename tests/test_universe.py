@@ -1,5 +1,8 @@
 """Universe enumeration: contents, canonical order, depth bounds, caps."""
 
+import re
+
+import numpy as np
 import pytest
 
 from nomsub import (
@@ -13,6 +16,9 @@ from nomsub import (
     parse_class_table,
     parse_type,
 )
+from nomsub.random_tables import random_table
+
+from nested_tables import NESTED_TABLES
 
 
 def test_depth_zero_without_generics():
@@ -48,11 +54,18 @@ def test_endpoint_unordered_intervals_are_not_enumerated(sample_table):
 
 
 def test_monotone_in_depth(sample_table, reduced_table):
-    for table in (sample_table, reduced_table):
-        u0 = set(enumerate_universe(table, 0))
-        u1 = set(enumerate_universe(table, 1))
-        assert u0 <= u1
-    assert set(enumerate_universe(reduced_table, 1)) <= set(enumerate_universe(reduced_table, 2))
+    # each stratum enumerates only the interval products of the one below,
+    # which re-generate the old terms only if no edge is lost going up
+    tables = ([sample_table, reduced_table]
+              + [random_table(seed) for seed in range(40)]
+              + [parse_class_table(text) for text in NESTED_TABLES.values()])
+    for table in tables:
+        for include_cofree in (True, False):
+            rels = [build_relation(table, d, include_cofree=include_cofree) for d in (0, 1, 2)]
+            for below, above in zip(rels, rels[1:]):
+                assert set(below.universe) <= set(above.universe)
+                old = np.array([above.index(t) for t in below.universe])
+                assert not (below.edges & ~above.edges[np.ix_(old, old)]).any()
 
 
 def test_depth_bound_holds(sample_table, reduced_table):
@@ -86,6 +99,12 @@ def test_multi_parameter_classes_enumerate_all_argument_products():
 def test_cap_is_enforced(sample_table):
     with pytest.raises(UniverseCapExceeded):
         enumerate_universe(sample_table, 1, cap=20)
+    for depth in (0, 1, 2):
+        size = len(enumerate_universe(sample_table, depth))
+        assert len(enumerate_universe(sample_table, depth, cap=size)) == size
+        message = f"universe at depth {depth} exceeds the cap of {size - 1} terms"
+        with pytest.raises(UniverseCapExceeded, match=f"^{re.escape(message)}$"):
+            enumerate_universe(sample_table, depth, cap=size - 1)
 
 
 def test_negative_depth_is_rejected(sample_table):
