@@ -10,6 +10,9 @@ which is verified here exhaustively, together with the unit law
 ``t <: free_type(erase(t))``, the counit law ``erase(free_type(c)) = c``,
 monotonicity of both maps, and the fixed points of the induced closure
 operator (the closed types).
+
+The checks read the edge matrix by universe index, so no term is hashed per
+pair, and they build no n x n temporary.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .class_table import ClassTable, subclass_of
-from .errors import BottomHasNoErasure, FreeTypeOutsideUniverse
+from .errors import FreeTypeOutsideUniverse
 from .relation import SubtypeRelation, is_subtype
 from .terms import BOTTOM, Cofree, Ground, TypeTerm, erase, free_type
 
@@ -66,43 +69,36 @@ def check_galois(table: ClassTable, rel: SubtypeRelation,
     `quantify="valid"` narrows the term domain to the instantiations that
     are valid under the inductively computed validity assignment.
     """
-    free = _free_types(table, rel)
+    free = _free_columns(table, rel)
     if quantify not in ("admittable", "valid"):
         raise ValueError("quantify must be 'admittable' or 'valid'")
-    domain: list[TypeTerm] = []
-    bottom_skipped = 0
+    classes = _class_positions(table, rel)
+    domain = classes >= 0
     if quantify == "valid":
         from .fixpoints import check_validity
-        validity = check_validity(table, rel, mode="ind")
-    for term in rel.universe:
-        if term == BOTTOM:
-            bottom_skipped += 1
-            continue
-        if quantify == "valid" and isinstance(term, Ground) and term not in validity.valid:
-            continue
-        domain.append(term)
+        valid = check_validity(table, rel, mode="ind").valid
+        domain &= [not isinstance(t, Ground) or t in valid for t in rel.universe]
+    rows = np.flatnonzero(domain)
 
-    report = AdjunctionReport(bottom_skipped=bottom_skipped, quantified_over=quantify)
-    for term in domain:
-        erased = erase(term)
+    report = AdjunctionReport(checked_pairs=rows.size * len(free),
+                              bottom_skipped=int((classes < 0).sum()),
+                              quantified_over=quantify)
+    erasure_side = _subclass_matrix(table)[classes[rows]]
+    subtype_side = rel.edges[rows[:, None], free]
+    names = table.class_names
+    for r, k in np.argwhere(erasure_side != subtype_side):
+        term = rel.universe[rows[r]]
         sink = report.cofree_violations if isinstance(term, Cofree) else report.violations
-        for cls in table.class_names:
-            lhs = subclass_of(table, erased, cls)
-            rhs = is_subtype(rel, term, free[cls])
-            report.checked_pairs += 1
-            if lhs and not rhs:
-                sink.append(GaloisViolation(term, cls, LEFT_TO_RIGHT))
-            elif rhs and not lhs:
-                sink.append(GaloisViolation(term, cls, RIGHT_TO_LEFT))
+        direction = LEFT_TO_RIGHT if erasure_side[r, k] else RIGHT_TO_LEFT
+        sink.append(GaloisViolation(term, names[k], direction))
     return report
 
 
 def closure_type(table: ClassTable, rel: SubtypeRelation,
                  term: TypeTerm) -> tuple[TypeTerm, bool]:
     """Apply the closure operator free_type(erase(t)) and report whether the
-    unit law t <: free_type(erase(t)) holds (expected everywhere)."""
-    if term == BOTTOM:
-        raise BottomHasNoErasure("the bottom type has no erasure")
+    unit law t <: free_type(erase(t)) holds (expected everywhere); bottom
+    has no erasure and raises BottomHasNoErasure."""
     closed = free_type(table, erase(term))
     return closed, is_subtype(rel, term, closed)
 
@@ -117,13 +113,8 @@ def closure_class(table: ClassTable, cls: str) -> tuple[str, bool]:
 def closed_types(rel: SubtypeRelation, table: ClassTable) -> frozenset[TypeTerm]:
     """Syntactic fixed points of the closure operator; exactly the free
     types (which for non-generic classes are the classes' sole types)."""
-    fixed = []
-    for term in rel.universe:
-        if term == BOTTOM:
-            continue
-        if free_type(table, erase(term)) == term:
-            fixed.append(term)
-    return frozenset(fixed)
+    free = (free_type(table, c) for c in table.class_names)
+    return frozenset(ft for ft in free if ft in rel)
 
 
 @dataclass
@@ -143,36 +134,43 @@ class MonotonicityReport:
 def check_monotonicity(table: ClassTable, rel: SubtypeRelation) -> MonotonicityReport:
     """Both maps must be monotone: t1 <: t2 implies erase(t1) subclasses
     erase(t2), and c subclasses d implies free_type(c) <: free_type(d)."""
-    free = _free_types(table, rel)
-    report = MonotonicityReport()
+    free = _free_columns(table, rel)
+    sub = _subclass_matrix(table)
+    classes = _class_positions(table, rel)
+    # unreachable[k, j]: term j is erasable and its class is no superclass of k
+    unreachable = ~sub[:, classes] & (classes >= 0)
+    u, names = rel.universe, table.class_names
+    return MonotonicityReport(
+        [(u[i], u[j]) for i in np.flatnonzero(classes >= 0)
+         for j in np.flatnonzero(rel.edges[i] & unreachable[classes[i]])],
+        [(names[a], names[b]) for a, b in np.argwhere(sub & ~rel.edges[free[:, None], free])])
 
+
+def _class_positions(table: ClassTable, rel: SubtypeRelation) -> np.ndarray:
+    """Each term's class as a position in `table.class_names`; -1 for bottom."""
+    position = {c: k for k, c in enumerate(table.class_names)}
+    return np.array([-1 if t == BOTTOM else position[erase(t)] for t in rel.universe],
+                    dtype=np.intp)
+
+
+def _subclass_matrix(table: ClassTable) -> np.ndarray:
+    """sub[a, b]: class a subclasses class b, by position in `table.class_names`."""
     names = table.class_names
-    name_pos = {c: k for k, c in enumerate(names)}
-    sub = np.zeros((len(names), len(names)), dtype=bool)
-    for a in names:
-        for b in names:
-            sub[name_pos[a], name_pos[b]] = subclass_of(table, a, b)
-
-    erasable = np.array([t != BOTTOM for t in rel.universe])
-    cls_idx = np.array([name_pos[erase(t)] if t != BOTTOM else 0
-                        for t in rel.universe])
-    bad = rel.edges & erasable[:, None] & erasable[None, :] \
-        & ~sub[cls_idx[:, None], cls_idx[None, :]]
-    for i, j in np.argwhere(bad):
-        report.erasure_witnesses.append((rel.universe[i], rel.universe[j]))
-
-    for a in names:
-        for b in names:
-            if subclass_of(table, a, b) and not is_subtype(rel, free[a], free[b]):
-                report.free_type_witnesses.append((a, b))
-    return report
+    return np.array([[subclass_of(table, a, b) for b in names] for a in names])
 
 
-def _free_types(table: ClassTable, rel: SubtypeRelation) -> dict[str, Ground]:
-    free = {c: free_type(table, c) for c in table.class_names}
-    missing = [c for c, ft in free.items() if ft not in rel]
+def _free_columns(table: ClassTable, rel: SubtypeRelation,
+                  needed: np.ndarray | None = None) -> np.ndarray:
+    """Universe index of each class's free type, by class position (-1 where
+    absent).  Raises if the free type of a `needed` class (by default every
+    class) lies outside the universe."""
+    names = table.class_names
+    columns = np.array([rel.index(ft) if (ft := free_type(table, c)) in rel else -1
+                        for c in names], dtype=np.intp)
+    missing = [names[k] for k in (range(len(names)) if needed is None else needed)
+               if columns[k] < 0]
     if missing:
         raise FreeTypeOutsideUniverse(
             f"free type(s) of {', '.join(missing)} are outside the universe; "
             "build the relation at depth >= 1")
-    return free
+    return columns

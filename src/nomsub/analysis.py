@@ -10,10 +10,12 @@ and are shared with the single-analysis CLI subcommands.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import adjunction, fixpoints, relation
 from .class_table import ClassTable
 from .relation import SubtypeRelation
-from .terms import BOTTOM, format_type
+from .terms import format_type
 
 
 def analyze(table: ClassTable, rel: SubtypeRelation,
@@ -73,23 +75,20 @@ def galois_doc(report: adjunction.AdjunctionReport) -> dict:
 
 def closure_doc(table: ClassTable, rel: SubtypeRelation) -> dict:
     """Unit and idempotence violations over the universe (bottom excluded),
-    counit violations over the classes, and the closed types."""
-    unit, idem = [], []
-    for term in rel.universe:
-        if term == BOTTOM:
-            continue
-        closed, holds = adjunction.closure_type(table, rel, term)
-        if not holds:
-            unit.append(rel.label(term))
-        again, _ = adjunction.closure_type(table, rel, closed)
-        if again != closed:
-            idem.append(rel.label(term))
-    counit = [c for c in table.class_names
-              if not adjunction.closure_class(table, c)[1]]
+    counit violations over the classes, and the closed types.  A term breaks
+    idempotence exactly when its class breaks the counit law, since
+    free_type(erase(free_type(c))) is free_type(c) exactly when it holds."""
+    classes = adjunction._class_positions(table, rel)
+    rows = np.flatnonzero(classes >= 0)
+    free = adjunction._free_columns(table, rel, needed=np.unique(classes[rows]))
+    names = table.class_names
+    counit_ok = np.array([adjunction.closure_class(table, c)[1] for c in names])
+    unit = rows[~rel.edges[rows, free[classes[rows]]]]
+    idem = rows[~counit_ok[classes[rows]]]
     return {
-        "unit_violations": unit,
-        "counit_violations": counit,
-        "idempotence_violations": idem,
+        "unit_violations": [rel.labels[i] for i in unit],
+        "counit_violations": [c for c, ok in zip(names, counit_ok) if not ok],
+        "idempotence_violations": [rel.labels[i] for i in idem],
         "closed_types": sorted(labels(rel, adjunction.closed_types(rel, table))),
     }
 

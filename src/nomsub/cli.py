@@ -19,7 +19,7 @@ from .analysis import (analyze, closure_doc, closure_laws_hold, galois_doc,
 from .class_table import ClassTable, parse_class_table
 from .errors import NomsubError
 from .relation import DEFAULT_CAP, SubtypeRelation, build_relation
-from .terms import TypeTerm, format_type, nesting_depth, parse_type
+from .terms import Cofree, Ground, TypeTerm, format_type, nesting_depth, parse_type
 
 MAX_GUARDED_DEPTH = 3
 
@@ -107,11 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="verify closure laws and list closed types")
     p.set_defaults(handler=_cmd_closures)
 
-    for name, help_text in [("fsub", "terms Ty with Ty <: F<Ty>"),
-                            ("fsup", "terms Ty with F<Ty> <: Ty")]:
+    for name, kind, help_text in [("fsub", "f-subtypes", "terms Ty with Ty <: F<Ty>"),
+                                  ("fsup", "f-supertypes", "terms Ty with F<Ty> <: Ty")]:
         p = sub.add_parser(name, parents=[common, fmt], help=help_text)
         p.add_argument("cls")
-        p.set_defaults(handler=_cmd_fsub if name == "fsub" else _cmd_fsup)
+        p.set_defaults(handler=_cmd_members, kind=kind)
 
     p = sub.add_parser("maxima", parents=[common, fmt],
                        help="maximal F-subtypes and free-type comparison")
@@ -178,8 +178,10 @@ def _cmd_subtype(args, table: ClassTable) -> int:
     for term, text in ((t1, args.t1), (t2, args.t2)):
         if term not in rel:
             _warn_unordered(rel, term, text)
-            print(f"error: '{text}' is not in the depth-{needed} universe "
-                  "(endpoint-unordered intervals are never enumerated)",
+            cause = ("co-free atoms are excluded by --no-cofree"
+                     if isinstance(term, Cofree) and not rel.include_cofree
+                     else "endpoint-unordered intervals are never enumerated")
+            print(f"error: '{text}' is not in the depth-{needed} universe ({cause})",
                   file=sys.stderr)
             return 2
     print("true" if relation.is_subtype(rel, t1, t2) else "false")
@@ -187,7 +189,6 @@ def _cmd_subtype(args, table: ClassTable) -> int:
 
 
 def _warn_unordered(rel: SubtypeRelation, term: TypeTerm, text: str) -> None:
-    from .terms import Ground
     if not isinstance(term, Ground):
         return
     for iv in term.args:
@@ -235,27 +236,17 @@ def _cmd_closures(args, table: ClassTable) -> int:
     return 0 if closure_laws_hold(doc) else 1
 
 
-def _print_terms(rel: SubtypeRelation, terms, fmt: str, key: str) -> None:
-    names = labels(rel, terms)
-    if fmt == "json":
+def _cmd_members(args, table: ClassTable) -> int:
+    rel = _build(table, args)
+    find = fixpoints.f_subtypes if args.kind == "f-subtypes" else fixpoints.f_supertypes
+    names = labels(rel, find(table, rel, args.cls))
+    key = f"{args.kind} of {args.cls}"
+    if args.format == "json":
         _emit_json({key: names, "count": len(names)})
     else:
         print(f"{key}: {len(names)}")
         for label in names:
             print(f"  {label}")
-
-
-def _cmd_fsub(args, table: ClassTable) -> int:
-    rel = _build(table, args)
-    _print_terms(rel, fixpoints.f_subtypes(table, rel, args.cls), args.format,
-                 f"f-subtypes of {args.cls}")
-    return 0
-
-
-def _cmd_fsup(args, table: ClassTable) -> int:
-    rel = _build(table, args)
-    _print_terms(rel, fixpoints.f_supertypes(table, rel, args.cls), args.format,
-                 f"f-supertypes of {args.cls}")
     return 0
 
 

@@ -19,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .class_table import ClassTable, TypeUse, subclass_of
 from .errors import NotUnaryGeneric, TermOutsideUniverse
-from .relation import SubtypeRelation, is_subtype
+from .relation import SubtypeRelation
 from .terms import (
     BOTTOM,
     Cofree,
@@ -151,7 +153,8 @@ def maximal_f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> Max
 
 def _maxima_report(table: ClassTable, rel: SubtypeRelation, cls: str,
                    members: tuple[TypeTerm, ...]) -> MaximaReport:
-    maxima = tuple(_maximal(rel, members))
+    maxima = tuple(m for m, up in zip(members, _strictly_below(rel, members))
+                   if not up.any())
     ft = free_type(table, cls)
     deeper = _one_deeper(table, rel)
     comparison = FreeTypeComparison(
@@ -173,7 +176,8 @@ def minimal_f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> M
 
 def _minima_report(table: ClassTable, rel: SubtypeRelation, cls: str,
                    members: tuple[TypeTerm, ...]) -> MinimaReport:
-    minima = tuple(_minimal(rel, members))
+    minima = tuple(m for m, down in zip(members, _strictly_below(rel, members).T)
+                   if not down.any())
     atom = Cofree(cls)
     if rel.include_cofree:
         deeper = _one_deeper(table, rel)
@@ -186,16 +190,11 @@ def _minima_report(table: ClassTable, rel: SubtypeRelation, cls: str,
     return MinimaReport(minima, comparison)
 
 
-def _maximal(rel: SubtypeRelation, members) -> list[TypeTerm]:
-    return [m for m in members
-            if not any(o != m and is_subtype(rel, m, o) and not is_subtype(rel, o, m)
-                       for o in members)]
-
-
-def _minimal(rel: SubtypeRelation, members) -> list[TypeTerm]:
-    return [m for m in members
-            if not any(o != m and is_subtype(rel, o, m) and not is_subtype(rel, m, o)
-                       for o in members)]
+def _strictly_below(rel: SubtypeRelation, members) -> np.ndarray:
+    """below[a, b]: member a is a strict subtype of member b."""
+    idx = np.array([rel.index(m) for m in members], dtype=np.intp)
+    sub = rel.edges[idx[:, None], idx]
+    return sub & ~sub.T
 
 
 # -- validity -----------------------------------------------------------------

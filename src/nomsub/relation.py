@@ -128,13 +128,9 @@ def interval_contains(rel: SubtypeRelation, inner: Interval, outer: Interval) ->
 def mutual_pairs(rel: SubtypeRelation) -> list[tuple[TypeTerm, TypeTerm]]:
     """Distinct term pairs related in both directions; the antisymmetry
     diagnostic, expected empty on well-behaved tables."""
-    sym = rel.edges & rel.edges.T
-    np.fill_diagonal(sym, False)
-    pairs = []
-    for i, j in np.argwhere(sym):
-        if i < j:
-            pairs.append((rel.universe[i], rel.universe[j]))
-    return pairs
+    sub, sup = np.nonzero(rel.edges)
+    mutual = (sub < sup) & rel.edges[sup, sub]
+    return [(rel.universe[i], rel.universe[j]) for i, j in zip(sub[mutual], sup[mutual])]
 
 
 # -- universe enumeration ----------------------------------------------------
@@ -492,9 +488,15 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
     """Rebuild a relation exported by export_json, using the table to parse
     the printed terms; a document without include_cofree gets the
     build_relation default, and a `cap` key (written by older versions) is
-    ignored.  A universe entry that repeats an earlier term, or an edge
-    index outside the universe, raises InvalidRelationDocument."""
+    ignored.  A malformed depth, include_cofree or edge, or a universe entry
+    that repeats an earlier term, raises InvalidRelationDocument."""
     doc = json.loads(text)
+    depth, include_cofree = doc["depth"], doc.get("include_cofree", True)
+    if type(depth) is not int or depth < 0:
+        raise InvalidRelationDocument(f"depth {json.dumps(depth)} is not a non-negative integer")
+    if not isinstance(include_cofree, bool):
+        raise InvalidRelationDocument(
+            f"include_cofree {json.dumps(include_cofree)} is not a boolean")
     labels = tuple(doc["universe"])
     universe = tuple(parse_type(table, s) for s in labels)
     index: dict[TypeTerm, int] = {}
@@ -503,8 +505,19 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
         if first != k:
             raise InvalidRelationDocument(
                 f"universe entry {k} '{labels[k]}' repeats entry {first} '{labels[first]}'")
-    n = len(universe)
-    pairs = np.asarray(doc["edges"], dtype=np.intp).reshape(-1, 2)
+    n, entries = len(universe), doc["edges"]
+    if not isinstance(entries, list):
+        raise InvalidRelationDocument("edges is not a list of index pairs")
+    try:
+        pairs = np.asarray(entries) if entries else np.empty((0, 2), dtype=np.intp)
+    except ValueError:  # entries of unequal length
+        pairs = np.empty(0)
+    if pairs.shape[1:] != (2,) or pairs.dtype.kind not in "iu":
+        for k, pair in enumerate(entries):
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(type(i) is int for i in pair)):
+                raise InvalidRelationDocument(
+                    f"edge {k} is {json.dumps(pair)}, not a pair of integer indices")
     bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
     if bad.size:
         raise InvalidRelationDocument(
@@ -512,8 +525,7 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
             f"universe of {n} terms")
     edges = np.zeros((n, n), dtype=bool)
     edges[pairs[:, 0], pairs[:, 1]] = True
-    rel = SubtypeRelation(universe, labels, edges, 0, int(doc["depth"]),
-                          doc.get("include_cofree", True))
+    rel = SubtypeRelation(universe, labels, edges, 0, depth, include_cofree)
     rel._index = index
     return rel
 

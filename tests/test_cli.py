@@ -61,6 +61,24 @@ def test_subtype_unordered_interval_is_warned_and_rejected(capsys):
     assert "unordered endpoints" in err
 
 
+def test_subtype_names_the_excluded_cofree_atom(capsys):
+    code, out, err = run(capsys, "subtype", SAMPLE, "List<!>", "List<?>", "--no-cofree")
+    assert (code, out) == (2, "")
+    assert err == ("error: 'List<!>' is not in the depth-1 universe "
+                   "(co-free atoms are excluded by --no-cofree)\n")
+
+
+def test_closures_below_the_free_types_names_them(capsys):
+    code, out, err = run(capsys, "closures", SAMPLE, "--depth", "0")
+    assert (code, out) == (2, "")
+    assert err == ("error: free type(s) of List, LinkedList, Enum are outside the "
+                   "universe; build the relation at depth >= 1\n")
+    # without co-free atoms no generic class has a term there, so the laws hold
+    code, out, _ = run(capsys, "closures", SAMPLE, "--depth", "0", "--no-cofree")
+    assert code == 0
+    assert out.startswith("unit violations: 0; counit violations: 0;")
+
+
 def test_universe_listing_is_sorted_and_deterministic(capsys):
     code, first, _ = run(capsys, "universe", SAMPLE, "--depth", "1")
     assert code == 0

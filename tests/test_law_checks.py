@@ -1,0 +1,202 @@
+"""The law checks read the edge matrix by universe index.  Each is compared
+here with a per-pair evaluation of its law, on relations whose edges were
+flipped at random so that every kind of witness occurs, and the witness
+lists must agree in order."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from nomsub import (
+    BOTTOM,
+    Cofree,
+    Ground,
+    SubtypeRelation,
+    build_relation,
+    check_galois,
+    check_monotonicity,
+    check_validity,
+    closure_class,
+    closure_type,
+    erase,
+    f_subtypes,
+    f_supertypes,
+    free_type,
+    is_subtype,
+    maximal_f_subtypes,
+    minimal_f_supertypes,
+    mutual_pairs,
+    parse_class_table,
+    subclass_of,
+)
+from nomsub.analysis import closure_doc
+from nomsub.fixpoints import _maxima_report, _minima_report
+from nomsub.random_tables import random_table
+
+from nested_tables import NESTED_TABLES
+
+CASES = ([("sample", seed, True) for seed in range(4)]
+         + [("sample", 4, False)]
+         + [(f"seed{seed}", seed, seed % 2 == 0) for seed in range(10)]
+         + [(name, 0, True) for name in NESTED_TABLES])
+
+
+def _table(name, sample_table):
+    if name == "sample":
+        return sample_table
+    if name in NESTED_TABLES:
+        return parse_class_table(NESTED_TABLES[name])
+    return random_table(int(name[4:]))
+
+
+def _doctored(rel: SubtypeRelation, seed: int) -> SubtypeRelation:
+    """`rel` with about one entry in twelve flipped, and the root placed
+    below every term, so that erasure witnesses and mutual pairs occur."""
+    rng = np.random.default_rng(seed)
+    n = len(rel)
+    edges = rel.edges ^ (rng.random((n, n)) < 1 / 12)
+    edges[rel.index(Ground("Object"))] = True
+    return SubtypeRelation(rel.universe, rel.labels, edges, 0, rel.depth,
+                           rel.include_cofree)
+
+
+@pytest.fixture(scope="module", params=CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+def case(request, sample_table):
+    name, seed, include_cofree = request.param
+    table = _table(name, sample_table)
+    rel = build_relation(table, 1, include_cofree=include_cofree)
+    return table, _doctored(rel, seed)
+
+
+# -- per-pair evaluations of each law ------------------------------------------
+
+
+def galois_by_pairs(table, rel, quantify):
+    free = {c: free_type(table, c) for c in table.class_names}
+    valid = check_validity(table, rel, "ind").valid if quantify == "valid" else None
+    checked, skipped, violations, cofree = 0, 0, [], []
+    for term in rel.universe:
+        if term == BOTTOM:
+            skipped += 1
+            continue
+        if valid is not None and isinstance(term, Ground) and term not in valid:
+            continue
+        sink = cofree if isinstance(term, Cofree) else violations
+        for cls in table.class_names:
+            lhs = subclass_of(table, erase(term), cls)
+            rhs = is_subtype(rel, term, free[cls])
+            checked += 1
+            if lhs != rhs:
+                sink.append((term, cls, "left-to-right" if lhs else "right-to-left"))
+    return checked, skipped, violations, cofree
+
+
+def monotonicity_by_pairs(table, rel):
+    terms = [t for t in rel.universe if t != BOTTOM]
+    erasure = [(a, b) for a in terms for b in terms
+               if is_subtype(rel, a, b) and not subclass_of(table, erase(a), erase(b))]
+    names = table.class_names
+    free = [(a, b) for a in names for b in names
+            if subclass_of(table, a, b)
+            and not is_subtype(rel, free_type(table, a), free_type(table, b))]
+    return erasure, free
+
+
+def mutual_by_pairs(rel):
+    u = rel.universe
+    return [(u[i], u[j]) for i in range(len(u)) for j in range(i + 1, len(u))
+            if is_subtype(rel, u[i], u[j]) and is_subtype(rel, u[j], u[i])]
+
+
+def closures_by_pairs(table, rel):
+    unit, idem, closed = [], [], []
+    for term in rel.universe:
+        if term == BOTTOM:
+            continue
+        once, holds = closure_type(table, rel, term)
+        if not holds:
+            unit.append(rel.label(term))
+        if closure_type(table, rel, once)[0] != once:
+            idem.append(rel.label(term))
+        if once == term:
+            closed.append(rel.label(term))
+    counit = [c for c in table.class_names if not closure_class(table, c)[1]]
+    return {"unit_violations": unit, "counit_violations": counit,
+            "idempotence_violations": idem, "closed_types": sorted(closed)}
+
+
+def strict_extrema_by_pairs(rel, members, upward):
+    def strictly(a, b):  # a strictly below b
+        return is_subtype(rel, a, b) and not is_subtype(rel, b, a)
+
+    return [m for m in members
+            if not any(o != m and (strictly(m, o) if upward else strictly(o, m))
+                       for o in members)]
+
+
+# -- comparisons -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("quantify", ["admittable", "valid"])
+def test_galois_matches_the_per_pair_grid(case, quantify):
+    table, rel = case
+    report = check_galois(table, rel, quantify=quantify)
+    checked, skipped, violations, cofree = galois_by_pairs(table, rel, quantify)
+    assert (report.checked_pairs, report.bottom_skipped) == (checked, skipped)
+    assert [(v.term, v.cls, v.direction) for v in report.violations] == violations
+    assert [(v.term, v.cls, v.direction) for v in report.cofree_violations] == cofree
+
+
+def test_monotonicity_matches_the_per_pair_law(case):
+    table, rel = case
+    report = check_monotonicity(table, rel)
+    erasure, free = monotonicity_by_pairs(table, rel)
+    assert erasure, "the doctored relation should break erasure monotonicity"
+    assert report.erasure_witnesses == erasure
+    assert report.free_type_witnesses == free
+
+
+def test_mutual_pairs_match_the_per_pair_scan(case):
+    _, rel = case
+    expected = mutual_by_pairs(rel)
+    assert expected, "the doctored relation should relate some pair both ways"
+    assert mutual_pairs(rel) == expected
+
+
+def test_closure_doc_matches_the_per_term_laws(case):
+    table, rel = case
+    assert closure_doc(table, rel) == closures_by_pairs(table, rel)
+
+
+def test_extrema_match_the_per_pair_scan(case):
+    table, rel = case
+    for cls in table.class_names:
+        if table.arity(cls) != 1:
+            continue
+        # the whole universe as the member set reaches every comparison
+        u = rel.universe
+        assert (list(_maxima_report(table, rel, cls, u).maxima)
+                == strict_extrema_by_pairs(rel, u, True))
+        assert (list(_minima_report(table, rel, cls, u).minima)
+                == strict_extrema_by_pairs(rel, u, False))
+        subs, sups = f_subtypes(table, rel, cls), f_supertypes(table, rel, cls)
+        assert (list(maximal_f_subtypes(table, rel, cls).maxima)
+                == strict_extrema_by_pairs(rel, subs, True))
+        assert (list(minimal_f_supertypes(table, rel, cls).minima)
+                == strict_extrema_by_pairs(rel, sups, False))
+
+
+def test_checks_build_no_square_temporary(sample_table, sample_rel2):
+    # a dense n x n boolean temporary alone would take n * n bytes
+    n = len(sample_rel2)
+    sample_rel2.index(BOTTOM)  # build the lazy term index outside the trace
+    for check in (lambda: check_monotonicity(sample_table, sample_rel2),
+                  lambda: mutual_pairs(sample_rel2)):
+        tracemalloc.start()
+        try:
+            check()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n / 2

@@ -313,6 +313,41 @@ class TestExport:
                            match=rf"universe entry {len(sample_rel1)} .* repeats entry 3"):
             relation_from_json(sample_table, json.dumps(doc))
 
+    @pytest.mark.parametrize("edges, message", [
+        ([0, 1, 2, 3], r"edge 0 is 0, not a pair of integer indices"),
+        ([[0, 0], [1, 2, 3]], r"edge 1 is \[1, 2, 3\], not a pair"),
+        ([[0, 0], [1]], r"edge 1 is \[1\], not a pair"),
+        ([[0, 0], [0.5, 0]], r"edge 1 is \[0.5, 0\], not a pair of integer indices"),
+        ({"0": 0}, r"edges is not a list of index pairs"),
+    ], ids=["flat", "triple", "single", "fraction", "object"])
+    def test_json_malformed_edges_are_rejected(self, sample_table, sample_rel1,
+                                               edges, message):
+        doc = json.loads(export_json(sample_rel1))
+        doc["edges"] = edges
+        with pytest.raises(InvalidRelationDocument, match=message):
+            relation_from_json(sample_table, json.dumps(doc))
+
+    def test_json_empty_edge_list_loads(self, sample_table, sample_rel0):
+        doc = json.loads(export_json(sample_rel0))
+        doc["edges"] = []
+        assert not relation_from_json(sample_table, json.dumps(doc)).edges.any()
+
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    def test_json_include_cofree_must_be_a_boolean(self, sample_table, sample_rel1, value):
+        doc = json.loads(export_json(sample_rel1))
+        doc["include_cofree"] = value
+        with pytest.raises(InvalidRelationDocument,
+                           match=rf"include_cofree {json.dumps(value)} is not a boolean"):
+            relation_from_json(sample_table, json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [-3, 1.5, "1", True])
+    def test_json_depth_must_be_a_non_negative_integer(self, sample_table, sample_rel1, value):
+        doc = json.loads(export_json(sample_rel1))
+        doc["depth"] = value
+        with pytest.raises(InvalidRelationDocument,
+                           match=rf"depth {json.dumps(value)} is not a non-negative integer"):
+            relation_from_json(sample_table, json.dumps(doc))
+
     def test_dot_two_type_chain(self):
         table = parse_class_table("class Object\nclass String extends Object")
         dot = export_dot(build_relation(table, 0))
