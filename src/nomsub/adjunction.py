@@ -11,8 +11,8 @@ which is verified here exhaustively, together with the unit law
 monotonicity of both maps, and the fixed points of the induced closure
 operator (the closed types).
 
-The checks read the edge matrix by universe index, so no term is hashed per
-pair, and they build no n x n temporary.
+The checks read the relation's packed rows by universe index, so no term
+is hashed per pair, and they build no n x n temporary.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def check_galois(table: ClassTable, rel: SubtypeRelation,
                               bottom_skipped=int((classes < 0).sum()),
                               quantified_over=quantify)
     erasure_side = _subclass_matrix(table)[classes[rows]]
-    subtype_side = rel.edges[rows[:, None], free]
+    subtype_side = rel.related(rows[:, None], free)
     names = table.class_names
     for r, k in np.argwhere(erasure_side != subtype_side):
         term = rel.universe[rows[r]]
@@ -137,13 +137,17 @@ def check_monotonicity(table: ClassTable, rel: SubtypeRelation) -> MonotonicityR
     free = _free_columns(table, rel)
     sub = _subclass_matrix(table)
     classes = _class_positions(table, rel)
-    # unreachable[k, j]: term j is erasable and its class is no superclass of k
-    unreachable = ~sub[:, classes] & (classes >= 0)
-    u, names = rel.universe, table.class_names
+    # unreachable[k]: packed row of the erasable terms whose class is no superclass of k
+    unreachable = np.packbits(~sub[:, classes] & (classes >= 0), axis=1)
+    u, names, n = rel.universe, table.class_names, len(rel)
+    erasure = []
+    for i in np.flatnonzero(classes >= 0):
+        hits = rel.bits[i] & unreachable[classes[i]]
+        if hits.any():
+            erasure += [(u[i], u[j]) for j in np.flatnonzero(np.unpackbits(hits, count=n))]
     return MonotonicityReport(
-        [(u[i], u[j]) for i in np.flatnonzero(classes >= 0)
-         for j in np.flatnonzero(rel.edges[i] & unreachable[classes[i]])],
-        [(names[a], names[b]) for a, b in np.argwhere(sub & ~rel.edges[free[:, None], free])])
+        erasure,
+        [(names[a], names[b]) for a, b in np.argwhere(sub & ~rel.related(free[:, None], free))])
 
 
 def _class_positions(table: ClassTable, rel: SubtypeRelation) -> np.ndarray:

@@ -83,7 +83,7 @@ def closure_doc(table: ClassTable, rel: SubtypeRelation) -> dict:
     free = adjunction._free_columns(table, rel, needed=np.unique(classes[rows]))
     names = table.class_names
     counit_ok = np.array([adjunction.closure_class(table, c)[1] for c in names])
-    unit = rows[~rel.edges[rows, free[classes[rows]]]]
+    unit = rows[~rel.related(rows, free[classes[rows]])]
     idem = rows[~counit_ok[classes[rows]]]
     return {
         "unit_violations": [rel.labels[i] for i in unit],

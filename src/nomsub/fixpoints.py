@@ -193,7 +193,7 @@ def _minima_report(table: ClassTable, rel: SubtypeRelation, cls: str,
 def _strictly_below(rel: SubtypeRelation, members) -> np.ndarray:
     """below[a, b]: member a is a strict subtype of member b."""
     idx = np.array([rel.index(m) for m in members], dtype=np.intp)
-    sub = rel.edges[idx[:, None], idx]
+    sub = rel.related(idx[:, None], idx)
     return sub & ~sub.T
 
 

@@ -17,9 +17,10 @@ same fixpoint directly, one stratum from the one below, with no closure:
 containment is read off the depth-(d-1) relation, and each row is assembled
 from containment rows along the term's superclass chain.
 
-Edges live in a dense boolean matrix with an index map; rows are assembled
-as packed bits.  Antisymmetry is not enforced — mutual_pairs exposes any
-collapse instead.
+Edges live in packed bit rows (``np.packbits`` along each row, n x
+ceil(n/8) bytes) with an index map, from the build to every query and
+analysis; the dense boolean ``edges`` view is unpacked only on request.
+Antisymmetry is not enforced — mutual_pairs exposes any collapse instead.
 """
 
 from __future__ import annotations
@@ -55,22 +56,49 @@ DEFAULT_CAP = 50_000
 class SubtypeRelation:
     """Constructed subtyping preorder over an enumerated universe.
 
-    Frozen after construction: the edge matrix is read-only and every query
-    is safe to run concurrently.  Equality compares depth, universe, edges
-    and the include_cofree flag; iteration provenance is excluded, since it
+    `bits` holds the edges as packed rows: bit j of row i (byte ``j >> 3``,
+    most significant bit first, as ``np.packbits`` lays it out) is set when
+    term i is a subtype of term j.  It is an n x ceil(n/8) ``uint8`` array
+    whose padding bits, past column n-1 in the last byte of each row, are
+    all zero, so equal relations have equal bytes; the constructor raises
+    ValueError on any other dtype, shape or padding.
+
+    Frozen after construction: the rows are read-only and every query is
+    safe to run concurrently.  Equality compares depth, universe, edges and
+    the include_cofree flag; iteration provenance is excluded, since it
     records how the relation was built, not what it is.
     """
 
     def __init__(self, universe: tuple[TypeTerm, ...], labels: tuple[str, ...],
-                 edges: np.ndarray, iterations: int, depth: int,
+                 bits: np.ndarray, iterations: int, depth: int,
                  include_cofree: bool = True):
+        n = len(universe)
+        if bits.dtype != np.uint8:
+            raise ValueError(f"packed rows must be uint8, not {bits.dtype}")
+        if bits.shape != (n, (n + 7) // 8):
+            raise ValueError(f"packed rows of {n} terms must have shape "
+                             f"{(n, (n + 7) // 8)}, not {bits.shape}")
+        if n % 8 and (bits[:, -1] & (0xFF >> n % 8)).any():
+            raise ValueError("packed rows have a padding bit set")
         self.universe = universe
         self.labels = labels
-        edges.setflags(write=False)
-        self.edges = edges
+        bits.setflags(write=False)
+        self.bits = bits
         self.iterations = iterations
         self.depth = depth
         self.include_cofree = include_cofree
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The dense n x n boolean matrix, unpacked afresh on each access."""
+        edges = _unpack(self.bits, len(self.universe))
+        edges.setflags(write=False)
+        return edges
+
+    def related(self, rows, cols) -> np.ndarray:
+        """``edges[rows, cols]`` under numpy broadcasting, read from the
+        packed rows without unpacking them."""
+        return _bits_at(self.bits, rows, cols)
 
     @cached_property
     def _index(self) -> dict[TypeTerm, int]:
@@ -98,11 +126,40 @@ class SubtypeRelation:
                 and self.depth == other.depth
                 and self.include_cofree == other.include_cofree
                 and self.universe == other.universe
-                and bool(np.array_equal(self.edges, other.edges)))
+                and bool(np.array_equal(self.bits, other.bits)))
 
     def __repr__(self) -> str:
+        edges = int(_POPCOUNT[self.bits].sum(dtype=np.int64))
         return (f"SubtypeRelation(depth={self.depth}, terms={len(self.universe)}, "
-                f"edges={int(self.edges.sum())}, iterations={self.iterations})")
+                f"edges={edges}, iterations={self.iterations})")
+
+
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
+    return np.unpackbits(bits, axis=1, count=n).view(bool)
+
+
+def _bits_at(bits: np.ndarray, rows, cols) -> np.ndarray:
+    cols = np.asarray(cols)
+    picked = bits[rows, cols >> 3]
+    picked >>= (~cols & 7).astype(np.uint8)
+    picked &= 1
+    return picked.view(bool)
+
+
+def _set_bits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every set bit of packed rows, in row-major order;
+    only the nonzero bytes are unpacked."""
+    rows, byte_cols = np.nonzero(bits)
+    k, bit = np.nonzero(np.unpackbits(bits[rows, byte_cols][:, None], axis=1))
+    return rows[k], byte_cols[k] * 8 + bit
+
+
+def _column_bits(cols: np.ndarray) -> np.ndarray:
+    """The bit of each column within its byte of an `np.packbits` row."""
+    return (0x80 >> (cols & 7)).astype(np.uint8)
 
 
 # -- queries ---------------------------------------------------------------
@@ -110,7 +167,11 @@ class SubtypeRelation:
 
 def is_subtype(rel: SubtypeRelation, t1: TypeTerm, t2: TypeTerm) -> bool:
     """Edge lookup; total over the relation's universe."""
-    return bool(rel.edges[rel.index(t1), rel.index(t2)])
+    return _bit(rel.bits, rel.index(t1), rel.index(t2))
+
+
+def _bit(bits: np.ndarray, i: int, j: int) -> bool:
+    return bool(bits.item(i, j >> 3) >> (~j & 7) & 1)
 
 
 def interval_contains(rel: SubtypeRelation, inner: Interval, outer: Interval) -> bool:
@@ -122,15 +183,24 @@ def interval_contains(rel: SubtypeRelation, inner: Interval, outer: Interval) ->
         except TermOutsideUniverse:
             raise EndpointOutsideUniverse(
                 f"endpoint '{format_type(endpoint)}' is outside the universe") from None
-    return bool(rel.edges[idx[0], idx[1]] and rel.edges[idx[2], idx[3]])
+    return _bit(rel.bits, idx[0], idx[1]) and _bit(rel.bits, idx[2], idx[3])
 
 
 def mutual_pairs(rel: SubtypeRelation) -> list[tuple[TypeTerm, TypeTerm]]:
     """Distinct term pairs related in both directions; the antisymmetry
     diagnostic, expected empty on well-behaved tables."""
-    sub, sup = np.nonzero(rel.edges)
-    mutual = (sub < sup) & rel.edges[sup, sub]
-    return [(rel.universe[i], rel.universe[j]) for i, j in zip(sub[mutual], sup[mutual])]
+    found = []
+    # a band of rows at a time, from its diagonal byte on, bounds the edge
+    # lists held at once
+    for start in range(0, len(rel), 256):
+        sub, sup = _set_bits(rel.bits[start:start + 256, start >> 3:])
+        sub += start
+        sup += start >> 3 << 3
+        ahead = sub < sup
+        sub, sup = sub[ahead], sup[ahead]
+        mutual = rel.related(sup, sub)
+        found += zip(sub[mutual].tolist(), sup[mutual].tolist())
+    return [(rel.universe[i], rel.universe[j]) for i, j in found]
 
 
 # -- universe enumeration ----------------------------------------------------
@@ -177,7 +247,7 @@ def _stage(table: ClassTable, depth: int, cap: int,
         below, generics = None, []
     else:
         below = _stage(table, depth - 1, cap, include_cofree)
-        pairs = np.argwhere(below.edges)
+        pairs = np.stack(_set_bits(below.bits), axis=1)
         generics = [decl for decl in table.decls.values() if decl.is_generic]
     if len(singles) + sum(len(pairs) ** decl.arity for decl in generics) > cap:
         raise UniverseCapExceeded(
@@ -185,13 +255,15 @@ def _stage(table: ClassTable, depth: int, cap: int,
     # (labels, terms, endpoint indices or None), each unit in label order
     units = [([format_type(t, table)], [t], None) for t in singles]
     if generics:
-        intervals = [Interval(below.universe[i], below.universe[j]) for i, j in pairs]
+        intervals = [Interval(below.universe[i], below.universe[j]) for i, j in pairs.tolist()]
+        arguments = _argument_labels(table, below, pairs)
     for decl in generics:
         block = [Ground(decl.name, args)
                  for args in itertools.product(intervals, repeat=decl.arity)]
         # ends[k, p] = (lo, hi) of argument p of block[k], in product order
         ends = pairs[np.indices((len(pairs),) * decl.arity).reshape(decl.arity, -1).T]
-        names = [format_type(t, table) for t in block]
+        names = [f"{decl.name}<{', '.join(args)}>"
+                 for args in itertools.product(arguments, repeat=decl.arity)]
         order = sorted(range(len(block)), key=names.__getitem__)
         units.append(([names[k] for k in order], [block[k] for k in order], ends[order]))
     units.sort(key=lambda unit: unit[0][0])
@@ -203,6 +275,26 @@ def _stage(table: ClassTable, depth: int, cap: int,
                     include_cofree, below)
 
 
+def _argument_labels(table: ClassTable, below: SubtypeRelation,
+                     pairs: np.ndarray) -> list[str]:
+    """The printed form of each interval ``[lo..hi]`` of `pairs` (endpoint
+    indices into `below`), assembled from its endpoints' labels with the
+    wildcard sugar of format_type."""
+    labels = below.labels
+    bottom, root = below.index(BOTTOM), below.index(root_term(table))
+    printed = []
+    for lo, hi in pairs.tolist():
+        if lo == hi:
+            printed.append(labels[lo])
+        elif lo == bottom:
+            printed.append("?" if hi == root else "? extends " + labels[hi])
+        elif hi == root:
+            printed.append("? super " + labels[lo])
+        else:
+            printed.append(f"[{labels[lo]}..{labels[hi]}]")
+    return printed
+
+
 # -- construction ------------------------------------------------------------
 
 
@@ -211,7 +303,7 @@ def initial_relation(table: ClassTable, depth: int, cap: int = DEFAULT_CAP,
     """The reflexive relation over the enumerated universe; the starting
     point for construction_step."""
     rel = _stage(table, depth, cap, include_cofree)
-    eye = np.eye(len(rel), dtype=bool)
+    eye = np.packbits(np.eye(len(rel), dtype=bool), axis=1)
     return SubtypeRelation(rel.universe, rel.labels, eye, 0, depth, include_cofree)
 
 
@@ -221,7 +313,7 @@ def construction_step(table: ClassTable, rel: SubtypeRelation) -> SubtypeRelatio
     static = _static_edges(table, rel.universe, rel._index, rel.include_cofree)
     groups = _containment_groups(table, rel.universe, rel._index)
     bottom = rel._index.get(BOTTOM)
-    new = _apply_step(rel.edges, static, groups, bottom)
+    new = np.packbits(_apply_step(rel.edges, static, groups, bottom), axis=1)
     return SubtypeRelation(rel.universe, rel.labels, new, rel.iterations + 1,
                            rel.depth, rel.include_cofree)
 
@@ -270,12 +362,15 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
     """
     n = len(universe)
     index = {t: i for i, t in enumerate(universe)}
-    chains = [(i, j) for i, term in enumerate(universe) if isinstance(term, Ground)
-              for j in map(index.get, super_chain(table, term)) if j is not None]
+    chains = np.fromiter(((i, j) for i, term in enumerate(universe) if isinstance(term, Ground)
+                          for j in map(index.get, super_chain(table, term)) if j is not None),
+                         dtype=np.dtype((np.intp, 2)))
     cofree_rows = _cofree_rows(table, universe, index, blocks) if include_cofree else []
     diagonal = np.arange(n)
     bottom = index.get(BOTTOM)
-    below_edges = below.edges if below is not None else None
+    # the stratum below is read densely: with a generic class it holds under
+    # a third of this one's terms, and without one only the depth-0 terms
+    below_edges = _unpack(below.bits, len(below)) if below is not None else None
     while True:
         packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
         for start, los, his in blocks:
@@ -291,19 +386,18 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
                 for start in starts:
                     packed[i] |= reach[start]
         if bottom is not None:
-            packed[bottom] = 0xFF
+            packed[bottom] = np.packbits(np.ones(n, dtype=bool))  # no padding bit
         if below is None:
             break
         old = np.fromiter((index[t] for t in below.universe), dtype=np.intp,
                           count=len(below))
-        lifted = np.unpackbits(packed[old], axis=1, count=n).view(bool)[:, old]
+        lifted = _bits_at(packed, old[:, None], old)
         if np.array_equal(lifted, below_edges):
             break
         below_edges = lifted
-    edges = np.unpackbits(packed, axis=1, count=n).view(bool)
     # with a generic class, some instantiation is nested `depth` deep
     nesting = depth if any(decl.is_generic for decl in table.decls.values()) else 0
-    rel = SubtypeRelation(universe, labels, edges, 2 + nesting, depth, include_cofree)
+    rel = SubtypeRelation(universe, labels, packed, 2 + nesting, depth, include_cofree)
     rel._index = index
     return rel
 
@@ -319,15 +413,18 @@ def _write_containment(packed: np.ndarray, start: int, los: np.ndarray,
     """
     k, arity = los.shape
     offset = start % 8
+    fits = np.zeros((below.shape[0], offset + k), dtype=bool)
     cont = None
     for p in range(arity):
         lo, hi = los[:, p], his[:, p]
-        fits_lo = np.zeros((below.shape[0], offset + k), dtype=bool)
-        fits_lo[:, offset:] = below[lo, :].T  # [e, j]: lo_j <: e
-        fits_hi = np.zeros_like(fits_lo)
-        fits_hi[:, offset:] = below[:, hi]   # [e, j]: e <: hi_j
-        part = np.packbits(fits_lo, axis=1)[lo] & np.packbits(fits_hi, axis=1)[hi]
-        cont = part if cont is None else cont & part
+        fits[:, offset:] = below[lo, :].T  # [e, j]: lo_j <: e
+        part = np.packbits(fits, axis=1)[lo]
+        fits[:, offset:] = below[:, hi]    # [e, j]: e <: hi_j
+        part &= np.packbits(fits, axis=1)[hi]
+        if cont is None:
+            cont = part
+        else:
+            cont &= part
     first = start // 8
     packed[start:start + k, first:first + cont.shape[1]] |= cont
 
@@ -350,11 +447,6 @@ def _cofree_rows(table: ClassTable, universe, index, blocks):
             direct[root] = True
         rows.append((i, starts, np.packbits(direct)))
     return rows
-
-
-def _column_bits(cols: np.ndarray) -> np.ndarray:
-    """The bit of each column within its byte of an `np.packbits` row."""
-    return (0x80 >> (cols & 7)).astype(np.uint8)
 
 
 def _static_edges(table: ClassTable, universe, index, include_cofree: bool):
@@ -465,11 +557,13 @@ def export_json(rel: SubtypeRelation) -> str:
     """
     # one string per nonempty row, its pairs joined with the row's head
     tails = np.array([f"{j}\n    ]" for j in range(len(rel))], dtype=object)
+    rows, cols = _set_bits(rel.bits)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
+    picked = tails[cols].tolist()
     edges = []
-    for i, row in enumerate(rel.edges):
-        if row.any():
-            head = f"    [\n      {i},\n      "
-            edges.append(head + (",\n" + head).join(tails[row]))
+    for a, b in zip(starts, starts[1:] + [len(rows)]):
+        head = f"    [\n      {rows[a]},\n      "
+        edges.append(head + (",\n" + head).join(picked[a:b]))
     universe = [f"    {json.dumps(label)}" for label in rel.labels]
     return (f'{{\n  "depth": {json.dumps(rel.depth)},\n'
             f'  "edges": {_json_array(edges)},\n'
@@ -512,7 +606,9 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
         pairs = np.asarray(entries) if entries else np.empty((0, 2), dtype=np.intp)
     except ValueError:  # entries of unequal length
         pairs = np.empty(0)
-    if pairs.shape[1:] != (2,) or pairs.dtype.kind not in "iu":
+    # numpy reads a JSON boolean next to an integer as 0 or 1
+    if (pairs.shape[1:] != (2,) or pairs.dtype.kind not in "iu"
+            or bool in set(map(type, itertools.chain.from_iterable(entries)))):
         for k, pair in enumerate(entries):
             if not (isinstance(pair, list) and len(pair) == 2
                     and all(type(i) is int for i in pair)):
@@ -523,9 +619,9 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
         raise InvalidRelationDocument(
             f"edge {bad[0]} {pairs[bad[0]].tolist()} has an index outside the "
             f"universe of {n} terms")
-    edges = np.zeros((n, n), dtype=bool)
-    edges[pairs[:, 0], pairs[:, 1]] = True
-    rel = SubtypeRelation(universe, labels, edges, 0, depth, include_cofree)
+    bits = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(bits, (pairs[:, 0], pairs[:, 1] >> 3), _column_bits(pairs[:, 1]))
+    rel = SubtypeRelation(universe, labels, bits, 0, depth, include_cofree)
     rel._index = index
     return rel
 
@@ -534,7 +630,7 @@ def export_dot(rel: SubtypeRelation) -> str:
     """Hasse diagram (transitive reduction) in DOT form, edges pointing from
     subtype to supertype; deterministic."""
     n = len(rel.universe)
-    strict = np.packbits(rel.edges, axis=1)
+    strict = rel.bits.copy()
     diagonal = np.arange(n)
     strict[diagonal, diagonal >> 3] &= ~_column_bits(diagonal)
     lines = ["digraph subtyping {", "  rankdir=BT;"]

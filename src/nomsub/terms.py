@@ -1,7 +1,10 @@
 """Type terms: parameterized types over interval arguments, co-free atoms,
 and the bottom type.
 
-Every term is an immutable value with structural equality.  Surface syntax::
+Every term is an immutable value with structural equality.  Ground terms
+and intervals compute their hash and nesting depth once, at construction,
+so hashing or measuring a nested term costs O(arity), not O(size).
+Surface syntax::
 
     type := "Null" | IDENT | IDENT "<" "!" ">" | IDENT "<" arg ("," arg)* ">"
     arg  := type | "?" | "? extends" type | "? super" type
@@ -15,17 +18,22 @@ affect this desugaring; they matter only to the validity analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._lex import TokenStream, tokenize
 from .class_table import ClassTable, TypeUse
 from .errors import ArityMismatch, BottomHasNoErasure, NotGeneric, ParseError
 
 
+# frozen dataclasses set their stored fields through object.__setattr__
+_set = object.__setattr__
+
+
 class TypeTerm:
     """Base class for all type terms."""
 
     __slots__ = ()
+    _depth = 0  # nesting depth; only ground terms with arguments nest
 
     def __str__(self) -> str:
         return format_type(self)
@@ -41,7 +49,7 @@ class BottomType(TypeTerm):
 BOTTOM = BottomType()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A pair of term endpoints; wildcards and concrete arguments alike.
 
@@ -51,19 +59,44 @@ class Interval:
 
     lo: TypeTerm
     hi: TypeTerm
+    _hash: int = field(init=False, repr=False, compare=False)
+    _depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _set(self, "_hash", hash((self.lo, self.hi)))
+        _set(self, "_depth", max(self.lo._depth, self.hi._depth))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild rather than copy _hash
+        return Interval, (self.lo, self.hi)
 
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ground(TypeTerm):
     """A class applied to interval arguments (zero arguments when the class
     is not generic)."""
 
     cls: str
     args: tuple[Interval, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+    _depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _set(self, "_hash", hash((self.cls, self.args)))
+        _set(self, "_depth", 1 + max([iv._depth for iv in self.args]) if self.args else 0)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Ground, (self.cls, self.args)
 
 
 @dataclass(frozen=True)
@@ -90,10 +123,7 @@ def wildcard(table: ClassTable) -> Interval:
 
 
 def nesting_depth(term: TypeTerm) -> int:
-    if isinstance(term, Ground) and term.args:
-        return 1 + max(max(nesting_depth(iv.lo), nesting_depth(iv.hi))
-                       for iv in term.args)
-    return 0
+    return term._depth
 
 
 def erase(term: TypeTerm) -> str:

@@ -65,7 +65,7 @@ class TestGalois:
         j = sample_rel1.index(parse_type(sample_table, "List<?>"))
         edges[i, j] = False
         doctored = SubtypeRelation(sample_rel1.universe, sample_rel1.labels,
-                                   edges, 0, sample_rel1.depth)
+                                   np.packbits(edges, axis=1), 0, sample_rel1.depth)
         report = check_galois(sample_table, doctored)
         assert any(v.direction == "left-to-right" and v.cls == "List"
                    for v in report.violations)
@@ -159,7 +159,7 @@ class TestMonotonicity:
         j = sample_rel1.index(Ground("String"))
         edges[i, j] = True
         doctored = SubtypeRelation(sample_rel1.universe, sample_rel1.labels,
-                                   edges, 0, sample_rel1.depth)
+                                   np.packbits(edges, axis=1), 0, sample_rel1.depth)
         report = check_monotonicity(sample_table, doctored)
         assert not report.erasure_ok
 

@@ -68,6 +68,14 @@ def test_subtype_names_the_excluded_cofree_atom(capsys):
                    "(co-free atoms are excluded by --no-cofree)\n")
 
 
+def test_subtype_names_a_nested_excluded_cofree_atom(capsys):
+    code, out, err = run(capsys, "subtype", SAMPLE, "List<List<!>>", "List<?>",
+                         "--no-cofree")
+    assert (code, out) == (2, "")
+    assert err == ("error: 'List<List<!>>' is not in the depth-1 universe "
+                   "(co-free atoms are excluded by --no-cofree)\n")
+
+
 def test_closures_below_the_free_types_names_them(capsys):
     code, out, err = run(capsys, "closures", SAMPLE, "--depth", "0")
     assert (code, out) == (2, "")

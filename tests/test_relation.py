@@ -18,6 +18,7 @@ from nomsub import (
     construction_step,
     export_dot,
     export_json,
+    format_type,
     initial_relation,
     interval_contains,
     is_subtype,
@@ -112,6 +113,14 @@ class TestBuildRelation:
         assert rel == sample_rel1
 
 
+def _named_table(name, request):
+    if name in NESTED_TABLES:
+        return parse_class_table(NESTED_TABLES[name])
+    if name.startswith("seed"):
+        return random_table(int(name[4:]))
+    return request.getfixturevalue(f"{name}_table")
+
+
 def _stepped_to_fixpoint(table, depth, include_cofree):
     rel = initial_relation(table, depth, include_cofree=include_cofree)
     while True:
@@ -129,16 +138,50 @@ def test_direct_build_equals_the_stepped_fixpoint(name, depth, include_cofree, r
     # seed 102 needs the co-free lift going from depth 0 to 1 (Beta<!> <:
     # Alpha only once Beta<?> exists); seed 7 has no generic class; the
     # nested tables push superclass arguments one level deeper
-    if name in NESTED_TABLES:
-        table = parse_class_table(NESTED_TABLES[name])
-    elif name.startswith("seed"):
-        table = random_table(int(name[4:]))
-    else:
-        table = request.getfixturevalue(f"{name}_table")
+    table = _named_table(name, request)
     built = build_relation(table, depth, include_cofree=include_cofree)
     stepped = _stepped_to_fixpoint(table, depth, include_cofree)
     assert stepped == built
     assert stepped.iterations == built.iterations
+
+
+PACKED_CASES = ([(name, depth) for name in ("sample", "reduced") for depth in range(3)]
+                + [(f"seed{seed}", depth) for seed in range(40) for depth in range(2)]
+                + [(name, depth) for name in NESTED_TABLES for depth in range(3)])
+
+
+@pytest.mark.parametrize("include_cofree", [True, False])
+@pytest.mark.parametrize("name, depth", PACKED_CASES)
+def test_packed_build_prints_and_round_trips(name, depth, include_cofree, request):
+    # labels come from the endpoints' labels, not from format_type; the
+    # round trip compares packed bytes, so a stray padding bit breaks it
+    table = _named_table(name, request)
+    rel = build_relation(table, depth, include_cofree=include_cofree)
+    assert list(rel.labels) == [format_type(t, table) for t in rel.universe]
+    assert not np.unpackbits(rel.bits, axis=1)[:, len(rel):].any()
+    assert relation_from_json(table, export_json(rel)) == rel
+
+
+class TestPackedRows:
+    def test_wrong_dtype_is_rejected(self, sample_rel1):
+        with pytest.raises(ValueError, match="must be uint8, not bool"):
+            SubtypeRelation(sample_rel1.universe, sample_rel1.labels,
+                            sample_rel1.edges.copy(), 0, sample_rel1.depth)
+
+    def test_wrong_shape_is_rejected(self, sample_rel1):
+        n = len(sample_rel1)
+        with pytest.raises(ValueError, match=rf"shape \({n}, {(n + 7) // 8}\)"):
+            SubtypeRelation(sample_rel1.universe, sample_rel1.labels,
+                            np.zeros((n, n), dtype=np.uint8), 0, sample_rel1.depth)
+
+    def test_padding_bit_is_rejected(self, sample_rel1):
+        n = len(sample_rel1)
+        assert n % 8, "the universe must leave padding bits in each row"
+        bits = sample_rel1.bits.copy()
+        bits[0, -1] |= 1
+        with pytest.raises(ValueError, match="padding bit"):
+            SubtypeRelation(sample_rel1.universe, sample_rel1.labels, bits, 0,
+                            sample_rel1.depth)
 
 
 class TestRelationInvariants:
@@ -163,7 +206,7 @@ class TestRelationInvariants:
 
     def test_mutual_pairs_on_single_term_relation(self):
         one = SubtypeRelation((Ground("Object"),), ("Object",),
-                              np.eye(1, dtype=bool), 0, 0)
+                              np.packbits(np.eye(1, dtype=bool), axis=1), 0, 0)
         assert mutual_pairs(one) == []
 
     def test_mutual_pairs_detects_injected_cycle(self, sample_rel1):
@@ -172,7 +215,7 @@ class TestRelationInvariants:
         j = sample_rel1.index(Ground("Number"))
         edges[i, j] = edges[j, i] = True
         doctored = SubtypeRelation(sample_rel1.universe, sample_rel1.labels,
-                                   edges, 0, sample_rel1.depth)
+                                   np.packbits(edges, axis=1), 0, sample_rel1.depth)
         assert (Ground("Number"), Ground("String")) in mutual_pairs(doctored)
 
 
@@ -277,7 +320,8 @@ class TestExport:
     def test_equality_compares_include_cofree_not_cap(self, sample_rel1):
         def variant(**flags):
             return SubtypeRelation(sample_rel1.universe, sample_rel1.labels,
-                                   sample_rel1.edges.copy(), 0, sample_rel1.depth, **flags)
+                                   np.packbits(sample_rel1.edges, axis=1), 0,
+                                   sample_rel1.depth, **flags)
 
         assert variant() == sample_rel1
         assert variant(include_cofree=False) != sample_rel1
@@ -311,6 +355,14 @@ class TestExport:
         doc["universe"].append(doc["universe"][3])
         with pytest.raises(InvalidRelationDocument,
                            match=rf"universe entry {len(sample_rel1)} .* repeats entry 3"):
+            relation_from_json(sample_table, json.dumps(doc))
+
+    def test_json_boolean_edge_index_is_rejected(self, sample_table, sample_rel0):
+        # numpy would read [true, 0] as the index pair [1, 0]
+        doc = json.loads(export_json(sample_rel0))
+        doc["edges"].insert(0, [True, 0])
+        with pytest.raises(InvalidRelationDocument,
+                           match=r"edge 0 is \[true, 0\], not a pair of integer indices"):
             relation_from_json(sample_table, json.dumps(doc))
 
     @pytest.mark.parametrize("edges, message", [

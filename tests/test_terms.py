@@ -1,8 +1,15 @@
 """Term construction, erasure, free/co-free types, printing and parsing."""
 
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+import nomsub
 from nomsub import (
     BOTTOM,
     ArityMismatch,
@@ -27,6 +34,8 @@ from nomsub import (
     wildcard,
 )
 from nomsub.class_table import TypeUse
+
+TABLE = str(pathlib.Path(__file__).resolve().parents[1] / "tables" / "sample.table")
 
 
 class TestErase:
@@ -121,6 +130,24 @@ class TestNestingDepth:
     def test_nested(self, sample_table):
         assert nesting_depth(parse_type(sample_table, "List<String>")) == 1
         assert nesting_depth(parse_type(sample_table, "List<? extends List<String>>")) == 2
+
+
+def test_unpickled_term_hashes_as_a_fresh_one(sample_table):
+    # terms store their hash, and string hashes differ between processes
+    text = "List<? extends List<String>>"
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    dump = ("import pickle, sys\n"
+            "from nomsub import parse_class_table, parse_type\n"
+            f"table = parse_class_table(open({TABLE!r}).read())\n"
+            f"sys.stdout.buffer.write(pickle.dumps(parse_type(table, {text!r})))\n")
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": str(pathlib.Path(nomsub.__file__).parents[1])}
+    data = subprocess.run([sys.executable, "-c", dump], env=env, check=True,
+                          capture_output=True).stdout
+    loaded, fresh = pickle.loads(data), parse_type(sample_table, text)
+    assert loaded == fresh
+    assert hash(loaded) == hash(fresh)
+    assert hash(loaded.args[0]) == hash(fresh.args[0])
 
 
 class TestSuperInstantiation:
