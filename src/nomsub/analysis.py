@@ -15,7 +15,6 @@ import numpy as np
 from . import adjunction, fixpoints, relation
 from .class_table import ClassTable
 from .relation import SubtypeRelation
-from .terms import format_type
 
 
 def analyze(table: ClassTable, rel: SubtypeRelation,
@@ -39,7 +38,7 @@ def analyze(table: ClassTable, rel: SubtypeRelation,
         "universe_size": len(rel.universe),
         "iterations": rel.iterations,
         "include_cofree": rel.include_cofree,
-        "galois": galois_doc(galois),
+        "galois": galois_doc(rel, galois),
         "closure_laws": closures,
         "monotonicity": {
             "erasure_ok": mono.erasure_ok,
@@ -59,9 +58,9 @@ def labels(rel: SubtypeRelation, terms) -> list[str]:
     return [rel.label(t) for t in terms]
 
 
-def galois_doc(report: adjunction.AdjunctionReport) -> dict:
+def galois_doc(rel: SubtypeRelation, report: adjunction.AdjunctionReport) -> dict:
     def violations(vs):
-        return [{"type": format_type(v.term), "class": v.cls, "direction": v.direction}
+        return [{"type": rel.label(v.term), "class": v.cls, "direction": v.direction}
                 for v in vs]
 
     return {

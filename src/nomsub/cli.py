@@ -21,8 +21,6 @@ from .errors import NomsubError
 from .relation import DEFAULT_CAP, SubtypeRelation, build_relation
 from .terms import Cofree, Ground, TypeTerm, format_type, nesting_depth, parse_type
 
-MAX_GUARDED_DEPTH = 3
-
 
 class UsageError(Exception):
     pass
@@ -45,10 +43,6 @@ def main(argv: list[str] | None = None) -> int:
 def _validate(args) -> None:
     if args.depth < 0:
         raise UsageError("--depth must be >= 0")
-    if args.depth > MAX_GUARDED_DEPTH and not args.no_depth_guard:
-        raise UsageError(
-            f"--depth {args.depth} exceeds the cost guard of "
-            f"{MAX_GUARDED_DEPTH}; pass --no-depth-guard to override")
     if args.cap <= 0:
         raise UsageError("--cap must be > 0")
 
@@ -67,8 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--no-cofree", dest="include_cofree",
                         action="store_false",
                         help="build without the co-free axioms")
-    common.add_argument("--no-depth-guard", action="store_true",
-                        help=f"allow depth > {MAX_GUARDED_DEPTH}")
 
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=["text", "json"], default="text")
@@ -113,15 +105,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("cls")
         p.set_defaults(handler=_cmd_members, kind=kind)
 
-    p = sub.add_parser("maxima", parents=[common, fmt],
-                       help="maximal F-subtypes and free-type comparison")
-    p.add_argument("cls")
-    p.set_defaults(handler=_cmd_maxima)
-
-    p = sub.add_parser("minima", parents=[common, fmt],
-                       help="minimal F-supertypes and co-free comparison")
-    p.add_argument("cls")
-    p.set_defaults(handler=_cmd_minima)
+    for name, help_text in [("maxima", "maximal F-subtypes and free-type comparison"),
+                            ("minima", "minimal F-supertypes and co-free comparison")]:
+        p = sub.add_parser(name, parents=[common, fmt], help=help_text)
+        p.add_argument("cls")
+        p.set_defaults(handler=_cmd_extrema)
 
     p = sub.add_parser("validity", parents=[common, fmt],
                        help="classify instantiations as valid or invalid")
@@ -168,10 +156,6 @@ def _cmd_subtype(args, table: ClassTable) -> int:
     t2 = parse_type(table, args.t2)
     needed = max(args.depth, nesting_depth(t1), nesting_depth(t2))
     if needed > args.depth:
-        if needed > MAX_GUARDED_DEPTH and not args.no_depth_guard:
-            raise UsageError(
-                f"query terms need depth {needed}, above the cost guard; "
-                "pass --no-depth-guard to override")
         print(f"note: rebuilding at depth {needed} to cover the query terms",
               file=sys.stderr)
     rel = _build(table, args, depth=needed)
@@ -218,13 +202,13 @@ def _cmd_galois(args, table: ClassTable) -> int:
     rel = _build(table, args)
     report = adjunction.check_galois(table, rel, quantify=args.quantify)
     if args.format == "json":
-        _emit_json(galois_doc(report))
+        _emit_json(galois_doc(rel, report))
     else:
         print(f"{len(report.violations)} violations / {report.checked_pairs} pairs "
               f"({len(report.cofree_violations)} co-free-isolated, "
               f"{report.bottom_skipped} bottom skipped)")
         for v in report.violations + report.cofree_violations:
-            print(f"  {format_type(v.term)} vs {v.cls}: {v.direction}")
+            print(f"  {rel.label(v.term)} vs {v.cls}: {v.direction}")
     return 0 if report.ok else 1
 
 
@@ -257,31 +241,23 @@ def _cmd_members(args, table: ClassTable) -> int:
     return 0
 
 
-def _cmd_maxima(args, table: ClassTable) -> int:
+def _cmd_extrema(args, table: ClassTable) -> int:
     rel = _build(table, args)
-    report = fixpoints.maximal_f_subtypes(table, rel, args.cls)
-    doc = maxima_doc(rel, report)
+    if args.command == "maxima":
+        doc = maxima_doc(rel, fixpoints.maximal_f_subtypes(table, rel, args.cls))
+        title, ref = "maximal f-subtypes", doc["free_type"]
+        claims = (f"free type is member: {ref['is_member']}; "
+                  f"dominates all members: {ref['is_greatest']}")
+    else:
+        doc = minima_doc(rel, fixpoints.minimal_f_supertypes(table, rel, args.cls))
+        title, ref = "minimal f-supertypes", doc["cofree"]
+        claims = (f"co-free type is member: {ref['is_member']}; "
+                  f"below all members: {ref['is_least']}")
     if args.format == "json":
         _emit_json(doc)
     else:
-        print(f"maximal f-subtypes of {args.cls}: "
-              f"{', '.join(doc['maxima']) or '(none)'}")
-        print(f"free type is member: {report.free_type.is_member}; "
-              f"dominates all members: {report.free_type.is_greatest}")
-    return 0
-
-
-def _cmd_minima(args, table: ClassTable) -> int:
-    rel = _build(table, args)
-    report = fixpoints.minimal_f_supertypes(table, rel, args.cls)
-    doc = minima_doc(rel, report)
-    if args.format == "json":
-        _emit_json(doc)
-    else:
-        print(f"minimal f-supertypes of {args.cls}: "
-              f"{', '.join(doc['minima']) or '(none)'}")
-        print(f"co-free type is member: {report.cofree.is_member}; "
-              f"below all members: {report.cofree.is_least}")
+        print(f"{title} of {args.cls}: {', '.join(doc[args.command]) or '(none)'}")
+        print(claims)
     return 0
 
 

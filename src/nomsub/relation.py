@@ -13,9 +13,12 @@ pairs).  The relation over it is the least one closed under four rules:
 
 construction_step applies the rules once and is the reference path: stepped
 from initial_relation it reaches the fixpoint.  build_relation computes the
-same fixpoint directly, one stratum from the one below, with no closure:
-containment is read off the depth-(d-1) relation, and each row is assembled
-from containment rows along the term's superclass chain.
+same fixpoint directly, in one forward loop over the strata that holds only
+the stratum below, with no closure: containment is read off the depth-(d-1)
+relation, and each row is assembled from containment rows along the term's
+superclass chain.  Nothing is cached between builds; the term cap, checked
+per stratum from the exact count before any term is built, is the only
+resource limit.
 
 Edges live in packed bit rows (``np.packbits`` along each row, n x
 ceil(n/8) bytes) with an index map, from the build to every query and
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -215,22 +218,20 @@ def enumerate_universe(table: ClassTable, depth: int,
     relation built at the previous depth; declared parameter bounds are
     ignored (admittability, not validity).
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    return _stage(table, depth, cap, True).universe
+    return build_relation(table, depth, cap).universe
 
 
-@lru_cache(maxsize=64)
-def _stage(table: ClassTable, depth: int, cap: int,
-           include_cofree: bool) -> SubtypeRelation:
+def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
+           cap: int, include_cofree: bool) -> SubtypeRelation:
     """The relation at `depth`, over its universe: the depth-0 terms plus,
     per generic class, every product of the intervals (edges ``lo <: hi``)
-    of the stratum below, kept as endpoint indices into that stratum.  Edges
-    only grow from one stratum to the next, so the products re-generate
-    every instantiation below and the universe's size is known before any
-    term is built.  A class's instantiations are sorted within the class;
-    their labels all begin ``C<``, so merging the classes and the depth-0
-    terms by leading label gives the label order.
+    of the stratum `below` (None at depth 0), kept as endpoint indices into
+    that stratum.  Edges only grow from one stratum to the next, so the
+    products re-generate every instantiation below and the universe's size
+    is known, and checked against the cap, before any term is built.  A
+    class's instantiations are sorted within the class; their labels all
+    begin ``C<``, so merging the classes and the depth-0 terms by leading
+    label gives the label order.
 
     Without the co-free axioms the atoms they define are dropped from the
     universe as well: the extension-free model contains only ordinary terms,
@@ -243,10 +244,9 @@ def _stage(table: ClassTable, depth: int, cap: int,
             singles.append(Ground(decl.name))
         elif include_cofree:
             singles.append(Cofree(decl.name))
-    if depth == 0:
-        below, generics = None, []
+    if below is None:
+        generics = []
     else:
-        below = _stage(table, depth - 1, cap, include_cofree)
         pairs = np.stack(_set_bits(below.bits), axis=1)
         generics = [decl for decl in table.decls.values() if decl.is_generic]
     if len(singles) + sum(len(pairs) ** decl.arity for decl in generics) > cap:
@@ -302,7 +302,7 @@ def initial_relation(table: ClassTable, depth: int, cap: int = DEFAULT_CAP,
                      include_cofree: bool = True) -> SubtypeRelation:
     """The reflexive relation over the enumerated universe; the starting
     point for construction_step."""
-    rel = _stage(table, depth, cap, include_cofree)
+    rel = build_relation(table, depth, cap, include_cofree)
     eye = np.packbits(np.eye(len(rel), dtype=bool), axis=1)
     return SubtypeRelation(rel.universe, rel.labels, eye, 0, depth, include_cofree)
 
@@ -321,7 +321,11 @@ def construction_step(table: ClassTable, rel: SubtypeRelation) -> SubtypeRelatio
 def build_relation(table: ClassTable, depth: int, cap: int = DEFAULT_CAP,
                    include_cofree: bool = True) -> SubtypeRelation:
     """Enumerate the universe at `depth` and build the fixpoint of
-    construction_step over it, each stratum directly from the one below.
+    construction_step over it, in one loop over the strata: each pass builds
+    stratum d directly from stratum d-1, after checking the cap against the
+    exact size of stratum d.  A stratum depends only on the one below, so
+    once one equals the one below (exactly when the table has no generic
+    class) so does every deeper one, and the loop stops there.
 
     `iterations` is the number of construction_step passes that stepping
     from initial_relation takes to reach the same relation, confirming pass
@@ -329,7 +333,13 @@ def build_relation(table: ClassTable, depth: int, cap: int = DEFAULT_CAP,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return _stage(table, depth, cap, include_cofree)
+    rel = _stage(table, None, 0, cap, include_cofree)
+    for d in range(1, depth + 1):
+        below, rel = rel, _stage(table, rel, d, cap, include_cofree)
+        if rel.universe == below.universe and np.array_equal(rel.bits, below.bits):
+            break
+    rel.depth = depth
+    return rel
 
 
 def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
@@ -527,21 +537,12 @@ def _apply_step(edges: np.ndarray, static, groups, bottom: int | None) -> np.nda
 
 
 def _transitive_closure(edges: np.ndarray) -> np.ndarray:
-    """Exact reachability closure on bit-packed rows."""
-    n = edges.shape[0]
-    packed = np.packbits(edges, axis=1)
-    while True:
-        changed = False
-        for i in range(n):
-            row = packed[i]
-            succs = np.flatnonzero(np.unpackbits(row, count=n))
-            merged = np.bitwise_or.reduce(packed[succs], axis=0)
-            if not np.array_equal(merged, row):
-                packed[i] = merged
-                changed = True
-        if not changed:
-            break
-    return np.unpackbits(packed, axis=1, count=n).astype(bool)
+    """Exact reachability closure (Warshall): after pass k, every row that
+    reaches k also reaches what k reaches."""
+    closure = edges.copy()
+    for k in range(len(closure)):
+        closure[closure[:, k]] |= closure[k]
+    return closure
 
 
 # -- export / import ---------------------------------------------------------

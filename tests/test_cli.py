@@ -9,6 +9,8 @@ import pytest
 from nomsub import relation_from_json
 from nomsub.cli import main
 
+from nested_tables import NESTED_TABLES
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SAMPLE = str(ROOT / "tables" / "sample.table")
 REDUCED = str(ROOT / "tables" / "reduced.table")
@@ -173,15 +175,37 @@ def test_report_is_byte_identical_across_runs(capsys):
     assert first == second
 
 
-def test_depth_guard(capsys, tmp_path):
-    code, _, err = run(capsys, "universe", SAMPLE, "--depth", "4")
-    assert code == 2
-    assert "cost guard" in err
+def test_depth_is_limited_only_by_the_cap(capsys, tmp_path):
+    # sample@3 has about 140k terms; the cap stops the build at that stratum
+    code, out, err = run(capsys, "universe", SAMPLE, "--depth", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: universe at depth 3 exceeds the cap of 50000 terms\n"
     tiny = tmp_path / "tiny.table"
     tiny.write_text("class Object\nclass String extends Object")
-    code, out, _ = run(capsys, "universe", str(tiny), "--depth", "4",
+    code, out, _ = run(capsys, "universe", str(tiny), "--depth", "4")
+    assert (code, out) == (0, "Null\nObject\nString\n")
+    code, _, err = run(capsys, "universe", str(tiny), "--depth", "4",
                        "--no-depth-guard")
-    assert code == 0
+    assert code == 2
+    assert "unrecognized arguments: --no-depth-guard" in err
+
+
+@pytest.mark.parametrize("name", sorted(NESTED_TABLES))
+def test_galois_violations_print_universe_labels(capsys, tmp_path, name):
+    table = tmp_path / f"{name}.table"
+    table.write_text(NESTED_TABLES[name])
+    _, out, _ = run(capsys, "universe", str(table), "--format", "json")
+    universe = set(json.loads(out)["universe"])
+    code, out, _ = run(capsys, "galois", str(table), "--format", "json")
+    galois = json.loads(out)
+    _, out, _ = run(capsys, "report", str(table))
+    report = json.loads(out)["galois"]
+    assert code == 1 and report == galois
+    found = galois["violations"] + galois["cofree_violations"]
+    assert found and {v["type"] for v in found} <= universe
+    _, out, _ = run(capsys, "galois", str(table))
+    printed = [line.split(" vs ")[0].strip() for line in out.splitlines()[1:]]
+    assert printed == [v["type"] for v in found]
 
 
 def test_bad_flag_values(capsys):

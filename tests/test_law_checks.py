@@ -30,7 +30,6 @@ from nomsub import (
     parse_class_table,
     subclass_of,
 )
-from nomsub import relation
 from nomsub.analysis import closure_doc
 from nomsub.fixpoints import _maxima_report, _minima_report
 from nomsub.random_tables import random_table
@@ -191,7 +190,6 @@ def test_extrema_match_the_per_pair_scan(case):
 def test_checks_build_no_square_temporary(sample_table):
     # a dense n x n boolean matrix alone would take n * n bytes; the packed
     # relation takes n * n / 8, held from the build through every check
-    relation._stage.cache_clear()
     tracemalloc.start()
     try:
         rel = build_relation(sample_table, 2)

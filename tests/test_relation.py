@@ -1,6 +1,8 @@
 """Relation construction rules, queries, invariants, and export round-trips."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from nomsub import (
     TermOutsideUniverse,
     build_relation,
     construction_step,
+    enumerate_universe,
     export_dot,
     export_json,
     format_type,
@@ -33,6 +36,7 @@ from nomsub import (
     wildcard,
 )
 from nomsub.random_tables import random_table
+from nomsub.relation import _transitive_closure
 
 from nested_tables import NESTED_TABLES
 
@@ -111,6 +115,53 @@ class TestBuildRelation:
         for _ in range(sample_rel1.iterations):
             rel = construction_step(sample_table, rel)
         assert rel == sample_rel1
+
+
+class TestStratumLoop:
+    def test_generic_free_table_returns_at_any_depth(self):
+        # no generic class: every stratum equals the one below it
+        table = parse_class_table("class Object\nclass String extends Object")
+        rel = build_relation(table, 10**6)
+        assert len(rel) == 3
+        assert (rel.depth, rel.iterations) == (10**6, 2)
+        assert build_relation(table, 0).bits.tobytes() == rel.bits.tobytes()
+
+    @pytest.mark.parametrize("build", [build_relation, initial_relation, enumerate_universe])
+    def test_negative_depth_is_rejected(self, sample_table, build):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            build(sample_table, -1)
+
+    def test_a_dropped_relation_is_freed(self, sample_table):
+        rel = build_relation(sample_table, 2)
+        ref = weakref.ref(rel)
+        del rel
+        gc.collect()
+        assert ref() is None
+
+
+class TestTransitiveClosure:
+    def test_keeps_edges_out_of_a_term_without_a_self_loop(self):
+        edges = np.array([[False, True], [False, False]])
+        assert _transitive_closure(edges).tolist() == edges.tolist()
+
+    @pytest.mark.parametrize("reflexive", [False, True])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_repeated_boolean_squaring(self, seed, reflexive):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        edges = rng.random((n, n)) < rng.uniform(0.02, 0.2)
+        if reflexive:
+            edges |= np.eye(n, dtype=bool)
+        # paths of length up to 2^k after k squarings, until one adds nothing
+        reach = edges.copy()
+        while True:
+            longer = reach | ((reach.astype(np.int64) @ reach.astype(np.int64)) > 0)
+            if np.array_equal(longer, reach):
+                break
+            reach = longer
+        before = edges.copy()
+        assert np.array_equal(_transitive_closure(edges), reach)
+        assert np.array_equal(edges, before)
 
 
 def _named_table(name, request):
