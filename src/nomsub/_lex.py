@@ -1,109 +1,93 @@
-"""Tokenizer shared by the class-table DSL and the type surface syntax."""
+"""Tokenizer shared by the class-table DSL and the type surface syntax.
+
+A token is its text and its start offset in the source.  The end of input
+is the empty text, which no ``accept`` or ``expect`` ever asks for.  Line
+and column are worked out from an offset only when a ParseError is built.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .errors import ParseError
 
-_LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_IDENT_TAIL = _LETTERS | set("0123456789_")
-_SINGLE_PUNCT = set("<>,[]?!")
+# one lexeme per match: a token (group 1), a run of whitespace or a comment
+_LEXEME = re.compile(r"([A-Za-z][A-Za-z0-9_]*|\.\.|[<>,\[\]?!])|[ \t\r\n]+|//[^\n]*")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+def tokenize(source: str) -> tuple[list[str], list[int]]:
+    """Token texts and their start offsets, closed by the empty text at the
+    end of input; raises ParseError at the first character no token,
+    whitespace or comment starts with."""
+    texts: list[str] = []
+    offsets: list[int] = []
+    pos = 0
+    for m in _LEXEME.finditer(source):
+        if m.start() != pos:
+            break
+        text = m.group(1)
+        if text:
+            texts.append(text)
+            offsets.append(pos)
+        pos = m.end()
+    if pos < len(source):
+        raise _error(source, pos, f"unexpected character {source[pos]!r}")
+    # the end of input is reported where a comment on the last line starts
+    end = source.find("//", source.rfind("\n") + 1)
+    texts.append("")
+    offsets.append(pos if end < 0 else end)
+    return texts, offsets
 
-    def describe(self) -> str:
-        return "end of input" if self.kind == "eof" else repr(self.text)
+
+def _error(source: str, offset: int, message: str) -> ParseError:
+    line = source.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - source.rfind("\n", 0, offset))
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, n = 0, len(source)
-    line, col = 1, 1
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch in _LETTERS:
-            j = i + 1
-            while j < n and source[j] in _IDENT_TAIL:
-                j += 1
-            tokens.append(Token("ident", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if source.startswith("..", i):
-            tokens.append(Token("punct", "..", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SINGLE_PUNCT:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+def _describe(text: str) -> str:
+    return repr(text) if text else "end of input"
 
 
 class TokenStream:
-    """Cursor over a token list with expectation-style error reporting."""
+    """Cursor over a tokenized source with expectation-style error reporting."""
 
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
+    __slots__ = ("_source", "_texts", "_offsets", "_pos")
+
+    def __init__(self, source: str):
+        self._source = source
+        self._texts, self._offsets = tokenize(source)
         self._pos = 0
 
-    def peek(self) -> Token:
-        return self._tokens[self._pos]
-
-    def advance(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind != "eof":
-            self._pos += 1
-        return tok
+    def peek(self) -> str:
+        return self._texts[self._pos]
 
     def at_end(self) -> bool:
-        return self.peek().kind == "eof"
-
-    def matches(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        return not self._texts[self._pos]
 
     def accept(self, text: str) -> bool:
-        if self.matches(text):
-            self.advance()
+        if self._texts[self._pos] == text:
+            self._pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            raise ParseError(f"expected {text!r}, found {tok.describe()}", tok.line, tok.col)
-        return self.advance()
+    def expect(self, text: str) -> None:
+        found = self._texts[self._pos]
+        if found != text:
+            raise self.error(f"expected {text!r}, found {_describe(found)}")
+        self._pos += 1
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError(f"expected {what}, found {tok.describe()}", tok.line, tok.col)
-        return self.advance()
+    def expect_ident(self, what: str = "identifier") -> str:
+        text = self._texts[self._pos]
+        if not text[:1].isalpha():  # punctuation or the end of input
+            raise self.error(f"expected {what}, found {_describe(text)}")
+        self._pos += 1
+        return text
+
+    def expect_end(self) -> None:
+        found = self._texts[self._pos]
+        if found:
+            raise self.error(f"expected end of input, found {_describe(found)}")
 
     def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+        """A ParseError at the current token."""
+        return _error(self._source, self._offsets[self._pos], message)

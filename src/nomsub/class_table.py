@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from ._lex import TokenStream, tokenize
-from .errors import ParseError, UnknownClass, ValidationError
+from ._lex import TokenStream
+from .errors import UnknownClass, ValidationError
 
 RESERVED_WORDS = frozenset({"class", "extends", "super", "Null"})
 
@@ -203,7 +203,7 @@ def subclass_of(table: ClassTable, sub: str, sup: str) -> bool:
 def parse_class_table(source: str) -> ClassTable:
     """Parse the table DSL; raises ParseError on syntax and ValidationError
     on table-invariant failures."""
-    ts = TokenStream(tokenize(source))
+    ts = TokenStream(source)
     decls = [_parse_decl(ts)]
     while not ts.at_end():
         decls.append(_parse_decl(ts))
@@ -242,11 +242,9 @@ def _parse_typeuse(ts: TokenStream) -> TypeUse:
 
 
 def _parse_name(ts: TokenStream, what: str) -> str:
-    tok = ts.expect_ident(what)
-    if tok.text in RESERVED_WORDS:
-        raise ParseError(f"expected {what}, found reserved word '{tok.text}'",
-                         tok.line, tok.col)
-    return tok.text
+    if ts.peek() in RESERVED_WORDS:
+        raise ts.error(f"expected {what}, found reserved word '{ts.peek()}'")
+    return ts.expect_ident(what)
 
 
 # -- printing -------------------------------------------------------------

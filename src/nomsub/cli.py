@@ -161,7 +161,7 @@ def _cmd_subtype(args, table: ClassTable) -> int:
     rel = _build(table, args, depth=needed)
     for term, text in ((t1, args.t1), (t2, args.t2)):
         if term not in rel:
-            _warn_unordered(rel, term, text)
+            _warn_unordered(rel, table, term, text)
             cause = ("co-free atoms are excluded by --no-cofree"
                      if not rel.include_cofree and _has_cofree(term)
                      else "endpoint-unordered intervals are never enumerated")
@@ -179,14 +179,20 @@ def _has_cofree(term: TypeTerm) -> bool:
     return isinstance(term, Cofree)
 
 
-def _warn_unordered(rel: SubtypeRelation, term: TypeTerm, text: str) -> None:
+def _warn_unordered(rel: SubtypeRelation, table: ClassTable, term: TypeTerm,
+                    text: str) -> None:
+    """Warn about each interval, at any nesting, whose endpoints are both in
+    the universe but unordered; endpoints print as the universe labels them."""
     if not isinstance(term, Ground):
         return
     for iv in term.args:
         if iv.lo in rel and iv.hi in rel and not relation.is_subtype(rel, iv.lo, iv.hi):
             print(f"warning: interval in '{text}' has unordered endpoints "
-                  f"({format_type(iv.lo)} is not a subtype of {format_type(iv.hi)})",
-                  file=sys.stderr)
+                  f"({format_type(iv.lo, table)} is not a subtype of "
+                  f"{format_type(iv.hi, table)})", file=sys.stderr)
+        _warn_unordered(rel, table, iv.lo, text)
+        if not iv.is_point:
+            _warn_unordered(rel, table, iv.hi, text)
 
 
 def _cmd_build(args, table: ClassTable) -> int:

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._lex import TokenStream, tokenize
+from ._lex import TokenStream
 from .class_table import ClassTable, TypeUse
-from .errors import ArityMismatch, BottomHasNoErasure, NotGeneric, ParseError
+from .errors import ArityMismatch, BottomHasNoErasure, NotGeneric
 
 
-# frozen dataclasses set their stored fields through object.__setattr__
+# frozen dataclasses set their stored fields through object.__setattr__;
+# Ground and Interval write their own __init__ (dataclass keeps it and still
+# derives __eq__ and __repr__) to store hash and depth with no __post_init__ call
 _set = object.__setattr__
 
 
@@ -62,9 +64,11 @@ class Interval:
     _hash: int = field(init=False, repr=False, compare=False)
     _depth: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        _set(self, "_hash", hash((self.lo, self.hi)))
-        _set(self, "_depth", max(self.lo._depth, self.hi._depth))
+    def __init__(self, lo: TypeTerm, hi: TypeTerm):
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "_hash", hash((lo, hi)))
+        _set(self, "_depth", max(lo._depth, hi._depth))
 
     def __hash__(self) -> int:
         return self._hash
@@ -88,9 +92,11 @@ class Ground(TypeTerm):
     _hash: int = field(init=False, repr=False, compare=False)
     _depth: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        _set(self, "_hash", hash((self.cls, self.args)))
-        _set(self, "_depth", 1 + max([iv._depth for iv in self.args]) if self.args else 0)
+    def __init__(self, cls: str, args: tuple[Interval, ...] = ()):
+        _set(self, "cls", cls)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((cls, args)))
+        _set(self, "_depth", 1 + max([iv._depth for iv in args]) if args else 0)
 
     def __hash__(self) -> int:
         return self._hash
@@ -249,25 +255,22 @@ def _format_arg(iv: Interval, root: Ground | None, table: ClassTable | None) -> 
 
 def parse_type(table: ClassTable, text: str) -> TypeTerm:
     """Parse the type surface syntax against a class table."""
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     term = _parse_term(table, ts)
-    if not ts.at_end():
-        raise ts.error(f"expected end of input, found {ts.peek().describe()}")
+    ts.expect_end()
     return term
 
 
 def _parse_term(table: ClassTable, ts: TokenStream) -> TypeTerm:
-    tok = ts.expect_ident("type name")
-    if tok.text == "Null":
+    name = ts.expect_ident("type name")
+    if name == "Null":
         return BOTTOM
-    name = tok.text
     decl = table.decl(name)
-    if not ts.matches("<"):
+    if not ts.accept("<"):
         if decl.is_generic:
             raise ArityMismatch(
                 f"class '{name}' expects {decl.arity} argument(s), got 0")
         return Ground(name)
-    ts.advance()
     if ts.accept("!"):
         ts.expect(">")
         return cofree_type(table, name)

@@ -63,6 +63,22 @@ def test_subtype_unordered_interval_is_warned_and_rejected(capsys):
     assert "unordered endpoints" in err
 
 
+def test_unordered_warning_prints_universe_labels(capsys):
+    code, out, err = run(capsys, "subtype", SAMPLE, "List<[List<?>..String]>", "Object")
+    assert (code, out) == (2, "")
+    assert ("warning: interval in 'List<[List<?>..String]>' has unordered endpoints "
+            "(List<?> is not a subtype of String)\n") in err
+
+
+def test_unordered_warning_looks_inside_nested_arguments(capsys):
+    code, out, err = run(capsys, "subtype", SAMPLE, "List<List<[Object..String]>>",
+                         "Object", "--depth", "2")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == (
+        "warning: interval in 'List<List<[Object..String]>>' has unordered endpoints "
+        "(Object is not a subtype of String)")
+
+
 def test_subtype_names_the_excluded_cofree_atom(capsys):
     code, out, err = run(capsys, "subtype", SAMPLE, "List<!>", "List<?>", "--no-cofree")
     assert (code, out) == (2, "")
