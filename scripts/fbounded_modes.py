@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from nomsub import build_relation, check_validity, format_type  # noqa: E402
+from nomsub import build_relation, check_validity_modes, format_type  # noqa: E402
 from nomsub.random_tables import has_f_bounds, random_table  # noqa: E402
 
 
@@ -30,8 +30,7 @@ def main() -> int:
     for seed in range(args.tables):
         table = random_table(seed, max_classes=args.max_classes)
         rel = build_relation(table, args.depth)
-        ind = check_validity(table, rel, "ind")
-        coind = check_validity(table, rel, "coind")
+        ind, coind = check_validity_modes(table, rel)
         assert ind.valid <= coind.valid
         gap = sorted(format_type(t, table) for t in coind.valid - ind.valid)
         bounded = has_f_bounds(table)

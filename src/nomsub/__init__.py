@@ -49,6 +49,7 @@ from .fixpoints import (
     MinimaReport,
     ValidityAssignment,
     check_validity,
+    check_validity_modes,
     exact_fixed_points,
     f_subtypes,
     f_supertypes,

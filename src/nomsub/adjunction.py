@@ -24,7 +24,7 @@ import numpy as np
 from .class_table import ClassTable, subclass_of
 from .errors import FreeTypeOutsideUniverse
 from .relation import SubtypeRelation, is_subtype
-from .terms import BOTTOM, Cofree, Ground, TypeTerm, erase, free_type
+from .terms import BottomType, Cofree, Ground, TypeTerm, erase, free_type
 
 LEFT_TO_RIGHT = "left-to-right"   # erasure side holds, subtype side fails
 RIGHT_TO_LEFT = "right-to-left"   # subtype side holds, erasure side fails
@@ -153,8 +153,8 @@ def check_monotonicity(table: ClassTable, rel: SubtypeRelation) -> MonotonicityR
 def _class_positions(table: ClassTable, rel: SubtypeRelation) -> np.ndarray:
     """Each term's class as a position in `table.class_names`; -1 for bottom."""
     position = {c: k for k, c in enumerate(table.class_names)}
-    return np.array([-1 if t == BOTTOM else position[erase(t)] for t in rel.universe],
-                    dtype=np.intp)
+    return np.array([-1 if isinstance(t, BottomType) else position[t.cls]
+                     for t in rel.universe], dtype=np.intp)
 
 
 def _subclass_matrix(table: ClassTable) -> np.ndarray:

@@ -28,9 +28,10 @@ def analyze(table: ClassTable, rel: SubtypeRelation,
     pairs = relation.mutual_pairs(rel)
     analyses = {name: _fixpoint_doc(table, rel, name)
                 for name in table.class_names if table.arity(name) == 1}
+    inductive, coinductive = fixpoints.check_validity_modes(table, rel)
     validity = {
-        "inductive": validity_doc(rel, fixpoints.check_validity(table, rel, "ind")),
-        "coinductive": validity_doc(rel, fixpoints.check_validity(table, rel, "coind")),
+        "inductive": validity_doc(rel, inductive),
+        "coinductive": validity_doc(rel, coinductive),
     }
     validity["agree"] = validity["inductive"]["valid"] == validity["coinductive"]["valid"]
     return {

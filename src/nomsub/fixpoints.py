@@ -233,36 +233,52 @@ def check_validity(table: ClassTable, rel: SubtypeRelation,
     """
     if mode not in ("ind", "coind"):
         raise ValueError("mode must be 'ind' or 'coind'")
+    return _assignment(table, rel, _bound_checks(table, rel), mode)
+
+
+def check_validity_modes(table: ClassTable, rel: SubtypeRelation
+                         ) -> tuple[ValidityAssignment, ValidityAssignment]:
+    """The inductive and the coinductive assignment, as check_validity gives
+    them, from one pass of bound checks: neither a check's outcome nor its
+    dependencies depend on the mode."""
+    checks = _bound_checks(table, rel)
+    return _assignment(table, rel, checks, "ind"), _assignment(table, rel, checks, "coind")
+
+
+_BoundChecks = dict[TypeTerm, tuple[bool, frozenset[TypeTerm]]]
+
+
+def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> _BoundChecks:
+    """Each ground term of the universe, in universe order, with whether it
+    passes its bound check and the terms that check depends on."""
     deeper = _one_deeper(table, rel)
-    grounds = [t for t in rel.universe if isinstance(t, Ground)]
+    return {t: _bound_check(table, deeper, t) for t in rel.universe if isinstance(t, Ground)}
 
-    passes: dict[TypeTerm, bool] = {}
-    deps: dict[TypeTerm, frozenset[TypeTerm]] = {}
-    for term in grounds:
-        ok, used = _bound_check(table, deeper, term)
-        passes[term] = ok
-        deps[term] = used
 
+def _assignment(table: ClassTable, rel: SubtypeRelation, checks: _BoundChecks,
+                mode: str) -> ValidityAssignment:
+    """The least (``ind``) or greatest (``coind``) fixpoint of the bound
+    checks."""
     if mode == "ind":
         valid: set[TypeTerm] = set()
         changed = True
         while changed:
             changed = False
-            for term in grounds:
-                if term not in valid and passes[term] and deps[term] <= valid:
+            for term, (ok, deps) in checks.items():
+                if term not in valid and ok and deps <= valid:
                     valid.add(term)
                     changed = True
     else:
-        valid = {t for t in grounds if passes[t]}
+        valid = {t for t, (ok, _deps) in checks.items() if ok}
         changed = True
         while changed:
             changed = False
             for term in list(valid):
-                if any(d in passes and d not in valid for d in deps[term]):
+                if any(d in checks and d not in valid for d in checks[term][1]):
                     valid.discard(term)
                     changed = True
 
-    invalid = frozenset(t for t in grounds if t not in valid)
+    invalid = frozenset(t for t in checks if t not in valid)
     return ValidityAssignment(mode, frozenset(valid), invalid, rel.depth, table)
 
 

@@ -15,10 +15,10 @@ construction_step applies the rules once and is the reference path: stepped
 from initial_relation it reaches the fixpoint.  build_relation computes the
 same fixpoint directly, in one forward loop over the strata that holds only
 the stratum below, with no closure: containment is read off the depth-(d-1)
-relation, and each row is assembled from containment rows along the term's
-superclass chain.  Nothing is cached between builds; the term cap, checked
-per stratum from the exact count before any term is built, is the only
-resource limit.
+relation, and each row is its containment row OR-ed with the final row of
+its chain parent, the nearest superclass-chain member in the universe.
+Nothing is cached between builds; the term cap, checked per stratum from
+the exact count before any term is built, is the only resource limit.
 
 Edges live in packed bit rows (``np.packbits`` along each row, n x
 ceil(n/8) bytes) with an index map, from the build to every query and
@@ -51,6 +51,8 @@ from .terms import (
     parse_type,
     root_term,
     super_chain,
+    super_instantiation,
+    term_from_typeuse,
 )
 
 DEFAULT_CAP = 50_000
@@ -245,15 +247,16 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
         elif include_cofree:
             singles.append(Cofree(decl.name))
     if below is None:
-        generics = []
+        generics, pairs = [], None
     else:
         pairs = np.stack(_set_bits(below.bits), axis=1)
         generics = [decl for decl in table.decls.values() if decl.is_generic]
     if len(singles) + sum(len(pairs) ** decl.arity for decl in generics) > cap:
         raise UniverseCapExceeded(
             f"universe at depth {depth} exceeds the cap of {cap} terms")
-    # (labels, terms, endpoint indices or None), each unit in label order
-    units = [([format_type(t, table)], [t], None) for t in singles]
+    # (labels, terms, endpoint indices, product index of each term), each
+    # unit in label order; the last two are None for a depth-0 term
+    units = [([format_type(t, table)], [t], None, None) for t in singles]
     if generics:
         intervals = [Interval(below.universe[i], below.universe[j]) for i, j in pairs.tolist()]
         arguments = _argument_labels(table, below, pairs)
@@ -265,14 +268,22 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
         names = [f"{decl.name}<{', '.join(args)}>"
                  for args in itertools.product(arguments, repeat=decl.arity)]
         order = sorted(range(len(block)), key=names.__getitem__)
-        units.append(([names[k] for k in order], [block[k] for k in order], ends[order]))
+        units.append(([names[k] for k in order], [block[k] for k in order], ends[order],
+                      np.array(order, dtype=np.intp)))
     units.sort(key=lambda unit: unit[0][0])
+    universe = tuple(t for unit in units for t in unit[1])
+    index = {t: i for i, t in enumerate(universe)}
     starts = itertools.accumulate((len(unit[1]) for unit in units), initial=0)
-    blocks = [(start, ends[..., 0], ends[..., 1])
-              for start, (_names, _terms, ends) in zip(starts, units) if ends is not None]
-    return _stratum(table, tuple(t for unit in units for t in unit[1]),
-                    tuple(s for unit in units for s in unit[0]), blocks, depth,
-                    include_cofree, below)
+    blocks, orders, plain = [], {}, []
+    for start, (_labels, terms, ends, order) in zip(starts, units):
+        if ends is not None:
+            blocks.append((start, ends[..., 0], ends[..., 1]))
+            orders[terms[0].cls] = (start, order)
+        elif isinstance(terms[0], Ground):
+            plain.append((start, terms[0]))
+    parent, runs = _chain_parents(table, universe, index, plain, orders, below, pairs)
+    return _stratum(table, universe, tuple(s for unit in units for s in unit[0]), index,
+                    blocks, parent, runs, depth, include_cofree, below)
 
 
 def _argument_labels(table: ClassTable, below: SubtypeRelation,
@@ -343,7 +354,8 @@ def build_relation(table: ClassTable, depth: int, cap: int = DEFAULT_CAP,
 
 
 def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
-             labels: tuple[str, ...], blocks, depth: int, include_cofree: bool,
+             labels: tuple[str, ...], index: dict[TypeTerm, int], blocks,
+             parent: np.ndarray, runs, depth: int, include_cofree: bool,
              below: SubtypeRelation | None) -> SubtypeRelation:
     """The fixpoint of construction_step over `universe`, built row by row
     from the relation `below` it (None at depth 0, where no term has
@@ -352,9 +364,11 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
     `blocks` holds each generic class's first universe index and its
     instantiations' endpoint indices into the universe below, where
     containment is read off the small relation.  A ground term's row is its
-    containment row OR-ed with the containment rows of its superclass-chain
-    members in the universe (a member's chain is a suffix of the term's own
-    chain).  A co-free atom's row holds the co-free atoms of its
+    containment row OR-ed with the final row of its parent, the nearest
+    member of its superclass chain in the universe (see _chain_parents):
+    the `runs` of ground rows come in superclass-depth order, so each
+    parent row is final before it is read, and each run is OR-ed a band of
+    rows at a time.  A co-free atom's row holds the co-free atoms of its
     superclasses, the rows of every instantiation of those classes, and the
     root; bottom's row holds every term.
 
@@ -371,23 +385,23 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
     static edges and a confirming one; `iterations` records that count.
     """
     n = len(universe)
-    index = {t: i for i, t in enumerate(universe)}
-    chains = np.fromiter(((i, j) for i, term in enumerate(universe) if isinstance(term, Ground)
-                          for j in map(index.get, super_chain(table, term)) if j is not None),
-                         dtype=np.dtype((np.intp, 2)))
+    width = (n + 7) // 8
+    band = max(1, _BAND_BYTES // width)
     cofree_rows = _cofree_rows(table, universe, index, blocks) if include_cofree else []
     diagonal = np.arange(n)
     bottom = index.get(BOTTOM)
     # the stratum below is read densely: with a generic class it holds under
     # a third of this one's terms, and without one only the depth-0 terms
     below_edges = _unpack(below.bits, len(below)) if below is not None else None
+    packed = np.zeros((n, width), dtype=np.uint8)
     while True:
-        packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
         for start, los, his in blocks:
-            _write_containment(packed, start, los, his, below_edges)
+            _write_containment(packed, start, los, his, below_edges, band)
         packed[diagonal, diagonal >> 3] |= _column_bits(diagonal)
-        for i, j in chains:
-            packed[i] |= packed[j]
+        for start, stop in runs:
+            for first in range(start, stop, band):
+                last = min(first + band, stop)
+                packed[first:last] |= packed[parent[first:last]]
         if cofree_rows:
             reach = {start: np.bitwise_or.reduce(packed[start:start + len(los)], axis=0)
                      for start, los, _his in blocks}
@@ -405,6 +419,7 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
         if np.array_equal(lifted, below_edges):
             break
         below_edges = lifted
+        packed.fill(0)
     # with a generic class, some instantiation is nested `depth` deep
     nesting = depth if any(decl.is_generic for decl in table.decls.values()) else 0
     rel = SubtypeRelation(universe, labels, packed, 2 + nesting, depth, include_cofree)
@@ -412,31 +427,154 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
     return rel
 
 
+# rows per band keep a band's temporaries near 16 MiB
+_BAND_BYTES = 1 << 24
+
+
+def _chain_parents(table: ClassTable, universe: tuple[TypeTerm, ...],
+                   index: dict[TypeTerm, int], plain: list[tuple[int, Ground]], orders,
+                   below: SubtypeRelation | None, pairs: np.ndarray | None):
+    """Each ground term's parent, the nearest member of its superclass chain
+    that lies in the universe, by universe index (the term itself where no
+    member does); and the runs ``(start, stop)`` of ground rows, their
+    classes in superclass-depth order, so that a parent row comes before
+    every row that reads it.
+
+    A chain member's own chain is a suffix of the term's chain, so the
+    parent's final row covers every member the term reaches.  `plain` lists
+    the depth-0 ground terms with their universe indices; `orders` maps
+    each generic class to its first universe index and the product index
+    of each of its terms, in block order, into the intervals `pairs` of the
+    stratum `below`.  Where a class's superclass arguments are its
+    parameters at direct positions or closed types of the stratum below,
+    its terms' parents follow by index arithmetic (_block_parents).  The
+    other terms walk their chain: the depth-0 ones, and those whose
+    superclass arguments nest a parameter or are deeper closed types.
+    """
+    parent = np.arange(len(universe))
+    runs = []
+    for i, term in plain:
+        parent[i] = _nearest_member(table, term, index, i)
+        runs.append((_superclass_depth(table, term.cls), i, i + 1))
+    for cls, (start, order) in orders.items():
+        stop = start + len(order)
+        found = _block_parents(table, cls, order, index, orders, below, pairs)
+        if found is None:
+            found = [_nearest_member(table, universe[i], index, i) for i in range(start, stop)]
+        parent[start:stop] = found
+        runs.append((_superclass_depth(table, cls), start, stop))
+    return parent, [run[1:] for run in sorted(runs)]
+
+
+def _block_parents(table: ClassTable, cls: str, order: np.ndarray,
+                   index: dict[TypeTerm, int], orders, below: SubtypeRelation,
+                   pairs: np.ndarray):
+    """The parents of generic class `cls`'s terms, in block order, by index
+    arithmetic; None where a superclass argument nests a parameter or is a
+    closed type outside the stratum below.
+
+    Term k of the block is the index product ``order[k]`` of `pairs`, one
+    mixed-radix digit per argument.  Its super-instantiation takes the
+    digit of the parameter at each direct position and a closed type's
+    point pair elsewhere, which gives that member's product index in its
+    own class; the class's label order ranks it.
+    """
+    decl = table.decl(cls)
+    sup = decl.superclass
+    if not sup.args:
+        return index[Ground(sup.name)]
+    position = {p.name: q for q, p in enumerate(decl.params)}
+    digits = np.unravel_index(order, (len(pairs),) * decl.arity)
+    chosen = []
+    for arg in sup.args:
+        if not arg.args and arg.name in position:
+            chosen.append(digits[position[arg.name]])
+            continue
+        if any(name in position for name in arg.mentioned_names()):
+            return None
+        closed = term_from_typeuse(table, arg)
+        if closed not in below:
+            return None
+        j = below.index(closed)
+        chosen.append(np.flatnonzero((pairs[:, 0] == j) & (pairs[:, 1] == j))[0])
+    start, sup_order = orders[sup.name]
+    rank = np.empty_like(sup_order)
+    rank[sup_order] = np.arange(len(sup_order))
+    return start + rank[np.ravel_multi_index(chosen, (len(pairs),) * len(chosen))]
+
+
+def _nearest_member(table: ClassTable, term: Ground, index: dict[TypeTerm, int],
+                    default: int) -> int:
+    """The universe index of the first member of `term`'s superclass chain
+    that lies in the universe, or `default` where none does."""
+    member = super_instantiation(table, term)
+    while member is not None:
+        found = index.get(member)
+        if found is not None:
+            return found
+        member = super_instantiation(table, member)
+    return default
+
+
+def _superclass_depth(table: ClassTable, cls: str) -> int:
+    """The number of superclasses above class `cls`."""
+    count, use = 0, table.decl(cls).superclass
+    while use is not None:
+        count, use = count + 1, table.decl(use.name).superclass
+    return count
+
+
 def _write_containment(packed: np.ndarray, start: int, los: np.ndarray,
-                       his: np.ndarray, below: np.ndarray) -> None:
+                       his: np.ndarray, below: np.ndarray, band: int) -> None:
     """OR one class's containment block into the packed rows: instantiation
     i lies below j when every argument of i fits inside that of j, i.e.
     ``below[lo_j, lo_i] and below[hi_i, hi_j]`` at each position.
 
-    Bit rows are laid out from byte ``start // 8`` so that the block is a
-    plain slice of the packed matrix.
+    Per argument position, two tables of packed rows over the block hold
+    one row per term e below, each packed from rows gathered contiguously
+    out of `below` or its transpose: bit j of ``fits_lo[e]`` is
+    ``below[lo_j, e]`` and bit j of ``fits_hi[e]`` is ``below[e, hi_j]``.
+    Row i of the block is then the AND over the positions of
+    ``fits_lo[lo_i] & fits_hi[hi_i]``, written a band of rows at a time.
+    Bits are laid out from byte ``start // 8`` so that the block is a plain
+    slice of the packed matrix.
     """
     k, arity = los.shape
-    offset = start % 8
-    fits = np.zeros((below.shape[0], offset + k), dtype=bool)
-    cont = None
-    for p in range(arity):
-        lo, hi = los[:, p], his[:, p]
-        fits[:, offset:] = below[lo, :].T  # [e, j]: lo_j <: e
-        part = np.packbits(fits, axis=1)[lo]
-        fits[:, offset:] = below[:, hi]    # [e, j]: e <: hi_j
-        part &= np.packbits(fits, axis=1)[hi]
-        if cont is None:
-            cont = part
-        else:
-            cont &= part
-    first = start // 8
-    packed[start:start + k, first:first + cont.shape[1]] |= cont
+    offset, first = start % 8, start // 8
+    by_row, by_col = below.view(np.uint8), np.ascontiguousarray(below.T).view(np.uint8)
+    tables = [(_packed_columns(by_row, los[:, p], offset),
+               _packed_columns(by_col, his[:, p], offset)) for p in range(arity)]
+    width = tables[0][0].shape[1]
+    for top in range(0, k, band):
+        rows = slice(top, min(top + band, k))
+        cont = None
+        for p, (fits_lo, fits_hi) in enumerate(tables):
+            part = fits_lo[los[rows, p]]
+            part &= fits_hi[his[rows, p]]
+            if cont is None:
+                cont = part
+            else:
+                cont &= part
+        packed[start + rows.start:start + rows.stop, first:first + width] |= cont
+
+
+def _packed_columns(matrix: np.ndarray, picks: np.ndarray, offset: int) -> np.ndarray:
+    """Packed rows over `picks`, one per column e of the 0/1 byte `matrix`:
+    bit ``offset + j`` of row e is ``matrix[picks[j], e]``.
+
+    The picked rows are gathered contiguously, and each group of eight is
+    shifted into the bits of one byte, which packs them along the gathered
+    axis without a strided pass.
+    """
+    k, m = len(picks), matrix.shape[1]
+    nbytes = (offset + k + 7) // 8
+    gathered = np.zeros((nbytes * 8, m), dtype=np.uint8)
+    np.take(matrix, picks, axis=0, out=gathered[offset:offset + k], mode="clip")
+    lanes = gathered.reshape(nbytes, 8, m)
+    out = lanes[:, 0] << 7
+    for bit in range(1, 8):
+        out |= lanes[:, bit] << (7 - bit)
+    return np.ascontiguousarray(out.T)
 
 
 def _cofree_rows(table: ClassTable, universe, index, blocks):

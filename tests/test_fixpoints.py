@@ -11,6 +11,7 @@ from nomsub import (
     NotUnaryGeneric,
     build_relation,
     check_validity,
+    check_validity_modes,
     exact_fixed_points,
     f_subtypes,
     f_supertypes,
@@ -113,6 +114,8 @@ class TestValidity:
             rel = build_relation(table, 1)
             ind = check_validity(table, rel, "ind")
             coind = check_validity(table, rel, "coind")
+            # both modes from one pass of bound checks
+            assert check_validity_modes(table, rel) == (ind, coind), f"seed {seed}"
             assert ind.valid <= coind.valid, f"seed {seed}"
             if not has_f_bounds(table):
                 assert ind.valid == coind.valid, f"seed {seed}"

@@ -33,8 +33,11 @@ from nomsub import (
     relation_from_json,
     root_term,
     subclass_of,
+    super_instantiation,
     wildcard,
 )
+from nomsub import relation as relation_module
+from nomsub import terms as terms_module
 from nomsub.random_tables import random_table
 from nomsub.relation import _transitive_closure
 
@@ -131,6 +134,21 @@ class TestStratumLoop:
         with pytest.raises(ValueError, match="depth must be >= 0"):
             build(sample_table, -1)
 
+    def test_pass_through_classes_find_parents_without_walking_chains(
+            self, reduced_table, monkeypatch):
+        # LinkedList<T> extends List<T> extends Object: only the depth-0
+        # terms climb their chain, never an instantiation
+        climbed = []
+
+        def spy(table, term):
+            climbed.append(term)
+            return super_instantiation(table, term)
+
+        monkeypatch.setattr(relation_module, "super_instantiation", spy)
+        monkeypatch.setattr(terms_module, "super_instantiation", spy)
+        build_relation(reduced_table, 2)
+        assert climbed and not [t for t in climbed if isinstance(t, Ground) and t.args]
+
     def test_a_dropped_relation_is_freed(self, sample_table):
         rel = build_relation(sample_table, 2)
         ref = weakref.ref(rel)
@@ -164,9 +182,25 @@ class TestTransitiveClosure:
         assert np.array_equal(edges, before)
 
 
+# superclass arguments for the build's chain parents: parameters permuted
+# across positions and closed types (found by index arithmetic), and a
+# parameter passed through beside one nested in a compound argument (found
+# by walking the chain)
+INDEX_TABLES = {
+    "permuted": ("class Object\nclass Str extends Object\nclass Q<A, B> extends Object\n"
+                 "class P<K, V> extends Q<V, K>\nclass R<X> extends P<X, Str>"),
+    "closed": ("class Object\nclass Str extends Object\nclass B<T> extends Object\n"
+               "class A<T> extends B<Str>\nclass C<T> extends A<T>"),
+    "mixed": ("class Object\nclass C<T> extends Object\nclass B<S, U> extends Object\n"
+              "class A<T> extends B<C<T>, T>\nclass W extends A<W>"),
+}
+
+
 def _named_table(name, request):
     if name in NESTED_TABLES:
         return parse_class_table(NESTED_TABLES[name])
+    if name in INDEX_TABLES:
+        return parse_class_table(INDEX_TABLES[name])
     if name.startswith("seed"):
         return random_table(int(name[4:]))
     return request.getfixturevalue(f"{name}_table")
@@ -181,14 +215,23 @@ def _stepped_to_fixpoint(table, depth, include_cofree):
         rel = stepped
 
 
+STEPPED_NAMES = ["sample", "reduced", "seed3", "seed17", "seed102", "seed7", "nested",
+                 "nested_plain"]
+# the permuted and mixed tables pass the term cap only up to depth 1
+STEPPED_CASES = ([(name, depth) for name in STEPPED_NAMES for depth in range(3)]
+                 + [(name, depth) for name in INDEX_TABLES for depth in range(2)]
+                 + [("closed", 2)]
+                 + [(f"seed{seed}", 1) for seed in range(40) if f"seed{seed}" not in STEPPED_NAMES])
+
+
 @pytest.mark.parametrize("include_cofree", [True, False])
-@pytest.mark.parametrize("depth", [0, 1, 2])
-@pytest.mark.parametrize("name", ["sample", "reduced", "seed3", "seed17", "seed102",
-                                  "seed7", "nested", "nested_plain"])
+@pytest.mark.parametrize("name, depth", STEPPED_CASES)
 def test_direct_build_equals_the_stepped_fixpoint(name, depth, include_cofree, request):
     # seed 102 needs the co-free lift going from depth 0 to 1 (Beta<!> <:
     # Alpha only once Beta<?> exists); seed 7 has no generic class; the
-    # nested tables push superclass arguments one level deeper
+    # nested tables push superclass arguments one level deeper; the index
+    # tables and the other seeds check the parents the build finds by index
+    # arithmetic
     table = _named_table(name, request)
     built = build_relation(table, depth, include_cofree=include_cofree)
     stepped = _stepped_to_fixpoint(table, depth, include_cofree)
