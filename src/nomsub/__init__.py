@@ -57,7 +57,6 @@ from .fixpoints import (
     minimal_f_supertypes,
 )
 from .relation import (
-    DEFAULT_CAP,
     SubtypeRelation,
     build_relation,
     construction_step,

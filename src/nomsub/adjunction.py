@@ -69,9 +69,9 @@ def check_galois(table: ClassTable, rel: SubtypeRelation,
     `quantify="valid"` narrows the term domain to the instantiations that
     are valid under the inductively computed validity assignment.
     """
-    free = _free_columns(table, rel)
     if quantify not in ("admittable", "valid"):
         raise ValueError("quantify must be 'admittable' or 'valid'")
+    free = _free_columns(table, rel)
     classes = _class_positions(table, rel)
     domain = classes >= 0
     if quantify == "valid":

@@ -18,7 +18,7 @@ from .analysis import (analyze, closure_doc, closure_laws_hold, galois_doc,
                        labels, maxima_doc, minima_doc, validity_doc)
 from .class_table import ClassTable, parse_class_table
 from .errors import NomsubError
-from .relation import DEFAULT_CAP, SubtypeRelation, build_relation
+from .relation import SubtypeRelation, build_relation
 from .terms import Cofree, Ground, TypeTerm, format_type, nesting_depth, parse_type
 
 
@@ -33,18 +33,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        _validate(args)
+        if args.depth < 0:
+            raise UsageError("--depth must be >= 0")
         return args.handler(args, _load_table(args.table))
     except (UsageError, NomsubError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _validate(args) -> None:
-    if args.depth < 0:
-        raise UsageError("--depth must be >= 0")
-    if args.cap <= 0:
-        raise UsageError("--cap must be > 0")
 
 
 def _load_table(path: str) -> ClassTable:
@@ -56,8 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("table", help="class-table file")
     common.add_argument("--depth", type=int, default=1,
                         help="universe nesting depth (default 1)")
-    common.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help=f"universe size cap (default {DEFAULT_CAP})")
     common.add_argument("--no-cofree", dest="include_cofree",
                         action="store_false",
                         help="build without the co-free axioms")
@@ -126,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _build(table: ClassTable, args, depth: int | None = None) -> SubtypeRelation:
     return build_relation(table, args.depth if depth is None else depth,
-                          cap=args.cap, include_cofree=args.include_cofree)
+                          include_cofree=args.include_cofree)
 
 
 def _emit_json(doc) -> None:

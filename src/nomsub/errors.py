@@ -41,7 +41,7 @@ class BottomHasNoErasure(NomsubError):
 
 
 class UniverseCapExceeded(NomsubError):
-    """Universe enumeration hit the configured term cap."""
+    """A stratum's packed rows would exceed the fixed byte budget."""
 
 
 class EndpointOutsideUniverse(NomsubError):
@@ -53,7 +53,7 @@ class TermOutsideUniverse(NomsubError):
 
 
 class InvalidRelationDocument(NomsubError):
-    """A relation document repeats a universe term or indexes outside it."""
+    """A relation document is malformed, repeats a term or indexes outside it."""
 
 
 class FreeTypeOutsideUniverse(NomsubError):

@@ -17,8 +17,9 @@ same fixpoint directly, in one forward loop over the strata that holds only
 the stratum below, with no closure: containment is read off the depth-(d-1)
 relation, and each row is its containment row OR-ed with the final row of
 its chain parent, the nearest superclass-chain member in the universe.
-Nothing is cached between builds; the term cap, checked per stratum from
-the exact count before any term is built, is the only resource limit.
+Nothing is cached between builds; the only resource limit is a fixed 4 GiB
+budget for a stratum's packed rows, checked from its exact term count
+before any of its terms is built.
 
 Edges live in packed bit rows (``np.packbits`` along each row, n x
 ceil(n/8) bytes) with an index map, from the build to every query and
@@ -55,7 +56,7 @@ from .terms import (
     term_from_typeuse,
 )
 
-DEFAULT_CAP = 50_000
+_ROW_BUDGET = 1 << 32  # bytes of packed rows per stratum; fixed, not read from the host
 
 
 class SubtypeRelation:
@@ -211,8 +212,7 @@ def mutual_pairs(rel: SubtypeRelation) -> list[tuple[TypeTerm, TypeTerm]]:
 # -- universe enumeration ----------------------------------------------------
 
 
-def enumerate_universe(table: ClassTable, depth: int,
-                       cap: int = DEFAULT_CAP) -> tuple[TypeTerm, ...]:
+def enumerate_universe(table: ClassTable, depth: int) -> tuple[TypeTerm, ...]:
     """All admittable terms of nesting depth <= depth, in canonical order
     (lexicographic on printed form).
 
@@ -220,18 +220,18 @@ def enumerate_universe(table: ClassTable, depth: int,
     relation built at the previous depth; declared parameter bounds are
     ignored (admittability, not validity).
     """
-    return build_relation(table, depth, cap).universe
+    return build_relation(table, depth).universe
 
 
 def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
-           cap: int, include_cofree: bool) -> SubtypeRelation:
+           include_cofree: bool) -> SubtypeRelation:
     """The relation at `depth`, over its universe: the depth-0 terms plus,
     per generic class, every product of the intervals (edges ``lo <: hi``)
     of the stratum `below` (None at depth 0), kept as endpoint indices into
     that stratum.  Edges only grow from one stratum to the next, so the
     products re-generate every instantiation below and the universe's size
-    is known, and checked against the cap, before any term is built.  A
-    class's instantiations are sorted within the class; their labels all
+    is known, and checked against the row budget, before any term is built.
+    A class's instantiations are sorted within the class; their labels all
     begin ``C<``, so merging the classes and the depth-0 terms by leading
     label gives the label order.
 
@@ -251,9 +251,12 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
     else:
         pairs = np.stack(_set_bits(below.bits), axis=1)
         generics = [decl for decl in table.decls.values() if decl.is_generic]
-    if len(singles) + sum(len(pairs) ** decl.arity for decl in generics) > cap:
+    n = len(singles) + sum(len(pairs) ** decl.arity for decl in generics)
+    need = n * ((n + 7) // 8)
+    if need > _ROW_BUDGET:
         raise UniverseCapExceeded(
-            f"universe at depth {depth} exceeds the cap of {cap} terms")
+            f"universe at depth {depth} has {n} terms, whose packed rows need "
+            f"{need} bytes, over the budget of {_ROW_BUDGET} bytes")
     # (labels, terms, endpoint indices, product index of each term), each
     # unit in label order; the last two are None for a depth-0 term
     units = [([format_type(t, table)], [t], None, None) for t in singles]
@@ -309,11 +312,11 @@ def _argument_labels(table: ClassTable, below: SubtypeRelation,
 # -- construction ------------------------------------------------------------
 
 
-def initial_relation(table: ClassTable, depth: int, cap: int = DEFAULT_CAP,
+def initial_relation(table: ClassTable, depth: int,
                      include_cofree: bool = True) -> SubtypeRelation:
     """The reflexive relation over the enumerated universe; the starting
     point for construction_step."""
-    rel = build_relation(table, depth, cap, include_cofree)
+    rel = build_relation(table, depth, include_cofree)
     eye = np.packbits(np.eye(len(rel), dtype=bool), axis=1)
     return SubtypeRelation(rel.universe, rel.labels, eye, 0, depth, include_cofree)
 
@@ -329,14 +332,14 @@ def construction_step(table: ClassTable, rel: SubtypeRelation) -> SubtypeRelatio
                            rel.depth, rel.include_cofree)
 
 
-def build_relation(table: ClassTable, depth: int, cap: int = DEFAULT_CAP,
+def build_relation(table: ClassTable, depth: int,
                    include_cofree: bool = True) -> SubtypeRelation:
     """Enumerate the universe at `depth` and build the fixpoint of
     construction_step over it, in one loop over the strata: each pass builds
-    stratum d directly from stratum d-1, after checking the cap against the
-    exact size of stratum d.  A stratum depends only on the one below, so
-    once one equals the one below (exactly when the table has no generic
-    class) so does every deeper one, and the loop stops there.
+    stratum d directly from stratum d-1, after checking the row budget
+    against the exact size of stratum d.  A stratum depends only on the one
+    below, so once one equals the one below (exactly when the table has no
+    generic class) so does every deeper one, and the loop stops there.
 
     `iterations` is the number of construction_step passes that stepping
     from initial_relation takes to reach the same relation, confirming pass
@@ -344,9 +347,9 @@ def build_relation(table: ClassTable, depth: int, cap: int = DEFAULT_CAP,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    rel = _stage(table, None, 0, cap, include_cofree)
+    rel = _stage(table, None, 0, include_cofree)
     for d in range(1, depth + 1):
-        below, rel = rel, _stage(table, rel, d, cap, include_cofree)
+        below, rel = rel, _stage(table, rel, d, include_cofree)
         if rel.universe == below.universe and np.array_equal(rel.bits, below.bits):
             break
     rel.depth = depth
@@ -368,18 +371,16 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
     member of its superclass chain in the universe (see _chain_parents):
     the `runs` of ground rows come in superclass-depth order, so each
     parent row is final before it is read, and each run is OR-ed a band of
-    rows at a time.  A co-free atom's row holds the co-free atoms of its
-    superclasses, the rows of every instantiation of those classes, and the
-    root; bottom's row holds every term.
+    rows at a time.  A co-free atom's row is set from class ranges (see
+    _cofree_rows); bottom's row holds every term.
 
-    The new stratum may relate old terms that the relation below did not: a
-    co-free atom reaches a plain superclass only through an instantiation,
-    and a term reaches its superclass-chain members only where they exist,
-    so an instantiation or chain member first enumerated here can add edges
-    between old terms.  While the result restricted to the old terms differs
-    from the relation used for containment, containment is recomputed from
-    that restriction (semi-naive evaluation); in practice this takes at most
-    one extra pass.
+    The new stratum may relate old terms that the relation below did not:
+    the depth-0 co-free rows leave out plain superclasses, and a term
+    reaches its superclass-chain members only where they exist, so a chain
+    member first enumerated here can add edges between old terms.  While
+    the result restricted to the old terms differs from the relation used
+    for containment, containment is recomputed from that restriction
+    (semi-naive evaluation); in practice this takes at most one extra pass.
 
     Stepping needs one construction_step pass per nesting level, one for the
     static edges and a confirming one; `iterations` records that count.
@@ -387,7 +388,7 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
     n = len(universe)
     width = (n + 7) // 8
     band = max(1, _BAND_BYTES // width)
-    cofree_rows = _cofree_rows(table, universe, index, blocks) if include_cofree else []
+    cofree_rows = list(_cofree_rows(table, universe, index, blocks)) if include_cofree else []
     diagonal = np.arange(n)
     bottom = index.get(BOTTOM)
     # the stratum below is read densely: with a generic class it holds under
@@ -402,13 +403,8 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
             for first in range(start, stop, band):
                 last = min(first + band, stop)
                 packed[first:last] |= packed[parent[first:last]]
-        if cofree_rows:
-            reach = {start: np.bitwise_or.reduce(packed[start:start + len(los)], axis=0)
-                     for start, los, _his in blocks}
-            for i, starts, direct in cofree_rows:
-                packed[i] |= direct
-                for start in starts:
-                    packed[i] |= reach[start]
+        for i, row in cofree_rows:
+            packed[i] = row
         if bottom is not None:
             packed[bottom] = np.packbits(np.ones(n, dtype=bool))  # no padding bit
         if below is None:
@@ -578,23 +574,28 @@ def _packed_columns(matrix: np.ndarray, picks: np.ndarray, offset: int) -> np.nd
 
 
 def _cofree_rows(table: ClassTable, universe, index, blocks):
-    """Per co-free atom ``C<!>``: its index, the blocks of the superclasses
-    of ``C`` whose instantiation rows it joins, and the packed row of the
-    terms it reaches directly (the superclasses' co-free atoms and the
-    root)."""
-    block_of = {universe[start].cls: start for start, _los, _his in blocks}
-    atoms = [(i, t) for i, t in enumerate(universe) if isinstance(t, Cofree)]
-    root = index.get(root_term(table))
-    rows = []
-    for i, atom in atoms:
-        supers = [other for _j, other in atoms if subclass_of(table, atom.cls, other.cls)]
-        starts = [block_of[s.cls] for s in supers if s.cls in block_of]
-        direct = np.zeros(len(universe), dtype=bool)
-        direct[[index[s] for s in supers]] = True
-        if root is not None:
-            direct[root] = True
-        rows.append((i, starts, np.packbits(direct)))
-    return rows
+    """Yield each co-free atom ``C<!>``'s index and packed row.
+
+    Each class's terms are one contiguous run of the label-sorted universe
+    (a generic class's atom, then its block).  At depth >= 1 the atom lies
+    below every term of every superclass of C, C included.  At depth 0,
+    where no class has an instantiation, it lies below only the
+    superclasses' co-free atoms and the root, so the depth-0 relation is
+    not the restriction of the depth-1 one where C has a plain superclass
+    other than the root.
+    """
+    stops = {universe[start].cls: start + len(los) for start, los, _his in blocks}
+    for atom in (d for d in table.decls.values() if d.is_generic):
+        row = np.zeros(len(universe), dtype=bool)
+        for decl in table.decls.values():
+            if not subclass_of(table, atom.name, decl.name):
+                continue
+            if decl.is_generic:
+                first = index[Cofree(decl.name)]
+                row[first:stops.get(decl.name, first + 1)] = True
+            elif blocks or decl.name == table.root:
+                row[index[Ground(decl.name)]] = True
+        yield index[Cofree(atom.name)], np.packbits(row)
 
 
 def _static_edges(table: ClassTable, universe, index, include_cofree: bool):
@@ -721,16 +722,21 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
     """Rebuild a relation exported by export_json, using the table to parse
     the printed terms; a document without include_cofree gets the
     build_relation default, and a `cap` key (written by older versions) is
-    ignored.  A malformed depth, include_cofree or edge, or a universe entry
-    that repeats an earlier term, raises InvalidRelationDocument."""
+    ignored.  A document that is not an object with depth, universe and
+    edges, a malformed value, or a universe entry that repeats an earlier
+    term raises InvalidRelationDocument."""
     doc = json.loads(text)
+    if not (isinstance(doc, dict) and {"depth", "universe", "edges"} <= doc.keys()):
+        raise InvalidRelationDocument("not an object with depth, universe and edges")
     depth, include_cofree = doc["depth"], doc.get("include_cofree", True)
     if type(depth) is not int or depth < 0:
         raise InvalidRelationDocument(f"depth {json.dumps(depth)} is not a non-negative integer")
     if not isinstance(include_cofree, bool):
         raise InvalidRelationDocument(
             f"include_cofree {json.dumps(include_cofree)} is not a boolean")
-    labels = tuple(doc["universe"])
+    labels = doc["universe"]
+    if not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
+        raise InvalidRelationDocument("universe is not a list of term labels")
     universe = tuple(parse_type(table, s) for s in labels)
     index: dict[TypeTerm, int] = {}
     for k, term in enumerate(universe):
@@ -760,7 +766,7 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
             f"universe of {n} terms")
     bits = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
     np.bitwise_or.at(bits, (pairs[:, 0], pairs[:, 1] >> 3), _column_bits(pairs[:, 1]))
-    rel = SubtypeRelation(universe, labels, bits, 0, depth, include_cofree)
+    rel = SubtypeRelation(universe, tuple(labels), bits, 0, depth, include_cofree)
     rel._index = index
     return rel
 

@@ -51,7 +51,7 @@ def test_criterion_1_galois_exhaustive(sample_table, reduced_table):
     started = time.monotonic()
     checked = 0
     for table, depth in ((sample_table, 1), (reduced_table, 2)):
-        rel = build_relation(table, depth, cap=50_000)
+        rel = build_relation(table, depth)
         assert len(rel.universe) <= 50_000
         report = check_galois(table, rel)
         assert report.violations == []

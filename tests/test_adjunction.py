@@ -80,6 +80,12 @@ class TestGalois:
         with pytest.raises(ValueError):
             check_galois(sample_table, sample_rel1, quantify="everything")
 
+    def test_checks_the_quantifier_before_the_free_types(self, sample_table, sample_rel0):
+        # depth 0 has no free type, so a late check would raise
+        # FreeTypeOutsideUniverse instead
+        with pytest.raises(ValueError, match="quantify must be"):
+            check_galois(sample_table, sample_rel0, quantify="bogus")
+
 
 class TestClosureLaws:
     def test_unit_law_examples(self, sample_table, sample_rel1):

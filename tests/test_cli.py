@@ -191,11 +191,13 @@ def test_report_is_byte_identical_across_runs(capsys):
     assert first == second
 
 
-def test_depth_is_limited_only_by_the_cap(capsys, tmp_path):
-    # sample@3 has about 140k terms; the cap stops the build at that stratum
-    code, out, err = run(capsys, "universe", SAMPLE, "--depth", "4")
+def test_depth_is_limited_only_by_the_row_budget(capsys, tmp_path):
+    # reduced@4 would need 5.0 TB of packed rows; the budget stops the build
+    # at that stratum, before any of its terms is built
+    code, out, err = run(capsys, "universe", REDUCED, "--depth", "4")
     assert (code, out) == (2, "")
-    assert err == "error: universe at depth 3 exceeds the cap of 50000 terms\n"
+    assert err == ("error: universe at depth 4 has 6322915 terms, whose packed rows "
+                   "need 4997410713975 bytes, over the budget of 4294967296 bytes\n")
     tiny = tmp_path / "tiny.table"
     tiny.write_text("class Object\nclass String extends Object")
     code, out, _ = run(capsys, "universe", str(tiny), "--depth", "4")
@@ -225,8 +227,9 @@ def test_galois_violations_print_universe_labels(capsys, tmp_path, name):
 
 
 def test_bad_flag_values(capsys):
-    code, _, err = run(capsys, "universe", SAMPLE, "--cap", "0")
+    code, _, err = run(capsys, "universe", SAMPLE, "--cap", "200000")
     assert code == 2
+    assert "unrecognized arguments: --cap 200000" in err
     code, _, err = run(capsys, "universe", SAMPLE, "--depth", "-1")
     assert code == 2
 

@@ -26,6 +26,8 @@ from nomsub import (
 )
 from nomsub.random_tables import has_f_bounds, random_table
 
+from nested_tables import NESTED_TABLES
+
 
 class TestFSubtypes:
     def test_self_bounded_class(self, sample_table, sample_rel1):
@@ -167,12 +169,6 @@ class TestValidity:
 
 # -- the depth-(d+1) decider against the depth-(d+1) relation -----------------
 
-# a superclass that nests a parameter: B<C<T>>
-NESTED = ("class Object\nclass Str extends Object\nclass C<T> extends Object\n"
-          "class B<T> extends Object\nclass A<T extends C<T>> extends B<C<T>>\n"
-          "class W extends A<W>")
-
-
 def _one_deeper_by_lookup(table, rel):
     """The reference path: answers read from the whole depth-(d+1) relation."""
     above = build_relation(table, rel.depth + 1, include_cofree=rel.include_cofree)
@@ -193,7 +189,7 @@ def _analyses(table, rel):
 
 def _table(name, request):
     if name == "nested":
-        return parse_class_table(NESTED)
+        return parse_class_table(NESTED_TABLES[name])
     if name.startswith("seed"):
         return random_table(int(name[4:]))
     return request.getfixturevalue(f"{name}_table")

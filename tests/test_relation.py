@@ -217,7 +217,7 @@ def _stepped_to_fixpoint(table, depth, include_cofree):
 
 STEPPED_NAMES = ["sample", "reduced", "seed3", "seed17", "seed102", "seed7", "nested",
                  "nested_plain"]
-# the permuted and mixed tables pass the term cap only up to depth 1
+# the permuted and mixed tables exceed the row budget at depth 2
 STEPPED_CASES = ([(name, depth) for name in STEPPED_NAMES for depth in range(3)]
                  + [(name, depth) for name in INDEX_TABLES for depth in range(2)]
                  + [("closed", 2)]
@@ -389,7 +389,7 @@ class TestExport:
         assert rebuilt == sample_rel1
 
     def test_json_roundtrip_keeps_build_flags(self, sample_table):
-        bare = build_relation(sample_table, 1, cap=20_000, include_cofree=False)
+        bare = build_relation(sample_table, 1, include_cofree=False)
         rebuilt = relation_from_json(sample_table, export_json(bare))
         assert rebuilt.include_cofree is False
         assert rebuilt == bare
@@ -471,6 +471,22 @@ class TestExport:
         doc = json.loads(export_json(sample_rel1))
         doc["edges"] = edges
         with pytest.raises(InvalidRelationDocument, match=message):
+            relation_from_json(sample_table, json.dumps(doc))
+
+    @pytest.mark.parametrize("reshape, message", [
+        (lambda doc: [doc], "not an object with depth, universe and edges"),
+        *[(lambda doc, key=key: {k: v for k, v in doc.items() if k != key},
+           "not an object with depth, universe and edges")
+          for key in ("depth", "universe", "edges")],
+        # iterated, a string would be parsed a character at a time
+        (lambda doc: {**doc, "universe": "Object"}, "universe is not a list of term labels"),
+        (lambda doc: {**doc, "universe": doc["universe"][:2] + [7] + doc["universe"][3:]},
+         "universe is not a list of term labels"),
+    ], ids=["array", "no-depth", "no-universe", "no-edges", "string-universe", "number-label"])
+    def test_json_malformed_structure_is_rejected(self, sample_table, sample_rel1,
+                                                  reshape, message):
+        doc = reshape(json.loads(export_json(sample_rel1)))
+        with pytest.raises(InvalidRelationDocument, match=f"^{message}$"):
             relation_from_json(sample_table, json.dumps(doc))
 
     def test_json_empty_edge_list_loads(self, sample_table, sample_rel0):

@@ -1,4 +1,4 @@
-"""Universe enumeration: contents, canonical order, depth bounds, caps."""
+"""Universe enumeration: contents, canonical order, depth bounds, the row budget."""
 
 import re
 
@@ -11,6 +11,7 @@ from nomsub import (
     UniverseCapExceeded,
     build_relation,
     enumerate_universe,
+    relation,
     format_type,
     nesting_depth,
     parse_class_table,
@@ -96,15 +97,18 @@ def test_multi_parameter_classes_enumerate_all_argument_products():
     assert parse_type(table, "Pair<Object, ?>") in set(universe)
 
 
-def test_cap_is_enforced(sample_table):
-    with pytest.raises(UniverseCapExceeded):
-        enumerate_universe(sample_table, 1, cap=20)
-    for depth in (0, 1, 2):
-        size = len(enumerate_universe(sample_table, depth))
-        assert len(enumerate_universe(sample_table, depth, cap=size)) == size
-        message = f"universe at depth {depth} exceeds the cap of {size - 1} terms"
+def test_row_budget_is_enforced(sample_table, monkeypatch):
+    # the budget bounds a stratum's packed rows, n * ceil(n / 8) bytes
+    sizes = [len(enumerate_universe(sample_table, depth)) for depth in (0, 1, 2)]
+    for depth, size in enumerate(sizes):
+        need = size * ((size + 7) // 8)
+        monkeypatch.setattr(relation, "_ROW_BUDGET", need)
+        assert len(enumerate_universe(sample_table, depth)) == size
+        monkeypatch.setattr(relation, "_ROW_BUDGET", need - 1)
+        message = (f"universe at depth {depth} has {size} terms, whose packed rows "
+                   f"need {need} bytes, over the budget of {need - 1} bytes")
         with pytest.raises(UniverseCapExceeded, match=f"^{re.escape(message)}$"):
-            enumerate_universe(sample_table, depth, cap=size - 1)
+            enumerate_universe(sample_table, depth)
 
 
 def test_negative_depth_is_rejected(sample_table):
