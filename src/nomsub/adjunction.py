@@ -23,6 +23,7 @@ import numpy as np
 
 from .class_table import ClassTable, subclass_of
 from .errors import FreeTypeOutsideUniverse
+from .fixpoints import check_validity
 from .relation import SubtypeRelation, is_subtype
 from .terms import BottomType, Cofree, Ground, TypeTerm, erase, free_type
 
@@ -75,7 +76,6 @@ def check_galois(table: ClassTable, rel: SubtypeRelation,
     classes = _class_positions(table, rel)
     domain = classes >= 0
     if quantify == "valid":
-        from .fixpoints import check_validity
         valid = check_validity(table, rel, mode="ind").valid
         domain &= [not isinstance(t, Ground) or t in valid for t in rel.universe]
     rows = np.flatnonzero(domain)

@@ -15,6 +15,10 @@ Single inheritance only; interfaces and traits are modeled as ordinary
 classes.  Exactly one declared class has no superclass: the root.  Parameter
 bounds are recorded but not checked here; bound satisfaction is decided by
 the validity analysis, never during parsing.
+
+The table owns the subclass order: each class's ancestors (the class, then
+its superclasses up to the root) are recorded once, during the walk that
+rejects extends cycles, and `subclass_of` is a membership test on them.
 """
 
 from __future__ import annotations
@@ -114,7 +118,7 @@ class ClassTable:
                     if bound is not None:
                         self._check_use(bound, decl, scope)
 
-        self._check_acyclic()
+        self._ancestors = self._ancestry()
         roots = [d.name for d in self._ordered if d.superclass is None]
         if not roots:
             raise ValidationError("no root class: every class has a superclass")
@@ -143,15 +147,20 @@ class ClassTable:
         for arg in use.args:
             self._check_use(arg, decl, scope)
 
-    def _check_acyclic(self) -> None:
+    def _ancestry(self) -> dict[str, tuple[str, ...]]:
+        """Each class's ancestors, nearest first; raises ValidationError on
+        an extends cycle."""
+        ancestry = {}
         for start in self._by_name:
-            seen = {start}
+            chain = [start]
             cur = self._by_name[start].superclass
             while cur is not None:
-                if cur.name in seen:
+                if cur.name in chain:
                     raise ValidationError(f"extends cycle through '{cur.name}'")
-                seen.add(cur.name)
+                chain.append(cur.name)
                 cur = self._by_name[cur.name].superclass
+            ancestry[start] = tuple(chain)
+        return ancestry
 
     # -- lookup -----------------------------------------------------------
 
@@ -172,6 +181,13 @@ class ClassTable:
     def arity(self, name: str) -> int:
         return self.decl(name).arity
 
+    def ancestors(self, name: str) -> tuple[str, ...]:
+        """The class, then its superclasses up to the root, nearest first."""
+        try:
+            return self._ancestors[name]
+        except KeyError:
+            raise UnknownClass(f"unknown class '{name}'") from None
+
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
@@ -188,13 +204,7 @@ class ClassTable:
 def subclass_of(table: ClassTable, sub: str, sup: str) -> bool:
     """Reflexive-transitive closure of the declared extends edges."""
     table.decl(sup)
-    cur: str | None = sub
-    while cur is not None:
-        if cur == sup:
-            return True
-        use = table.decl(cur).superclass
-        cur = use.name if use is not None else None
-    return False
+    return sup in table.ancestors(sub)
 
 
 # -- parsing --------------------------------------------------------------

@@ -48,15 +48,17 @@ from .terms import (
     Ground,
     Interval,
     TypeTerm,
+    format_interval,
     format_type,
     parse_type,
     root_term,
     super_chain,
-    super_instantiation,
     term_from_typeuse,
 )
 
 _ROW_BUDGET = 1 << 32  # bytes of packed rows per stratum; fixed, not read from the host
+# rows per band keep a band's temporaries near 16 MiB
+_BAND_BYTES = 1 << 24
 
 
 class SubtypeRelation:
@@ -135,7 +137,7 @@ class SubtypeRelation:
                 and bool(np.array_equal(self.bits, other.bits)))
 
     def __repr__(self) -> str:
-        edges = int(_POPCOUNT[self.bits].sum(dtype=np.int64))
+        edges = _edge_count(self.bits)
         return (f"SubtypeRelation(depth={self.depth}, terms={len(self.universe)}, "
                 f"edges={edges}, iterations={self.iterations})")
 
@@ -161,6 +163,14 @@ def _set_bits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, byte_cols = np.nonzero(bits)
     k, bit = np.nonzero(np.unpackbits(bits[rows, byte_cols][:, None], axis=1))
     return rows[k], byte_cols[k] * 8 + bit
+
+
+def _edge_count(bits: np.ndarray) -> int:
+    """The number of set bits of packed rows, counted a band of rows at a
+    time so that no temporary of the rows' size is made."""
+    band = max(1, _BAND_BYTES // max(1, bits.shape[1]))
+    return sum(int(_POPCOUNT[bits[start:start + band]].sum(dtype=np.int64))
+               for start in range(0, len(bits), band))
 
 
 def _column_bits(cols: np.ndarray) -> np.ndarray:
@@ -246,12 +256,9 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
             singles.append(Ground(decl.name))
         elif include_cofree:
             singles.append(Cofree(decl.name))
-    if below is None:
-        generics, pairs = [], None
-    else:
-        pairs = np.stack(_set_bits(below.bits), axis=1)
-        generics = [decl for decl in table.decls.values() if decl.is_generic]
-    n = len(singles) + sum(len(pairs) ** decl.arity for decl in generics)
+    generics = [] if below is None else [d for d in table.decls.values() if d.is_generic]
+    m = _edge_count(below.bits) if generics else 0
+    n = len(singles) + sum(m ** decl.arity for decl in generics)
     need = n * ((n + 7) // 8)
     if need > _ROW_BUDGET:
         raise UniverseCapExceeded(
@@ -260,9 +267,13 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
     # (labels, terms, endpoint indices, product index of each term), each
     # unit in label order; the last two are None for a depth-0 term
     units = [([format_type(t, table)], [t], None, None) for t in singles]
+    pairs = None
     if generics:
-        intervals = [Interval(below.universe[i], below.universe[j]) for i, j in pairs.tolist()]
-        arguments = _argument_labels(table, below, pairs)
+        pairs = np.stack(_set_bits(below.bits), axis=1)
+        listed = pairs.tolist()
+        intervals = [Interval(below.universe[i], below.universe[j]) for i, j in listed]
+        arguments = [format_interval(below.labels[i], below.labels[j], table.root)
+                     for i, j in listed]
     for decl in generics:
         block = [Ground(decl.name, args)
                  for args in itertools.product(intervals, repeat=decl.arity)]
@@ -287,26 +298,6 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
     parent, runs = _chain_parents(table, universe, index, plain, orders, below, pairs)
     return _stratum(table, universe, tuple(s for unit in units for s in unit[0]), index,
                     blocks, parent, runs, depth, include_cofree, below)
-
-
-def _argument_labels(table: ClassTable, below: SubtypeRelation,
-                     pairs: np.ndarray) -> list[str]:
-    """The printed form of each interval ``[lo..hi]`` of `pairs` (endpoint
-    indices into `below`), assembled from its endpoints' labels with the
-    wildcard sugar of format_type."""
-    labels = below.labels
-    bottom, root = below.index(BOTTOM), below.index(root_term(table))
-    printed = []
-    for lo, hi in pairs.tolist():
-        if lo == hi:
-            printed.append(labels[lo])
-        elif lo == bottom:
-            printed.append("?" if hi == root else "? extends " + labels[hi])
-        elif hi == root:
-            printed.append("? super " + labels[lo])
-        else:
-            printed.append(f"[{labels[lo]}..{labels[hi]}]")
-    return printed
 
 
 # -- construction ------------------------------------------------------------
@@ -390,10 +381,13 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
     band = max(1, _BAND_BYTES // width)
     cofree_rows = list(_cofree_rows(table, universe, index, blocks)) if include_cofree else []
     diagonal = np.arange(n)
-    bottom = index.get(BOTTOM)
-    # the stratum below is read densely: with a generic class it holds under
-    # a third of this one's terms, and without one only the depth-0 terms
-    below_edges = _unpack(below.bits, len(below)) if below is not None else None
+    bottom = index[BOTTOM]
+    if below is not None:
+        # the stratum below is read densely: with a generic class it holds under
+        # a third of this one's terms, and without one only the depth-0 terms
+        below_edges = _unpack(below.bits, len(below))
+        old = np.fromiter((index[t] for t in below.universe), dtype=np.intp,
+                          count=len(below))
     packed = np.zeros((n, width), dtype=np.uint8)
     while True:
         for start, los, his in blocks:
@@ -405,12 +399,9 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
                 packed[first:last] |= packed[parent[first:last]]
         for i, row in cofree_rows:
             packed[i] = row
-        if bottom is not None:
-            packed[bottom] = np.packbits(np.ones(n, dtype=bool))  # no padding bit
+        packed[bottom] = np.packbits(np.ones(n, dtype=bool))  # no padding bit
         if below is None:
             break
-        old = np.fromiter((index[t] for t in below.universe), dtype=np.intp,
-                          count=len(below))
         lifted = _bits_at(packed, old[:, None], old)
         if np.array_equal(lifted, below_edges):
             break
@@ -421,10 +412,6 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
     rel = SubtypeRelation(universe, labels, packed, 2 + nesting, depth, include_cofree)
     rel._index = index
     return rel
-
-
-# rows per band keep a band's temporaries near 16 MiB
-_BAND_BYTES = 1 << 24
 
 
 def _chain_parents(table: ClassTable, universe: tuple[TypeTerm, ...],
@@ -451,14 +438,14 @@ def _chain_parents(table: ClassTable, universe: tuple[TypeTerm, ...],
     runs = []
     for i, term in plain:
         parent[i] = _nearest_member(table, term, index, i)
-        runs.append((_superclass_depth(table, term.cls), i, i + 1))
+        runs.append((len(table.ancestors(term.cls)), i, i + 1))
     for cls, (start, order) in orders.items():
         stop = start + len(order)
         found = _block_parents(table, cls, order, index, orders, below, pairs)
         if found is None:
             found = [_nearest_member(table, universe[i], index, i) for i in range(start, stop)]
         parent[start:stop] = found
-        runs.append((_superclass_depth(table, cls), start, stop))
+        runs.append((len(table.ancestors(cls)), start, stop))
     return parent, [run[1:] for run in sorted(runs)]
 
 
@@ -503,21 +490,7 @@ def _nearest_member(table: ClassTable, term: Ground, index: dict[TypeTerm, int],
                     default: int) -> int:
     """The universe index of the first member of `term`'s superclass chain
     that lies in the universe, or `default` where none does."""
-    member = super_instantiation(table, term)
-    while member is not None:
-        found = index.get(member)
-        if found is not None:
-            return found
-        member = super_instantiation(table, member)
-    return default
-
-
-def _superclass_depth(table: ClassTable, cls: str) -> int:
-    """The number of superclasses above class `cls`."""
-    count, use = 0, table.decl(cls).superclass
-    while use is not None:
-        count, use = count + 1, table.decl(use.name).superclass
-    return count
+    return next((index[m] for m in super_chain(table, term) if m in index), default)
 
 
 def _write_containment(packed: np.ndarray, start: int, los: np.ndarray,
@@ -587,14 +560,12 @@ def _cofree_rows(table: ClassTable, universe, index, blocks):
     stops = {universe[start].cls: start + len(los) for start, los, _his in blocks}
     for atom in (d for d in table.decls.values() if d.is_generic):
         row = np.zeros(len(universe), dtype=bool)
-        for decl in table.decls.values():
-            if not subclass_of(table, atom.name, decl.name):
-                continue
-            if decl.is_generic:
-                first = index[Cofree(decl.name)]
-                row[first:stops.get(decl.name, first + 1)] = True
-            elif blocks or decl.name == table.root:
-                row[index[Ground(decl.name)]] = True
+        for name in table.ancestors(atom.name):
+            if table.decl(name).is_generic:
+                first = index[Cofree(name)]
+                row[first:stops.get(name, first + 1)] = True
+            elif blocks or name == table.root:
+                row[index[Ground(name)]] = True
         yield index[Cofree(atom.name)], np.packbits(row)
 
 

@@ -165,10 +165,6 @@ def term_from_typeuse(table: ClassTable, use: TypeUse,
     return Ground(use.name, args)
 
 
-class _NonPointOccurrence(Exception):
-    pass
-
-
 def super_instantiation(table: ClassTable, term: TypeTerm) -> Ground | None:
     """Push an instantiation one step up its superclass edge.
 
@@ -180,28 +176,20 @@ def super_instantiation(table: ClassTable, term: TypeTerm) -> Ground | None:
     if not isinstance(term, Ground):
         return None
     decl = table.decl(term.cls)
-    if decl.superclass is None:
+    sup = decl.superclass
+    if sup is None:
         return None
-    slot = {p.name: term.args[i] for i, p in enumerate(decl.params)}
-
-    def as_point_term(use: TypeUse) -> TypeTerm:
-        iv = slot.get(use.name)
-        if iv is not None:
-            if not iv.is_point:
-                raise _NonPointOccurrence
-            return iv.lo
-        return Ground(use.name, tuple(point(as_point_term(a)) for a in use.args))
-
-    new_args: list[Interval] = []
-    try:
-        for arg in decl.superclass.args:
-            if not arg.args and arg.name in slot:
-                new_args.append(slot[arg.name])
-            else:
-                new_args.append(point(as_point_term(arg)))
-    except _NonPointOccurrence:
-        return None
-    return Ground(decl.superclass.name, tuple(new_args))
+    slot = {p.name: iv for p, iv in zip(decl.params, term.args)}
+    env = {name: iv.lo for name, iv in slot.items() if iv.is_point}
+    args: list[Interval] = []
+    for arg in sup.args:
+        if not arg.args and arg.name in slot:
+            args.append(slot[arg.name])
+        elif any(name in slot and name not in env for name in arg.mentioned_names()):
+            return None
+        else:
+            args.append(point(term_from_typeuse(table, arg, env)))
+    return Ground(sup.name, tuple(args))
 
 
 def super_chain(table: ClassTable, term: TypeTerm) -> list[Ground]:
@@ -222,11 +210,10 @@ def format_type(term: TypeTerm, table: ClassTable | None = None) -> str:
     """Canonical printed form; parse_type inverts it.  With a table the
     printer uses wildcard sugar (``?`` forms); without one, intervals that
     would need the root are spelled explicitly."""
-    root = root_term(table) if table is not None else None
-    return _format(term, root, table)
+    return _format(term, table.root if table is not None else None)
 
 
-def _format(term: TypeTerm, root: Ground | None, table: ClassTable | None) -> str:
+def _format(term: TypeTerm, root: str | None) -> str:
     if isinstance(term, BottomType):
         return "Null"
     if isinstance(term, Cofree):
@@ -234,20 +221,26 @@ def _format(term: TypeTerm, root: Ground | None, table: ClassTable | None) -> st
     assert isinstance(term, Ground)
     if not term.args:
         return term.cls
-    parts = [_format_arg(iv, root, table) for iv in term.args]
+    parts = []
+    for iv in term.args:
+        lo = _format(iv.lo, root)
+        parts.append(format_interval(lo, lo if iv.is_point else _format(iv.hi, root), root))
     return term.cls + "<" + ", ".join(parts) + ">"
 
 
-def _format_arg(iv: Interval, root: Ground | None, table: ClassTable | None) -> str:
-    if iv.is_point:
-        return _format(iv.lo, root, table)
-    if iv.lo == BOTTOM:
-        if root is not None and iv.hi == root:
-            return "?"
-        return "? extends " + _format(iv.hi, root, table)
-    if root is not None and iv.hi == root:
-        return "? super " + _format(iv.lo, root, table)
-    return "[" + _format(iv.lo, root, table) + ".." + _format(iv.hi, root, table) + "]"
+def format_interval(lo: str, hi: str, root: str | None) -> str:
+    """The printed form of an interval argument from its endpoints' printed
+    forms: ``T``, ``?``, ``? extends U``, ``? super L`` or ``[L..U]``, where
+    `root` is the root class's name (None spells every interval that would
+    need it explicitly).  The printed form is injective, so equal forms
+    mean equal endpoints, and only bottom prints as ``Null``."""
+    if lo == hi:
+        return lo
+    if lo == "Null":
+        return "?" if hi == root else "? extends " + hi
+    if hi == root:
+        return "? super " + lo
+    return f"[{lo}..{hi}]"
 
 
 # -- parsing --------------------------------------------------------------

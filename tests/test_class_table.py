@@ -105,6 +105,17 @@ def test_higher_kinded_parameter_use_is_rejected():
             "class B<F> extends A<F<Object>>")
 
 
+class TestAncestors:
+    def test_nearest_first_root_last(self, sample_table):
+        assert sample_table.ancestors("LinkedList") == ("LinkedList", "List", "Object")
+        assert sample_table.ancestors("Integer") == ("Integer", "Number", "Object")
+        assert sample_table.ancestors("Object") == ("Object",)
+
+    def test_unknown_class(self, sample_table):
+        with pytest.raises(UnknownClass):
+            sample_table.ancestors("Nope")
+
+
 class TestSubclassOf:
     def test_declared_edge_closure(self, sample_table):
         assert subclass_of(sample_table, "LinkedList", "List")

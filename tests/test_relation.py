@@ -144,7 +144,6 @@ class TestStratumLoop:
             climbed.append(term)
             return super_instantiation(table, term)
 
-        monkeypatch.setattr(relation_module, "super_instantiation", spy)
         monkeypatch.setattr(terms_module, "super_instantiation", spy)
         build_relation(reduced_table, 2)
         assert climbed and not [t for t in climbed if isinstance(t, Ground) and t.args]

@@ -176,6 +176,17 @@ class TestSuperInstantiation:
         assert concrete == parse_type(table, "List<List<Object>>")
         assert super_instantiation(table, parse_type(table, "Nest<?>")) is None
 
+    def test_direct_and_nested_parameters_together(self):
+        table = parse_class_table(
+            "class Object\nclass C<T> extends Object\nclass B<S, T> extends Object\n"
+            "class N<S, T> extends B<C<T>, S>")
+        cases = {"N<?, Object>": "B<C<Object>, ?>",
+                 "N<Object, ?>": None,
+                 "N<Object, C<Object>>": "B<C<C<Object>>, Object>"}
+        for text, expected in cases.items():
+            got = super_instantiation(table, parse_type(table, text))
+            assert got == (expected and parse_type(table, expected)), text
+
     def test_chain_walks_to_the_root(self, sample_table):
         chain = super_chain(sample_table, Ground("Weekday"))
         assert chain == [parse_type(sample_table, "Enum<Weekday>"), Ground("Object")]

@@ -111,6 +111,25 @@ def test_row_budget_is_enforced(sample_table, monkeypatch):
             enumerate_universe(sample_table, depth)
 
 
+def test_row_budget_is_checked_before_the_edges_below_are_listed(sample_table, monkeypatch):
+    # the term count needs only the number of edges below, so a depth over
+    # the budget fails without listing the edges of the stratum under it
+    size = len(enumerate_universe(sample_table, 2))
+    bottom_shape = build_relation(sample_table, 0).bits.shape
+    monkeypatch.setattr(relation, "_ROW_BUDGET", size * ((size + 7) // 8) - 1)
+    listed = []
+    set_bits = relation._set_bits
+
+    def spy(bits):
+        listed.append(bits.shape)
+        return set_bits(bits)
+
+    monkeypatch.setattr(relation, "_set_bits", spy)
+    with pytest.raises(UniverseCapExceeded):
+        build_relation(sample_table, 2)
+    assert listed == [bottom_shape]
+
+
 def test_negative_depth_is_rejected(sample_table):
     with pytest.raises(ValueError):
         enumerate_universe(sample_table, -1)
