@@ -19,7 +19,7 @@ from .analysis import (analyze, closure_doc, closure_laws_hold, galois_doc,
 from .class_table import ClassTable, parse_class_table
 from .errors import NomsubError
 from .relation import SubtypeRelation, build_relation
-from .terms import Cofree, Ground, TypeTerm, format_type, nesting_depth, parse_type
+from .terms import Ground, TypeTerm, format_type, has_cofree, nesting_depth, parse_type
 
 
 class UsageError(Exception):
@@ -155,20 +155,13 @@ def _cmd_subtype(args, table: ClassTable) -> int:
         if term not in rel:
             _warn_unordered(rel, table, term, text)
             cause = ("co-free atoms are excluded by --no-cofree"
-                     if not rel.include_cofree and _has_cofree(term)
+                     if not rel.include_cofree and has_cofree(term)
                      else "endpoint-unordered intervals are never enumerated")
             print(f"error: '{text}' is not in the depth-{needed} universe ({cause})",
                   file=sys.stderr)
             return 2
     print("true" if relation.is_subtype(rel, t1, t2) else "false")
     return 0
-
-
-def _has_cofree(term: TypeTerm) -> bool:
-    """Whether the term is a co-free atom or has one among its arguments."""
-    if isinstance(term, Ground):
-        return any(_has_cofree(iv.lo) or _has_cofree(iv.hi) for iv in term.args)
-    return isinstance(term, Cofree)
 
 
 def _warn_unordered(rel: SubtypeRelation, table: ClassTable, term: TypeTerm,

@@ -53,7 +53,8 @@ class TermOutsideUniverse(NomsubError):
 
 
 class InvalidRelationDocument(NomsubError):
-    """A relation document is malformed, repeats a term or indexes outside it."""
+    """A relation document is malformed, repeats a term, indexes outside it,
+    or holds a term that its depth or include_cofree flag excludes."""
 
 
 class FreeTypeOutsideUniverse(NomsubError):

@@ -43,12 +43,14 @@ _Decider = Callable[[TypeTerm, TypeTerm], bool]
 def _one_deeper(table: ClassTable, rel: SubtypeRelation) -> _Decider:
     """Decide ``t1 <: t2`` in the depth-(d+1) relation over `rel`'s depth d.
 
-    A co-free atom lies below the terms of its superclasses (and nothing
-    else but bottom and co-free atoms lies below it).  A ground term lies
-    below another when the member of its superclass chain with the other's
-    class fits the depth bound and has intervals inside the other's; the
-    endpoints are compared by the same recursion.  A pair met again while
-    still being decided is answered False, as in the oracle.
+    A co-free atom lies below every non-bottom term whose class its class
+    subclasses, at every depth, the one rule the build and the reference
+    step state too (and nothing else but bottom and co-free atoms lies
+    below it).  A ground term lies below another when the member of its
+    superclass chain with the other's class fits the depth bound and has
+    intervals inside the other's; the endpoints are compared by the same
+    recursion.  A pair met again while still being decided is answered
+    False, as in the oracle.
     """
     depth = rel.depth + 1
     memo: dict[tuple[TypeTerm, TypeTerm], bool] = {}

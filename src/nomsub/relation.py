@@ -6,9 +6,8 @@ pairs).  The relation over it is the least one closed under four rules:
 
   (a) containment edges between same-class instantiations,
   (b) inheritance edges along superclass chains,
-  (c) co-free axioms (below the class's instantiations, between co-free
-      atoms along subclassing, and below the root),
-      plus bottom below everything,
+  (c) co-free atoms below every term of every class their class
+      subclasses, plus bottom below everything,
   (d) transitivity.
 
 construction_step applies the rules once and is the reference path: stepped
@@ -50,8 +49,9 @@ from .terms import (
     TypeTerm,
     format_interval,
     format_type,
+    has_cofree,
+    nesting_depth,
     parse_type,
-    root_term,
     super_chain,
     term_from_typeuse,
 )
@@ -315,7 +315,7 @@ def initial_relation(table: ClassTable, depth: int,
 def construction_step(table: ClassTable, rel: SubtypeRelation) -> SubtypeRelation:
     """One composable pass of rules (a)-(d).  Never removes edges; applying
     the step to a fixpoint returns an equal relation."""
-    static = _static_edges(table, rel.universe, rel._index, rel.include_cofree)
+    static = _static_edges(table, rel.universe, rel._index)
     groups = _containment_groups(table, rel.universe, rel._index)
     bottom = rel._index.get(BOTTOM)
     new = np.packbits(_apply_step(rel.edges, static, groups, bottom), axis=1)
@@ -365,12 +365,13 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
     rows at a time.  A co-free atom's row is set from class ranges (see
     _cofree_rows); bottom's row holds every term.
 
-    The new stratum may relate old terms that the relation below did not:
-    the depth-0 co-free rows leave out plain superclasses, and a term
-    reaches its superclass-chain members only where they exist, so a chain
-    member first enumerated here can add edges between old terms.  While
-    the result restricted to the old terms differs from the relation used
-    for containment, containment is recomputed from that restriction
+    The new stratum may relate old terms that the relation below did not,
+    for one cause: a term reaches its superclass-chain members only where
+    they exist, so a chain member first enumerated here (from a superclass
+    argument that nests a parameter, or a closed type deeper than the
+    stratum below) can add edges between old terms.  While the result
+    restricted to the old terms differs from the relation used for
+    containment, containment is recomputed from that restriction
     (semi-naive evaluation); in practice this takes at most one extra pass.
 
     Stepping needs one construction_step pass per nesting level, one for the
@@ -547,30 +548,24 @@ def _packed_columns(matrix: np.ndarray, picks: np.ndarray, offset: int) -> np.nd
 
 
 def _cofree_rows(table: ClassTable, universe, index, blocks):
-    """Yield each co-free atom ``C<!>``'s index and packed row.
-
-    Each class's terms are one contiguous run of the label-sorted universe
-    (a generic class's atom, then its block).  At depth >= 1 the atom lies
-    below every term of every superclass of C, C included.  At depth 0,
-    where no class has an instantiation, it lies below only the
-    superclasses' co-free atoms and the root, so the depth-0 relation is
-    not the restriction of the depth-1 one where C has a plain superclass
-    other than the root.
-    """
+    """Yield each co-free atom ``C<!>``'s index and packed row: the atom
+    lies below every term of every class C subclasses, C included, at every
+    depth.  Each class's terms are one contiguous run of the label-sorted
+    universe (a generic class's atom, then its block; a plain class's one
+    term)."""
     stops = {universe[start].cls: start + len(los) for start, los, _his in blocks}
     for atom in (d for d in table.decls.values() if d.is_generic):
         row = np.zeros(len(universe), dtype=bool)
         for name in table.ancestors(atom.name):
-            if table.decl(name).is_generic:
-                first = index[Cofree(name)]
-                row[first:stops.get(name, first + 1)] = True
-            elif blocks or name == table.root:
-                row[index[Ground(name)]] = True
+            first = index[Cofree(name) if table.decl(name).is_generic else Ground(name)]
+            row[first:stops.get(name, first + 1)] = True
         yield index[Cofree(atom.name)], np.packbits(row)
 
 
-def _static_edges(table: ClassTable, universe, index, include_cofree: bool):
-    """Relation-independent edges: inheritance chains and co-free axioms.
+def _static_edges(table: ClassTable, universe, index):
+    """Relation-independent edges: inheritance chains, and each co-free atom
+    below every non-bottom term whose class its class subclasses (a universe
+    built without the co-free extension holds no atom).
 
     Inheritance walks the whole superclass chain so that targets whose
     intermediate instantiations fall outside the universe are still reached
@@ -578,31 +573,18 @@ def _static_edges(table: ClassTable, universe, index, include_cofree: bool):
     """
     rows: list[int] = []
     cols: list[int] = []
-    root = root_term(table)
-    by_class: dict[str, list[int]] = {}
     for i, term in enumerate(universe):
         if isinstance(term, Ground):
-            by_class.setdefault(term.cls, []).append(i)
             for sup in super_chain(table, term):
                 j = index.get(sup)
                 if j is not None:
                     rows.append(i)
                     cols.append(j)
-    if include_cofree:
-        root_i = index.get(root)
-        for i, term in enumerate(universe):
-            if not isinstance(term, Cofree):
-                continue
+        elif isinstance(term, Cofree):
             for j, other in enumerate(universe):
-                if isinstance(other, Cofree) and subclass_of(table, term.cls, other.cls):
+                if other != BOTTOM and subclass_of(table, term.cls, other.cls):
                     rows.append(i)
                     cols.append(j)
-            for j in by_class.get(term.cls, ()):
-                rows.append(i)
-                cols.append(j)
-            if root_i is not None:
-                rows.append(i)
-                cols.append(root_i)
     return np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
 
 
@@ -695,7 +677,8 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
     build_relation default, and a `cap` key (written by older versions) is
     ignored.  A document that is not an object with depth, universe and
     edges, a malformed value, or a universe entry that repeats an earlier
-    term raises InvalidRelationDocument."""
+    term, is nested deeper than the depth, or holds a co-free atom when
+    include_cofree is false raises InvalidRelationDocument."""
     doc = json.loads(text)
     if not (isinstance(doc, dict) and {"depth", "universe", "edges"} <= doc.keys()):
         raise InvalidRelationDocument("not an object with depth, universe and edges")
@@ -715,6 +698,14 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
         if first != k:
             raise InvalidRelationDocument(
                 f"universe entry {k} '{labels[k]}' repeats entry {first} '{labels[first]}'")
+        if nesting_depth(term) > depth:
+            raise InvalidRelationDocument(
+                f"universe entry {k} '{labels[k]}' is nested {nesting_depth(term)} deep, "
+                f"deeper than depth {depth}")
+        if not include_cofree and has_cofree(term):
+            raise InvalidRelationDocument(
+                f"universe entry {k} '{labels[k]}' holds a co-free atom, "
+                "but include_cofree is false")
     n, entries = len(universe), doc["edges"]
     if not isinstance(entries, list):
         raise InvalidRelationDocument("edges is not a list of index pairs")

@@ -132,6 +132,13 @@ def nesting_depth(term: TypeTerm) -> int:
     return term._depth
 
 
+def has_cofree(term: TypeTerm) -> bool:
+    """Whether the term is a co-free atom or has one among its arguments."""
+    if isinstance(term, Ground):
+        return any(has_cofree(iv.lo) or has_cofree(iv.hi) for iv in term.args)
+    return isinstance(term, Cofree)
+
+
 def erase(term: TypeTerm) -> str:
     """Drop type arguments, yielding the term's class name."""
     if isinstance(term, (Ground, Cofree)):

@@ -9,9 +9,8 @@ The oracle decides ``t1 <: t2`` by structural recursion:
   (endpoint comparisons recurse into the oracle itself);
 * different classes by climbing the superclass chain one instantiation at
   a time;
-* co-free atoms by the axioms: ``D<!> <: C<!>`` when D subclasses C,
-  ``C<!>`` below every enumerated instantiation of a generic superclass,
-  and ``C<!>`` below the root type.
+* a co-free atom ``C<!>`` below every non-bottom term whose class C
+  subclasses (co-free atoms and instantiations alike), at every depth.
 
 The only shared code is the term vocabulary and the single-step
 super-instantiation substitution; no edge matrix, closure, or fixpoint
@@ -26,22 +25,22 @@ from nomsub.terms import (
     Cofree,
     Ground,
     TypeTerm,
-    root_term,
     super_instantiation,
 )
 
 
 class Oracle:
-    """Memoized recursive subtype decisions relative to a term universe.
+    """Memoized recursive subtype decisions.
 
-    The universe matters only for co-free atoms, whose supertypes are the
-    instantiations that actually exist.  Pairs currently on the recursion
-    stack are answered False and not memoized (least-fixpoint reading).
+    The universe argument no longer affects any answer: every rule reads
+    only the two terms and the class table.  It is accepted, and ignored,
+    so that callers written for the universe-relative oracle still work.
+    Pairs currently on the recursion stack are answered False and not
+    memoized (least-fixpoint reading).
     """
 
     def __init__(self, table: ClassTable, universe):
         self.table = table
-        self.universe = tuple(universe)
         self._memo: dict[tuple[TypeTerm, TypeTerm], bool] = {}
         self._stack: set[tuple[TypeTerm, TypeTerm]] = set()
 
@@ -67,17 +66,7 @@ class Oracle:
         if t2 == BOTTOM:
             return False
         if isinstance(t1, Cofree):
-            if isinstance(t2, Cofree):
-                return subclass_of(self.table, t1.cls, t2.cls)
-            if t2 == root_term(self.table):
-                return True
-            return any(
-                self.is_subtype(inst, t2)
-                for inst in self.universe
-                if isinstance(inst, Ground)
-                and self.table.decl(inst.cls).is_generic
-                and subclass_of(self.table, t1.cls, inst.cls)
-            )
+            return subclass_of(self.table, t1.cls, t2.cls)
         if isinstance(t2, Cofree):
             return False
         assert isinstance(t1, Ground) and isinstance(t2, Ground)

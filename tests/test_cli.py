@@ -94,6 +94,19 @@ def test_subtype_names_a_nested_excluded_cofree_atom(capsys):
                    "(co-free atoms are excluded by --no-cofree)\n")
 
 
+def test_cofree_answers_do_not_depend_on_the_depth(capsys, tmp_path):
+    # Beta<!> lies below Alpha, the plain superclass of its class, at every
+    # depth, so [Beta<!>..Alpha] is an ordered interval of the depth-1 universe
+    table = tmp_path / "plain_parent.table"
+    table.write_text("class Object\nclass Alpha extends Object\nclass Beta<T> extends Alpha")
+    for depth in ("0", "1"):
+        code, out, _ = run(capsys, "subtype", str(table), "Beta<!>", "Alpha", "--depth", depth)
+        assert (code, out) == (0, "true\n")
+    code, out, err = run(capsys, "subtype", str(table), "Beta<[Beta<!>..Alpha]>", "Object",
+                         "--depth", "1")
+    assert (code, out, err) == (0, "true\n", "")
+
+
 def test_closures_below_the_free_types_names_them(capsys):
     code, out, err = run(capsys, "closures", SAMPLE, "--depth", "0")
     assert (code, out) == (2, "")

@@ -1,9 +1,13 @@
 """Differential check: the naive recursive oracle must agree with the
-constructed relation on every pair of the sample table's small universes."""
+constructed relation on every pair of the shipped tables' and random
+tables' small universes."""
 
 import itertools
 
-from nomsub import format_type, is_subtype, parse_type
+import pytest
+
+from nomsub import build_relation, format_type, is_subtype, parse_type
+from nomsub.random_tables import random_table
 
 from oracle import Oracle
 
@@ -27,6 +31,13 @@ def test_agreement_at_depth_one(sample_table, sample_rel1):
 
 def test_agreement_on_reduced_table(reduced_table, reduced_rel1):
     assert _disagreements(reduced_table, reduced_rel1) == []
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_agreement_on_random_tables(seed):
+    table = random_table(seed)
+    for depth in (0, 1):
+        assert _disagreements(table, build_relation(table, depth)) == [], f"depth {depth}"
 
 
 def test_oracle_spot_checks(sample_table, sample_rel1):
