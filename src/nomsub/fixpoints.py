@@ -227,11 +227,14 @@ def check_validity(table: ClassTable, rel: SubtypeRelation,
     the declared lower bound, with parameters substituted by the argument
     endpoints (upper endpoints for upper bounds, lower for lower).  A bound
     that mentions parameters makes the instantiated bound term a dependency
-    of the check.  Inductive mode takes the least fixpoint (a term counts
-    only once its dependencies do); coinductive takes the greatest (a term
-    survives until a dependency is removed).  A term is never its own
-    dependency, so self-bounded instantiations with finite derivations are
-    inductively valid.
+    of the check.  Validity is a fixpoint of one operator: a term is valid
+    when it passes its bound check and every term it depends on is valid.
+    Inductive mode takes the least fixpoint, iterated from no valid term, so
+    a dependency outside the universe (never checked) is never valid.
+    Coinductive mode takes the greatest, iterated from every checked term
+    plus the dependencies outside the universe, which stay valid.  A term is
+    never its own dependency, so self-bounded instantiations with finite
+    derivations are inductively valid.
     """
     if mode not in ("ind", "coind"):
         raise ValueError("mode must be 'ind' or 'coind'")
@@ -259,27 +262,18 @@ def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> _BoundChecks:
 
 def _assignment(table: ClassTable, rel: SubtypeRelation, checks: _BoundChecks,
                 mode: str) -> ValidityAssignment:
-    """The least (``ind``) or greatest (``coind``) fixpoint of the bound
-    checks."""
-    if mode == "ind":
-        valid: set[TypeTerm] = set()
-        changed = True
-        while changed:
-            changed = False
-            for term, (ok, deps) in checks.items():
-                if term not in valid and ok and deps <= valid:
-                    valid.add(term)
-                    changed = True
-    else:
-        valid = {t for t, (ok, _deps) in checks.items() if ok}
-        changed = True
-        while changed:
-            changed = False
-            for term in list(valid):
-                if any(d in checks and d not in valid for d in checks[term][1]):
-                    valid.discard(term)
-                    changed = True
-
+    """The least (``ind``) or greatest (``coind``) fixpoint of the validity
+    operator over the bound checks (see check_validity)."""
+    outside = set()
+    if mode == "coind":
+        outside = {d for _ok, deps in checks.values() for d in deps} - checks.keys()
+    valid = set() if mode == "ind" else outside | checks.keys()
+    while True:
+        step = outside | {t for t, (ok, deps) in checks.items() if ok and deps <= valid}
+        if step == valid:
+            break
+        valid = step
+    valid -= outside
     invalid = frozenset(t for t in checks if t not in valid)
     return ValidityAssignment(mode, frozenset(valid), invalid, rel.depth, table)
 

@@ -13,12 +13,15 @@ pairs).  The relation over it is the least one closed under four rules:
 construction_step applies the rules once and is the reference path: stepped
 from initial_relation it reaches the fixpoint.  build_relation computes the
 same fixpoint directly, in one forward loop over the strata that holds only
-the stratum below, with no closure: containment is read off the depth-(d-1)
-relation, and each row is its containment row OR-ed with the final row of
-its chain parent, the nearest superclass-chain member in the universe.
-Nothing is cached between builds; the only resource limit is a fixed 4 GiB
-budget for a stratum's packed rows, checked from its exact term count
-before any of its terms is built.
+the stratum below, with no closure (a table with no generic class has one
+stratum, built once).  Each stratum records each class's run of the
+label-sorted universe once, with a generic class's endpoint and product
+indices into the stratum below; from that one layout, containment is read
+off the depth-(d-1) relation, and each row is its containment row OR-ed
+with the final row of its chain parent, the nearest superclass-chain member
+in the universe.  Nothing is cached between builds; the only resource limit
+is a fixed 4 GiB budget for a stratum's packed rows, checked from its exact
+term count before any of its terms is built.
 
 Edges live in packed bit rows (``np.packbits`` along each row, n x
 ceil(n/8) bytes) with an index map, from the build to every query and
@@ -245,6 +248,13 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
     begin ``C<``, so merging the classes and the depth-0 terms by leading
     label gives the label order.
 
+    Every class with ground terms is then one run of that order, recorded
+    once as ``(start, stop, ends, order)``: a plain class's one term, with
+    `ends` and `order` None, or a generic class's block, with its terms'
+    endpoint indices into the stratum below and their product indices into
+    its intervals.  This is the index part of the stratum as a partial
+    product over the one below; every row writer reads it.
+
     Without the co-free axioms the atoms they define are dropped from the
     universe as well: the extension-free model contains only ordinary terms,
     which makes it directly comparable with the full model on its Ground
@@ -285,19 +295,14 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
         units.append(([names[k] for k in order], [block[k] for k in order], ends[order],
                       np.array(order, dtype=np.intp)))
     units.sort(key=lambda unit: unit[0][0])
-    universe = tuple(t for unit in units for t in unit[1])
-    index = {t: i for i, t in enumerate(universe)}
-    starts = itertools.accumulate((len(unit[1]) for unit in units), initial=0)
-    blocks, orders, plain = [], {}, []
-    for start, (_labels, terms, ends, order) in zip(starts, units):
-        if ends is not None:
-            blocks.append((start, ends[..., 0], ends[..., 1]))
-            orders[terms[0].cls] = (start, order)
-        elif isinstance(terms[0], Ground):
-            plain.append((start, terms[0]))
-    parent, runs = _chain_parents(table, universe, index, plain, orders, below, pairs)
-    return _stratum(table, universe, tuple(s for unit in units for s in unit[0]), index,
-                    blocks, parent, runs, depth, include_cofree, below)
+    runs, start = {}, 0
+    for _labels, terms, ends, order in units:
+        if isinstance(terms[0], Ground):
+            runs[terms[0].cls] = (start, start + len(terms), ends, order)
+        start += len(terms)
+    return _stratum(table, tuple(t for unit in units for t in unit[1]),
+                    tuple(s for unit in units for s in unit[0]), runs, pairs, depth,
+                    include_cofree, below)
 
 
 # -- construction ------------------------------------------------------------
@@ -328,9 +333,9 @@ def build_relation(table: ClassTable, depth: int,
     """Enumerate the universe at `depth` and build the fixpoint of
     construction_step over it, in one loop over the strata: each pass builds
     stratum d directly from stratum d-1, after checking the row budget
-    against the exact size of stratum d.  A stratum depends only on the one
-    below, so once one equals the one below (exactly when the table has no
-    generic class) so does every deeper one, and the loop stops there.
+    against the exact size of stratum d.  A table with no generic class has
+    the depth-0 terms at every depth, so its one stratum is built once, at
+    `depth`.
 
     `iterations` is the number of construction_step passes that stepping
     from initial_relation takes to reach the same relation, confirming pass
@@ -338,32 +343,29 @@ def build_relation(table: ClassTable, depth: int,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    rel = _stage(table, None, 0, include_cofree)
-    for d in range(1, depth + 1):
-        below, rel = rel, _stage(table, rel, d, include_cofree)
-        if rel.universe == below.universe and np.array_equal(rel.bits, below.bits):
-            break
-    rel.depth = depth
+    first = 0 if any(decl.is_generic for decl in table.decls.values()) else depth
+    rel = _stage(table, None, first, include_cofree)
+    for d in range(first + 1, depth + 1):
+        rel = _stage(table, rel, d, include_cofree)
     return rel
 
 
-def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
-             labels: tuple[str, ...], index: dict[TypeTerm, int], blocks,
-             parent: np.ndarray, runs, depth: int, include_cofree: bool,
+def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...], labels: tuple[str, ...],
+             runs: dict, pairs: np.ndarray | None, depth: int, include_cofree: bool,
              below: SubtypeRelation | None) -> SubtypeRelation:
     """The fixpoint of construction_step over `universe`, built row by row
     from the relation `below` it (None at depth 0, where no term has
     arguments).
 
-    `blocks` holds each generic class's first universe index and its
-    instantiations' endpoint indices into the universe below, where
+    `runs` maps each class with ground terms to its run ``(start, stop,
+    ends, order)`` of the universe (see _stage).  A generic class's `ends`
+    are its instantiations' endpoint indices into the universe below, where
     containment is read off the small relation.  A ground term's row is its
     containment row OR-ed with the final row of its parent, the nearest
-    member of its superclass chain in the universe (see _chain_parents):
-    the `runs` of ground rows come in superclass-depth order, so each
-    parent row is final before it is read, and each run is OR-ed a band of
-    rows at a time.  A co-free atom's row is set from class ranges (see
-    _cofree_rows); bottom's row holds every term.
+    member of its superclass chain in the universe (see _parents): the
+    runs are OR-ed in superclass-depth order, so each parent row is final
+    before it is read, a band of rows at a time.  A co-free atom's row is
+    set from class runs (see _cofree_rows); bottom's row holds every term.
 
     The new stratum may relate old terms that the relation below did not,
     for one cause: a term reaches its superclass-chain members only where
@@ -380,7 +382,10 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
     n = len(universe)
     width = (n + 7) // 8
     band = max(1, _BAND_BYTES // width)
-    cofree_rows = list(_cofree_rows(table, universe, index, blocks)) if include_cofree else []
+    index = {t: i for i, t in enumerate(universe)}
+    parent = _parents(table, universe, index, runs, below, pairs)
+    order = sorted(runs, key=lambda cls: len(table.ancestors(cls)))
+    cofree_rows = list(_cofree_rows(table, n, index, runs)) if include_cofree else []
     diagonal = np.arange(n)
     bottom = index[BOTTOM]
     if below is not None:
@@ -391,10 +396,12 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
                           count=len(below))
     packed = np.zeros((n, width), dtype=np.uint8)
     while True:
-        for start, los, his in blocks:
-            _write_containment(packed, start, los, his, below_edges, band)
+        for start, _stop, ends, _order in runs.values():
+            if ends is not None:
+                _write_containment(packed, start, ends, below_edges, band)
         packed[diagonal, diagonal >> 3] |= _column_bits(diagonal)
-        for start, stop in runs:
+        for cls in order:
+            start, stop = runs[cls][:2]
             for first in range(start, stop, band):
                 last = min(first + band, stop)
                 packed[first:last] |= packed[parent[first:last]]
@@ -415,44 +422,31 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...],
     return rel
 
 
-def _chain_parents(table: ClassTable, universe: tuple[TypeTerm, ...],
-                   index: dict[TypeTerm, int], plain: list[tuple[int, Ground]], orders,
-                   below: SubtypeRelation | None, pairs: np.ndarray | None):
-    """Each ground term's parent, the nearest member of its superclass chain
-    that lies in the universe, by universe index (the term itself where no
-    member does); and the runs ``(start, stop)`` of ground rows, their
-    classes in superclass-depth order, so that a parent row comes before
-    every row that reads it.
+def _parents(table: ClassTable, universe: tuple[TypeTerm, ...], index: dict[TypeTerm, int],
+             runs: dict, below: SubtypeRelation | None, pairs: np.ndarray | None) -> np.ndarray:
+    """Each ground term's parent, by universe index: the first member of its
+    superclass chain that lies in the universe, or the term itself where
+    none does.  A chain member's own chain is a suffix of the term's chain,
+    so the parent's final row covers every member the term reaches.
 
-    A chain member's own chain is a suffix of the term's chain, so the
-    parent's final row covers every member the term reaches.  `plain` lists
-    the depth-0 ground terms with their universe indices; `orders` maps
-    each generic class to its first universe index and the product index
-    of each of its terms, in block order, into the intervals `pairs` of the
-    stratum `below`.  Where a class's superclass arguments are its
-    parameters at direct positions or closed types of the stratum below,
-    its terms' parents follow by index arithmetic (_block_parents).  The
-    other terms walk their chain: the depth-0 ones, and those whose
-    superclass arguments nest a parameter or are deeper closed types.
+    Where a generic class's superclass arguments are its parameters at
+    direct positions or closed types of the stratum below, its terms'
+    parents follow by index arithmetic (_block_parents).  The other terms
+    walk their chain: the depth-0 ones, and those whose superclass
+    arguments nest a parameter or are deeper closed types.
     """
     parent = np.arange(len(universe))
-    runs = []
-    for i, term in plain:
-        parent[i] = _nearest_member(table, term, index, i)
-        runs.append((len(table.ancestors(term.cls)), i, i + 1))
-    for cls, (start, order) in orders.items():
-        stop = start + len(order)
-        found = _block_parents(table, cls, order, index, orders, below, pairs)
+    for cls, (start, stop, _ends, order) in runs.items():
+        found = None if order is None else _block_parents(table, cls, order, runs, below, pairs)
         if found is None:
-            found = [_nearest_member(table, universe[i], index, i) for i in range(start, stop)]
+            found = [next((index[m] for m in super_chain(table, universe[i]) if m in index), i)
+                     for i in range(start, stop)]
         parent[start:stop] = found
-        runs.append((len(table.ancestors(cls)), start, stop))
-    return parent, [run[1:] for run in sorted(runs)]
+    return parent
 
 
-def _block_parents(table: ClassTable, cls: str, order: np.ndarray,
-                   index: dict[TypeTerm, int], orders, below: SubtypeRelation,
-                   pairs: np.ndarray):
+def _block_parents(table: ClassTable, cls: str, order: np.ndarray, runs: dict,
+                   below: SubtypeRelation, pairs: np.ndarray):
     """The parents of generic class `cls`'s terms, in block order, by index
     arithmetic; None where a superclass argument nests a parameter or is a
     closed type outside the stratum below.
@@ -466,7 +460,7 @@ def _block_parents(table: ClassTable, cls: str, order: np.ndarray,
     decl = table.decl(cls)
     sup = decl.superclass
     if not sup.args:
-        return index[Ground(sup.name)]
+        return runs[sup.name][0]
     position = {p.name: q for q, p in enumerate(decl.params)}
     digits = np.unravel_index(order, (len(pairs),) * decl.arity)
     chosen = []
@@ -481,21 +475,14 @@ def _block_parents(table: ClassTable, cls: str, order: np.ndarray,
             return None
         j = below.index(closed)
         chosen.append(np.flatnonzero((pairs[:, 0] == j) & (pairs[:, 1] == j))[0])
-    start, sup_order = orders[sup.name]
+    start, _stop, _ends, sup_order = runs[sup.name]
     rank = np.empty_like(sup_order)
     rank[sup_order] = np.arange(len(sup_order))
     return start + rank[np.ravel_multi_index(chosen, (len(pairs),) * len(chosen))]
 
 
-def _nearest_member(table: ClassTable, term: Ground, index: dict[TypeTerm, int],
-                    default: int) -> int:
-    """The universe index of the first member of `term`'s superclass chain
-    that lies in the universe, or `default` where none does."""
-    return next((index[m] for m in super_chain(table, term) if m in index), default)
-
-
-def _write_containment(packed: np.ndarray, start: int, los: np.ndarray,
-                       his: np.ndarray, below: np.ndarray, band: int) -> None:
+def _write_containment(packed: np.ndarray, start: int, ends: np.ndarray,
+                       below: np.ndarray, band: int) -> None:
     """OR one class's containment block into the packed rows: instantiation
     i lies below j when every argument of i fits inside that of j, i.e.
     ``below[lo_j, lo_i] and below[hi_i, hi_j]`` at each position.
@@ -509,6 +496,7 @@ def _write_containment(packed: np.ndarray, start: int, los: np.ndarray,
     Bits are laid out from byte ``start // 8`` so that the block is a plain
     slice of the packed matrix.
     """
+    los, his = ends[..., 0], ends[..., 1]
     k, arity = los.shape
     offset, first = start % 8, start // 8
     by_row, by_col = below.view(np.uint8), np.ascontiguousarray(below.T).view(np.uint8)
@@ -547,18 +535,17 @@ def _packed_columns(matrix: np.ndarray, picks: np.ndarray, offset: int) -> np.nd
     return np.ascontiguousarray(out.T)
 
 
-def _cofree_rows(table: ClassTable, universe, index, blocks):
+def _cofree_rows(table: ClassTable, n: int, index: dict[TypeTerm, int], runs: dict):
     """Yield each co-free atom ``C<!>``'s index and packed row: the atom
     lies below every term of every class C subclasses, C included, at every
     depth.  Each class's terms are one contiguous run of the label-sorted
-    universe (a generic class's atom, then its block; a plain class's one
-    term)."""
-    stops = {universe[start].cls: start + len(los) for start, los, _his in blocks}
+    universe: a generic class's atom, just before its block (if it has
+    one); a plain class's one term."""
     for atom in (d for d in table.decls.values() if d.is_generic):
-        row = np.zeros(len(universe), dtype=bool)
+        row = np.zeros(n, dtype=bool)
         for name in table.ancestors(atom.name):
             first = index[Cofree(name) if table.decl(name).is_generic else Ground(name)]
-            row[first:stops.get(name, first + 1)] = True
+            row[first:runs[name][1] if name in runs else first + 1] = True
         yield index[Cofree(atom.name)], np.packbits(row)
 
 

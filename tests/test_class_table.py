@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nomsub import (
+    ClassDecl,
+    ClassTable,
     ParseError,
+    TypeParam,
     TypeUse,
     UnknownClass,
     ValidationError,
@@ -88,6 +91,25 @@ def test_reserved_words_cannot_name_classes():
         parse_class_table("class Null")
     with pytest.raises(ParseError):
         parse_class_table("class Object\nclass A<super> extends Object")
+
+
+def test_empty_table_has_no_root():
+    with pytest.raises(ValidationError, match="no root class"):
+        ClassTable([])
+
+
+def test_reserved_words_are_rejected_without_the_parser():
+    # the parser stops these first, so only direct construction reaches the check
+    with pytest.raises(ValidationError, match="'Null' is a reserved word"):
+        ClassTable([ClassDecl("Object"), ClassDecl("Null", superclass=TypeUse("Object"))])
+    with pytest.raises(ValidationError, match="'super' is a reserved word"):
+        ClassTable([ClassDecl("Object"),
+                    ClassDecl("A", (TypeParam("super"),), TypeUse("Object"))])
+
+
+def test_extending_a_parameter_is_rejected():
+    with pytest.raises(ValidationError, match="'A' extends its own parameter 'T'"):
+        parse_class_table("class Object\nclass A<T> extends T")
 
 
 def test_parse_error_carries_position():

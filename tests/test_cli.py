@@ -107,6 +107,19 @@ def test_cofree_answers_do_not_depend_on_the_depth(capsys, tmp_path):
     assert (code, out, err) == (0, "true\n", "")
 
 
+@pytest.mark.xfail(strict=True, reason="B<C<Str>> is outside the depth-1 universe, so "
+                   "A<Str> reaches no B<...> there (CHANGES.md FOUND: closed superclass "
+                   "arguments deeper than the stratum below)")
+def test_closed_nested_superclass_answers_do_not_depend_on_the_depth(capsys, tmp_path):
+    # A<Str>'s superclass B<C<Str>> lies inside B<?>; at depth 2 the
+    # answer is true
+    table = tmp_path / "closed_nested.table"
+    table.write_text("class Object\nclass Str extends Object\nclass C<T> extends Object\n"
+                     "class B<T> extends Object\nclass A<T> extends B<C<Str>>")
+    code, out, _ = run(capsys, "subtype", str(table), "A<Str>", "B<?>", "--depth", "1")
+    assert (code, out) == (0, "true\n")
+
+
 def test_closures_below_the_free_types_names_them(capsys):
     code, out, err = run(capsys, "closures", SAMPLE, "--depth", "0")
     assert (code, out) == (2, "")
@@ -196,6 +209,26 @@ def test_report_validates_against_shipped_schema(capsys):
     assert doc["verification_ok"] is True
     assert doc["galois"]["violations"] == []
     assert doc["validity"]["agree"] is True
+
+
+def test_json_subcommands_agree_with_report(capsys):
+    _, out, _ = run(capsys, "report", SAMPLE, "--depth", "1")
+    report = json.loads(out)
+    code, out, _ = run(capsys, "closures", SAMPLE, "--depth", "1", "--format", "json")
+    assert (code, json.loads(out)) == (0, report["closure_laws"])
+    assert set(report["fixpoints"]) == {"List", "LinkedList", "Enum"}
+    for cls, found in report["fixpoints"].items():
+        for command, kind, key in (("fsub", "f-subtypes", "f_subtypes"),
+                                   ("fsup", "f-supertypes", "f_supertypes")):
+            code, out, _ = run(capsys, command, SAMPLE, cls, "--depth", "1", "--format", "json")
+            assert (code, json.loads(out)) == (0, {f"{kind} of {cls}": found[key],
+                                                   "count": len(found[key])})
+        code, out, _ = run(capsys, "maxima", SAMPLE, cls, "--depth", "1", "--format", "json")
+        assert (code, json.loads(out)) == (0, {"maxima": found["maxima"],
+                                               "free_type": found["free_type"]})
+        code, out, _ = run(capsys, "minima", SAMPLE, cls, "--depth", "1", "--format", "json")
+        assert (code, json.loads(out)) == (0, {"minima": found["minima"],
+                                               "cofree": found["cofree"]})
 
 
 def test_report_is_byte_identical_across_runs(capsys):

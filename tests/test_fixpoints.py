@@ -167,6 +167,23 @@ class TestValidity:
             check_validity(sample_table, sample_rel1, "both")
 
 
+class TestValidityModes:
+    def test_modes_differ_on_a_mutually_lower_bounded_pair(self):
+        # G<Object> needs H<Object> <: Object, a lower-bound check that
+        # depends on H<Object>, whose own check depends on G<Object>
+        table = parse_class_table(
+            "class Object\n"
+            "class Str extends Object\n"
+            "class G<T super H<T>> extends Object\n"
+            "class H<T super G<T>> extends Object")
+        rel = build_relation(table, 1)
+        ind, coind = check_validity_modes(table, rel)
+        assert ind.valid < coind.valid
+        for text in ("G<Object>", "H<Object>"):
+            term = parse_type(table, text)
+            assert term in coind.valid and term in ind.invalid
+
+
 # -- the depth-(d+1) decider against the depth-(d+1) relation -----------------
 
 def _one_deeper_by_lookup(table, rel):

@@ -182,9 +182,9 @@ class TestTransitiveClosure:
 
 
 # superclass arguments for the build's chain parents: parameters permuted
-# across positions and closed types (found by index arithmetic), and a
-# parameter passed through beside one nested in a compound argument (found
-# by walking the chain)
+# across positions and closed types (found by index arithmetic), a
+# parameter passed through beside one nested in a compound argument, and
+# closed types deeper than the stratum below (found by walking the chain)
 INDEX_TABLES = {
     "permuted": ("class Object\nclass Str extends Object\nclass Q<A, B> extends Object\n"
                  "class P<K, V> extends Q<V, K>\nclass R<X> extends P<X, Str>"),
@@ -192,6 +192,9 @@ INDEX_TABLES = {
                "class A<T> extends B<Str>\nclass C<T> extends A<T>"),
     "mixed": ("class Object\nclass C<T> extends Object\nclass B<S, U> extends Object\n"
               "class A<T> extends B<C<T>, T>\nclass W extends A<W>"),
+    "closed_nested": ("class Object\nclass Str extends Object\nclass C<T> extends Object\n"
+                      "class B<T> extends Object\nclass X extends B<C<C<Str>>>\n"
+                      "class A<T> extends B<C<Str>>"),
 }
 
 
@@ -219,7 +222,7 @@ STEPPED_NAMES = ["sample", "reduced", "seed3", "seed17", "seed102", "seed7", "ne
 # the permuted and mixed tables exceed the row budget at depth 2
 STEPPED_CASES = ([(name, depth) for name in STEPPED_NAMES for depth in range(3)]
                  + [(name, depth) for name in INDEX_TABLES for depth in range(2)]
-                 + [("closed", 2)]
+                 + [(name, 2) for name in ("closed", "closed_nested")]
                  + [(f"seed{seed}", 1) for seed in range(40) if f"seed{seed}" not in STEPPED_NAMES])
 
 
@@ -267,14 +270,18 @@ def _restricts_to(above, below):
 # the build's lift loop takes a second pass exactly where a stratum does not
 # embed; permuted and mixed exceed the row budget at depth 2
 EMBED_CASES = ([(name, 2) for name in ("sample", "reduced", "closed")]
-               + [(name, 1) for name in ("permuted", "mixed")]
+               + [(name, 1) for name in ("permuted", "mixed", "closed_nested")]
                + [(name, 1) for name in NESTED_TABLES]
                + [(f"seed{seed}", 2) for seed in range(200)]
                + [pytest.param(name, 2, marks=pytest.mark.xfail(
                    strict=True, reason="a superclass argument that nests a parameter "
                    "reaches new chain members at depth 2 (CHANGES.md FOUND: "
                    "super_instantiation skips non-point nested arguments)"))
-                  for name in NESTED_TABLES])
+                  for name in NESTED_TABLES]
+               + [pytest.param("closed_nested", 2, marks=pytest.mark.xfail(
+                   strict=True, reason="a closed superclass argument deeper than the "
+                   "stratum below reaches a new chain member at depth 2 (CHANGES.md "
+                   "FOUND: closed superclass arguments deeper than the stratum below)"))])
 
 
 @pytest.mark.parametrize("include_cofree", [True, False])

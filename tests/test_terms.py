@@ -132,22 +132,44 @@ class TestNestingDepth:
         assert nesting_depth(parse_type(sample_table, "List<? extends List<String>>")) == 2
 
 
-def test_unpickled_term_hashes_as_a_fresh_one(sample_table):
+def _other_seed_env():
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    return {**os.environ, "PYTHONHASHSEED": seed,
+            "PYTHONPATH": str(pathlib.Path(nomsub.__file__).parents[1])}
+
+
+def test_unpickled_term_hashes_as_a_fresh_one(sample_table, sample_rel2):
     # terms store their hash, and string hashes differ between processes
     text = "List<? extends List<String>>"
-    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     dump = ("import pickle, sys\n"
             "from nomsub import parse_class_table, parse_type\n"
             f"table = parse_class_table(open({TABLE!r}).read())\n"
             f"sys.stdout.buffer.write(pickle.dumps(parse_type(table, {text!r})))\n")
-    env = {**os.environ, "PYTHONHASHSEED": seed,
-           "PYTHONPATH": str(pathlib.Path(nomsub.__file__).parents[1])}
-    data = subprocess.run([sys.executable, "-c", dump], env=env, check=True,
+    data = subprocess.run([sys.executable, "-c", dump], env=_other_seed_env(), check=True,
                           capture_output=True).stdout
     loaded, fresh = pickle.loads(data), parse_type(sample_table, text)
     assert loaded == fresh
     assert hash(loaded) == hash(fresh)
     assert hash(loaded.args[0]) == hash(fresh.args[0])
+    assert sample_rel2.index(loaded) == sample_rel2.index(fresh)
+
+
+def test_term_pickled_here_is_found_under_another_seed(sample_table):
+    # the reverse direction: pickled in this process, loaded in one whose
+    # string hashes differ, where the relation's index must find it
+    text = "List<? extends List<String>>"
+    load = ("import pickle, sys\n"
+            "from nomsub import build_relation, parse_class_table, parse_type\n"
+            f"table = parse_class_table(open({TABLE!r}).read())\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            f"fresh = parse_type(table, {text!r})\n"
+            "rel = build_relation(table, 2)\n"
+            "print(loaded == fresh, hash(loaded) == hash(fresh),"
+            " rel.index(loaded) == rel.index(fresh))\n")
+    data = pickle.dumps(parse_type(sample_table, text))
+    out = subprocess.run([sys.executable, "-c", load], env=_other_seed_env(), input=data,
+                         check=True, capture_output=True).stdout
+    assert out == b"True True True\n"
 
 
 class TestSuperInstantiation:
