@@ -92,6 +92,7 @@ class ClassTable:
                 raise ValidationError(f"duplicate class '{decl.name}'")
             by_name[decl.name] = decl
         self._ordered = ordered
+        self._hash = hash(ordered)
         self._by_name = by_name
         self._decls_view: Mapping[str, ClassDecl] = MappingProxyType(by_name)
         self.root = self._validate()
@@ -195,7 +196,11 @@ class ClassTable:
         return isinstance(other, ClassTable) and self._ordered == other._ordered
 
     def __hash__(self) -> int:
-        return hash(self._ordered)
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild rather than copy _hash
+        return ClassTable, (self._ordered,)
 
     def __repr__(self) -> str:
         return f"ClassTable({len(self._ordered)} classes, root={self.root!r})"

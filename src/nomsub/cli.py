@@ -9,6 +9,7 @@ usage, syntax, and table errors exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -45,6 +46,7 @@ def _load_table(path: str) -> ClassTable:
     return parse_class_table(Path(path).read_text(encoding="utf-8"))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("table", help="class-table file")

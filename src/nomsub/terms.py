@@ -14,11 +14,18 @@ Wildcards desugar to intervals: ``?`` is ``[Null..Root]``, ``? extends T``
 is ``[Null..T]``, ``? super T`` is ``[T..Root]``, and a concrete argument
 ``T`` is the point interval ``[T..T]``.  Declared parameter bounds never
 affect this desugaring; they matter only to the validity analysis.
+
+`parse_type` parses each (table, text) pair once: the term is kept in a
+process-wide least-recently-used cache of `_PARSE_CACHE_SIZE` entries,
+shared by all tables.  Since tables and terms are immutable, a cached term
+is the value a fresh parse would give.  Errors are never cached, so a bad
+text raises on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ._lex import TokenStream
 from .class_table import ClassTable, TypeUse
@@ -252,9 +259,19 @@ def format_interval(lo: str, hi: str, root: str | None) -> str:
 
 # -- parsing --------------------------------------------------------------
 
+# parsed (table, text) pairs kept: a stream of subtype queries repeats a few
+# thousand texts, and the bound caps what a long run of distinct labels (a
+# universe read back from JSON) can keep alive
+_PARSE_CACHE_SIZE = 1 << 14
+
 
 def parse_type(table: ClassTable, text: str) -> TypeTerm:
     """Parse the type surface syntax against a class table."""
+    return _parse(table, text)
+
+
+@lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parse(table: ClassTable, text: str) -> TypeTerm:
     ts = TokenStream(text)
     term = _parse_term(table, ts)
     ts.expect_end()

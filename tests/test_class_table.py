@@ -182,3 +182,12 @@ def test_print_parse_roundtrip(sample_table, reduced_table):
 def test_print_parse_roundtrip_on_generated_tables(seed):
     table = random_table(seed)
     assert parse_class_table(format_class_table(table)) == table
+
+
+def test_hash_is_structural_and_stable():
+    source = "class Object\nclass List<T> extends Object\nclass Str extends Object"
+    first, second = parse_class_table(source), parse_class_table(source)
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    assert hash(first) == hash(first)
+    assert {first: 1}[second] == 1

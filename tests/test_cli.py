@@ -334,3 +334,36 @@ def test_validity_bound_deeper_than_one_level_up_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "outside the depth-2 universe" in err
+
+
+# main builds its argument parser once per process; each call must still start
+# from the defaults and write to the streams of that call
+
+
+def test_flags_do_not_carry_over_between_calls(capsys):
+    _, out, _ = run(capsys, "report", SAMPLE, "--no-cofree")
+    assert json.loads(out)["include_cofree"] is False
+    _, out, _ = run(capsys, "report", SAMPLE)
+    assert json.loads(out)["include_cofree"] is True
+
+
+def test_quantify_does_not_carry_over_between_calls(capsys):
+    _, out, _ = run(capsys, "report", SAMPLE, "--quantify", "valid")
+    assert json.loads(out)["galois"]["quantified_over"] == "valid"
+    _, out, _ = run(capsys, "report", SAMPLE)
+    assert json.loads(out)["galois"]["quantified_over"] == "admittable"
+
+
+def test_usage_error_goes_to_the_stderr_of_each_call(capsys):
+    for _ in range(2):
+        code, out, err = run(capsys, "universe")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: nomsub universe")
+        assert "the following arguments are required: table" in err
+
+
+def test_help_exits_zero_on_each_call(capsys):
+    for _ in range(2):
+        code, out, err = run(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: nomsub")

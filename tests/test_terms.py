@@ -1,5 +1,6 @@
 """Term construction, erasure, free/co-free types, printing and parsing."""
 
+import json
 import os
 import pathlib
 import pickle
@@ -17,23 +18,30 @@ from nomsub import (
     Cofree,
     Ground,
     Interval,
+    InvalidRelationDocument,
     NotGeneric,
     ParseError,
     UnknownClass,
     cofree_type,
     erase,
+    export_json,
+    format_class_table,
     format_type,
     free_type,
     nesting_depth,
     parse_class_table,
     parse_type,
     point,
+    relation_from_json,
     super_chain,
     super_instantiation,
     term_from_typeuse,
     wildcard,
 )
+from nomsub import terms
 from nomsub.class_table import TypeUse
+
+from test_parse_errors import TYPE_ERRORS
 
 TABLE = str(pathlib.Path(__file__).resolve().parents[1] / "tables" / "sample.table")
 
@@ -121,6 +129,70 @@ class TestParseType:
             parse_type(sample_table, "String<!>")
 
 
+class TestParseCache:
+    def test_a_repeated_text_gives_the_same_term(self, sample_table):
+        text = "List<? extends List<String>>"
+        first = parse_type(sample_table, text)
+        assert parse_type(sample_table, text) == first
+        assert parse_type(sample_table, text) is first
+
+    @pytest.mark.parametrize("text, error", TYPE_ERRORS)
+    def test_a_bad_text_raises_its_pinned_error_on_every_call(self, sample_table, text, error):
+        for _ in range(3):
+            with pytest.raises(ParseError) as exc:
+                parse_type(sample_table, text)
+            assert str(exc.value) == error
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("Nope<String>", UnknownClass, "unknown class 'Nope'"),
+        ("List", ArityMismatch, "class 'List' expects 1 argument(s), got 0"),
+        ("List<String, String>", ArityMismatch, "class 'List' expects 1 argument(s), got 2"),
+        ("String<!>", NotGeneric, "class 'String' is not generic and has no co-free type"),
+    ])
+    def test_a_table_error_is_raised_on_every_call(self, sample_table, text, error, message):
+        for _ in range(3):
+            with pytest.raises(error) as exc:
+                parse_type(sample_table, text)
+            assert str(exc.value) == message
+
+    def test_texts_that_differ_by_layout_give_equal_terms(self, sample_table):
+        texts = ["List<? extends List<String>>",
+                 "List< ? extends List <String> >",
+                 "List<?\textends\n  List<String>> // nested",
+                 "// leading\nList<? extends List<String>>"]
+        assert len({parse_type(sample_table, s) for s in texts}) == 1
+
+    def test_equal_tables_give_equal_terms(self, sample_table):
+        other = parse_class_table(format_class_table(sample_table))
+        assert other is not sample_table
+        for text in ("List<? super LinkedList<!>>", "Enum<Weekday>", "Null"):
+            assert parse_type(other, text) == parse_type(sample_table, text)
+
+    def test_the_cache_stays_at_its_bound(self, sample_table, sample_rel2):
+        # comments make each label into nine distinct texts of one term
+        texts = [f"{label} // {k}" for k in range(9) for label in sample_rel2.labels]
+        assert len(set(texts)) > terms._PARSE_CACHE_SIZE
+        terms._parse.cache_clear()
+        first = [parse_type(sample_table, s) for s in texts]
+        assert terms._parse.cache_info().currsize == terms._PARSE_CACHE_SIZE
+        # backwards, the newest texts hit and the oldest ones evict
+        again = [parse_type(sample_table, s) for s in reversed(texts)][::-1]
+        info = terms._parse.cache_info()
+        assert (info.hits, info.currsize) == (terms._PARSE_CACHE_SIZE, terms._PARSE_CACHE_SIZE)
+        terms._parse.cache_clear()
+        fresh = [parse_type(sample_table, s) for s in texts]
+        assert first == again == fresh == list(sample_rel2.universe) * 9
+
+    def test_a_cached_label_repeated_in_a_document_is_rejected(self, sample_table,
+                                                               sample_rel1):
+        doc = json.loads(export_json(sample_rel1))
+        doc["universe"].append(doc["universe"][3])
+        parse_type(sample_table, doc["universe"][3])
+        with pytest.raises(InvalidRelationDocument,
+                           match=rf"universe entry {len(sample_rel1)} .* repeats entry 3"):
+            relation_from_json(sample_table, json.dumps(doc))
+
+
 class TestNestingDepth:
     def test_atoms(self):
         assert nesting_depth(BOTTOM) == 0
@@ -170,6 +242,19 @@ def test_term_pickled_here_is_found_under_another_seed(sample_table):
     out = subprocess.run([sys.executable, "-c", load], env=_other_seed_env(), input=data,
                          check=True, capture_output=True).stdout
     assert out == b"True True True\n"
+
+
+def test_unpickled_table_hashes_as_a_fresh_one(sample_table):
+    # tables store their hash too
+    dump = ("import pickle, sys\n"
+            "from nomsub import parse_class_table\n"
+            f"table = parse_class_table(open({TABLE!r}).read())\n"
+            "sys.stdout.buffer.write(pickle.dumps(table))\n")
+    data = subprocess.run([sys.executable, "-c", dump], env=_other_seed_env(), check=True,
+                          capture_output=True).stdout
+    loaded = pickle.loads(data)
+    assert loaded == sample_table
+    assert hash(loaded) == hash(sample_table)
 
 
 class TestSuperInstantiation:
