@@ -20,7 +20,7 @@ from .analysis import (analyze, closure_doc, closure_laws_hold, galois_doc,
 from .class_table import ClassTable, parse_class_table
 from .errors import NomsubError
 from .relation import SubtypeRelation, build_relation
-from .terms import Ground, TypeTerm, format_type, has_cofree, nesting_depth, parse_type
+from .terms import Interval, format_type, has_cofree, nesting_depth, parse_type
 
 
 class UsageError(Exception):
@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_universe)
 
     p = sub.add_parser("subtype", parents=[common],
-                       help="decide t1 <: t2 over the constructed relation")
+                       help="decide t1 <: t2 in the depth-bounded relation")
     p.add_argument("t1")
     p.add_argument("t2")
     p.set_defaults(handler=_cmd_subtype)
@@ -118,9 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build(table: ClassTable, args, depth: int | None = None) -> SubtypeRelation:
-    return build_relation(table, args.depth if depth is None else depth,
-                          include_cofree=args.include_cofree)
+def _build(table: ClassTable, args) -> SubtypeRelation:
+    return build_relation(table, args.depth, include_cofree=args.include_cofree)
 
 
 def _emit_json(doc) -> None:
@@ -152,34 +151,20 @@ def _cmd_subtype(args, table: ClassTable) -> int:
     if needed > args.depth:
         print(f"note: rebuilding at depth {needed} to cover the query terms",
               file=sys.stderr)
-    rel = _build(table, args, depth=needed)
     for term, text in ((t1, args.t1), (t2, args.t2)):
-        if term not in rel:
-            _warn_unordered(rel, table, term, text)
+        if faults := relation.universe_faults(table, term, needed, args.include_cofree):
+            for iv in (f for f in faults if isinstance(f, Interval)):
+                print(f"warning: interval in '{text}' has unordered endpoints "
+                      f"({format_type(iv.lo, table)} is not a subtype of "
+                      f"{format_type(iv.hi, table)})", file=sys.stderr)
             cause = ("co-free atoms are excluded by --no-cofree"
-                     if not rel.include_cofree and has_cofree(term)
+                     if not args.include_cofree and has_cofree(term)
                      else "endpoint-unordered intervals are never enumerated")
             print(f"error: '{text}' is not in the depth-{needed} universe ({cause})",
                   file=sys.stderr)
             return 2
-    print("true" if relation.is_subtype(rel, t1, t2) else "false")
+    print("true" if relation.decider(table, needed)(t1, t2) else "false")
     return 0
-
-
-def _warn_unordered(rel: SubtypeRelation, table: ClassTable, term: TypeTerm,
-                    text: str) -> None:
-    """Warn about each interval, at any nesting, whose endpoints are both in
-    the universe but unordered; endpoints print as the universe labels them."""
-    if not isinstance(term, Ground):
-        return
-    for iv in term.args:
-        if iv.lo in rel and iv.hi in rel and not relation.is_subtype(rel, iv.lo, iv.hi):
-            print(f"warning: interval in '{text}' has unordered endpoints "
-                  f"({format_type(iv.lo, table)} is not a subtype of "
-                  f"{format_type(iv.hi, table)})", file=sys.stderr)
-        _warn_unordered(rel, table, iv.lo, text)
-        if not iv.is_point:
-            _warn_unordered(rel, table, iv.hi, text)
 
 
 def _cmd_build(args, table: ClassTable) -> int:

@@ -4,10 +4,10 @@ admittable-versus-valid split for bounded instantiations.
 For a unary generic class F, the F-subtypes are the terms Ty with
 ``Ty <: F<Ty>`` and the F-supertypes those with ``F<Ty> <: Ty``.  Applying
 F to a depth-d term lands at depth d+1, so membership is judged in the
-depth-(d+1) relation.  No deeper universe is built: each question is decided
-by recursing through the construction's own rules (climb the superclass
-chain, then compare intervals endpoint by endpoint), which touches only the
-terms the question mentions.
+depth-(d+1) relation.  No deeper universe is built: each question goes to
+relation.decider at depth d+1, which recurses through the construction's own
+rules (climb the superclass chain, then compare intervals endpoint by
+endpoint) and touches only the terms the question mentions.
 
 Maximality/minimality diagnostics never fail a run: whether the free type
 is the greatest F-subtype (and the co-free atom the least F-supertype) is
@@ -17,75 +17,13 @@ model-dependent, so the comparisons are reported as findings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .class_table import ClassTable, TypeUse, subclass_of
-from .errors import NotUnaryGeneric, TermOutsideUniverse
-from .relation import SubtypeRelation
-from .terms import (
-    BOTTOM,
-    Cofree,
-    Ground,
-    TypeTerm,
-    format_type,
-    free_type,
-    nesting_depth,
-    point,
-    super_instantiation,
-    term_from_typeuse,
-)
-
-_Decider = Callable[[TypeTerm, TypeTerm], bool]
-
-
-def _one_deeper(table: ClassTable, rel: SubtypeRelation) -> _Decider:
-    """Decide ``t1 <: t2`` in the depth-(d+1) relation over `rel`'s depth d.
-
-    A co-free atom lies below every non-bottom term whose class its class
-    subclasses, at every depth, the one rule the build and the reference
-    step state too (and nothing else but bottom and co-free atoms lies
-    below it).  A ground term lies below another when the member of its
-    superclass chain with the other's class fits the depth bound and has
-    intervals inside the other's; the endpoints are compared by the same
-    recursion.  A pair met again while still being decided is answered
-    False, as in the oracle.
-    """
-    depth = rel.depth + 1
-    memo: dict[tuple[TypeTerm, TypeTerm], bool] = {}
-
-    def sub(t1: TypeTerm, t2: TypeTerm) -> bool:
-        if t1 == t2 or t1 == BOTTOM:
-            return True
-        if t2 == BOTTOM:
-            return False
-        if isinstance(t1, Cofree):
-            return subclass_of(table, t1.cls, t2.cls)
-        if isinstance(t2, Cofree) or not subclass_of(table, t1.cls, t2.cls):
-            return False
-        key = (t1, t2)
-        known = memo.get(key)
-        if known is None:
-            memo[key] = False
-            u = t1
-            while u is not None and u.cls != t2.cls:
-                u = super_instantiation(table, u)
-            known = memo[key] = (
-                u is not None and nesting_depth(u) <= depth
-                and all(sub(b.lo, a.lo) and sub(a.hi, b.hi)
-                        for a, b in zip(u.args, t2.args)))
-        return known
-
-    def decide(t1: TypeTerm, t2: TypeTerm) -> bool:
-        for term in (t1, t2):
-            if nesting_depth(term) > depth:
-                raise TermOutsideUniverse(
-                    f"term '{format_type(term)}' is outside the depth-{depth} "
-                    "universe (rebuild at a higher depth)")
-        return sub(t1, t2)
-
-    return decide
+from .class_table import ClassTable, TypeUse
+from .errors import NotUnaryGeneric
+from .relation import Decider, SubtypeRelation, decider
+from .terms import Cofree, Ground, TypeTerm, free_type, point, term_from_typeuse
 
 
 def _unary(table: ClassTable, cls: str) -> None:
@@ -101,7 +39,7 @@ def f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeT
     """Terms Ty of the universe with Ty <: F<Ty> (coalgebras of F), in
     universe order."""
     _unary(table, cls)
-    deeper = _one_deeper(table, rel)
+    deeper = decider(table, rel.depth + 1)
     return tuple(t for t in rel.universe if deeper(t, _applied(cls, t)))
 
 
@@ -109,7 +47,7 @@ def f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[Typ
     """Terms Ty of the universe with F<Ty> <: Ty (algebras of F), in
     universe order."""
     _unary(table, cls)
-    deeper = _one_deeper(table, rel)
+    deeper = decider(table, rel.depth + 1)
     return tuple(t for t in rel.universe if deeper(_applied(cls, t), t))
 
 
@@ -158,7 +96,7 @@ def _maxima_report(table: ClassTable, rel: SubtypeRelation, cls: str,
     maxima = tuple(m for m, up in zip(members, _strictly_below(rel, members))
                    if not up.any())
     ft = free_type(table, cls)
-    deeper = _one_deeper(table, rel)
+    deeper = decider(table, rel.depth + 1)
     comparison = FreeTypeComparison(
         is_member=ft in set(members),
         is_greatest=all(deeper(m, ft) for m in members),
@@ -182,7 +120,7 @@ def _minima_report(table: ClassTable, rel: SubtypeRelation, cls: str,
                    if not down.any())
     atom = Cofree(cls)
     if rel.include_cofree:
-        deeper = _one_deeper(table, rel)
+        deeper = decider(table, rel.depth + 1)
         comparison = CofreeComparison(
             is_member=atom in set(members),
             is_least=all(deeper(atom, m) for m in members),
@@ -256,7 +194,7 @@ _BoundChecks = dict[TypeTerm, tuple[bool, frozenset[TypeTerm]]]
 def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> _BoundChecks:
     """Each ground term of the universe, in universe order, with whether it
     passes its bound check and the terms that check depends on."""
-    deeper = _one_deeper(table, rel)
+    deeper = decider(table, rel.depth + 1)
     return {t: _bound_check(table, deeper, t) for t in rel.universe if isinstance(t, Ground)}
 
 
@@ -278,7 +216,7 @@ def _assignment(table: ClassTable, rel: SubtypeRelation, checks: _BoundChecks,
     return ValidityAssignment(mode, frozenset(valid), invalid, rel.depth, table)
 
 
-def _bound_check(table: ClassTable, deeper: _Decider,
+def _bound_check(table: ClassTable, deeper: Decider,
                  term: Ground) -> tuple[bool, frozenset[TypeTerm]]:
     decl = table.decl(term.cls)
     if not decl.params:

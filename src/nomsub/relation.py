@@ -21,7 +21,9 @@ off the depth-(d-1) relation, and each row is its containment row OR-ed
 with the final row of its chain parent, the nearest superclass-chain member
 in the universe.  Nothing is cached between builds; the only resource limit
 is a fixed 4 GiB budget for a stratum's packed rows, checked from its exact
-term count before any of its terms is built.
+term count before any of its terms is built.  decider answers a pair of the
+depth-d relation by the same rules without building it; universe_faults says
+why a term lies outside U_d, judging each interval by the decider at d-1.
 
 Edges live in packed bit rows (``np.packbits`` along each row, n x
 ceil(n/8) bytes) with an index map, from the build to every query and
@@ -33,7 +35,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from functools import cached_property
+from collections.abc import Callable
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -56,6 +59,7 @@ from .terms import (
     nesting_depth,
     parse_type,
     super_chain,
+    super_instantiation,
     term_from_typeuse,
 )
 
@@ -191,6 +195,78 @@ def is_subtype(rel: SubtypeRelation, t1: TypeTerm, t2: TypeTerm) -> bool:
 
 def _bit(bits: np.ndarray, i: int, j: int) -> bool:
     return bool(bits.item(i, j >> 3) >> (~j & 7) & 1)
+
+
+Decider = Callable[[TypeTerm, TypeTerm], bool]
+
+
+def decider(table: ClassTable, depth: int) -> Decider:
+    """Decide ``t1 <: t2`` in the depth-`depth` relation as the build would,
+    without building it; a term nested deeper raises TermOutsideUniverse.
+
+    A co-free atom lies below every non-bottom term whose class its class
+    subclasses, at every depth, the one rule the build and the reference
+    step state too (and nothing else but bottom and co-free atoms lies
+    below it).  A ground term lies below another when the member of its
+    superclass chain with the other's class fits the depth bound and has
+    intervals inside the other's; the endpoints are compared by the same
+    recursion.  A pair met again while still being decided is answered
+    False, as in the oracle.
+    """
+    memo: dict[tuple[TypeTerm, TypeTerm], bool] = {}
+
+    def sub(t1: TypeTerm, t2: TypeTerm) -> bool:
+        if t1 == t2 or t1 == BOTTOM:
+            return True
+        if t2 == BOTTOM:
+            return False
+        if isinstance(t1, Cofree):
+            return subclass_of(table, t1.cls, t2.cls)
+        if isinstance(t2, Cofree) or not subclass_of(table, t1.cls, t2.cls):
+            return False
+        key = (t1, t2)
+        known = memo.get(key)
+        if known is None:
+            memo[key] = False
+            u = t1
+            while u is not None and u.cls != t2.cls:
+                u = super_instantiation(table, u)
+            known = memo[key] = (
+                u is not None and nesting_depth(u) <= depth
+                and all(sub(b.lo, a.lo) and sub(a.hi, b.hi)
+                        for a, b in zip(u.args, t2.args)))
+        return known
+
+    def decide(t1: TypeTerm, t2: TypeTerm) -> bool:
+        for term in (t1, t2):
+            if nesting_depth(term) > depth:
+                raise TermOutsideUniverse(
+                    f"term '{format_type(term)}' is outside the depth-{depth} "
+                    "universe (rebuild at a higher depth)")
+        return sub(t1, t2)
+
+    return decide
+
+
+def universe_faults(table: ClassTable, term: TypeTerm, depth: int,
+                    include_cofree: bool) -> list[Cofree | Interval]:
+    """Why `term`, nested at most `depth` deep, lies outside the depth-`depth`
+    universe, in pre-order: each co-free atom if they are excluded, and each
+    interval whose endpoints lie in the universe one level down but are not
+    ordered there, by the decider at that depth.  Empty exactly when the
+    term is in the universe."""
+    at = cache(lambda d: decider(table, d))
+
+    def walk(t: TypeTerm, d: int):
+        if isinstance(t, Cofree) and not include_cofree:
+            yield t
+        for iv in t.args if isinstance(t, Ground) else ():
+            inner = [*walk(iv.lo, d - 1), *([] if iv.is_point else walk(iv.hi, d - 1))]
+            if not inner and not at(d - 1)(iv.lo, iv.hi):
+                yield iv
+            yield from inner
+
+    return list(walk(term, depth))
 
 
 def interval_contains(rel: SubtypeRelation, inner: Interval, outer: Interval) -> bool:

@@ -1,5 +1,10 @@
-"""Class tables whose superclass arguments nest a parameter (``B<C<T>>``)."""
+"""Hand-written class tables for the superclass arguments the build treats
+specially, and a lookup of every table the differential tests name."""
 
+from nomsub import parse_class_table
+from nomsub.random_tables import random_table
+
+# superclass arguments that nest a parameter (``B<C<T>>``)
 NESTED_TABLES = {
     "nested": ("class Object\nclass Str extends Object\nclass C<T> extends Object\n"
                "class B<T> extends Object\nclass A<T extends C<T>> extends B<C<T>>\n"
@@ -7,3 +12,31 @@ NESTED_TABLES = {
     "nested_plain": ("class Object\nclass C<T> extends Object\nclass B<T> extends Object\n"
                      "class A<T> extends B<C<T>>"),
 }
+
+# superclass arguments for the build's chain parents: parameters permuted
+# across positions and closed types (found by index arithmetic), a
+# parameter passed through beside one nested in a compound argument, and
+# closed types deeper than the stratum below (found by walking the chain)
+INDEX_TABLES = {
+    "permuted": ("class Object\nclass Str extends Object\nclass Q<A, B> extends Object\n"
+                 "class P<K, V> extends Q<V, K>\nclass R<X> extends P<X, Str>"),
+    "closed": ("class Object\nclass Str extends Object\nclass B<T> extends Object\n"
+               "class A<T> extends B<Str>\nclass C<T> extends A<T>"),
+    "mixed": ("class Object\nclass C<T> extends Object\nclass B<S, U> extends Object\n"
+              "class A<T> extends B<C<T>, T>\nclass W extends A<W>"),
+    "closed_nested": ("class Object\nclass Str extends Object\nclass C<T> extends Object\n"
+                      "class B<T> extends Object\nclass X extends B<C<C<Str>>>\n"
+                      "class A<T> extends B<C<Str>>"),
+}
+
+
+def named_table(name, request):
+    """A table of NESTED_TABLES or INDEX_TABLES, ``seedN`` for
+    ``random_table(N)``, or a shipped table by its fixture's prefix."""
+    if name in NESTED_TABLES:
+        return parse_class_table(NESTED_TABLES[name])
+    if name in INDEX_TABLES:
+        return parse_class_table(INDEX_TABLES[name])
+    if name.startswith("seed"):
+        return random_table(int(name[4:]))
+    return request.getfixturevalue(f"{name}_table")

@@ -9,7 +9,7 @@ import pytest
 from nomsub import relation_from_json
 from nomsub.cli import main
 
-from nested_tables import NESTED_TABLES
+from nested_tables import INDEX_TABLES, NESTED_TABLES
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SAMPLE = str(ROOT / "tables" / "sample.table")
@@ -118,6 +118,33 @@ def test_closed_nested_superclass_answers_do_not_depend_on_the_depth(capsys, tmp
                      "class B<T> extends Object\nclass A<T> extends B<C<Str>>")
     code, out, _ = run(capsys, "subtype", str(table), "A<Str>", "B<?>", "--depth", "1")
     assert (code, out) == (0, "true\n")
+
+
+def test_unordered_warning_judges_the_endpoints_one_level_down(capsys, tmp_path):
+    # the depth-2 universe holds B<[L..U]> when L <: U at depth 1, where
+    # A<Object>'s superclass B<C<Str>> is too deep to reach, though at
+    # depth 2 A<Object> <: B<?> holds
+    table = tmp_path / "closed_nested.table"
+    table.write_text(INDEX_TABLES["closed_nested"])
+    code, out, err = run(capsys, "subtype", str(table), "B<[A<Object>..B<?>]>", "Object",
+                         "--depth", "2", "--no-cofree")
+    assert (code, out) == (2, "")
+    assert err == ("warning: interval in 'B<[A<Object>..B<?>]>' has unordered endpoints "
+                   "(A<Object> is not a subtype of B<?>)\n"
+                   "error: 'B<[A<Object>..B<?>]>' is not in the depth-2 universe "
+                   "(endpoint-unordered intervals are never enumerated)\n")
+
+
+def test_subtype_answers_beyond_the_row_budget(capsys):
+    # the decider answers without building the stratum, which at reduced@4
+    # would need 5.0 TB of packed rows
+    code, out, err = run(capsys, "subtype", REDUCED,
+                         "LinkedList<? extends List<? extends LinkedList<? extends List<String>>>>",
+                         "List<? extends List<? extends List<?>>>", "--depth", "4")
+    assert (code, out, err) == (0, "true\n", "")
+    code, out, err = run(capsys, "subtype", SAMPLE, "LinkedList<String>", "List<?>",
+                         "--depth", "1000000")
+    assert (code, out, err) == (0, "true\n", "")
 
 
 def test_closures_below_the_free_types_names_them(capsys):

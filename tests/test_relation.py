@@ -38,10 +38,9 @@ from nomsub import (
 )
 from nomsub import relation as relation_module
 from nomsub import terms as terms_module
-from nomsub.random_tables import random_table
 from nomsub.relation import _transitive_closure
 
-from nested_tables import NESTED_TABLES
+from nested_tables import INDEX_TABLES, NESTED_TABLES, named_table
 
 
 class TestConstructionStep:
@@ -181,33 +180,6 @@ class TestTransitiveClosure:
         assert np.array_equal(edges, before)
 
 
-# superclass arguments for the build's chain parents: parameters permuted
-# across positions and closed types (found by index arithmetic), a
-# parameter passed through beside one nested in a compound argument, and
-# closed types deeper than the stratum below (found by walking the chain)
-INDEX_TABLES = {
-    "permuted": ("class Object\nclass Str extends Object\nclass Q<A, B> extends Object\n"
-                 "class P<K, V> extends Q<V, K>\nclass R<X> extends P<X, Str>"),
-    "closed": ("class Object\nclass Str extends Object\nclass B<T> extends Object\n"
-               "class A<T> extends B<Str>\nclass C<T> extends A<T>"),
-    "mixed": ("class Object\nclass C<T> extends Object\nclass B<S, U> extends Object\n"
-              "class A<T> extends B<C<T>, T>\nclass W extends A<W>"),
-    "closed_nested": ("class Object\nclass Str extends Object\nclass C<T> extends Object\n"
-                      "class B<T> extends Object\nclass X extends B<C<C<Str>>>\n"
-                      "class A<T> extends B<C<Str>>"),
-}
-
-
-def _named_table(name, request):
-    if name in NESTED_TABLES:
-        return parse_class_table(NESTED_TABLES[name])
-    if name in INDEX_TABLES:
-        return parse_class_table(INDEX_TABLES[name])
-    if name.startswith("seed"):
-        return random_table(int(name[4:]))
-    return request.getfixturevalue(f"{name}_table")
-
-
 def _stepped_to_fixpoint(table, depth, include_cofree):
     rel = initial_relation(table, depth, include_cofree=include_cofree)
     while True:
@@ -234,7 +206,7 @@ def test_direct_build_equals_the_stepped_fixpoint(name, depth, include_cofree, r
     # nested tables push superclass arguments one level deeper; the index
     # tables and the other seeds check the parents the build finds by index
     # arithmetic
-    table = _named_table(name, request)
+    table = named_table(name, request)
     built = build_relation(table, depth, include_cofree=include_cofree)
     stepped = _stepped_to_fixpoint(table, depth, include_cofree)
     assert stepped == built
@@ -251,7 +223,7 @@ PACKED_CASES = ([(name, depth) for name in ("sample", "reduced") for depth in ra
 def test_packed_build_prints_and_round_trips(name, depth, include_cofree, request):
     # labels come from the endpoints' labels, not from format_type; the
     # round trip compares packed bytes, so a stray padding bit breaks it
-    table = _named_table(name, request)
+    table = named_table(name, request)
     rel = build_relation(table, depth, include_cofree=include_cofree)
     assert list(rel.labels) == [format_type(t, table) for t in rel.universe]
     assert not np.unpackbits(rel.bits, axis=1)[:, len(rel):].any()
@@ -287,11 +259,49 @@ EMBED_CASES = ([(name, 2) for name in ("sample", "reduced", "closed")]
 @pytest.mark.parametrize("include_cofree", [True, False])
 @pytest.mark.parametrize("name, top", EMBED_CASES)
 def test_each_stratum_embeds_in_the_next(name, top, include_cofree, request):
-    table = _named_table(name, request)
+    table = named_table(name, request)
     strata = [build_relation(table, d, include_cofree=include_cofree)
               for d in range(top + 1)]
     for below, above in zip(strata, strata[1:]):
         assert _restricts_to(above, below), f"depth {below.depth} -> {above.depth}"
+
+
+# the universe walk against the build: every shape of superclass argument,
+# depth-0 co-free rows (Beta<!> <: Alpha in seed 102), and the nested and
+# closed tables, whose strata do not embed at 1 -> 2; permuted and mixed
+# exceed the row budget at depth 2
+WALKED_CASES = ([(name, depth) for name in ("sample", "reduced", "closed", "closed_nested",
+                                            *NESTED_TABLES) for depth in range(3)]
+                + [(name, depth) for name in ("permuted", "mixed") for depth in range(2)]
+                + [(f"seed{seed}", depth) for seed in (*range(40), 102) for depth in range(3)])
+
+
+@pytest.mark.parametrize("include_cofree", [True, False])
+@pytest.mark.parametrize("name, depth", WALKED_CASES)
+def test_universe_walk_accepts_exactly_the_built_universe(name, depth, include_cofree,
+                                                         request):
+    # candidates: every term of the universe, every co-free atom, and seeded
+    # products of endpoint pairs of the universe below (built with co-free
+    # atoms), each pair an edge there or any pair, so ordered or not
+    table = named_table(name, request)
+    built = build_relation(table, depth, include_cofree=include_cofree)
+    generic = [cls for cls in table.class_names if table.arity(cls)]
+    candidates = set(built.universe) | {Cofree(cls) for cls in generic}
+    if depth:
+        below = build_relation(table, depth - 1)
+        rng = np.random.default_rng(depth)
+        edges = np.argwhere(below.edges)
+        pool = np.concatenate([edges, rng.integers(len(below), size=edges.shape)]).tolist()
+        for cls in generic:
+            for picks in rng.integers(len(pool), size=(2_000, table.arity(cls))).tolist():
+                candidates.add(Ground(cls, tuple(Interval(below.universe[pool[k][0]],
+                                                          below.universe[pool[k][1]])
+                                                 for k in picks)))
+    for term in candidates:
+        faults = relation_module.universe_faults(table, term, depth, include_cofree)
+        assert (not faults) == (term in built), format_type(term)
+        excluded = not include_cofree and terms_module.has_cofree(term)
+        assert any(isinstance(f, Cofree) for f in faults) == excluded, format_type(term)
 
 
 class TestPackedRows:
