@@ -149,7 +149,7 @@ def _cmd_subtype(args, table: ClassTable) -> int:
     t2 = parse_type(table, args.t2)
     needed = max(args.depth, nesting_depth(t1), nesting_depth(t2))
     if needed > args.depth:
-        print(f"note: rebuilding at depth {needed} to cover the query terms",
+        print(f"note: deciding at depth {needed} to cover the query terms",
               file=sys.stderr)
     for term, text in ((t1, args.t1), (t2, args.t2)):
         if faults := relation.universe_faults(table, term, needed, args.include_cofree):

@@ -53,8 +53,8 @@ class TermOutsideUniverse(NomsubError):
 
 
 class InvalidRelationDocument(NomsubError):
-    """A relation document is malformed, repeats a term, indexes outside it,
-    or holds a term that its depth or include_cofree flag excludes."""
+    """A relation document is malformed, repeats a term, holds edges that
+    are not its packed rows, or holds a term its depth or flag excludes."""
 
 
 class FreeTypeOutsideUniverse(NomsubError):

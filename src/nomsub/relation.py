@@ -26,13 +26,15 @@ depth-d relation by the same rules without building it; universe_faults says
 why a term lies outside U_d, judging each interval by the decider at d-1.
 
 Edges live in packed bit rows (``np.packbits`` along each row, n x
-ceil(n/8) bytes) with an index map, from the build to every query and
-analysis; the dense boolean ``edges`` view is unpacked only on request.
+ceil(n/8) bytes) with an index map, from the build to every query, every
+analysis and the exported document, which holds the same bytes in base64;
+the dense boolean ``edges`` view is unpacked only on request.
 Antisymmetry is not enforced — mutual_pairs exposes any collapse instead.
 """
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 from collections.abc import Callable
@@ -704,44 +706,31 @@ def _transitive_closure(edges: np.ndarray) -> np.ndarray:
 
 
 def export_json(rel: SubtypeRelation) -> str:
-    """Serialize as {depth, include_cofree, universe, edges} with indices
-    into the canonical universe order; deterministic.
+    """Serialize as ``json.dumps(doc, indent=2, sort_keys=True)`` of the
+    document {depth, edges, include_cofree, universe}; deterministic.
 
-    The text is that of ``json.dumps(doc, indent=2, sort_keys=True)``,
-    written directly: the pure-Python encoder that ``indent`` selects is
-    slow on large edge lists.
+    `universe` lists the term labels in the canonical universe order, and
+    `edges` is one base64 string of the packed rows' bytes in that order:
+    n x ceil(n/8) bytes, bit j of row i at byte ``j >> 3`` of the row, most
+    significant bit first, padding bits zero.
     """
-    # one string per nonempty row, its pairs joined with the row's head
-    tails = np.array([f"{j}\n    ]" for j in range(len(rel))], dtype=object)
-    rows, cols = _set_bits(rel.bits)
-    starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
-    picked = tails[cols].tolist()
-    edges = []
-    for a, b in zip(starts, starts[1:] + [len(rows)]):
-        head = f"    [\n      {rows[a]},\n      "
-        edges.append(head + (",\n" + head).join(picked[a:b]))
-    universe = [f"    {json.dumps(label)}" for label in rel.labels]
-    return (f'{{\n  "depth": {json.dumps(rel.depth)},\n'
-            f'  "edges": {_json_array(edges)},\n'
-            f'  "include_cofree": {json.dumps(rel.include_cofree)},\n'
-            f'  "universe": {_json_array(universe)}\n}}\n')
-
-
-def _json_array(items: list[str]) -> str:
-    """Encoded items (runs of items joined by ``",\\n"`` count as one) as the
-    array value of a top-level key, laid out as ``json.dumps(indent=2)``
-    lays it out."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    edges = base64.b64encode(np.ascontiguousarray(rel.bits)).decode("ascii")
+    doc = {"depth": rel.depth, "edges": edges, "include_cofree": rel.include_cofree,
+           "universe": list(rel.labels)}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
     """Rebuild a relation exported by export_json, using the table to parse
     the printed terms; a document without include_cofree gets the
     build_relation default, and a `cap` key (written by older versions) is
-    ignored.  A document that is not an object with depth, universe and
-    edges, a malformed value, or a universe entry that repeats an earlier
-    term, is nested deeper than the depth, or holds a co-free atom when
-    include_cofree is false raises InvalidRelationDocument."""
+    ignored.  InvalidRelationDocument is raised for a document that is not
+    an object with depth, universe and edges, a malformed value, a universe
+    entry that repeats an earlier term, is nested deeper than the depth, or
+    holds a co-free atom when include_cofree is false, and for edges that
+    are not the universe's packed rows in base64 with padding bits zero.
+    That includes older documents, which list index pairs: ``build
+    --export json`` writes them again."""
     doc = json.loads(text)
     if not (isinstance(doc, dict) and {"depth", "universe", "edges"} <= doc.keys()):
         raise InvalidRelationDocument("not an object with depth, universe and edges")
@@ -769,29 +758,24 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
             raise InvalidRelationDocument(
                 f"universe entry {k} '{labels[k]}' holds a co-free atom, "
                 "but include_cofree is false")
-    n, entries = len(universe), doc["edges"]
-    if not isinstance(entries, list):
-        raise InvalidRelationDocument("edges is not a list of index pairs")
-    try:
-        pairs = np.asarray(entries) if entries else np.empty((0, 2), dtype=np.intp)
-    except ValueError:  # entries of unequal length
-        pairs = np.empty(0)
-    # numpy reads a JSON boolean next to an integer as 0 or 1
-    if (pairs.shape[1:] != (2,) or pairs.dtype.kind not in "iu"
-            or bool in set(map(type, itertools.chain.from_iterable(entries)))):
-        for k, pair in enumerate(entries):
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and all(type(i) is int for i in pair)):
-                raise InvalidRelationDocument(
-                    f"edge {k} is {json.dumps(pair)}, not a pair of integer indices")
-    bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
-    if bad.size:
+    if not isinstance(doc["edges"], str):
         raise InvalidRelationDocument(
-            f"edge {bad[0]} {pairs[bad[0]].tolist()} has an index outside the "
-            f"universe of {n} terms")
-    bits = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-    np.bitwise_or.at(bits, (pairs[:, 0], pairs[:, 1] >> 3), _column_bits(pairs[:, 1]))
-    rel = SubtypeRelation(universe, tuple(labels), bits, 0, depth, include_cofree)
+            "edges must be packed rows in one base64 string; a document that lists "
+            "index pairs must be exported again")
+    try:
+        packed = base64.b64decode(doc["edges"], validate=True)
+    except ValueError:  # a character outside the alphabet, or wrong padding
+        raise InvalidRelationDocument("edges is not valid base64") from None
+    n, width = len(universe), (len(universe) + 7) // 8
+    if len(packed) != n * width:
+        raise InvalidRelationDocument(
+            f"edges holds {len(packed)} bytes, not the {n * width} of {n} packed rows")
+    try:
+        rel = SubtypeRelation(universe, tuple(labels),
+                              np.frombuffer(packed, dtype=np.uint8).reshape(n, width),
+                              0, depth, include_cofree)
+    except ValueError as e:  # the shape is right, so a padding bit is set
+        raise InvalidRelationDocument(f"edges: {e}") from None
     rel._index = index
     return rel
 

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, determinism, schema."""
 
+import base64
 import json
 import pathlib
 
@@ -49,11 +50,11 @@ def test_subtype_true_and_false_both_exit_zero(capsys):
     assert (code, out) == (0, "false\n")
 
 
-def test_subtype_rebuilds_for_deeper_terms(capsys):
+def test_subtype_decides_at_depth_for_deeper_terms(capsys):
     code, out, err = run(capsys, "subtype", SAMPLE,
                          "List<List<String>>", "List<?>")
     assert (code, out) == (0, "true\n")
-    assert "rebuilding at depth 2" in err
+    assert err == "note: deciding at depth 2 to cover the query terms\n"
 
 
 def test_subtype_unordered_interval_is_warned_and_rejected(capsys):
@@ -191,6 +192,7 @@ def test_closures_exit_zero(capsys):
 def test_build_export_json_round_trips(capsys, sample_table, sample_rel1):
     code, out, _ = run(capsys, "build", SAMPLE, "--export", "json")
     assert code == 0
+    assert base64.b64decode(json.loads(out)["edges"]) == sample_rel1.bits.tobytes()
     assert relation_from_json(sample_table, out) == sample_rel1
 
 
