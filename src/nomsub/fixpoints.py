@@ -4,10 +4,24 @@ admittable-versus-valid split for bounded instantiations.
 For a unary generic class F, the F-subtypes are the terms Ty with
 ``Ty <: F<Ty>`` and the F-supertypes those with ``F<Ty> <: Ty``.  Applying
 F to a depth-d term lands at depth d+1, so membership is judged in the
-depth-(d+1) relation.  No deeper universe is built: each question goes to
-relation.decider at depth d+1, which recurses through the construction's own
-rules (climb the superclass chain, then compare intervals endpoint by
-endpoint) and touches only the terms the question mentions.
+depth-(d+1) relation, and so are the free-type and co-free comparisons and
+the bound checks of validity.  No deeper universe is built.
+
+Where relation.chains_stay_in_universe holds at d (every superclass argument
+is a parameter at a direct position or a closed type nested less than d
+deep), every chain member of a term of U_d lies in U_d and the depth-(d+1)
+relation restricted to U_d is the built one, so the answers come from the
+relation's rows.  ``Ty <: F<Ty>`` holds when Ty's chain member
+``F<[a..b]>`` (found through the chain parents) has ``Ty <: a`` and
+``b <: Ty``; ``F<Ty> <: Ty`` compares Ty's own endpoints with Ty, or with a
+closed type that F's chain puts at that position.  Each is one vectorized
+pass per class over the relation's Chains, with bottom and the co-free
+atoms decided by their rules.  A comparison or bound check whose terms both
+lie in U_d is one bit.  Tables that fail the condition, and terms outside
+U_d, go to relation.decider at depth d+1, which recurses through the
+construction's own rules (climb the superclass chain, then compare
+intervals endpoint by endpoint) and touches only the terms the question
+mentions; it stays the reference that the rows are tested against.
 
 Maximality/minimality diagnostics never fail a run: whether the free type
 is the greatest F-subtype (and the co-free atom the least F-supertype) is
@@ -17,13 +31,30 @@ model-dependent, so the comparisons are reported as findings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .class_table import ClassTable, TypeUse
+from .class_table import ClassTable, TypeUse, subclass_of
 from .errors import NotUnaryGeneric
-from .relation import Decider, SubtypeRelation, decider
-from .terms import Cofree, Ground, TypeTerm, free_type, point, term_from_typeuse
+from .relation import (
+    Chains,
+    Decider,
+    SubtypeRelation,
+    chains,
+    chains_stay_in_universe,
+    decider,
+    is_subtype,
+)
+from .terms import (
+    BOTTOM,
+    Cofree,
+    Ground,
+    TypeTerm,
+    free_type,
+    point,
+    term_from_typeuse,
+)
 
 
 def _unary(table: ClassTable, cls: str) -> None:
@@ -39,16 +70,84 @@ def f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeT
     """Terms Ty of the universe with Ty <: F<Ty> (coalgebras of F), in
     universe order."""
     _unary(table, cls)
-    deeper = decider(table, rel.depth + 1)
-    return tuple(t for t in rel.universe if deeper(t, _applied(cls, t)))
+    if not chains_stay_in_universe(table, rel.depth):
+        deeper = decider(table, rel.depth + 1)
+        return tuple(t for t in rel.universe if deeper(t, _applied(cls, t)))
+    layout = chains(table, rel)
+    found = np.zeros(len(rel), dtype=bool)
+    for c, members in layout.members.items():
+        ancestry = table.ancestors(c)
+        if cls in ancestry:
+            # each member's chain member of class F, F<[a..b]>: Ty <: a and b <: Ty
+            up = members
+            for _ in range(ancestry.index(cls)):
+                up = layout.parent[up]
+            ends = layout.ends[cls][np.searchsorted(layout.members[cls], up), 0]
+            found[members] = rel.related(members, ends[:, 0]) & rel.related(ends[:, 1], members)
+    # bottom, and the co-free atoms of F's subclasses, lie below every F<Ty>
+    for term in [BOTTOM, *(Cofree(c) for c in table.class_names if subclass_of(table, c, cls))]:
+        if term in rel:
+            found[rel.index(term)] = True
+    return _marked(rel, found)
 
 
 def f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeTerm, ...]:
     """Terms Ty of the universe with F<Ty> <: Ty (algebras of F), in
     universe order."""
     _unary(table, cls)
-    deeper = decider(table, rel.depth + 1)
-    return tuple(t for t in rel.universe if deeper(_applied(cls, t), t))
+    if not chains_stay_in_universe(table, rel.depth):
+        deeper = decider(table, rel.depth + 1)
+        return tuple(t for t in rel.universe if deeper(_applied(cls, t), t))
+    layout = chains(table, rel)
+    found = np.zeros(len(rel), dtype=bool)
+    for c, args in _lifted_arguments(table, cls).items():
+        members = layout.members.get(c)
+        if members is None:
+            continue
+        # F<Ty>'s member of class c, argument p: Ty itself (None) or a closed type
+        fits = np.ones(len(members), dtype=bool)
+        for p, closed in enumerate(args):
+            at = members if closed is None else rel.index(closed)
+            lo, hi = layout.ends[c][:, p].T
+            fits &= rel.related(lo, at) & rel.related(at, hi)
+        found[members] = fits
+    return _marked(rel, found)
+
+
+def _lifted_arguments(table: ClassTable, cls: str) -> dict[str, tuple[TypeTerm | None, ...]]:
+    """Each class of unary `cls`'s ancestry, with the arguments of F<Ty>'s
+    superclass-chain member of that class as point terms, None standing for
+    Ty; for a table where chains stay in the universe, so that each
+    superclass argument is a direct parameter or a closed type."""
+    decl, args, lifted = table.decl(cls), (None,), {}
+    while True:
+        lifted[decl.name] = args
+        if decl.superclass is None:
+            return lifted
+        env = {p.name: a for p, a in zip(decl.params, args)}
+        args = tuple(env[a.name] if a.name in env else term_from_typeuse(table, a)
+                     for a in decl.superclass.args)
+        decl = table.decl(decl.superclass.name)
+
+
+def _marked(rel: SubtypeRelation, found: np.ndarray) -> tuple[TypeTerm, ...]:
+    """The terms `found` marks, in universe order."""
+    return tuple(rel.universe[i] for i in np.flatnonzero(found))
+
+
+def _deeper(table: ClassTable, rel: SubtypeRelation) -> Decider:
+    """Decide a pair of the depth-(d+1) relation: one bit of `rel`'s rows
+    where chains stay in the universe and both terms lie in it, otherwise
+    relation.decider at depth d+1, made on first use."""
+    rows = chains_stay_in_universe(table, rel.depth)
+    above = cache(lambda: decider(table, rel.depth + 1))
+
+    def deeper(t1: TypeTerm, t2: TypeTerm) -> bool:
+        if rows and t1 in rel and t2 in rel:
+            return is_subtype(rel, t1, t2)
+        return above()(t1, t2)
+
+    return deeper
 
 
 def exact_fixed_points(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeTerm, ...]:
@@ -96,7 +195,7 @@ def _maxima_report(table: ClassTable, rel: SubtypeRelation, cls: str,
     maxima = tuple(m for m, up in zip(members, _strictly_below(rel, members))
                    if not up.any())
     ft = free_type(table, cls)
-    deeper = decider(table, rel.depth + 1)
+    deeper = _deeper(table, rel)
     comparison = FreeTypeComparison(
         is_member=ft in set(members),
         is_greatest=all(deeper(m, ft) for m in members),
@@ -120,7 +219,7 @@ def _minima_report(table: ClassTable, rel: SubtypeRelation, cls: str,
                    if not down.any())
     atom = Cofree(cls)
     if rel.include_cofree:
-        deeper = decider(table, rel.depth + 1)
+        deeper = _deeper(table, rel)
         comparison = CofreeComparison(
             is_member=atom in set(members),
             is_least=all(deeper(atom, m) for m in members),
@@ -188,32 +287,115 @@ def check_validity_modes(table: ClassTable, rel: SubtypeRelation
     return _assignment(table, rel, checks, "ind"), _assignment(table, rel, checks, "coind")
 
 
-_BoundChecks = dict[TypeTerm, tuple[bool, frozenset[TypeTerm]]]
+@dataclass(frozen=True)
+class _BoundChecks:
+    """The bound checks of a universe's ground terms, by universe index:
+    `checked` marks the ground terms, `ok` those that pass their check, and
+    `outside` those with a dependency outside the universe; term
+    ``needs[0][e]`` depends on term ``needs[1][e]`` of the universe."""
+
+    checked: np.ndarray
+    ok: np.ndarray
+    outside: np.ndarray
+    needs: tuple[np.ndarray, np.ndarray]
 
 
 def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> _BoundChecks:
-    """Each ground term of the universe, in universe order, with whether it
-    passes its bound check and the terms that check depends on."""
-    deeper = decider(table, rel.depth + 1)
-    return {t: _bound_check(table, deeper, t) for t in rel.universe if isinstance(t, Ground)}
+    """Each ground term's bound check and dependencies.  Where chains stay
+    in the universe, each bound of a class is instantiated for all of its
+    terms at once as universe indices and checked by bit reads; a term with
+    an instantiated bound outside the universe, and every term of a table
+    where chains leave it, is checked term by term (see _bound_check)."""
+    layout = chains(table, rel)
+    checked = np.zeros(len(rel), dtype=bool)
+    for members in layout.members.values():
+        checked[members] = True
+    ok, outside = checked.copy(), np.zeros(len(rel), dtype=bool)
+    needs: list[tuple[np.ndarray, np.ndarray]] = []
+    rows = chains_stay_in_universe(table, rel.depth)
+    points = cache(lambda cls: _point_members(layout, cls))
+    by_term = []
+    for cls, members in layout.members.items():
+        decl = table.decl(cls)
+        bounds = [(q, use, side) for q, p in enumerate(decl.params)
+                  for use, side in ((p.upper_bound, 1), (p.lower_bound, 0)) if use is not None]
+        if not bounds:
+            continue
+        if not rows:
+            by_term += members.tolist()
+            continue
+        far = np.zeros(len(members), dtype=bool)
+        fits = np.ones(len(members), dtype=bool)
+        found = []
+        for q, use, side in bounds:
+            # upper bounds take the upper endpoints, lower bounds the lower ones
+            env = {p.name: layout.ends[cls][:, j, side] for j, p in enumerate(decl.params)}
+            bound = np.broadcast_to(_instantiated(table, rel, points, use, env), members.shape)
+            own = layout.ends[cls][:, q, side]
+            far |= bound < 0
+            fits &= rel.related(own, bound) if side else rel.related(bound, own)
+            if _mentions(use, env):
+                # a ground bound term other than the term itself (a far one's
+                # -1 reads garbage, dropped with the far terms below)
+                found.append((checked[bound] & (bound != members), bound))
+        ok[members[~far]] = fits[~far]
+        needs += [(members[dep & ~far], bound[dep & ~far]) for dep, bound in found]
+        by_term += members[far].tolist()
+    deeper, single = _deeper(table, rel), []
+    for i in sorted(by_term):
+        ok[i], used = _bound_check(table, deeper, rel.universe[i])
+        outside[i] = any(term not in rel for term in used)
+        single += [(i, rel.index(term)) for term in used if term in rel]
+    needs.append(np.array(single, dtype=np.intp).reshape(-1, 2).T)
+    src, dst = (np.concatenate(side) for side in zip(*needs))
+    return _BoundChecks(checked, ok, outside, (src, dst))
+
+
+def _instantiated(table: ClassTable, rel: SubtypeRelation, points, use: TypeUse,
+                  env: dict[str, np.ndarray]):
+    """Universe indices of the bound `use` with each parameter replaced by
+    its `env` array of endpoint indices, as term_from_typeuse instantiates
+    it: an array, or one index for a closed type; -1 where the term lies
+    outside the universe."""
+    if use.name in env:
+        return env[use.name]
+    if not _mentions(use, env):
+        return rel._index.get(term_from_typeuse(table, use), -1)
+    args = np.broadcast_arrays(*(_instantiated(table, rel, points, a, env) for a in use.args))
+    found = points(use.name)
+    return np.array([found.get(key, -1) for key in zip(*(a.tolist() for a in args))],
+                    dtype=np.intp)
+
+
+def _point_members(layout: Chains, cls: str) -> dict[tuple[int, ...], int]:
+    """Each instantiation of `cls` on point intervals, by universe index,
+    keyed by its endpoints' indices."""
+    if cls not in layout.ends:
+        return {}
+    ends = layout.ends[cls]
+    point = (ends[..., 0] == ends[..., 1]).all(axis=1)
+    return dict(zip(map(tuple, ends[point, :, 0].tolist()), layout.members[cls][point].tolist()))
 
 
 def _assignment(table: ClassTable, rel: SubtypeRelation, checks: _BoundChecks,
                 mode: str) -> ValidityAssignment:
     """The least (``ind``) or greatest (``coind``) fixpoint of the validity
-    operator over the bound checks (see check_validity)."""
-    outside = set()
-    if mode == "coind":
-        outside = {d for _ok, deps in checks.values() for d in deps} - checks.keys()
-    valid = set() if mode == "ind" else outside | checks.keys()
+    operator over the bound checks (see check_validity): a dependency
+    outside the universe is never valid in the first and always in the
+    second."""
+    src, dst = checks.needs
+    if mode == "ind":
+        base, valid = checks.ok & ~checks.outside, np.zeros_like(checks.ok)
+    else:
+        base, valid = checks.ok, checks.checked
     while True:
-        step = outside | {t for t, (ok, deps) in checks.items() if ok and deps <= valid}
-        if step == valid:
+        step = base.copy()
+        step[src[~valid[dst]]] = False
+        if np.array_equal(step, valid):
             break
         valid = step
-    valid -= outside
-    invalid = frozenset(t for t in checks if t not in valid)
-    return ValidityAssignment(mode, frozenset(valid), invalid, rel.depth, table)
+    return ValidityAssignment(mode, frozenset(_marked(rel, valid)),
+                              frozenset(_marked(rel, checks.checked & ~valid)), rel.depth, table)
 
 
 def _bound_check(table: ClassTable, deeper: Decider,

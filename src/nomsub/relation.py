@@ -19,11 +19,16 @@ label-sorted universe once, with a generic class's endpoint and product
 indices into the stratum below; from that one layout, containment is read
 off the depth-(d-1) relation, and each row is its containment row OR-ed
 with the final row of its chain parent, the nearest superclass-chain member
-in the universe.  Nothing is cached between builds; the only resource limit
-is a fixed 4 GiB budget for a stratum's packed rows, checked from its exact
-term count before any of its terms is built.  decider answers a pair of the
-depth-d relation by the same rules without building it; universe_faults says
-why a term lies outside U_d, judging each interval by the decider at d-1.
+in the universe.  The relation keeps that layout, with its endpoints as
+indices into its own universe, as its Chains, which construction_step and
+the analyses read (chains derives it for any other relation).  Nothing is
+cached between builds; the only resource limit is a fixed 4 GiB budget for
+a stratum's packed rows, checked from its exact term count before any of
+its terms is built.  decider answers a pair of the depth-d relation by the
+same rules without building it; chains_stay_in_universe states when the
+depth-d rows answer the depth-(d+1) questions about their own terms instead;
+universe_faults says why a term lies outside U_d, judging each interval by
+the decider at d-1.
 
 Edges live in packed bit rows (``np.packbits`` along each row, n x
 ceil(n/8) bytes) with an index map, from the build to every query, every
@@ -38,6 +43,7 @@ import base64
 import itertools
 import json
 from collections.abc import Callable
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -104,6 +110,7 @@ class SubtypeRelation:
         self.iterations = iterations
         self.depth = depth
         self.include_cofree = include_cofree
+        self._chains: dict[ClassTable, Chains] = {}  # see chains()
 
     @property
     def edges(self) -> np.ndarray:
@@ -250,6 +257,33 @@ def decider(table: ClassTable, depth: int) -> Decider:
     return decide
 
 
+def chains_stay_in_universe(table: ClassTable, depth: int) -> bool:
+    """Whether the depth-`depth` rows answer every depth-(depth+1) question
+    about their own terms, by a sufficient condition on the table: each
+    superclass argument is a parameter at a direct position or a closed type
+    nested less than `depth` deep.
+
+    Then a super-instantiation takes each argument from the term's own
+    intervals or is a point on a closed type of U_{depth-1}, so every member
+    of the superclass chain of a term of U_depth lies in U_depth, as do the
+    endpoints of its intervals.  The decider's recursion from a pair of
+    U_depth terms stays in U_depth and never meets the depth bound, so the
+    relation at any depth above, restricted to U_depth, is the one at
+    `depth`.  A nested argument (``B<C<T>>``) or a deeper closed type pushes
+    chain members past the bound, which expansive inheritance makes
+    unavoidable (Kennedy & Pierce, FOOL 2007); such tables go to decider.
+    """
+    for decl in table.decls.values():
+        params = {p.name for p in decl.params}
+        for arg in decl.superclass.args if decl.superclass else ():
+            if arg.name in params and not arg.args:
+                continue
+            if (any(name in params for name in arg.mentioned_names())
+                    or nesting_depth(term_from_typeuse(table, arg)) >= depth):
+                return False
+    return True
+
+
 def universe_faults(table: ClassTable, term: TypeTerm, depth: int,
                     include_cofree: bool) -> list[Cofree | Interval]:
     """Why `term`, nested at most `depth` deep, lies outside the depth-`depth`
@@ -269,6 +303,52 @@ def universe_faults(table: ClassTable, term: TypeTerm, depth: int,
             yield from inner
 
     return list(walk(term, depth))
+
+
+@dataclass(frozen=True)
+class Chains:
+    """A relation's terms by universe index, for one table: each class's
+    ground terms in universe order (`members`); a generic class's endpoint
+    indices, aligned with its members (``ends[cls][k, p]`` is the (lo, hi)
+    of argument p of member k); and each term's chain parent (`parent`),
+    the first member of its superclass chain in the universe, or the term
+    itself where none is."""
+
+    members: dict[str, np.ndarray]
+    ends: dict[str, np.ndarray]
+    parent: np.ndarray
+
+
+def chains(table: ClassTable, rel: SubtypeRelation) -> Chains:
+    """`rel`'s Chains for `table`: recorded by the build, and derived once,
+    by walking each term, for any other relation (one read by
+    relation_from_json, say)."""
+    found = rel._chains.get(table)
+    if found is None:
+        found = rel._chains[table] = _walked_chains(table, rel)
+    return found
+
+
+def _walked_chains(table: ClassTable, rel: SubtypeRelation) -> Chains:
+    universe, index = rel.universe, rel._index
+    grouped: dict[str, list[int]] = {}
+    for i, term in enumerate(universe):
+        if isinstance(term, Ground):
+            grouped.setdefault(term.cls, []).append(i)
+    members = {cls: np.array(found, dtype=np.intp) for cls, found in grouped.items()}
+    ends = {cls: np.array([[(rel.index(iv.lo), rel.index(iv.hi)) for iv in universe[i].args]
+                           for i in found], dtype=np.intp)
+            for cls, found in grouped.items() if table.arity(cls)}
+    parent = np.arange(len(universe))
+    for found in grouped.values():
+        parent[found] = [_walked_parent(table, universe, index, i) for i in found]
+    return Chains(members, ends, parent)
+
+
+def _walked_parent(table: ClassTable, universe: tuple[TypeTerm, ...],
+                   index: dict[TypeTerm, int], i: int) -> int:
+    """Term i's chain parent (see Chains), found by walking its chain."""
+    return next((index[m] for m in super_chain(table, universe[i]) if m in index), i)
 
 
 def interval_contains(rel: SubtypeRelation, inner: Interval, outer: Interval) -> bool:
@@ -399,11 +479,15 @@ def construction_step(table: ClassTable, rel: SubtypeRelation) -> SubtypeRelatio
     """One composable pass of rules (a)-(d).  Never removes edges; applying
     the step to a fixpoint returns an equal relation."""
     static = _static_edges(table, rel.universe, rel._index)
-    groups = _containment_groups(table, rel.universe, rel._index)
+    layout = chains(table, rel)
+    groups = [(layout.members[cls], ends[..., 0], ends[..., 1])
+              for cls, ends in layout.ends.items()]
     bottom = rel._index.get(BOTTOM)
     new = np.packbits(_apply_step(rel.edges, static, groups, bottom), axis=1)
-    return SubtypeRelation(rel.universe, rel.labels, new, rel.iterations + 1,
-                           rel.depth, rel.include_cofree)
+    stepped = SubtypeRelation(rel.universe, rel.labels, new, rel.iterations + 1,
+                              rel.depth, rel.include_cofree)
+    stepped._chains = rel._chains  # the same universe
+    return stepped
 
 
 def build_relation(table: ClassTable, depth: int,
@@ -444,6 +528,8 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...], labels: tuple[st
     runs are OR-ed in superclass-depth order, so each parent row is final
     before it is read, a band of rows at a time.  A co-free atom's row is
     set from class runs (see _cofree_rows); bottom's row holds every term.
+    The runs, their endpoints as indices into this universe and the parents
+    stay on the relation as its Chains, which the analyses read.
 
     The new stratum may relate old terms that the relation below did not,
     for one cause: a term reaches its superclass-chain members only where
@@ -497,6 +583,10 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...], labels: tuple[st
     nesting = depth if any(decl.is_generic for decl in table.decls.values()) else 0
     rel = SubtypeRelation(universe, labels, packed, 2 + nesting, depth, include_cofree)
     rel._index = index
+    rel._chains[table] = Chains(
+        {cls: np.arange(start, stop) for cls, (start, stop, _ends, _order) in runs.items()},
+        {cls: old[run[2]] for cls, run in runs.items() if run[2] is not None},
+        parent)
     return rel
 
 
@@ -517,8 +607,7 @@ def _parents(table: ClassTable, universe: tuple[TypeTerm, ...], index: dict[Type
     for cls, (start, stop, _ends, order) in runs.items():
         found = None if order is None else _block_parents(table, cls, order, runs, below, pairs)
         if found is None:
-            found = [next((index[m] for m in super_chain(table, universe[i]) if m in index), i)
-                     for i in range(start, stop)]
+            found = [_walked_parent(table, universe, index, i) for i in range(start, stop)]
         parent[start:stop] = found
     return parent
 
@@ -651,27 +740,6 @@ def _static_edges(table: ClassTable, universe, index):
                     rows.append(i)
                     cols.append(j)
     return np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-
-
-def _containment_groups(table: ClassTable, universe, index):
-    """Per generic class: instantiation row indices and per-position endpoint
-    index arrays, for vectorized containment."""
-    grouped: dict[str, list[int]] = {}
-    for i, term in enumerate(universe):
-        if isinstance(term, Ground) and term.args:
-            grouped.setdefault(term.cls, []).append(i)
-    groups = []
-    for cls, members in grouped.items():
-        arity = table.arity(cls)
-        los = np.empty((len(members), arity), dtype=np.intp)
-        his = np.empty((len(members), arity), dtype=np.intp)
-        for k, i in enumerate(members):
-            term = universe[i]
-            for p, iv in enumerate(term.args):
-                los[k, p] = index[iv.lo]
-                his[k, p] = index[iv.hi]
-        groups.append((np.asarray(members, dtype=np.intp), los, his))
-    return groups
 
 
 def _apply_step(edges: np.ndarray, static, groups, bottom: int | None) -> np.ndarray:

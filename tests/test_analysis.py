@@ -4,8 +4,14 @@ verdict catches a relation that breaks the laws."""
 import json
 import pathlib
 
-from nomsub import analyze, initial_relation
+import numpy as np
+import pytest
+
+from nomsub import analyze, build_relation, export_json, initial_relation, relation_from_json
 from nomsub.cli import main
+from nomsub.relation import chains
+
+from nested_tables import named_table
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SAMPLE = str(ROOT / "tables" / "sample.table")
@@ -24,3 +30,22 @@ def test_unclosed_relation_fails_verification(sample_table):
     assert doc["galois"]["violations"]
     assert doc["closure_laws"]["unit_violations"]
     assert doc["monotonicity"]["free_type_ok"] is False
+
+
+@pytest.mark.parametrize("include_cofree", [True, False])
+@pytest.mark.parametrize("name, depth", [("sample", 2), ("reduced", 2),
+                                         *((f"seed{seed}", 1) for seed in range(20))])
+def test_a_relation_read_from_json_gives_the_same_document(name, depth, include_cofree,
+                                                           request):
+    # the document holds no chain parents, which are derived on first use,
+    # and no iteration count
+    table = named_table(name, request)
+    built = build_relation(table, depth, include_cofree=include_cofree)
+    read = relation_from_json(table, export_json(built))
+    assert not read._chains
+    assert analyze(table, read) == {**analyze(table, built), "iterations": 0}
+    derived, recorded = chains(table, read), chains(table, built)
+    assert np.array_equal(derived.parent, recorded.parent)
+    for mine, theirs in ((derived.members, recorded.members), (derived.ends, recorded.ends)):
+        assert mine.keys() == theirs.keys()
+        assert all(np.array_equal(mine[cls], theirs[cls]) for cls in theirs)

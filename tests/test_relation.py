@@ -40,6 +40,7 @@ from nomsub import (
 )
 from nomsub import relation as relation_module
 from nomsub import terms as terms_module
+from nomsub.random_tables import random_table
 from nomsub.relation import _transitive_closure
 
 from nested_tables import INDEX_TABLES, NESTED_TABLES, named_table
@@ -266,6 +267,46 @@ def test_each_stratum_embeds_in_the_next(name, top, include_cofree, request):
               for d in range(top + 1)]
     for below, above in zip(strata, strata[1:]):
         assert _restricts_to(above, below), f"depth {below.depth} -> {above.depth}"
+
+
+# the analyses read their depth+1 answers off the rows where chains stay in
+# the universe: a nested superclass argument never lets them, a closed one
+# from one level deeper than its nesting
+@pytest.mark.parametrize("name, first", [("nested", None), ("nested_plain", None),
+                                         ("mixed", None), ("closed_nested", 3),
+                                         ("closed", 1), ("permuted", 1),
+                                         ("sample", 1), ("reduced", 0)])
+def test_chains_stay_in_the_universe_from_a_depth_on(name, first, request):
+    table = named_table(name, request)
+    held = [relation_module.chains_stay_in_universe(table, d) for d in range(6)]
+    assert held == [first is not None and d >= first for d in range(6)]
+
+
+def test_chains_stay_in_random_universes_from_depth_one():
+    for seed in range(200):
+        table = random_table(seed)
+        assert all(relation_module.chains_stay_in_universe(table, d)
+                   for d in range(1, 6)), f"seed {seed}"
+
+
+# wherever chains stay in U_d, the stratum above restricted to U_d is U_d's
+# relation; permuted's stratum at depth 2 exceeds the row budget
+GUARDED = ["sample", "reduced", "closed", "closed_nested", *NESTED_TABLES, "mixed",
+           *(f"seed{seed}" for seed in range(200))]
+
+
+@pytest.mark.parametrize("include_cofree", [True, False])
+def test_where_chains_stay_in_the_universe_it_embeds_one_level_up(include_cofree, request):
+    checked = 0
+    for name in GUARDED:
+        table = named_table(name, request)
+        for depth in (0, 1):
+            if relation_module.chains_stay_in_universe(table, depth):
+                below, above = (build_relation(table, d, include_cofree=include_cofree)
+                                for d in (depth, depth + 1))
+                assert _restricts_to(above, below), f"{name} at {depth}"
+                checked += 1
+    assert checked > 200
 
 
 # the universe walk against the build: every shape of superclass argument,
