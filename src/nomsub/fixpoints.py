@@ -38,12 +38,12 @@ import numpy as np
 from .class_table import ClassTable, TypeUse, subclass_of
 from .errors import NotUnaryGeneric
 from .relation import (
-    Chains,
     Decider,
     SubtypeRelation,
     chains,
     chains_stay_in_universe,
     decider,
+    instantiated,
     is_subtype,
 )
 from .terms import (
@@ -313,7 +313,6 @@ def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> _BoundChecks:
     ok, outside = checked.copy(), np.zeros(len(rel), dtype=bool)
     needs: list[tuple[np.ndarray, np.ndarray]] = []
     rows = chains_stay_in_universe(table, rel.depth)
-    points = cache(lambda cls: _point_members(layout, cls))
     by_term = []
     for cls, members in layout.members.items():
         decl = table.decl(cls)
@@ -330,7 +329,8 @@ def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> _BoundChecks:
         for q, use, side in bounds:
             # upper bounds take the upper endpoints, lower bounds the lower ones
             env = {p.name: layout.ends[cls][:, j, side] for j, p in enumerate(decl.params)}
-            bound = np.broadcast_to(_instantiated(table, rel, points, use, env), members.shape)
+            bound = np.broadcast_to(instantiated(table, rel._index, layout, use, env),
+                                    members.shape)
             own = layout.ends[cls][:, q, side]
             far |= bound < 0
             fits &= rel.related(own, bound) if side else rel.related(bound, own)
@@ -349,32 +349,6 @@ def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> _BoundChecks:
     needs.append(np.array(single, dtype=np.intp).reshape(-1, 2).T)
     src, dst = (np.concatenate(side) for side in zip(*needs))
     return _BoundChecks(checked, ok, outside, (src, dst))
-
-
-def _instantiated(table: ClassTable, rel: SubtypeRelation, points, use: TypeUse,
-                  env: dict[str, np.ndarray]):
-    """Universe indices of the bound `use` with each parameter replaced by
-    its `env` array of endpoint indices, as term_from_typeuse instantiates
-    it: an array, or one index for a closed type; -1 where the term lies
-    outside the universe."""
-    if use.name in env:
-        return env[use.name]
-    if not _mentions(use, env):
-        return rel._index.get(term_from_typeuse(table, use), -1)
-    args = np.broadcast_arrays(*(_instantiated(table, rel, points, a, env) for a in use.args))
-    found = points(use.name)
-    return np.array([found.get(key, -1) for key in zip(*(a.tolist() for a in args))],
-                    dtype=np.intp)
-
-
-def _point_members(layout: Chains, cls: str) -> dict[tuple[int, ...], int]:
-    """Each instantiation of `cls` on point intervals, by universe index,
-    keyed by its endpoints' indices."""
-    if cls not in layout.ends:
-        return {}
-    ends = layout.ends[cls]
-    point = (ends[..., 0] == ends[..., 1]).all(axis=1)
-    return dict(zip(map(tuple, ends[point, :, 0].tolist()), layout.members[cls][point].tolist()))
 
 
 def _assignment(table: ClassTable, rel: SubtypeRelation, checks: _BoundChecks,

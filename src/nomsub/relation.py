@@ -15,13 +15,17 @@ from initial_relation it reaches the fixpoint.  build_relation computes the
 same fixpoint directly, in one forward loop over the strata that holds only
 the stratum below, with no closure (a table with no generic class has one
 stratum, built once).  Each stratum records each class's run of the
-label-sorted universe once, with a generic class's endpoint and product
-indices into the stratum below; from that one layout, containment is read
-off the depth-(d-1) relation, and each row is its containment row OR-ed
-with the final row of its chain parent, the nearest superclass-chain member
-in the universe.  The relation keeps that layout, with its endpoints as
-indices into its own universe, as its Chains, which construction_step and
-the analyses read (chains derives it for any other relation).  Nothing is
+label-sorted universe once, with a generic class's endpoint indices into
+the stratum below; from that one layout, containment is read off the
+depth-(d-1) relation, and each row is its containment row OR-ed with the
+final row of its chain parent, the nearest superclass-chain member in the
+universe.  The relation keeps that layout, with its endpoints as indices
+into its own universe, as its Chains, which construction_step and the
+analyses read.  A chain parent is one superclass step by universe index,
+the index twin of terms.super_instantiation: member_at finds a class's
+member by its endpoint indices, and instantiated gives a declared type
+under endpoint arrays.  The build, chains for any other relation, and the
+analyses' bound checks all take that one step.  Nothing is
 cached between builds; the only resource limit is a fixed 4 GiB budget for
 a stratum's packed rows, checked from its exact term count before any of
 its terms is built.  decider answers a pair of the depth-d relation by the
@@ -48,7 +52,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .class_table import ClassTable, subclass_of
+from .class_table import ClassTable, TypeUse, subclass_of
 from .errors import (
     EndpointOutsideUniverse,
     InvalidRelationDocument,
@@ -312,7 +316,8 @@ class Chains:
     indices, aligned with its members (``ends[cls][k, p]`` is the (lo, hi)
     of argument p of member k); and each term's chain parent (`parent`),
     the first member of its superclass chain in the universe, or the term
-    itself where none is."""
+    itself where none is.  The parents follow from the members and ends
+    alone (see _layout), for the build and for any other relation alike."""
 
     members: dict[str, np.ndarray]
     ends: dict[str, np.ndarray]
@@ -320,35 +325,111 @@ class Chains:
 
 
 def chains(table: ClassTable, rel: SubtypeRelation) -> Chains:
-    """`rel`'s Chains for `table`: recorded by the build, and derived once,
-    by walking each term, for any other relation (one read by
-    relation_from_json, say)."""
+    """`rel`'s Chains for `table`: recorded by the build, and derived once
+    for any other relation (one read by relation_from_json, say) from its
+    terms' classes and endpoint indices, by the build's own superclass step.
+    EndpointOutsideUniverse names a term with an endpoint outside the
+    universe."""
     found = rel._chains.get(table)
     if found is None:
-        found = rel._chains[table] = _walked_chains(table, rel)
+        grouped: dict[str, list[int]] = {}
+        for i, term in enumerate(rel.universe):
+            if isinstance(term, Ground):
+                grouped.setdefault(term.cls, []).append(i)
+        found = rel._chains[table] = _layout(
+            table, rel.universe, rel._index,
+            {cls: np.array(run, dtype=np.intp) for cls, run in grouped.items()},
+            {cls: np.array([_endpoints(table, rel, i) for i in run], dtype=np.intp)
+             for cls, run in grouped.items() if table.arity(cls)})
     return found
 
 
-def _walked_chains(table: ClassTable, rel: SubtypeRelation) -> Chains:
-    universe, index = rel.universe, rel._index
-    grouped: dict[str, list[int]] = {}
-    for i, term in enumerate(universe):
-        if isinstance(term, Ground):
-            grouped.setdefault(term.cls, []).append(i)
-    members = {cls: np.array(found, dtype=np.intp) for cls, found in grouped.items()}
-    ends = {cls: np.array([[(rel.index(iv.lo), rel.index(iv.hi)) for iv in universe[i].args]
-                           for i in found], dtype=np.intp)
-            for cls, found in grouped.items() if table.arity(cls)}
+def _endpoints(table: ClassTable, rel: SubtypeRelation, i: int) -> list[tuple[int, int]]:
+    try:
+        return [(rel._index[iv.lo], rel._index[iv.hi]) for iv in rel.universe[i].args]
+    except KeyError as e:
+        raise EndpointOutsideUniverse(
+            f"universe entry {i} '{rel.labels[i]}' has endpoint "
+            f"'{format_type(e.args[0], table)}' outside the universe") from None
+
+
+def _layout(table: ClassTable, universe: tuple[TypeTerm, ...], index: dict[TypeTerm, int],
+            members: dict[str, np.ndarray], ends: dict[str, np.ndarray]) -> Chains:
+    """The Chains of `universe` from each class's members and endpoint
+    indices.  A term's parent is its super-instantiation, found for a whole
+    class by index as terms.super_instantiation builds it: a parameter at a
+    direct position passes its (lo, hi) columns through, and any other
+    argument is the point that `instantiated` gives over the low endpoints.
+    Where a nested parameter meets a non-point interval (no step), or the
+    class is the root, the term is its own parent.  A member's own chain is
+    a suffix of the term's, so the parent's final row covers every member
+    the term reaches.  Only a term whose step lands outside the universe
+    walks its super_chain for the first member inside: a depth-0 term whose
+    superclass takes a closed type nested deeper (``Enum<Weekday>``), or one
+    whose superclass argument nests a parameter past the depth bound."""
     parent = np.arange(len(universe))
-    for found in grouped.values():
-        parent[found] = [_walked_parent(table, universe, index, i) for i in found]
-    return Chains(members, ends, parent)
+    layout = Chains(members, ends, parent)
+    for cls, own in members.items():
+        decl = table.decl(cls)
+        sup = decl.superclass
+        if sup is None:
+            continue
+        mine = ends.get(cls)  # None for a plain class, which has no parameter
+        position = {p.name: q for q, p in enumerate(decl.params)}
+        env = {name: mine[:, q, 0] for name, q in position.items()}
+        stuck = False
+        rows = np.empty((len(own), len(sup.args), 2), dtype=np.intp)
+        for p, arg in enumerate(sup.args):
+            if not arg.args and arg.name in position:
+                rows[:, p] = mine[:, position[arg.name]]
+                continue
+            nested = [position[name] for name in arg.mentioned_names() if name in position]
+            if nested:
+                stuck |= (mine[:, nested, 0] != mine[:, nested, 1]).any(axis=1)
+            rows[:, p, 0] = rows[:, p, 1] = instantiated(table, index, layout, arg, env)
+        step = np.where(stuck, own, member_at(layout, sup.name, rows))
+        parent[own] = step
+        for i in own[step < 0].tolist():
+            parent[i] = next((index[m] for m in super_chain(table, universe[i]) if m in index), i)
+    return layout
 
 
-def _walked_parent(table: ClassTable, universe: tuple[TypeTerm, ...],
-                   index: dict[TypeTerm, int], i: int) -> int:
-    """Term i's chain parent (see Chains), found by walking its chain."""
-    return next((index[m] for m in super_chain(table, universe[i]) if m in index), i)
+def instantiated(table: ClassTable, index: dict[TypeTerm, int], layout: Chains,
+                 use: TypeUse, env: dict[str, np.ndarray]):
+    """Universe indices of the type `use` with each parameter replaced by
+    its `env` array of endpoint indices, as term_from_typeuse instantiates
+    it: a parameter is its array, a closed type its one index, and a
+    compound type the member of its class on the point intervals of its
+    arguments (see member_at); -1 where the term lies outside the universe."""
+    if use.name in env:
+        return env[use.name]
+    if not any(name in env for name in use.mentioned_names()):
+        return index.get(term_from_typeuse(table, use), -1)
+    at = np.stack(np.broadcast_arrays(
+        *(instantiated(table, index, layout, a, env) for a in use.args)), axis=1)
+    return member_at(layout, use.name, np.stack([at, at], axis=-1))
+
+
+def member_at(layout: Chains, cls: str, ends: np.ndarray) -> np.ndarray:
+    """For each row of endpoint indices in `ends` (k x arity x 2, laid out
+    as in Chains.ends), the universe index of the member of `cls` with those
+    endpoints, or -1 where the universe holds none.  The class's rows and
+    the asked ones are numbered together, one argument position at a time,
+    by ranking (number so far, lo, hi); equal rows get equal numbers."""
+    found = layout.members.get(cls)
+    if found is None:
+        return np.full(len(ends), -1)
+    if cls not in layout.ends:  # a plain class: its one term
+        return np.full(len(ends), found[0])
+    rows = np.concatenate([layout.ends[cls], ends]) + 1  # -1 (outside) matches no member
+    base = int(rows.max()) + 1
+    key = np.zeros(len(rows), dtype=np.int64)
+    for p in range(rows.shape[1]):
+        _, key = np.unique((key * base + rows[:, p, 0]) * base + rows[:, p, 1],
+                           return_inverse=True)
+    slot = np.full(len(rows), -1)
+    slot[key[:len(found)]] = found
+    return slot[key[len(found):]]
 
 
 def interval_contains(rel: SubtypeRelation, inner: Interval, outer: Interval) -> bool:
@@ -407,10 +488,9 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
     label gives the label order.
 
     Every class with ground terms is then one run of that order, recorded
-    once as ``(start, stop, ends, order)``: a plain class's one term, with
-    `ends` and `order` None, or a generic class's block, with its terms'
-    endpoint indices into the stratum below and their product indices into
-    its intervals.  This is the index part of the stratum as a partial
+    once as ``(start, stop, ends)``: a plain class's one term, with `ends`
+    None, or a generic class's block, with its terms' endpoint indices into
+    the stratum below.  This is the index part of the stratum as a partial
     product over the one below; every row writer reads it.
 
     Without the co-free axioms the atoms they define are dropped from the
@@ -432,10 +512,9 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
         raise UniverseCapExceeded(
             f"universe at depth {depth} has {n} terms, whose packed rows need "
             f"{need} bytes, over the budget of {_ROW_BUDGET} bytes")
-    # (labels, terms, endpoint indices, product index of each term), each
-    # unit in label order; the last two are None for a depth-0 term
-    units = [([format_type(t, table)], [t], None, None) for t in singles]
-    pairs = None
+    # (labels, terms, endpoint indices), each unit in label order; the
+    # endpoints are None for a depth-0 term
+    units = [([format_type(t, table)], [t], None) for t in singles]
     if generics:
         pairs = np.stack(_set_bits(below.bits), axis=1)
         listed = pairs.tolist()
@@ -450,16 +529,15 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
         names = [f"{decl.name}<{', '.join(args)}>"
                  for args in itertools.product(arguments, repeat=decl.arity)]
         order = sorted(range(len(block)), key=names.__getitem__)
-        units.append(([names[k] for k in order], [block[k] for k in order], ends[order],
-                      np.array(order, dtype=np.intp)))
+        units.append(([names[k] for k in order], [block[k] for k in order], ends[order]))
     units.sort(key=lambda unit: unit[0][0])
     runs, start = {}, 0
-    for _labels, terms, ends, order in units:
+    for _labels, terms, ends in units:
         if isinstance(terms[0], Ground):
-            runs[terms[0].cls] = (start, start + len(terms), ends, order)
+            runs[terms[0].cls] = (start, start + len(terms), ends)
         start += len(terms)
     return _stratum(table, tuple(t for unit in units for t in unit[1]),
-                    tuple(s for unit in units for s in unit[0]), runs, pairs, depth,
+                    tuple(s for unit in units for s in unit[0]), runs, depth,
                     include_cofree, below)
 
 
@@ -513,23 +591,23 @@ def build_relation(table: ClassTable, depth: int,
 
 
 def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...], labels: tuple[str, ...],
-             runs: dict, pairs: np.ndarray | None, depth: int, include_cofree: bool,
+             runs: dict, depth: int, include_cofree: bool,
              below: SubtypeRelation | None) -> SubtypeRelation:
     """The fixpoint of construction_step over `universe`, built row by row
     from the relation `below` it (None at depth 0, where no term has
     arguments).
 
     `runs` maps each class with ground terms to its run ``(start, stop,
-    ends, order)`` of the universe (see _stage).  A generic class's `ends`
-    are its instantiations' endpoint indices into the universe below, where
-    containment is read off the small relation.  A ground term's row is its
-    containment row OR-ed with the final row of its parent, the nearest
-    member of its superclass chain in the universe (see _parents): the
-    runs are OR-ed in superclass-depth order, so each parent row is final
-    before it is read, a band of rows at a time.  A co-free atom's row is
-    set from class runs (see _cofree_rows); bottom's row holds every term.
-    The runs, their endpoints as indices into this universe and the parents
-    stay on the relation as its Chains, which the analyses read.
+    ends)`` of the universe (see _stage).  A generic class's `ends` are its
+    instantiations' endpoint indices into the universe below, where
+    containment is read off the small relation.  The runs, with their
+    endpoints as indices into this universe, give the relation's Chains
+    (see _layout), which the analyses read too.  A ground term's row is its
+    containment row OR-ed with the final row of its chain parent, the
+    nearest member of its superclass chain in the universe: the runs are
+    OR-ed in superclass-depth order, so each parent row is final before it
+    is read, a band of rows at a time.  A co-free atom's row is set from
+    class runs (see _cofree_rows); bottom's row holds every term.
 
     The new stratum may relate old terms that the relation below did not,
     for one cause: a term reaches its superclass-chain members only where
@@ -547,20 +625,24 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...], labels: tuple[st
     width = (n + 7) // 8
     band = max(1, _BAND_BYTES // width)
     index = {t: i for i, t in enumerate(universe)}
-    parent = _parents(table, universe, index, runs, below, pairs)
-    order = sorted(runs, key=lambda cls: len(table.ancestors(cls)))
-    cofree_rows = list(_cofree_rows(table, n, index, runs)) if include_cofree else []
-    diagonal = np.arange(n)
-    bottom = index[BOTTOM]
     if below is not None:
         # the stratum below is read densely: with a generic class it holds under
         # a third of this one's terms, and without one only the depth-0 terms
         below_edges = _unpack(below.bits, len(below))
         old = np.fromiter((index[t] for t in below.universe), dtype=np.intp,
                           count=len(below))
+    layout = _layout(table, universe, index,
+                     {cls: np.arange(start, stop) for cls, (start, stop, _ends) in runs.items()},
+                     {cls: old[ends] for cls, (_start, _stop, ends) in runs.items()
+                      if ends is not None})
+    parent = layout.parent
+    order = sorted(runs, key=lambda cls: len(table.ancestors(cls)))
+    cofree_rows = list(_cofree_rows(table, n, index, runs)) if include_cofree else []
+    diagonal = np.arange(n)
+    bottom = index[BOTTOM]
     packed = np.zeros((n, width), dtype=np.uint8)
     while True:
-        for start, _stop, ends, _order in runs.values():
+        for start, _stop, ends in runs.values():
             if ends is not None:
                 _write_containment(packed, start, ends, below_edges, band)
         packed[diagonal, diagonal >> 3] |= _column_bits(diagonal)
@@ -583,69 +665,8 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...], labels: tuple[st
     nesting = depth if any(decl.is_generic for decl in table.decls.values()) else 0
     rel = SubtypeRelation(universe, labels, packed, 2 + nesting, depth, include_cofree)
     rel._index = index
-    rel._chains[table] = Chains(
-        {cls: np.arange(start, stop) for cls, (start, stop, _ends, _order) in runs.items()},
-        {cls: old[run[2]] for cls, run in runs.items() if run[2] is not None},
-        parent)
+    rel._chains[table] = layout
     return rel
-
-
-def _parents(table: ClassTable, universe: tuple[TypeTerm, ...], index: dict[TypeTerm, int],
-             runs: dict, below: SubtypeRelation | None, pairs: np.ndarray | None) -> np.ndarray:
-    """Each ground term's parent, by universe index: the first member of its
-    superclass chain that lies in the universe, or the term itself where
-    none does.  A chain member's own chain is a suffix of the term's chain,
-    so the parent's final row covers every member the term reaches.
-
-    Where a generic class's superclass arguments are its parameters at
-    direct positions or closed types of the stratum below, its terms'
-    parents follow by index arithmetic (_block_parents).  The other terms
-    walk their chain: the depth-0 ones, and those whose superclass
-    arguments nest a parameter or are deeper closed types.
-    """
-    parent = np.arange(len(universe))
-    for cls, (start, stop, _ends, order) in runs.items():
-        found = None if order is None else _block_parents(table, cls, order, runs, below, pairs)
-        if found is None:
-            found = [_walked_parent(table, universe, index, i) for i in range(start, stop)]
-        parent[start:stop] = found
-    return parent
-
-
-def _block_parents(table: ClassTable, cls: str, order: np.ndarray, runs: dict,
-                   below: SubtypeRelation, pairs: np.ndarray):
-    """The parents of generic class `cls`'s terms, in block order, by index
-    arithmetic; None where a superclass argument nests a parameter or is a
-    closed type outside the stratum below.
-
-    Term k of the block is the index product ``order[k]`` of `pairs`, one
-    mixed-radix digit per argument.  Its super-instantiation takes the
-    digit of the parameter at each direct position and a closed type's
-    point pair elsewhere, which gives that member's product index in its
-    own class; the class's label order ranks it.
-    """
-    decl = table.decl(cls)
-    sup = decl.superclass
-    if not sup.args:
-        return runs[sup.name][0]
-    position = {p.name: q for q, p in enumerate(decl.params)}
-    digits = np.unravel_index(order, (len(pairs),) * decl.arity)
-    chosen = []
-    for arg in sup.args:
-        if not arg.args and arg.name in position:
-            chosen.append(digits[position[arg.name]])
-            continue
-        if any(name in position for name in arg.mentioned_names()):
-            return None
-        closed = term_from_typeuse(table, arg)
-        if closed not in below:
-            return None
-        j = below.index(closed)
-        chosen.append(np.flatnonzero((pairs[:, 0] == j) & (pairs[:, 1] == j))[0])
-    start, _stop, _ends, sup_order = runs[sup.name]
-    rank = np.empty_like(sup_order)
-    rank[sup_order] = np.arange(len(sup_order))
-    return start + rank[np.ravel_multi_index(chosen, (len(pairs),) * len(chosen))]
 
 
 def _write_containment(packed: np.ndarray, start: int, ends: np.ndarray,

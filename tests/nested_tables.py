@@ -13,10 +13,11 @@ NESTED_TABLES = {
                      "class A<T> extends B<C<T>>"),
 }
 
-# superclass arguments for the build's chain parents: parameters permuted
-# across positions and closed types (found by index arithmetic), a
-# parameter passed through beside one nested in a compound argument, and
-# closed types deeper than the stratum below (found by walking the chain)
+# superclass arguments for the chain parents, each one superclass step by
+# universe index: parameters permuted across positions and closed types
+# (whose step lands in the universe), a parameter passed through beside one
+# nested in a compound argument, and closed types deeper than the stratum
+# below (whose step can land outside it, where the term walks its chain)
 INDEX_TABLES = {
     "permuted": ("class Object\nclass Str extends Object\nclass Q<A, B> extends Object\n"
                  "class P<K, V> extends Q<V, K>\nclass R<X> extends P<X, Str>"),

@@ -19,10 +19,12 @@ from nomsub import (
     SubtypeRelation,
     TermOutsideUniverse,
     build_relation,
+    check_validity,
     construction_step,
     enumerate_universe,
     export_dot,
     export_json,
+    f_subtypes,
     format_type,
     initial_relation,
     interval_contains,
@@ -35,6 +37,7 @@ from nomsub import (
     relation_from_json,
     root_term,
     subclass_of,
+    super_chain,
     super_instantiation,
     wildcard,
 )
@@ -137,18 +140,24 @@ class TestStratumLoop:
             build(sample_table, -1)
 
     def test_pass_through_classes_find_parents_without_walking_chains(
-            self, reduced_table, monkeypatch):
-        # LinkedList<T> extends List<T> extends Object: only the depth-0
-        # terms climb their chain, never an instantiation
+            self, monkeypatch, request):
+        # direct parameters (LinkedList<T> extends List<T>), permuted ones
+        # (P<K, V> extends Q<V, K>) and closed types (A<T> extends B<Str>):
+        # every chain parent is one index step, so no term climbs its chain,
+        # neither in the build nor in the Chains of the relation read back
         climbed = []
 
         def spy(table, term):
             climbed.append(term)
             return super_instantiation(table, term)
 
-        monkeypatch.setattr(terms_module, "super_instantiation", spy)
-        build_relation(reduced_table, 2)
-        assert climbed and not [t for t in climbed if isinstance(t, Ground) and t.args]
+        for name, depth in (("reduced", 2), ("closed", 2), ("permuted", 1)):
+            table = named_table(name, request)
+            with monkeypatch.context() as patch:
+                patch.setattr(terms_module, "super_instantiation", spy)
+                text = export_json(build_relation(table, depth))
+                relation_module.chains(table, relation_from_json(table, text))
+            assert not climbed, f"{name}@{depth} climbs {format_type(climbed[0])}"
 
     def test_a_dropped_relation_is_freed(self, sample_table):
         rel = build_relation(sample_table, 2)
@@ -345,6 +354,39 @@ def test_universe_walk_accepts_exactly_the_built_universe(name, depth, include_c
         assert (not faults) == (term in built), format_type(term)
         excluded = not include_cofree and terms_module.has_cofree(term)
         assert any(isinstance(f, Cofree) for f in faults) == excluded, format_type(term)
+
+
+# every field of Chains against the term-level rule, for the Chains the
+# build records and those derived for the relation read back from JSON;
+# permuted and mixed exceed the row budget at depth 2
+CHAINS_CASES = ([(name, depth) for name in ("sample", "reduced", *NESTED_TABLES, *INDEX_TABLES)
+                 for depth in range(3) if (name, depth) not in {("permuted", 2), ("mixed", 2)}]
+                + [(f"seed{seed}", depth) for seed in range(40) for depth in range(3)])
+
+
+@pytest.mark.parametrize("include_cofree", [True, False])
+@pytest.mark.parametrize("name, depth", CHAINS_CASES)
+def test_chains_follow_the_term_level_rule(name, depth, include_cofree, request):
+    # members group the ground terms by class, ends are each interval's
+    # endpoint indices, and a term's parent is the first member of its
+    # super_chain in the universe, or the term itself
+    table = named_table(name, request)
+    built = build_relation(table, depth, include_cofree=include_cofree)
+    read = relation_from_json(table, export_json(built))
+    for rel in (built, read):
+        layout = relation_module.chains(table, rel)
+        by_class = {}
+        for i, term in enumerate(rel.universe):
+            if isinstance(term, Ground):
+                by_class.setdefault(term.cls, []).append(i)
+        assert {cls: m.tolist() for cls, m in layout.members.items()} == by_class
+        assert {cls: e.tolist() for cls, e in layout.ends.items()} == {
+            cls: [[[rel.index(iv.lo), rel.index(iv.hi)] for iv in rel.universe[i].args]
+                  for i in found]
+            for cls, found in by_class.items() if table.arity(cls)}
+        assert layout.parent.tolist() == [
+            next((rel.index(m) for m in super_chain(table, term) if m in rel), i)
+            for i, term in enumerate(rel.universe)]
 
 
 class TestPackedRows:
@@ -630,6 +672,25 @@ class TestExport:
         doc = reshape(json.loads(export_json(sample_rel1)))
         with pytest.raises(InvalidRelationDocument, match=f"^{message}$"):
             relation_from_json(sample_table, json.dumps(doc))
+
+    def test_json_universe_without_an_endpoint_fails_on_the_endpoint(self, sample_table,
+                                                                     sample_rel1):
+        # the document loads, since reading it looks no endpoint up; the
+        # Chains that the analyses derive do, and name the entry and endpoint
+        string = Ground("String")
+        keep = np.delete(np.arange(len(sample_rel1)), sample_rel1.index(string))
+        doc = json.loads(export_json(sample_rel1))
+        doc["universe"] = [doc["universe"][k] for k in keep]
+        doc["edges"] = _b64(np.packbits(sample_rel1.edges[np.ix_(keep, keep)], axis=1).tobytes())
+        rel = relation_from_json(sample_table, json.dumps(doc))
+        assert "List<String>" in rel.labels and string not in rel
+        first = next(k for k, t in enumerate(rel.universe) if isinstance(t, Ground)
+                     and any(string in (iv.lo, iv.hi) for iv in t.args))
+        message = (f"^universe entry {first} '{re.escape(rel.labels[first])}' has endpoint "
+                   "'String' outside the universe$")
+        for analysis in (f_subtypes, lambda table, rel, _cls: check_validity(table, rel)):
+            with pytest.raises(EndpointOutsideUniverse, match=message):
+                analysis(sample_table, rel, "List")
 
     def test_json_all_zero_rows_load_with_no_edges(self, sample_table, sample_rel0):
         doc = json.loads(export_json(sample_rel0))
