@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Pin the CLI's outputs on a fixed set of inputs as sha256 digests.
+
+Each pin is one command (`report`, `galois --format json` or `build --export
+json`) on one input: sample@1, sample@2, reduced@2, every table of
+tests/nested_tables.py at depth 1, and `random_table` seeds 0-19 at depth 1.
+Its digest is the sha256 of the exit code, a newline, then stdout.  The
+commands run in process, from a directory that holds each table under a fixed
+file name, so that the `table` field of a report is the same wherever they
+run.
+
+    python scripts/pin_outputs.py           # rewrite tests/output_pins.json
+    python scripts/pin_outputs.py --check   # list each moved digest, exit 1 if any
+
+tests/test_output_pins.py recomputes every digest in the tier-1 suite.  A
+change that alters output on purpose regenerates the file with this script
+and lists the digests that moved in CHANGES.md, since it changes a check.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PINS = ROOT / "tests" / "output_pins.json"
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+from nested_tables import INDEX_TABLES, NESTED_TABLES  # noqa: E402
+from nomsub import cli, format_class_table  # noqa: E402
+from nomsub.random_tables import random_table  # noqa: E402
+
+COMMANDS = (["report"], ["galois", "--format", "json"], ["build", "--export", "json"])
+SEEDS = range(20)
+
+
+def tables() -> dict[str, str]:
+    """Each input table's text by its file name."""
+    texts = {name: (ROOT / "tables" / name).read_text(encoding="utf-8")
+             for name in ("sample.table", "reduced.table")}
+    texts.update((f"{name}.table", text) for name, text in {**NESTED_TABLES,
+                                                            **INDEX_TABLES}.items())
+    texts.update((f"seed{seed}.table", format_class_table(random_table(seed)))
+                 for seed in SEEDS)
+    return texts
+
+
+def cases() -> dict[str, list[str]]:
+    """Each pinned command line, by its text."""
+    runs = [("sample.table", 1), ("sample.table", 2), ("reduced.table", 2)]
+    runs += [(name, 1) for name in tables() if name not in ("sample.table", "reduced.table")]
+    argvs = [[*command, name, "--depth", str(depth)]
+             for command in COMMANDS for name, depth in runs]
+    return {" ".join(argv): argv for argv in argvs}
+
+
+def write_tables(directory: pathlib.Path) -> None:
+    for name, text in tables().items():
+        (directory / name).write_text(text, encoding="utf-8")
+
+
+def digest(argv: list[str]) -> str:
+    """The pin of one command line, run in process from the current
+    directory, which must hold the tables (see write_tables)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+
+
+def digests() -> dict[str, str]:
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        write_tables(pathlib.Path(directory))
+        os.chdir(directory)
+        try:
+            return {text: digest(argv) for text, argv in cases().items()}
+        finally:
+            os.chdir(here)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the committed pins instead of rewriting them")
+    args = parser.parse_args()
+    found = digests()
+    if not args.check:
+        PINS.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {len(found)} pins to {PINS.relative_to(ROOT)}")
+        return 0
+    pinned = json.loads(PINS.read_text(encoding="utf-8"))
+    moved = sorted(k for k in found.keys() | pinned.keys() if found.get(k) != pinned.get(k))
+    for text in moved:
+        print(f"moved: {text}")
+    print(f"{len(moved)} of {len(found)} pins moved")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

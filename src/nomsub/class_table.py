@@ -18,7 +18,8 @@ the validity analysis, never during parsing.
 
 The table owns the subclass order: each class's ancestors (the class, then
 its superclasses up to the root) are recorded once, during the walk that
-rejects extends cycles, and `subclass_of` is a membership test on them.
+rejects extends cycles, and `subclass_of` is a membership test on them.  It
+also owns the pool of terms made against it (see `ClassTable.intern`).
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ class ClassTable:
     Construction enforces every table invariant: unique names, resolvable
     references with matching arities, an acyclic extends graph, and exactly
     one root class.  Instances are safe to share across threads.
+
+    The table also holds the pool of type terms made against it, a plain
+    dict from each term to itself (see `intern`).  The pool is not part of
+    the table's value: equality, hashing and pickling ignore it, and an
+    unpickled table starts with an empty one.
     """
 
     def __init__(self, decls: Iterable[ClassDecl]):
@@ -96,6 +102,7 @@ class ClassTable:
         self._by_name = by_name
         self._decls_view: Mapping[str, ClassDecl] = MappingProxyType(by_name)
         self.root = self._validate()
+        self._terms: dict = {}  # see intern
 
     # -- validation -------------------------------------------------------
 
@@ -191,6 +198,13 @@ class ClassTable:
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
+
+    def intern(self, term):
+        """The table's one object equal to `term`; `term` itself becomes it
+        when the table holds none yet.  The pool lives as long as the
+        table.  Terms compare structurally whether pooled or not, so sharing
+        only makes equal terms identical, which dict lookups test first."""
+        return self._terms.setdefault(term, term)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ClassTable) and self._ordered == other._ordered

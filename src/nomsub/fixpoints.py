@@ -62,8 +62,8 @@ def _unary(table: ClassTable, cls: str) -> None:
         raise NotUnaryGeneric(f"class '{cls}' is not a unary generic class")
 
 
-def _applied(cls: str, term: TypeTerm) -> Ground:
-    return Ground(cls, (point(term),))
+def _applied(table: ClassTable, cls: str, term: TypeTerm) -> Ground:
+    return table.intern(Ground(cls, (table.intern(point(term)),)))
 
 
 def f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeTerm, ...]:
@@ -72,7 +72,7 @@ def f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeT
     _unary(table, cls)
     if not chains_stay_in_universe(table, rel.depth):
         deeper = decider(table, rel.depth + 1)
-        return tuple(t for t in rel.universe if deeper(t, _applied(cls, t)))
+        return tuple(t for t in rel.universe if deeper(t, _applied(table, cls, t)))
     layout = chains(table, rel)
     found = np.zeros(len(rel), dtype=bool)
     for c, members in layout.members.items():
@@ -97,7 +97,7 @@ def f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[Typ
     _unary(table, cls)
     if not chains_stay_in_universe(table, rel.depth):
         deeper = decider(table, rel.depth + 1)
-        return tuple(t for t in rel.universe if deeper(_applied(cls, t), t))
+        return tuple(t for t in rel.universe if deeper(_applied(table, cls, t), t))
     layout = chains(table, rel)
     found = np.zeros(len(rel), dtype=bool)
     for c, args in _lifted_arguments(table, cls).items():

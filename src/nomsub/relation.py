@@ -47,7 +47,7 @@ import base64
 import itertools
 import json
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -317,11 +317,14 @@ class Chains:
     of argument p of member k); and each term's chain parent (`parent`),
     the first member of its superclass chain in the universe, or the term
     itself where none is.  The parents follow from the members and ends
-    alone (see _layout), for the build and for any other relation alike."""
+    alone (see _layout), for the build and for any other relation alike.
+    Each generic class's rows are ranked once, on their first lookup by
+    member_at, and kept in `_ranked`."""
 
     members: dict[str, np.ndarray]
     ends: dict[str, np.ndarray]
     parent: np.ndarray
+    _ranked: dict[str, tuple] = field(default_factory=dict, compare=False, repr=False)
 
 
 def chains(table: ClassTable, rel: SubtypeRelation) -> Chains:
@@ -413,23 +416,50 @@ def instantiated(table: ClassTable, index: dict[TypeTerm, int], layout: Chains,
 def member_at(layout: Chains, cls: str, ends: np.ndarray) -> np.ndarray:
     """For each row of endpoint indices in `ends` (k x arity x 2, laid out
     as in Chains.ends), the universe index of the member of `cls` with those
-    endpoints, or -1 where the universe holds none.  The class's rows and
-    the asked ones are numbered together, one argument position at a time,
-    by ranking (number so far, lo, hi); equal rows get equal numbers."""
+    endpoints, or -1 where the universe holds none.  The class's rows are
+    numbered once per Chains (see _rank); an asked row follows the same
+    numbers by binary search, one argument position at a time, and misses
+    at the first position where no member shares its number."""
     found = layout.members.get(cls)
     if found is None:
         return np.full(len(ends), -1)
     if cls not in layout.ends:  # a plain class: its one term
         return np.full(len(ends), found[0])
-    rows = np.concatenate([layout.ends[cls], ends]) + 1  # -1 (outside) matches no member
-    base = int(rows.max()) + 1
-    key = np.zeros(len(rows), dtype=np.int64)
-    for p in range(rows.shape[1]):
-        _, key = np.unique((key * base + rows[:, p, 0]) * base + rows[:, p, 1],
-                           return_inverse=True)
-    slot = np.full(len(rows), -1)
-    slot[key[:len(found)]] = found
-    return slot[key[len(found):]]
+    ranked = layout._ranked.get(cls)
+    if ranked is None:
+        ranked = layout._ranked[cls] = _rank(layout, cls)
+    levels, slot = ranked
+    n = len(layout.parent)
+    codes = _pair_codes(ends, n)
+    hit, key = True, 0
+    for p, numbers in enumerate(levels):
+        number = key * (n + 1) ** 2 + codes[:, p]
+        key = numbers.searchsorted(number)
+        hit &= numbers.take(key, mode="clip") == number
+    return np.where(hit, slot.take(key, mode="clip"), -1)
+
+
+def _pair_codes(ends: np.ndarray, n: int) -> np.ndarray:
+    """Each (lo, hi) pair of universe indices in -1..n-1 as one number below
+    (n + 1) ** 2; -1 (outside) gives a code that no member has."""
+    return (ends[..., 0].astype(np.int64) + 1) * (n + 1) + ends[..., 1] + 1
+
+
+def _rank(layout: Chains, cls: str) -> tuple[list[np.ndarray], np.ndarray]:
+    """A generic class's rows numbered for member_at: at each argument
+    position, the sorted distinct (number so far, pair code) values, a row's
+    number being its rank among them, and the member at each final number.
+    A number stays below (n + 1) ** 3 (a member count times the codes'
+    range), so int64 holds it for any universe under two million terms."""
+    n = len(layout.parent)
+    codes = _pair_codes(layout.ends[cls], n)
+    levels, key = [], 0
+    for p in range(codes.shape[1]):
+        numbers, key = np.unique(key * (n + 1) ** 2 + codes[:, p], return_inverse=True)
+        levels.append(numbers)
+    slot = np.full(len(codes), -1)
+    slot[key] = layout.members[cls]
+    return levels, slot
 
 
 def interval_contains(rel: SubtypeRelation, inner: Interval, outer: Interval) -> bool:
@@ -483,6 +513,8 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
     that stratum.  Edges only grow from one stratum to the next, so the
     products re-generate every instantiation below and the universe's size
     is known, and checked against the row budget, before any term is built.
+    Terms and intervals are made through the table's pool, so each
+    re-generated instantiation is the very object of the stratum below.
     A class's instantiations are sorted within the class; their labels all
     begin ``C<``, so merging the classes and the depth-0 terms by leading
     label gives the label order.
@@ -498,12 +530,13 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
     which makes it directly comparable with the full model on its Ground
     fragment.
     """
+    intern = table.intern
     singles = [BOTTOM]
     for decl in table.decls.values():
         if not decl.is_generic:
-            singles.append(Ground(decl.name))
+            singles.append(intern(Ground(decl.name)))
         elif include_cofree:
-            singles.append(Cofree(decl.name))
+            singles.append(intern(Cofree(decl.name)))
     generics = [] if below is None else [d for d in table.decls.values() if d.is_generic]
     m = _edge_count(below.bits) if generics else 0
     n = len(singles) + sum(m ** decl.arity for decl in generics)
@@ -518,11 +551,11 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
     if generics:
         pairs = np.stack(_set_bits(below.bits), axis=1)
         listed = pairs.tolist()
-        intervals = [Interval(below.universe[i], below.universe[j]) for i, j in listed]
+        intervals = [intern(Interval(below.universe[i], below.universe[j])) for i, j in listed]
         arguments = [format_interval(below.labels[i], below.labels[j], table.root)
                      for i, j in listed]
     for decl in generics:
-        block = [Ground(decl.name, args)
+        block = [intern(Ground(decl.name, args))
                  for args in itertools.product(intervals, repeat=decl.arity)]
         # ends[k, p] = (lo, hi) of argument p of block[k], in product order
         ends = pairs[np.indices((len(pairs),) * decl.arity).reshape(decl.arity, -1).T]

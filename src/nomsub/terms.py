@@ -4,6 +4,17 @@ and the bottom type.
 Every term is an immutable value with structural equality.  Ground terms
 and intervals compute their hash and nesting depth once, at construction,
 so hashing or measuring a nested term costs O(arity), not O(size).
+
+Terms made against one class table object are shared objects
+(hash-consing): the parser, the table-aware constructors below and the
+relation's build make every ground term, interval and co-free atom through
+the table's pool (`ClassTable.intern`), so equal terms made against that
+table are one object.  A label parsed against the table that built a
+relation is the universe's own term, and a dict lookup finds it by identity
+instead of comparing it node by node.  Equality stays structural: a term
+made by ``Ground(...)`` directly, an unpickled one or one made against an
+equal but distinct table compares, hashes and indexes the same, only
+without the identity shortcut.  The pool lives as long as its table.
 Surface syntax::
 
     type := "Null" | IDENT | IDENT "<" "!" ">" | IDENT "<" arg ("," arg)* ">"
@@ -17,9 +28,10 @@ affect this desugaring; they matter only to the validity analysis.
 
 `parse_type` parses each (table, text) pair once: the term is kept in a
 process-wide least-recently-used cache of `_PARSE_CACHE_SIZE` entries,
-shared by all tables.  Since tables and terms are immutable, a cached term
-is the value a fresh parse would give.  Errors are never cached, so a bad
-text raises on every call.
+keyed by the table object, so that a cached term is that table's own.
+Since tables and terms are immutable, a cached term is the value a fresh
+parse would give.  Errors are never cached, so a bad text raises on every
+call.
 """
 
 from __future__ import annotations
@@ -127,12 +139,16 @@ def point(term: TypeTerm) -> Interval:
     return Interval(term, term)
 
 
+def _point(table: ClassTable, term: TypeTerm) -> Interval:
+    return table.intern(Interval(term, term))
+
+
 def root_term(table: ClassTable) -> Ground:
-    return Ground(table.root)
+    return table.intern(Ground(table.root))
 
 
 def wildcard(table: ClassTable) -> Interval:
-    return Interval(BOTTOM, root_term(table))
+    return table.intern(Interval(BOTTOM, root_term(table)))
 
 
 def nesting_depth(term: TypeTerm) -> int:
@@ -157,14 +173,14 @@ def free_type(table: ClassTable, name: str) -> Ground:
     """The fully wildcarded instantiation C<?,...,?> of a class; for a
     non-generic class this is the class's sole type."""
     decl = table.decl(name)
-    return Ground(name, (wildcard(table),) * decl.arity)
+    return table.intern(Ground(name, (wildcard(table),) * decl.arity))
 
 
 def cofree_type(table: ClassTable, name: str) -> Cofree:
     decl = table.decl(name)
     if not decl.is_generic:
         raise NotGeneric(f"class '{name}' is not generic and has no co-free type")
-    return Cofree(name)
+    return table.intern(Cofree(name))
 
 
 def term_from_typeuse(table: ClassTable, use: TypeUse,
@@ -175,8 +191,8 @@ def term_from_typeuse(table: ClassTable, use: TypeUse,
     env = env or {}
     if use.name in env:
         return env[use.name]
-    args = tuple(point(term_from_typeuse(table, a, env)) for a in use.args)
-    return Ground(use.name, args)
+    args = tuple(_point(table, term_from_typeuse(table, a, env)) for a in use.args)
+    return table.intern(Ground(use.name, args))
 
 
 def super_instantiation(table: ClassTable, term: TypeTerm) -> Ground | None:
@@ -202,8 +218,8 @@ def super_instantiation(table: ClassTable, term: TypeTerm) -> Ground | None:
         elif any(name in slot and name not in env for name in arg.mentioned_names()):
             return None
         else:
-            args.append(point(term_from_typeuse(table, arg, env)))
-    return Ground(sup.name, tuple(args))
+            args.append(_point(table, term_from_typeuse(table, arg, env)))
+    return table.intern(Ground(sup.name, tuple(args)))
 
 
 def super_chain(table: ClassTable, term: TypeTerm) -> list[Ground]:
@@ -267,11 +283,13 @@ _PARSE_CACHE_SIZE = 1 << 14
 
 def parse_type(table: ClassTable, text: str) -> TypeTerm:
     """Parse the type surface syntax against a class table."""
-    return _parse(table, text)
+    return _parse(id(table), table, text)
 
 
+# keyed by the table's id too: equal tables are distinct pools, and an entry
+# holds its table alive, so the id is not reused while the entry lasts
 @lru_cache(maxsize=_PARSE_CACHE_SIZE)
-def _parse(table: ClassTable, text: str) -> TypeTerm:
+def _parse(_table_id: int, table: ClassTable, text: str) -> TypeTerm:
     ts = TokenStream(text)
     term = _parse_term(table, ts)
     ts.expect_end()
@@ -287,7 +305,7 @@ def _parse_term(table: ClassTable, ts: TokenStream) -> TypeTerm:
         if decl.is_generic:
             raise ArityMismatch(
                 f"class '{name}' expects {decl.arity} argument(s), got 0")
-        return Ground(name)
+        return table.intern(Ground(name))
     if ts.accept("!"):
         ts.expect(">")
         return cofree_type(table, name)
@@ -298,20 +316,20 @@ def _parse_term(table: ClassTable, ts: TokenStream) -> TypeTerm:
     if len(args) != decl.arity:
         raise ArityMismatch(
             f"class '{name}' expects {decl.arity} argument(s), got {len(args)}")
-    return Ground(name, tuple(args))
+    return table.intern(Ground(name, tuple(args)))
 
 
 def _parse_arg(table: ClassTable, ts: TokenStream) -> Interval:
     if ts.accept("?"):
         if ts.accept("extends"):
-            return Interval(BOTTOM, _parse_term(table, ts))
+            return table.intern(Interval(BOTTOM, _parse_term(table, ts)))
         if ts.accept("super"):
-            return Interval(_parse_term(table, ts), root_term(table))
+            return table.intern(Interval(_parse_term(table, ts), root_term(table)))
         return wildcard(table)
     if ts.accept("["):
         lo = _parse_term(table, ts)
         ts.expect("..")
         hi = _parse_term(table, ts)
         ts.expect("]")
-        return Interval(lo, hi)
-    return point(_parse_term(table, ts))
+        return table.intern(Interval(lo, hi))
+    return _point(table, _parse_term(table, ts))

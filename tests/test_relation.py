@@ -3,6 +3,7 @@
 import base64
 import gc
 import json
+import pickle
 import re
 import weakref
 
@@ -25,6 +26,7 @@ from nomsub import (
     export_dot,
     export_json,
     f_subtypes,
+    format_class_table,
     format_type,
     initial_relation,
     interval_contains,
@@ -389,6 +391,27 @@ def test_chains_follow_the_term_level_rule(name, depth, include_cofree, request)
             for i, term in enumerate(rel.universe)]
 
 
+@pytest.mark.parametrize("name, depth", [("sample", 2), ("permuted", 1), ("mixed", 1)])
+def test_member_at_finds_exactly_the_members(name, depth, request):
+    # asked rows: every member's own, the same with one endpoint moved (a
+    # few of them other members) and random ones, with -1 (outside) among them
+    table = named_table(name, request)
+    rel = build_relation(table, depth)
+    layout = relation_module.chains(table, rel)
+    rng = np.random.default_rng(0)
+    for cls, ends in layout.ends.items():
+        moved = ends.copy()
+        moved[np.arange(len(ends)), rng.integers(ends.shape[1], size=len(ends)),
+              rng.integers(2, size=len(ends))] = rng.integers(-1, len(rel), size=len(ends))
+        asked = np.concatenate([ends, moved,
+                                rng.integers(-1, len(rel), size=(50, *ends.shape[1:]))])
+        members = dict(zip(map(tuple, ends.reshape(len(ends), -1).tolist()),
+                           layout.members[cls].tolist()))
+        expected = [members.get(tuple(row), -1) for row in asked.reshape(len(asked), -1).tolist()]
+        for _ in range(2):  # ranked on the first call, then reused
+            assert relation_module.member_at(layout, cls, asked).tolist() == expected
+
+
 class TestPackedRows:
     def test_wrong_dtype_is_rejected(self, sample_rel1):
         with pytest.raises(ValueError, match="must be uint8, not bool"):
@@ -732,3 +755,57 @@ def test_queries_tolerate_no_bottom_universe(sample_table):
     # a relation restricted by hand may omit bottom; mutual_pairs still works
     rel = build_relation(sample_table, 0)
     assert (BOTTOM, Ground("Object")) not in mutual_pairs(rel)
+
+
+class TestSharedTerms:
+    """The build and the document reader make terms through the table's pool,
+    so a table's relations share their terms; a term made any other way
+    still finds its index by equality."""
+
+    # permuted@2 and mixed@2 are over the row budget
+    @pytest.mark.parametrize("name, top", [(name, 1 if name in ("permuted", "mixed") else 2)
+                                           for name in ("sample", "reduced", *NESTED_TABLES,
+                                                        *INDEX_TABLES)])
+    def test_each_stratum_holds_the_terms_of_the_one_below(self, name, top, request):
+        table = named_table(name, request)
+        below, above = build_relation(table, top - 1), build_relation(table, top)
+        assert all(above.universe[above.index(t)] is t for t in below.universe)
+        # the instantiations of the top stratum take their endpoints from below
+        assert all(below.universe[below.index(end)] is end
+                   for t in above.universe if isinstance(t, Ground)
+                   for iv in t.args for end in (iv.lo, iv.hi))
+
+    @pytest.mark.parametrize("name, depth", [("sample", 2), ("reduced", 2), ("nested", 1),
+                                             ("closed_nested", 1)])
+    def test_a_document_read_with_the_building_table_shares_its_terms(self, name, depth,
+                                                                       request):
+        table = named_table(name, request)
+        rel = build_relation(table, depth)
+        read = relation_from_json(table, export_json(rel))
+        assert all(r is b for r, b in zip(read.universe, rel.universe, strict=True))
+
+    def test_unshared_terms_index_and_answer_alike(self, sample_table, sample_rel2):
+        other = parse_class_table(format_class_table(sample_table))
+        picked = range(0, len(sample_rel2), 11)
+        forms = [[sample_rel2.universe[i] for i in picked]]
+        forms.append([parse_type(other, sample_rel2.labels[i]) for i in picked])
+        forms.append([pickle.loads(pickle.dumps(t)) for t in forms[0]])
+        forms.append([Ground(t.cls, tuple(Interval(iv.lo, iv.hi) for iv in t.args))
+                      if isinstance(t, Ground) else t for t in forms[1]])
+        for terms in forms:
+            assert [sample_rel2.index(t) for t in terms] == list(picked)
+        answers = [[is_subtype(sample_rel2, a, b) for a in terms for b in terms]
+                   for terms in forms]
+        assert answers[1:] == answers[:1] * 3
+        assert build_relation(other, 2) == sample_rel2
+
+    def test_the_pool_keeps_no_rows_alive(self, sample_table):
+        rel = build_relation(sample_table, 2)
+        relation_module.chains(sample_table, rel)
+        rows = weakref.ref(rel.bits)
+        term = rel.universe[-1]
+        del rel
+        gc.collect()
+        assert rows() is None
+        # the table, and its shared terms, live on
+        assert parse_type(sample_table, format_type(term, sample_table)) is term

@@ -38,9 +38,10 @@ from nomsub import (
     term_from_typeuse,
     wildcard,
 )
-from nomsub import terms
+from nomsub import build_relation, terms
 from nomsub.class_table import TypeUse
 
+from nested_tables import INDEX_TABLES, NESTED_TABLES, named_table
 from test_parse_errors import TYPE_ERRORS
 
 TABLE = str(pathlib.Path(__file__).resolve().parents[1] / "tables" / "sample.table")
@@ -191,6 +192,48 @@ class TestParseCache:
         with pytest.raises(InvalidRelationDocument,
                            match=rf"universe entry {len(sample_rel1)} .* repeats entry 3"):
             relation_from_json(sample_table, json.dumps(doc))
+
+
+def _unshared(term):
+    """An equal term made by the constructors directly, through no pool."""
+    if isinstance(term, Ground):
+        return Ground(term.cls, tuple(Interval(_unshared(iv.lo), _unshared(iv.hi))
+                                      for iv in term.args))
+    return Cofree(term.cls) if isinstance(term, Cofree) else term
+
+
+class TestSharedTerms:
+    """Terms made against one table object are that table's shared objects,
+    and equality stays structural for terms made any other way."""
+
+    @pytest.mark.parametrize("name, depth", [("sample", 2), ("reduced", 2)]
+                             + [(name, 1) for name in (*NESTED_TABLES, *INDEX_TABLES)])
+    def test_every_label_parses_to_the_universe_term(self, name, depth, request):
+        table = named_table(name, request)
+        rel = build_relation(table, depth)
+        assert all(parse_type(table, label) is term
+                   for label, term in zip(rel.labels, rel.universe))
+
+    def test_constructors_give_the_shared_terms(self, sample_table):
+        shared = parse_type(sample_table, "List<? super List<?>>")
+        assert free_type(sample_table, "List") is shared.args[0].lo
+        assert wildcard(sample_table) is shared.args[0].lo.args[0]
+        assert cofree_type(sample_table, "List") is parse_type(sample_table, "List<!>")
+        enum = sample_table.decl("Weekday").superclass
+        assert term_from_typeuse(sample_table, enum) is parse_type(sample_table, "Enum<Weekday>")
+        assert (super_instantiation(sample_table, parse_type(sample_table, "LinkedList<?>"))
+                is parse_type(sample_table, "List<?>"))
+
+    def test_terms_made_apart_from_the_pool_equal_the_shared_ones(self, sample_table,
+                                                                 sample_rel2):
+        other = parse_class_table(format_class_table(sample_table))
+        for label, term in zip(sample_rel2.labels, sample_rel2.universe):
+            twins = (parse_type(other, label), _unshared(term), pickle.loads(pickle.dumps(term)))
+            if isinstance(term, Ground) and term.args:
+                assert not any(twin is term for twin in twins)
+            for twin in twins:
+                assert twin == term and term == twin
+                assert hash(twin) == hash(term)
 
 
 class TestNestingDepth:
