@@ -3,11 +3,13 @@
 
 Each pin is one command (`report`, `galois --format json` or `build --export
 json`) on one input: sample@1, sample@2, reduced@2, every table of
-tests/nested_tables.py at depth 1, and `random_table` seeds 0-19 at depth 1.
-Its digest is the sha256 of the exit code, a newline, then stdout.  The
-commands run in process, from a directory that holds each table under a fixed
-file name, so that the `table` field of a report is the same wherever they
-run.
+NESTED_TABLES and INDEX_TABLES in tests/nested_tables.py at depth 1, and
+`random_table` seeds 0-19 at depths 1 and 2; or one `subtype` query of a
+fixed list (see QUERIES), the command that parses type texts.  Its digest is
+the sha256 of the exit code, a newline, then stdout, followed by a line
+``stderr:`` and stderr when the command writes there.  The commands run in
+process, from a directory that holds each table under a fixed file name, so
+that the `table` field of a report is the same wherever they run.
 
     python scripts/pin_outputs.py           # rewrite tests/output_pins.json
     python scripts/pin_outputs.py --check   # list each moved digest, exit 1 if any
@@ -26,6 +28,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import sys
 import tempfile
 
@@ -40,6 +43,29 @@ from nomsub.random_tables import random_table  # noqa: E402
 
 COMMANDS = (["report"], ["galois", "--format", "json"], ["build", "--export", "json"])
 SEEDS = range(20)
+# subtype queries as (table, depth, t1, t2)
+QUERIES = (
+    # one label in four layouts, the reverse pair, and a pair deeper than the
+    # depth, which is decided at its own depth with a note on stderr
+    ("sample.table", 2, "List<? extends List<String>>", "List<?>"),
+    ("sample.table", 2, "List< ? extends List <String> >", "List<?>"),
+    ("sample.table", 2, "List<?\textends\n  List<String>>", "List<?>"),
+    ("sample.table", 2, "// leading\nList<? extends List<String>> // trailing", "List<?>"),
+    ("sample.table", 2, "List<?>", "List<? extends List<String>>"),
+    ("sample.table", 2, "LinkedList<? extends List<? extends List<Object>>>",
+     "List<? extends List<?>>"),
+    # exit 2: an unordered interval, an unknown class and a syntax error
+    ("sample.table", 2, "List<[Object..String]>", "List<?>"),
+    ("sample.table", 2, "Nope<String>", "Object"),
+    ("sample.table", 2, "List<String", "Object"),
+    # superclass arguments that nest a parameter or a closed type
+    ("nested.table", 1, "W", "B<C<W>>"),
+    ("nested.table", 1, "A<W>", "B<?>"),
+    ("nested.table", 1, "B<C<W>>", "A<W>"),
+    ("closed_nested.table", 1, "X", "B<? extends C<?>>"),
+    ("closed_nested.table", 1, "A<Str>", "B<C<Str>>"),
+    ("closed_nested.table", 1, "X", "B<C<Str>>"),
+)
 
 
 def tables() -> dict[str, str]:
@@ -57,9 +83,12 @@ def cases() -> dict[str, list[str]]:
     """Each pinned command line, by its text."""
     runs = [("sample.table", 1), ("sample.table", 2), ("reduced.table", 2)]
     runs += [(name, 1) for name in tables() if name not in ("sample.table", "reduced.table")]
+    runs += [(f"seed{seed}.table", 2) for seed in SEEDS]
     argvs = [[*command, name, "--depth", str(depth)]
              for command in COMMANDS for name, depth in runs]
-    return {" ".join(argv): argv for argv in argvs}
+    argvs += [["subtype", name, t1, t2, "--depth", str(depth)]
+              for name, depth, t1, t2 in QUERIES]
+    return {shlex.join(argv): argv for argv in argvs}
 
 
 def write_tables(directory: pathlib.Path) -> None:
@@ -70,10 +99,13 @@ def write_tables(directory: pathlib.Path) -> None:
 def digest(argv: list[str]) -> str:
     """The pin of one command line, run in process from the current
     directory, which must hold the tables (see write_tables)."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+    pinned = f"{code}\n{out.getvalue()}"
+    if err.getvalue():
+        pinned += f"stderr:\n{err.getvalue()}"
+    return hashlib.sha256(pinned.encode()).hexdigest()
 
 
 def digests() -> dict[str, str]:

@@ -19,7 +19,8 @@ the validity analysis, never during parsing.
 The table owns the subclass order: each class's ancestors (the class, then
 its superclasses up to the root) are recorded once, during the walk that
 rejects extends cycles, and `subclass_of` is a membership test on them.  It
-also owns the pool of terms made against it (see `ClassTable.intern`).
+also owns the pool of terms made against it (see `ClassTable.intern`) and
+the texts parsed against it (see `terms.parse_type`).
 """
 
 from __future__ import annotations
@@ -83,9 +84,11 @@ class ClassTable:
     one root class.  Instances are safe to share across threads.
 
     The table also holds the pool of type terms made against it, a plain
-    dict from each term to itself (see `intern`).  The pool is not part of
-    the table's value: equality, hashing and pickling ignore it, and an
-    unpickled table starts with an empty one.
+    dict from each term to itself (see `intern`), and the texts parsed
+    against it, a plain dict from each text to its term (see
+    `terms.parse_type`).  Neither is part of the table's value: equality,
+    hashing and pickling ignore them, and an unpickled table starts with
+    both empty.
     """
 
     def __init__(self, decls: Iterable[ClassDecl]):
@@ -103,6 +106,7 @@ class ClassTable:
         self._decls_view: Mapping[str, ClassDecl] = MappingProxyType(by_name)
         self.root = self._validate()
         self._terms: dict = {}  # see intern
+        self._parsed: dict = {}  # see terms.parse_type
 
     # -- validation -------------------------------------------------------
 

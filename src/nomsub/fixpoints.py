@@ -375,8 +375,6 @@ def _assignment(table: ClassTable, rel: SubtypeRelation, checks: _BoundChecks,
 def _bound_check(table: ClassTable, deeper: Decider,
                  term: Ground) -> tuple[bool, frozenset[TypeTerm]]:
     decl = table.decl(term.cls)
-    if not decl.params:
-        return True, frozenset()
     param_names = {p.name for p in decl.params}
     env_hi = {p.name: term.args[i].hi for i, p in enumerate(decl.params)}
     env_lo = {p.name: term.args[i].lo for i, p in enumerate(decl.params)}

@@ -26,18 +26,14 @@ is ``[Null..T]``, ``? super T`` is ``[T..Root]``, and a concrete argument
 ``T`` is the point interval ``[T..T]``.  Declared parameter bounds never
 affect this desugaring; they matter only to the validity analysis.
 
-`parse_type` parses each (table, text) pair once: the term is kept in a
-process-wide least-recently-used cache of `_PARSE_CACHE_SIZE` entries,
-keyed by the table object, so that a cached term is that table's own.
-Since tables and terms are immutable, a cached term is the value a fresh
-parse would give.  Errors are never cached, so a bad text raises on every
-call.
+`parse_type` parses each text once per table object: the table keeps each
+text it parsed with its term, which lives and dies with the table like its
+pool; errors are never kept, so a bad text raises on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from ._lex import TokenStream
 from .class_table import ClassTable, TypeUse
@@ -275,24 +271,14 @@ def format_interval(lo: str, hi: str, root: str | None) -> str:
 
 # -- parsing --------------------------------------------------------------
 
-# parsed (table, text) pairs kept: a stream of subtype queries repeats a few
-# thousand texts, and the bound caps what a long run of distinct labels (a
-# universe read back from JSON) can keep alive
-_PARSE_CACHE_SIZE = 1 << 14
-
-
 def parse_type(table: ClassTable, text: str) -> TypeTerm:
     """Parse the type surface syntax against a class table."""
-    return _parse(id(table), table, text)
-
-
-# keyed by the table's id too: equal tables are distinct pools, and an entry
-# holds its table alive, so the id is not reused while the entry lasts
-@lru_cache(maxsize=_PARSE_CACHE_SIZE)
-def _parse(_table_id: int, table: ClassTable, text: str) -> TypeTerm:
-    ts = TokenStream(text)
-    term = _parse_term(table, ts)
-    ts.expect_end()
+    term = table._parsed.get(text)
+    if term is None:
+        ts = TokenStream(text)
+        term = _parse_term(table, ts)
+        ts.expect_end()
+        table._parsed[text] = term
     return term
 
 

@@ -1,5 +1,6 @@
 """Hand-written class tables for the superclass arguments the build treats
-specially, and a lookup of every table the differential tests name."""
+specially and for bounds the validity analysis checks term by term, and a
+lookup of every table the differential tests name."""
 
 from nomsub import parse_class_table
 from nomsub.random_tables import random_table
@@ -30,14 +31,20 @@ INDEX_TABLES = {
                       "class A<T> extends B<C<Str>>"),
 }
 
+# parameters bounded below through each other's class (``G<T super H<T>>``):
+# each term's lower F-bound is a term whose own check depends on it
+BOUND_TABLES = {
+    "mutual": ("class Object\nclass Str extends Object\nclass G<T super H<T>> extends Object\n"
+               "class H<T super G<T>> extends Object"),
+}
+
 
 def named_table(name, request):
-    """A table of NESTED_TABLES or INDEX_TABLES, ``seedN`` for
+    """A table of NESTED_TABLES, INDEX_TABLES or BOUND_TABLES, ``seedN`` for
     ``random_table(N)``, or a shipped table by its fixture's prefix."""
-    if name in NESTED_TABLES:
-        return parse_class_table(NESTED_TABLES[name])
-    if name in INDEX_TABLES:
-        return parse_class_table(INDEX_TABLES[name])
+    for texts in (NESTED_TABLES, INDEX_TABLES, BOUND_TABLES):
+        if name in texts:
+            return parse_class_table(texts[name])
     if name.startswith("seed"):
         return random_table(int(name[4:]))
     return request.getfixturevalue(f"{name}_table")

@@ -26,7 +26,7 @@ from nomsub import (
 from nomsub.random_tables import has_f_bounds, random_table
 from nomsub.relation import decider
 
-from nested_tables import named_table
+from nested_tables import BOUND_TABLES, named_table
 
 
 class TestFSubtypes:
@@ -171,11 +171,7 @@ class TestValidityModes:
     def test_modes_differ_on_a_mutually_lower_bounded_pair(self):
         # G<Object> needs H<Object> <: Object, a lower-bound check that
         # depends on H<Object>, whose own check depends on G<Object>
-        table = parse_class_table(
-            "class Object\n"
-            "class Str extends Object\n"
-            "class G<T super H<T>> extends Object\n"
-            "class H<T super G<T>> extends Object")
+        table = parse_class_table(BOUND_TABLES["mutual"])
         rel = build_relation(table, 1)
         ind, coind = check_validity_modes(table, rel)
         assert ind.valid < coind.valid
@@ -203,7 +199,7 @@ ABOVE_CASES = [(name, depth, include_cofree)
                for name, depths in [("sample", (0, 1, 2)), ("reduced", (0, 1, 2)),
                                     ("closed", (2,)), ("closed_nested", (2,)),
                                     ("seed3", (0,)), ("seed17", (0,)), ("seed102", (0,)),
-                                    ("nested", (0, 1)),
+                                    ("nested", (0, 1)), ("mutual", (0, 1)),
                                     *((f"seed{seed}", (1,)) for seed in (*range(40), 102))]
                for depth in depths for include_cofree in (True, False)
                if (name, depth, include_cofree) != ("closed", 2, True)]

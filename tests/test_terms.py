@@ -1,11 +1,14 @@
 """Term construction, erasure, free/co-free types, printing and parsing."""
 
+import gc
 import json
 import os
 import pathlib
 import pickle
 import subprocess
 import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,8 +41,9 @@ from nomsub import (
     term_from_typeuse,
     wildcard,
 )
-from nomsub import build_relation, terms
+from nomsub import build_relation
 from nomsub.class_table import TypeUse
+from nomsub.random_tables import random_table
 
 from nested_tables import INDEX_TABLES, NESTED_TABLES, named_table
 from test_parse_errors import TYPE_ERRORS
@@ -169,20 +173,52 @@ class TestParseCache:
         for text in ("List<? super LinkedList<!>>", "Enum<Weekday>", "Null"):
             assert parse_type(other, text) == parse_type(sample_table, text)
 
-    def test_the_cache_stays_at_its_bound(self, sample_table, sample_rel2):
-        # comments make each label into nine distinct texts of one term
+    def test_commented_labels_parse_to_the_universe_objects(self, sample_table, sample_rel2):
+        # comments make each label into nine distinct texts of one term; the
+        # repeat, backwards, is answered from the table's own cache
         texts = [f"{label} // {k}" for k in range(9) for label in sample_rel2.labels]
-        assert len(set(texts)) > terms._PARSE_CACHE_SIZE
-        terms._parse.cache_clear()
         first = [parse_type(sample_table, s) for s in texts]
-        assert terms._parse.cache_info().currsize == terms._PARSE_CACHE_SIZE
-        # backwards, the newest texts hit and the oldest ones evict
         again = [parse_type(sample_table, s) for s in reversed(texts)][::-1]
-        info = terms._parse.cache_info()
-        assert (info.hits, info.currsize) == (terms._PARSE_CACHE_SIZE, terms._PARSE_CACHE_SIZE)
-        terms._parse.cache_clear()
-        fresh = [parse_type(sample_table, s) for s in texts]
-        assert first == again == fresh == list(sample_rel2.universe) * 9
+        universe = list(sample_rel2.universe) * 9
+        assert all(a is u and b is u for a, b, u in zip(first, again, universe))
+
+    def test_a_dropped_table_is_released_with_its_parsed_texts(self):
+        refs = []
+        for seed in range(50):
+            table = random_table(seed)
+            parse_type(table, build_relation(table, 2).labels[-1])
+            refs.append(weakref.ref(table))
+        del table
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []
+
+    def test_an_unpickled_table_parses_afresh_to_equal_terms(self, sample_table, sample_rel2):
+        cached = [parse_type(sample_table, label) for label in sample_rel2.labels]
+        loaded = pickle.loads(pickle.dumps(sample_table))
+        assert loaded == sample_table
+        for label, term in zip(sample_rel2.labels, cached):
+            fresh = parse_type(loaded, label)
+            assert fresh == term and hash(fresh) == hash(term)
+            if isinstance(term, Ground) and term.args:
+                assert fresh is not term
+            assert parse_type(loaded, label) is fresh
+
+    def test_threads_parsing_against_one_table_get_its_terms(self, sample_table, sample_rel2):
+        # four threads fill one fresh table's cache and pool at once, switching
+        # often; a lost or crossed entry would give a wrong term
+        table = parse_class_table(format_class_table(sample_table))
+        labels = list(sample_rel2.labels)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                runs = [pool.submit(lambda: [parse_type(table, s) for s in labels])
+                        for _ in range(4)]
+                found = [run.result(timeout=60) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(parsed == list(sample_rel2.universe) for parsed in found)
+        assert all(parse_type(table, s) == t for s, t in zip(labels, sample_rel2.universe))
 
     def test_a_cached_label_repeated_in_a_document_is_rejected(self, sample_table,
                                                                sample_rel1):
