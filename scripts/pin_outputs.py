@@ -17,6 +17,16 @@ that the `table` field of a report is the same wherever they run.
 tests/test_output_pins.py recomputes every digest in the tier-1 suite.  A
 change that alters output on purpose regenerates the file with this script
 and lists the digests that moved in CHANGES.md, since it changes a check.
+
+Three commands too slow for the tier-1 suite, `galois --format json` and
+`report` at reduced@3 and `galois --format json` at sample@3, are pinned
+apart, in tests/ci_output_pins.json, which no tier-1 test reads: CI's memory
+steps run them from the repository root, as `--ci` does here, and compare
+each run's digest (see `pin`) with that file.  `--ci` takes about 10 s and
+peaks near 2.5 GiB, the sample@3 build's rows.
+
+    python scripts/pin_outputs.py --ci           # rewrite tests/ci_output_pins.json
+    python scripts/pin_outputs.py --ci --check   # compare with it
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PINS = ROOT / "tests" / "output_pins.json"
+CI_PINS = ROOT / "tests" / "ci_output_pins.json"
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
@@ -66,6 +77,10 @@ QUERIES = (
     ("closed_nested.table", 1, "A<Str>", "B<C<Str>>"),
     ("closed_nested.table", 1, "X", "B<C<Str>>"),
 )
+# run from the repository root, by the paths CI gives them
+CI_CASES = (["galois", "--format", "json", "tables/reduced.table", "--depth", "3"],
+            ["report", "tables/reduced.table", "--depth", "3"],
+            ["galois", "--format", "json", "tables/sample.table", "--depth", "3"])
 
 
 def tables() -> dict[str, str]:
@@ -96,16 +111,21 @@ def write_tables(directory: pathlib.Path) -> None:
         (directory / name).write_text(text, encoding="utf-8")
 
 
+def pin(code: int, stdout: str, stderr: str) -> str:
+    """The digest of one command's exit code, stdout and stderr."""
+    pinned = f"{code}\n{stdout}"
+    if stderr:
+        pinned += f"stderr:\n{stderr}"
+    return hashlib.sha256(pinned.encode()).hexdigest()
+
+
 def digest(argv: list[str]) -> str:
     """The pin of one command line, run in process from the current
     directory, which must hold the tables (see write_tables)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    pinned = f"{code}\n{out.getvalue()}"
-    if err.getvalue():
-        pinned += f"stderr:\n{err.getvalue()}"
-    return hashlib.sha256(pinned.encode()).hexdigest()
+    return pin(code, out.getvalue(), err.getvalue())
 
 
 def digests() -> dict[str, str]:
@@ -119,17 +139,28 @@ def digests() -> dict[str, str]:
             os.chdir(here)
 
 
+def ci_digests() -> dict[str, str]:
+    here = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        return {shlex.join(argv): digest(argv) for argv in CI_CASES}
+    finally:
+        os.chdir(here)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="compare with the committed pins instead of rewriting them")
+    parser.add_argument("--ci", action="store_true",
+                        help="the commands CI pins, in tests/ci_output_pins.json")
     args = parser.parse_args()
-    found = digests()
+    pins, found = (CI_PINS, ci_digests()) if args.ci else (PINS, digests())
     if not args.check:
-        PINS.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"wrote {len(found)} pins to {PINS.relative_to(ROOT)}")
+        pins.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {len(found)} pins to {pins.relative_to(ROOT)}")
         return 0
-    pinned = json.loads(PINS.read_text(encoding="utf-8"))
+    pinned = json.loads(pins.read_text(encoding="utf-8"))
     moved = sorted(k for k in found.keys() | pinned.keys() if found.get(k) != pinned.get(k))
     for text in moved:
         print(f"moved: {text}")

@@ -86,9 +86,10 @@ class ClassTable:
     The table also holds the pool of type terms made against it, a plain
     dict from each term to itself (see `intern`), and the texts parsed
     against it, a plain dict from each text to its term (see
-    `terms.parse_type`).  Neither is part of the table's value: equality,
-    hashing and pickling ignore them, and an unpickled table starts with
-    both empty.
+    `terms.parse_type`), which also holds the labels of every relation
+    built against it (see `relation.build_relation`).  Neither is part of
+    the table's value: equality, hashing and pickling ignore them, and an
+    unpickled table starts with both empty.
     """
 
     def __init__(self, decls: Iterable[ClassDecl]):

@@ -25,14 +25,15 @@ analyses read.  A chain parent is one superclass step by universe index,
 the index twin of terms.super_instantiation: member_at finds a class's
 member by its endpoint indices, and instantiated gives a declared type
 under endpoint arrays.  The build, chains for any other relation, and the
-analyses' bound checks all take that one step.  Nothing is
-cached between builds; the only resource limit is a fixed 4 GiB budget for
-a stratum's packed rows, checked from its exact term count before any of
-its terms is built.  decider answers a pair of the depth-d relation by the
-same rules without building it; chains_stay_in_universe states when the
-depth-d rows answer the depth-(d+1) questions about their own terms instead;
-universe_faults says why a term lies outside U_d, judging each interval by
-the decider at d-1.
+analyses' bound checks all take that one step.  Nothing is cached between
+builds: a build leaves only its labels in the table's parse cache, which
+parse_type reads and no build does.  The only resource limit is a fixed
+4 GiB budget for a stratum's packed rows, checked from its exact term
+count before any of its terms is built.  decider answers a pair of the
+depth-d relation by the same rules without building it;
+chains_stay_in_universe states when the depth-d rows answer the
+depth-(d+1) questions about their own terms instead; universe_faults says
+why a term lies outside U_d, judging each interval by the decider at d-1.
 
 Edges live in packed bit rows (``np.packbits`` along each row, n x
 ceil(n/8) bytes) with an index map, from the build to every query, every
@@ -613,6 +614,12 @@ def build_relation(table: ClassTable, depth: int,
     `iterations` is the number of construction_step passes that stepping
     from initial_relation takes to reach the same relation, confirming pass
     included: 2 plus the deepest nesting in the universe.
+
+    Each label goes into the table's parse cache with its term (the top
+    stratum holds every stratum's), so parse_type of a label the build
+    printed, as in relation_from_json with this table, lexes nothing.  That
+    is exact: the label is the printed form parse_type inverts, and the
+    term is the pool's own object.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -620,6 +627,7 @@ def build_relation(table: ClassTable, depth: int,
     rel = _stage(table, None, first, include_cofree)
     for d in range(first + 1, depth + 1):
         rel = _stage(table, rel, d, include_cofree)
+    table._parsed.update(zip(rel.labels, rel.universe))
     return rel
 
 

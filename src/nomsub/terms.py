@@ -28,7 +28,10 @@ affect this desugaring; they matter only to the validity analysis.
 
 `parse_type` parses each text once per table object: the table keeps each
 text it parsed with its term, which lives and dies with the table like its
-pool; errors are never kept, so a bad text raises on every call.
+pool; errors are never kept, so a bad text raises on every call.  A build
+against the table keeps each label it printed there too (see
+`relation.build_relation`), so those labels are found without lexing;
+any other text, such as another layout of a label, still lexes.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@ import pathlib
 
 import pytest
 
-from nomsub import build_relation, parse_class_table
+from nomsub import build_relation, parse_class_table, terms
+from nomsub._lex import TokenStream
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -44,3 +45,19 @@ def reduced_rel1(reduced_table):
 @pytest.fixture(scope="session")
 def reduced_rel2(reduced_table):
     return build_relation(reduced_table, 2)
+
+
+@pytest.fixture
+def lexed(monkeypatch):
+    """The texts that parse_type lexes while the test runs, in order."""
+    texts = []
+
+    class Counted(TokenStream):
+        __slots__ = ()
+
+        def __init__(self, source):
+            texts.append(source)
+            super().__init__(source)
+
+    monkeypatch.setattr(terms, "TokenStream", Counted)
+    return texts

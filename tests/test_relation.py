@@ -778,11 +778,27 @@ class TestSharedTerms:
     @pytest.mark.parametrize("name, depth", [("sample", 2), ("reduced", 2), ("nested", 1),
                                              ("closed_nested", 1)])
     def test_a_document_read_with_the_building_table_shares_its_terms(self, name, depth,
-                                                                       request):
-        table = named_table(name, request)
+                                                                       request, lexed):
+        # a copy of the table starts with empty caches; the build fills its
+        # parse cache, so the read lexes no label
+        table = pickle.loads(pickle.dumps(named_table(name, request)))
         rel = build_relation(table, depth)
         read = relation_from_json(table, export_json(rel))
+        assert lexed == []
         assert all(r is b for r, b in zip(read.universe, rel.universe, strict=True))
+
+    @pytest.mark.parametrize("name, depth", [("sample", 2), ("nested", 1), ("seed3", 2)])
+    def test_a_document_read_with_a_fresh_table_lexes_each_label_once(self, name, depth,
+                                                                      request, lexed):
+        table = named_table(name, request)
+        rel = build_relation(table, depth)
+        text = export_json(rel)
+        fresh = parse_class_table(format_class_table(table))
+        read = relation_from_json(fresh, text)
+        assert lexed == list(rel.labels)
+        assert read == rel
+        assert relation_from_json(fresh, text) == rel
+        assert lexed == list(rel.labels)
 
     def test_unshared_terms_index_and_answer_alike(self, sample_table, sample_rel2):
         other = parse_class_table(format_class_table(sample_table))

@@ -183,14 +183,32 @@ class TestParseCache:
         assert all(a is u and b is u for a, b, u in zip(first, again, universe))
 
     def test_a_dropped_table_is_released_with_its_parsed_texts(self):
+        # the parse cache holds each built label and term, but neither the
+        # relation nor its rows: a relation goes before its table, and both go
         refs = []
         for seed in range(50):
             table = random_table(seed)
-            parse_type(table, build_relation(table, 2).labels[-1])
-            refs.append(weakref.ref(table))
+            rel = build_relation(table, 2)
+            parse_type(table, rel.labels[-1] + " // lexed")
+            refs += [weakref.ref(table), weakref.ref(rel), weakref.ref(rel.bits)]
+        del rel
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == [refs[-3]]
         del table
         gc.collect()
         assert [ref for ref in refs if ref() is not None] == []
+
+    def test_texts_no_build_printed_still_lex_once(self, lexed):
+        table = parse_class_table(pathlib.Path(TABLE).read_text(encoding="utf-8"))
+        rel = build_relation(table, 1)
+        # a comment, another layout, and ``?`` spelled as its interval
+        texts = ["List<? extends Number> // a comment", "List< ? extends Number >",
+                 "List<[Null..Object]>"]
+        labels = ["List<? extends Number>", "List<? extends Number>", "List<?>"]
+        terms = [parse_type(table, s) for s in texts * 2 + labels]
+        assert lexed == texts
+        wanted = [rel.universe[rel.labels.index(label)] for label in labels]
+        assert all(t is w for t, w in zip(terms, wanted * 3, strict=True))
 
     def test_an_unpickled_table_parses_afresh_to_equal_terms(self, sample_table, sample_rel2):
         cached = [parse_type(sample_table, label) for label in sample_rel2.labels]
@@ -242,13 +260,23 @@ class TestSharedTerms:
     """Terms made against one table object are that table's shared objects,
     and equality stays structural for terms made any other way."""
 
-    @pytest.mark.parametrize("name, depth", [("sample", 2), ("reduced", 2)]
-                             + [(name, 1) for name in (*NESTED_TABLES, *INDEX_TABLES)])
+    @pytest.mark.parametrize("name, depth", [("sample", 1), ("sample", 2), ("reduced", 2)]
+                             + [(name, 1) for name in (*NESTED_TABLES, *INDEX_TABLES)]
+                             + [(f"seed{seed}", 2) for seed in range(20)])
     def test_every_label_parses_to_the_universe_term(self, name, depth, request):
+        # a build records its labels in its table's parse cache, so each
+        # label must also lex and parse to an equal term against a copy of
+        # the table whose caches are empty: the cache hides no printer/parser
+        # mismatch
         table = named_table(name, request)
-        rel = build_relation(table, depth)
-        assert all(parse_type(table, label) is term
-                   for label, term in zip(rel.labels, rel.universe))
+        for include_cofree in (True, False):
+            rel = build_relation(table, depth, include_cofree=include_cofree)
+            assert all(parse_type(table, label) is term
+                       for label, term in zip(rel.labels, rel.universe, strict=True))
+            copy = pickle.loads(pickle.dumps(table))
+            assert copy._parsed == {}
+            assert all(parse_type(copy, label) == term
+                       for label, term in zip(rel.labels, rel.universe))
 
     def test_constructors_give_the_shared_terms(self, sample_table):
         shared = parse_type(sample_table, "List<? super List<?>>")
