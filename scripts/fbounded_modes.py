@@ -19,7 +19,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from nomsub import (  # noqa: E402
     build_relation,
-    check_validity_modes,
+    check_validity,
     format_type,
     parse_class_table,
 )
@@ -50,7 +50,7 @@ def main() -> int:
     print(f"{'seed':>4}  {'classes':>7}  {'f-bounds':>8}  {'ind':>5}  {'coind':>5}  gap")
     for name, table in tables:
         rel = build_relation(table, args.depth)
-        ind, coind = check_validity_modes(table, rel)
+        ind, coind = check_validity(table, rel)
         assert ind.valid <= coind.valid
         gap = sorted(format_type(t, table) for t in coind.valid - ind.valid)
         bounded = has_f_bounds(table)

@@ -49,7 +49,6 @@ from .fixpoints import (
     MinimaReport,
     ValidityAssignment,
     check_validity,
-    check_validity_modes,
     exact_fixed_points,
     f_subtypes,
     f_supertypes,

@@ -76,7 +76,7 @@ def check_galois(table: ClassTable, rel: SubtypeRelation,
     classes = _class_positions(table, rel)
     domain = classes >= 0
     if quantify == "valid":
-        valid = check_validity(table, rel, mode="ind").valid
+        valid = check_validity(table, rel)[0].valid
         domain &= [not isinstance(t, Ground) or t in valid for t in rel.universe]
     rows = np.flatnonzero(domain)
 

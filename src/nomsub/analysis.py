@@ -4,8 +4,10 @@
 the closure laws, monotonicity, antisymmetry, the per-class F-(co)algebra
 analyses and both validity fixpoints) and gathers the findings into the
 report document of `schema/report.schema.json`, minus the `table` field
-that names the input file.  The `*_doc` helpers render one analysis each
-and are shared with the single-analysis CLI subcommands.
+that names the input file.  Each analysis is reached through its public
+function, the one the single-analysis CLI subcommands call, and each member
+set and the bound checks are computed once.  The `*_doc` helpers render one
+analysis each and are shared with those subcommands.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def analyze(table: ClassTable, rel: SubtypeRelation,
     pairs = relation.mutual_pairs(rel)
     analyses = {name: _fixpoint_doc(table, rel, name)
                 for name in table.class_names if table.arity(name) == 1}
-    inductive, coinductive = fixpoints.check_validity_modes(table, rel)
+    inductive, coinductive = fixpoints.check_validity(table, rel)
     validity = {
         "inductive": validity_doc(rel, inductive),
         "coinductive": validity_doc(rel, coinductive),
@@ -127,6 +129,6 @@ def _fixpoint_doc(table: ClassTable, rel: SubtypeRelation, cls: str) -> dict:
         "f_subtypes": labels(rel, subs),
         "f_supertypes": labels(rel, sups),
         "exact_fixed_points": labels(rel, [t for t in subs if t in algebras]),
-        **maxima_doc(rel, fixpoints._maxima_report(table, rel, cls, subs)),
-        **minima_doc(rel, fixpoints._minima_report(table, rel, cls, sups)),
+        **maxima_doc(rel, fixpoints.maximal_f_subtypes(table, rel, cls, subs)),
+        **minima_doc(rel, fixpoints.minimal_f_supertypes(table, rel, cls, sups)),
     }

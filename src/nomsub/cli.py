@@ -222,12 +222,14 @@ def _cmd_members(args, table: ClassTable) -> int:
 def _cmd_extrema(args, table: ClassTable) -> int:
     rel = _build(table, args)
     if args.command == "maxima":
-        doc = maxima_doc(rel, fixpoints.maximal_f_subtypes(table, rel, args.cls))
+        subs = fixpoints.f_subtypes(table, rel, args.cls)
+        doc = maxima_doc(rel, fixpoints.maximal_f_subtypes(table, rel, args.cls, subs))
         title, ref = "maximal f-subtypes", doc["free_type"]
         claims = (f"free type is member: {ref['is_member']}; "
                   f"dominates all members: {ref['is_greatest']}")
     else:
-        doc = minima_doc(rel, fixpoints.minimal_f_supertypes(table, rel, args.cls))
+        sups = fixpoints.f_supertypes(table, rel, args.cls)
+        doc = minima_doc(rel, fixpoints.minimal_f_supertypes(table, rel, args.cls, sups))
         title, ref = "minimal f-supertypes", doc["cofree"]
         claims = (f"co-free type is member: {ref['is_member']}; "
                   f"below all members: {ref['is_least']}")
@@ -241,7 +243,8 @@ def _cmd_extrema(args, table: ClassTable) -> int:
 
 def _cmd_validity(args, table: ClassTable) -> int:
     rel = _build(table, args)
-    assignment = fixpoints.check_validity(table, rel, mode=args.mode)
+    inductive, coinductive = fixpoints.check_validity(table, rel)
+    assignment = inductive if args.mode == "ind" else coinductive
     doc = validity_doc(rel, assignment)
     if args.format == "json":
         _emit_json(doc)

@@ -26,6 +26,12 @@ mentions; it stays the reference that the rows are tested against.
 Maximality/minimality diagnostics never fail a run: whether the free type
 is the greatest F-subtype (and the co-free atom the least F-supertype) is
 model-dependent, so the comparisons are reported as findings.
+
+Each analysis has one public entry, which the report, the CLI and any
+tracer that wraps these names all go through: f_subtypes and f_supertypes
+decide the member sets, maximal_f_subtypes and minimal_f_supertypes take a
+member set the caller already holds, and check_validity gives both validity
+modes from one pass of bound checks.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from functools import cache
 
 import numpy as np
 
-from .class_table import ClassTable, TypeUse, subclass_of
+from .class_table import ClassDecl, ClassTable, TypeUse, subclass_of
 from .errors import NotUnaryGeneric
 from .relation import (
     Decider,
@@ -53,6 +59,7 @@ from .terms import (
     TypeTerm,
     free_type,
     point,
+    super_chain,
     term_from_typeuse,
 )
 
@@ -100,34 +107,22 @@ def f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[Typ
         return tuple(t for t in rel.universe if deeper(_applied(table, cls, t), t))
     layout = chains(table, rel)
     found = np.zeros(len(rel), dtype=bool)
-    for c, args in _lifted_arguments(table, cls).items():
-        members = layout.members.get(c)
+    # F<Null>'s chain stands for F<Ty>'s, its point [Null..Null] for Ty: Null
+    # is reserved, so no declared type contains it, and where chains stay in
+    # the universe every other argument of the chain is a closed type
+    applied = _applied(table, cls, BOTTOM)
+    ty = applied.args[0]
+    for member in [applied, *super_chain(table, applied)]:
+        members = layout.members.get(member.cls)
         if members is None:
             continue
-        # F<Ty>'s member of class c, argument p: Ty itself (None) or a closed type
         fits = np.ones(len(members), dtype=bool)
-        for p, closed in enumerate(args):
-            at = members if closed is None else rel.index(closed)
-            lo, hi = layout.ends[c][:, p].T
+        for p, arg in enumerate(member.args):
+            at = members if arg == ty else rel.index(arg.lo)
+            lo, hi = layout.ends[member.cls][:, p].T
             fits &= rel.related(lo, at) & rel.related(at, hi)
         found[members] = fits
     return _marked(rel, found)
-
-
-def _lifted_arguments(table: ClassTable, cls: str) -> dict[str, tuple[TypeTerm | None, ...]]:
-    """Each class of unary `cls`'s ancestry, with the arguments of F<Ty>'s
-    superclass-chain member of that class as point terms, None standing for
-    Ty; for a table where chains stay in the universe, so that each
-    superclass argument is a direct parameter or a closed type."""
-    decl, args, lifted = table.decl(cls), (None,), {}
-    while True:
-        lifted[decl.name] = args
-        if decl.superclass is None:
-            return lifted
-        env = {p.name: a for p, a in zip(decl.params, args)}
-        args = tuple(env[a.name] if a.name in env else term_from_typeuse(table, a)
-                     for a in decl.superclass.args)
-        decl = table.decl(decl.superclass.name)
 
 
 def _marked(rel: SubtypeRelation, found: np.ndarray) -> tuple[TypeTerm, ...]:
@@ -180,49 +175,43 @@ class MinimaReport:
     cofree: CofreeComparison
 
 
-def maximal_f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> MaximaReport:
-    """Maxima of the F-subtypes under the relation, with a diagnostic
-    comparison against the free type (reported, not asserted).
+def maximal_f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str,
+                       subtypes: tuple[TypeTerm, ...]) -> MaximaReport:
+    """Maxima of the F-subtypes `subtypes` (as f_subtypes gives them) under
+    the relation, with a diagnostic comparison against the free type
+    (reported, not asserted).
 
     The comparison is judged one depth up, where the free type always
     exists even when the base universe is too shallow for it.
     """
-    return _maxima_report(table, rel, cls, f_subtypes(table, rel, cls))
-
-
-def _maxima_report(table: ClassTable, rel: SubtypeRelation, cls: str,
-                   members: tuple[TypeTerm, ...]) -> MaximaReport:
-    maxima = tuple(m for m, up in zip(members, _strictly_below(rel, members))
+    maxima = tuple(m for m, up in zip(subtypes, _strictly_below(rel, subtypes))
                    if not up.any())
     ft = free_type(table, cls)
     deeper = _deeper(table, rel)
     comparison = FreeTypeComparison(
-        is_member=ft in set(members),
-        is_greatest=all(deeper(m, ft) for m in members),
+        is_member=ft in set(subtypes),
+        is_greatest=all(deeper(m, ft) for m in subtypes),
     )
     return MaximaReport(maxima, comparison)
 
 
-def minimal_f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> MinimaReport:
-    """Minima of the F-supertypes under the relation, with a diagnostic
-    comparison against the co-free atom (reported, not asserted).
+def minimal_f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str,
+                         supertypes: tuple[TypeTerm, ...]) -> MinimaReport:
+    """Minima of the F-supertypes `supertypes` (as f_supertypes gives them)
+    under the relation, with a diagnostic comparison against the co-free
+    atom (reported, not asserted).
 
     In an extension-free build the atom does not exist, so both comparison
     flags come back False.
     """
-    return _minima_report(table, rel, cls, f_supertypes(table, rel, cls))
-
-
-def _minima_report(table: ClassTable, rel: SubtypeRelation, cls: str,
-                   members: tuple[TypeTerm, ...]) -> MinimaReport:
-    minima = tuple(m for m, down in zip(members, _strictly_below(rel, members).T)
+    minima = tuple(m for m, down in zip(supertypes, _strictly_below(rel, supertypes).T)
                    if not down.any())
     atom = Cofree(cls)
     if rel.include_cofree:
         deeper = _deeper(table, rel)
         comparison = CofreeComparison(
-            is_member=atom in set(members),
-            is_least=all(deeper(atom, m) for m in members),
+            is_member=atom in set(supertypes),
+            is_least=all(deeper(atom, m) for m in supertypes),
         )
     else:
         comparison = CofreeComparison(is_member=False, is_least=False)
@@ -248,16 +237,12 @@ class ValidityAssignment:
     mode: str
     valid: frozenset[TypeTerm]
     invalid: frozenset[TypeTerm]
-    depth: int
-    table: ClassTable
-
-    def __contains__(self, term: TypeTerm) -> bool:
-        return term in self.valid
 
 
-def check_validity(table: ClassTable, rel: SubtypeRelation,
-                   mode: str = "ind") -> ValidityAssignment:
-    """Classify every instantiation of the universe as valid or invalid.
+def check_validity(table: ClassTable, rel: SubtypeRelation
+                   ) -> tuple[ValidityAssignment, ValidityAssignment]:
+    """Classify every instantiation of the universe as valid or invalid,
+    inductively and coinductively: the pair (``ind``, ``coind``).
 
     An instantiation passes its bound check when each argument's upper
     endpoint is below the declared upper bound and its lower endpoint above
@@ -271,41 +256,34 @@ def check_validity(table: ClassTable, rel: SubtypeRelation,
     Coinductive mode takes the greatest, iterated from every checked term
     plus the dependencies outside the universe, which stay valid.  A term is
     never its own dependency, so self-bounded instantiations with finite
-    derivations are inductively valid.
+    derivations are inductively valid.  Neither a check nor its dependencies
+    depend on the mode, so both modes share one pass of bound checks.
     """
-    if mode not in ("ind", "coind"):
-        raise ValueError("mode must be 'ind' or 'coind'")
-    return _assignment(table, rel, _bound_checks(table, rel), mode)
+    checked, ok, outside, src, dst = _bound_checks(table, rel)
+    assignments = []
+    for mode, base, valid in (("ind", ok & ~outside, np.zeros_like(ok)),
+                              ("coind", ok, checked)):
+        while True:
+            step = base.copy()
+            step[src[~valid[dst]]] = False
+            if np.array_equal(step, valid):
+                break
+            valid = step
+        assignments.append(ValidityAssignment(mode, frozenset(_marked(rel, valid)),
+                                              frozenset(_marked(rel, checked & ~valid))))
+    return tuple(assignments)
 
 
-def check_validity_modes(table: ClassTable, rel: SubtypeRelation
-                         ) -> tuple[ValidityAssignment, ValidityAssignment]:
-    """The inductive and the coinductive assignment, as check_validity gives
-    them, from one pass of bound checks: neither a check's outcome nor its
-    dependencies depend on the mode."""
-    checks = _bound_checks(table, rel)
-    return _assignment(table, rel, checks, "ind"), _assignment(table, rel, checks, "coind")
-
-
-@dataclass(frozen=True)
-class _BoundChecks:
-    """The bound checks of a universe's ground terms, by universe index:
-    `checked` marks the ground terms, `ok` those that pass their check, and
-    `outside` those with a dependency outside the universe; term
-    ``needs[0][e]`` depends on term ``needs[1][e]`` of the universe."""
-
-    checked: np.ndarray
-    ok: np.ndarray
-    outside: np.ndarray
-    needs: tuple[np.ndarray, np.ndarray]
-
-
-def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> _BoundChecks:
-    """Each ground term's bound check and dependencies.  Where chains stay
-    in the universe, each bound of a class is instantiated for all of its
-    terms at once as universe indices and checked by bit reads; a term with
-    an instantiated bound outside the universe, and every term of a table
-    where chains leave it, is checked term by term (see _bound_check)."""
+def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> tuple[np.ndarray, ...]:
+    """Each ground term's bound check and dependencies, by universe index:
+    the masks `checked` of the ground terms, `ok` of those that pass their
+    check and `outside` of those with a dependency outside the universe,
+    and index arrays `src` and `dst`, term src[e] depending on term dst[e].
+    Where chains stay in the universe, each bound of a class is instantiated
+    for all of its terms at once as universe indices and checked by bit
+    reads; a term with an instantiated bound outside the universe, and every
+    term of a table where chains leave it, is checked term by term (see
+    _bound_check)."""
     layout = chains(table, rel)
     checked = np.zeros(len(rel), dtype=bool)
     for members in layout.members.values():
@@ -316,8 +294,7 @@ def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> _BoundChecks:
     by_term = []
     for cls, members in layout.members.items():
         decl = table.decl(cls)
-        bounds = [(q, use, side) for q, p in enumerate(decl.params)
-                  for use, side in ((p.upper_bound, 1), (p.lower_bound, 0)) if use is not None]
+        bounds = _bounds(decl)
         if not bounds:
             continue
         if not rows:
@@ -348,51 +325,28 @@ def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> _BoundChecks:
         single += [(i, rel.index(term)) for term in used if term in rel]
     needs.append(np.array(single, dtype=np.intp).reshape(-1, 2).T)
     src, dst = (np.concatenate(side) for side in zip(*needs))
-    return _BoundChecks(checked, ok, outside, (src, dst))
+    return checked, ok, outside, src, dst
 
 
-def _assignment(table: ClassTable, rel: SubtypeRelation, checks: _BoundChecks,
-                mode: str) -> ValidityAssignment:
-    """The least (``ind``) or greatest (``coind``) fixpoint of the validity
-    operator over the bound checks (see check_validity): a dependency
-    outside the universe is never valid in the first and always in the
-    second."""
-    src, dst = checks.needs
-    if mode == "ind":
-        base, valid = checks.ok & ~checks.outside, np.zeros_like(checks.ok)
-    else:
-        base, valid = checks.ok, checks.checked
-    while True:
-        step = base.copy()
-        step[src[~valid[dst]]] = False
-        if np.array_equal(step, valid):
-            break
-        valid = step
-    return ValidityAssignment(mode, frozenset(_marked(rel, valid)),
-                              frozenset(_marked(rel, checks.checked & ~valid)), rel.depth, table)
+def _bounds(decl: ClassDecl) -> list[tuple[int, TypeUse, int]]:
+    """Each declared bound as (parameter position, bound, side), side 1 for
+    an upper bound and 0 for a lower one."""
+    return [(q, use, side) for q, p in enumerate(decl.params)
+            for use, side in ((p.upper_bound, 1), (p.lower_bound, 0)) if use is not None]
 
 
 def _bound_check(table: ClassTable, deeper: Decider,
                  term: Ground) -> tuple[bool, frozenset[TypeTerm]]:
     decl = table.decl(term.cls)
-    param_names = {p.name for p in decl.params}
-    env_hi = {p.name: term.args[i].hi for i, p in enumerate(decl.params)}
-    env_lo = {p.name: term.args[i].lo for i, p in enumerate(decl.params)}
-    ok = True
-    used: set[TypeTerm] = set()
-    for i, p in enumerate(decl.params):
-        if p.upper_bound is not None:
-            bound = term_from_typeuse(table, p.upper_bound, env_hi)
-            if not deeper(term.args[i].hi, bound):
-                ok = False
-            if _mentions(p.upper_bound, param_names) and isinstance(bound, Ground):
-                used.add(bound)
-        if p.lower_bound is not None:
-            low = term_from_typeuse(table, p.lower_bound, env_lo)
-            if not deeper(low, term.args[i].lo):
-                ok = False
-            if _mentions(p.lower_bound, param_names) and isinstance(low, Ground):
-                used.add(low)
+    names = {p.name for p in decl.params}
+    ok, used = True, set()
+    for q, use, side in _bounds(decl):
+        # upper bounds take the upper endpoints, lower bounds the lower ones
+        ends = [(iv.lo, iv.hi)[side] for iv in term.args]
+        bound = term_from_typeuse(table, use, {p.name: e for p, e in zip(decl.params, ends)})
+        ok &= deeper(ends[q], bound) if side else deeper(bound, ends[q])
+        if _mentions(use, names) and isinstance(bound, Ground):
+            used.add(bound)
     used.discard(term)
     return ok, frozenset(used)
 

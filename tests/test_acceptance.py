@@ -25,6 +25,8 @@ from nomsub import (
     closure_class,
     closure_type,
     erase,
+    f_subtypes,
+    f_supertypes,
     format_type,
     free_type,
     is_subtype,
@@ -118,8 +120,7 @@ def test_criterion_5_relation_sanity(sample_table, sample_rel0, sample_rel1,
 
 
 def test_criterion_6_f_bounded_validity(sample_table, sample_rel1):
-    for mode in ("ind", "coind"):
-        assignment = check_validity(sample_table, sample_rel1, mode)
+    for assignment in check_validity(sample_table, sample_rel1):
         assert parse_type(sample_table, "Enum<Weekday>") in assignment.valid
         assert parse_type(sample_table, "Enum<Object>") in assignment.invalid
         assert parse_type(sample_table, "Enum<String>") in assignment.invalid
@@ -127,8 +128,7 @@ def test_criterion_6_f_bounded_validity(sample_table, sample_rel1):
     for seed in range(20):
         table = random_table(seed, max_classes=6)
         rel = build_relation(table, 1)
-        ind = check_validity(table, rel, "ind")
-        coind = check_validity(table, rel, "coind")
+        ind, coind = check_validity(table, rel)
         assert ind.valid <= coind.valid, f"seed {seed}"
         if not has_f_bounds(table):
             plain_tables += 1
@@ -174,8 +174,10 @@ def test_criterion_8_determinism_and_round_trips(sample_table, sample_rel1,
 
 
 def test_criterion_9_diagnostics_recorded(sample_table, sample_rel1, capsys):
-    maxima = maximal_f_subtypes(sample_table, sample_rel1, "Enum")
-    minima = minimal_f_supertypes(sample_table, sample_rel1, "List")
+    maxima = maximal_f_subtypes(sample_table, sample_rel1, "Enum",
+                                f_subtypes(sample_table, sample_rel1, "Enum"))
+    minima = minimal_f_supertypes(sample_table, sample_rel1, "List",
+                                  f_supertypes(sample_table, sample_rel1, "List"))
     assert maxima.maxima
     assert minima.minima
     assert isinstance(maxima.free_type.is_member, bool)

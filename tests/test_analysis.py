@@ -3,11 +3,13 @@ verdict catches a relation that breaks the laws."""
 
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
 
-from nomsub import analyze, build_relation, export_json, initial_relation, relation_from_json
+from nomsub import (analyze, build_relation, export_json, fixpoints, initial_relation,
+                    relation_from_json)
 from nomsub.cli import main
 from nomsub.relation import chains
 
@@ -21,6 +23,33 @@ def test_report_prints_the_analyze_document(capsys, sample_table, sample_rel1):
     assert main(["report", SAMPLE]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed == {"table": SAMPLE, **analyze(sample_table, sample_rel1)}
+
+
+COUNTED = ("f_subtypes", "f_supertypes", "maximal_f_subtypes", "minimal_f_supertypes",
+           "check_validity")
+
+
+@pytest.mark.parametrize("name, depth", [("sample", 1), ("nested", 1)])
+def test_analyze_calls_each_public_analysis_once(name, depth, request, monkeypatch):
+    # a tracer times an analysis by wrapping its public function wherever a
+    # nomsub module binds it, so analyze must reach each one by that name
+    table = named_table(name, request)
+    rel = build_relation(table, depth)
+    expected = analyze(table, rel)
+    calls = dict.fromkeys(COUNTED, 0)
+    for attr in COUNTED:
+        original = getattr(fixpoints, attr)
+
+        def counted(*args, attr=attr, original=original):
+            calls[attr] += 1
+            return original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "nomsub" and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted)
+    assert analyze(table, rel) == expected
+    unary = sum(table.arity(cls) == 1 for cls in table.class_names)
+    assert calls == {**dict.fromkeys(COUNTED[:4], unary), "check_validity": 1}
 
 
 def test_unclosed_relation_fails_verification(sample_table):

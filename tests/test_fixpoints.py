@@ -10,7 +10,6 @@ from nomsub import (
     NotUnaryGeneric,
     build_relation,
     check_validity,
-    check_validity_modes,
     exact_fixed_points,
     f_subtypes,
     f_supertypes,
@@ -57,9 +56,9 @@ class TestFSubtypes:
 
 class TestExtremalDiagnostics:
     def test_maxima_of_self_bounded_class(self, sample_table, sample_rel1):
-        report = maximal_f_subtypes(sample_table, sample_rel1, "Enum")
-        members = set(f_subtypes(sample_table, sample_rel1, "Enum"))
-        assert set(report.maxima) <= members
+        members = f_subtypes(sample_table, sample_rel1, "Enum")
+        report = maximal_f_subtypes(sample_table, sample_rel1, "Enum", members)
+        assert set(report.maxima) <= set(members)
         assert report.maxima  # never empty: members include bottom
         # under interval desugaring the free type is not itself a coalgebra,
         # though it still dominates them all; pinned as model behavior
@@ -68,9 +67,9 @@ class TestExtremalDiagnostics:
         assert set(report.maxima) == {Ground("Weekday"), Cofree("Enum")}
 
     def test_minima_of_plain_container(self, sample_table, sample_rel1):
-        report = minimal_f_supertypes(sample_table, sample_rel1, "List")
-        members = set(f_supertypes(sample_table, sample_rel1, "List"))
-        assert set(report.minima) <= members
+        members = f_supertypes(sample_table, sample_rel1, "List")
+        report = minimal_f_supertypes(sample_table, sample_rel1, "List", members)
+        assert set(report.minima) <= set(members)
         # the co-free atom never satisfies F<Ty> <: Ty (nothing ground sits
         # below it) yet it lies below every member; pinned as model behavior
         assert report.cofree.is_member is False
@@ -80,8 +79,9 @@ class TestExtremalDiagnostics:
         # without the co-free axioms nothing but bottom is a Box-coalgebra
         table = parse_class_table("class Object\nclass Box<T> extends Object")
         rel = build_relation(table, 0, include_cofree=False)
-        report = maximal_f_subtypes(table, rel, "Box")
-        assert set(f_subtypes(table, rel, "Box")) == {BOTTOM}
+        members = f_subtypes(table, rel, "Box")
+        report = maximal_f_subtypes(table, rel, "Box", members)
+        assert set(members) == {BOTTOM}
         assert set(report.maxima) == {BOTTOM}
 
     def test_exact_fixed_points_are_the_intersection(self, sample_table, sample_rel1):
@@ -93,39 +93,35 @@ class TestExtremalDiagnostics:
 
 class TestValidity:
     def test_self_bounded_instantiations(self, sample_table, sample_rel1):
-        for mode in ("ind", "coind"):
-            assignment = check_validity(sample_table, sample_rel1, mode)
+        for assignment in check_validity(sample_table, sample_rel1):
             assert parse_type(sample_table, "Enum<Weekday>") in assignment.valid
             assert parse_type(sample_table, "Enum<Object>") in assignment.invalid
             assert parse_type(sample_table, "Enum<String>") in assignment.invalid
 
     def test_unbounded_parameters_are_always_valid(self, sample_table, sample_rel1):
-        for mode in ("ind", "coind"):
-            assignment = check_validity(sample_table, sample_rel1, mode)
+        for assignment in check_validity(sample_table, sample_rel1):
             assert parse_type(sample_table, "List<String>") in assignment.valid
 
     def test_partition_covers_instantiations(self, sample_table, sample_rel1):
-        assignment = check_validity(sample_table, sample_rel1, "ind")
+        ind, coind = check_validity(sample_table, sample_rel1)
+        assert (ind.mode, coind.mode) == ("ind", "coind")
         grounds = {t for t in sample_rel1.universe if isinstance(t, Ground)}
-        assert assignment.valid | assignment.invalid == grounds
-        assert not assignment.valid & assignment.invalid
+        for assignment in (ind, coind):
+            assert assignment.valid | assignment.invalid == grounds
+            assert not assignment.valid & assignment.invalid
 
     def test_inductive_subset_of_coinductive_on_generated_tables(self):
         for seed in range(20):
             table = random_table(seed)
             rel = build_relation(table, 1)
-            ind = check_validity(table, rel, "ind")
-            coind = check_validity(table, rel, "coind")
-            # both modes from one pass of bound checks
-            assert check_validity_modes(table, rel) == (ind, coind), f"seed {seed}"
+            ind, coind = check_validity(table, rel)
             assert ind.valid <= coind.valid, f"seed {seed}"
             if not has_f_bounds(table):
                 assert ind.valid == coind.valid, f"seed {seed}"
 
     def test_modes_coincide_without_f_bounds(self, reduced_table, reduced_rel1):
         assert not has_f_bounds(reduced_table)
-        ind = check_validity(reduced_table, reduced_rel1, "ind")
-        coind = check_validity(reduced_table, reduced_rel1, "coind")
+        ind, coind = check_validity(reduced_table, reduced_rel1)
         assert ind.valid == coind.valid
 
     def test_modes_differ_on_mutually_bounded_pair(self):
@@ -137,8 +133,7 @@ class TestValidity:
             "class Core<T extends Wrap<T>> extends Wrap<T>\n"
             "class Unit extends Core<Unit>")
         rel = build_relation(table, 1)
-        ind = check_validity(table, rel, "ind")
-        coind = check_validity(table, rel, "coind")
+        ind, coind = check_validity(table, rel)
         assert ind.valid < coind.valid
         for text in ("Wrap<Unit>", "Core<Unit>"):
             term = parse_type(table, text)
@@ -156,15 +151,10 @@ class TestValidity:
             "class Weekday extends Enum<Weekday>")
         rel = build_relation(tightened, 1)
         assert rel.universe == sample_rel1.universe  # bounds never shape the universe
-        for mode in ("ind", "coind"):
-            loose = check_validity(sample_table, sample_rel1, mode)
-            tight = check_validity(tightened, rel, mode)
+        for loose, tight in zip(check_validity(sample_table, sample_rel1),
+                                check_validity(tightened, rel)):
             assert tight.valid <= loose.valid
             assert parse_type(tightened, "List<String>") in tight.invalid
-
-    def test_rejects_unknown_mode(self, sample_table, sample_rel1):
-        with pytest.raises(ValueError):
-            check_validity(sample_table, sample_rel1, "both")
 
 
 class TestValidityModes:
@@ -173,7 +163,7 @@ class TestValidityModes:
         # depends on H<Object>, whose own check depends on G<Object>
         table = parse_class_table(BOUND_TABLES["mutual"])
         rel = build_relation(table, 1)
-        ind, coind = check_validity_modes(table, rel)
+        ind, coind = check_validity(table, rel)
         assert ind.valid < coind.valid
         for text in ("G<Object>", "H<Object>"):
             term = parse_type(table, text)
@@ -186,11 +176,10 @@ def _analyses(table, rel):
     found = {}
     for cls in table.class_names:
         if table.arity(cls) == 1:
-            found[cls] = (f_subtypes(table, rel, cls), f_supertypes(table, rel, cls),
-                          maximal_f_subtypes(table, rel, cls),
-                          minimal_f_supertypes(table, rel, cls))
-    for mode in ("ind", "coind"):
-        found[mode] = check_validity(table, rel, mode).valid
+            subs, sups = f_subtypes(table, rel, cls), f_supertypes(table, rel, cls)
+            found[cls] = (subs, sups, maximal_f_subtypes(table, rel, cls, subs),
+                          minimal_f_supertypes(table, rel, cls, sups))
+    found["ind"], found["coind"] = (a.valid for a in check_validity(table, rel))
     return found
 
 

@@ -31,7 +31,6 @@ from nomsub import (
     subclass_of,
 )
 from nomsub.analysis import closure_doc
-from nomsub.fixpoints import _maxima_report, _minima_report
 from nomsub.random_tables import random_table
 
 from nested_tables import NESTED_TABLES
@@ -74,7 +73,7 @@ def case(request, sample_table):
 
 def galois_by_pairs(table, rel, quantify):
     free = {c: free_type(table, c) for c in table.class_names}
-    valid = check_validity(table, rel, "ind").valid if quantify == "valid" else None
+    valid = check_validity(table, rel)[0].valid if quantify == "valid" else None
     checked, skipped, violations, cofree = 0, 0, [], []
     for term in rel.universe:
         if term == BOTTOM:
@@ -176,14 +175,14 @@ def test_extrema_match_the_per_pair_scan(case):
             continue
         # the whole universe as the member set reaches every comparison
         u = rel.universe
-        assert (list(_maxima_report(table, rel, cls, u).maxima)
+        assert (list(maximal_f_subtypes(table, rel, cls, u).maxima)
                 == strict_extrema_by_pairs(rel, u, True))
-        assert (list(_minima_report(table, rel, cls, u).minima)
+        assert (list(minimal_f_supertypes(table, rel, cls, u).minima)
                 == strict_extrema_by_pairs(rel, u, False))
         subs, sups = f_subtypes(table, rel, cls), f_supertypes(table, rel, cls)
-        assert (list(maximal_f_subtypes(table, rel, cls).maxima)
+        assert (list(maximal_f_subtypes(table, rel, cls, subs).maxima)
                 == strict_extrema_by_pairs(rel, subs, True))
-        assert (list(minimal_f_supertypes(table, rel, cls).minima)
+        assert (list(minimal_f_supertypes(table, rel, cls, sups).minima)
                 == strict_extrema_by_pairs(rel, sups, False))
 
 
