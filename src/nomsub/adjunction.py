@@ -12,7 +12,8 @@ monotonicity of both maps, and the fixed points of the induced closure
 operator (the closed types).
 
 The checks read the relation's packed rows by universe index, so no term
-is hashed per pair, and they build no n x n temporary.
+is hashed per pair, and they build no n x n temporary.  The grid and the
+closed types read indices and labels only, so they make no term.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import numpy as np
 from .class_table import ClassTable, subclass_of
 from .errors import FreeTypeOutsideUniverse
 from .fixpoints import check_validity
-from .relation import SubtypeRelation, is_subtype
-from .terms import BottomType, Cofree, Ground, TypeTerm, erase, free_type
+from .relation import SubtypeRelation, chains, is_subtype, label_index
+from .terms import (BOTTOM, BottomType, Cofree, Ground, TypeTerm, erase, format_interval,
+                    format_type, free_type)
 
 LEFT_TO_RIGHT = "left-to-right"   # erasure side holds, subtype side fails
 RIGHT_TO_LEFT = "right-to-left"   # subtype side holds, erasure side fails
@@ -33,9 +35,17 @@ RIGHT_TO_LEFT = "right-to-left"   # subtype side holds, erasure side fails
 
 @dataclass(frozen=True)
 class GaloisViolation:
-    term: TypeTerm
+    """A (term, class) pair whose two sides disagree; the term is entry `at`
+    of `rel`, made (with its universe) only when `term` is read."""
+
+    rel: SubtypeRelation = field(repr=False, compare=False)
+    at: int
     cls: str
     direction: str
+
+    @property
+    def term(self) -> TypeTerm:
+        return self.rel.universe[self.at]
 
 
 @dataclass
@@ -86,11 +96,12 @@ def check_galois(table: ClassTable, rel: SubtypeRelation,
     erasure_side = _subclass_matrix(table)[classes[rows]]
     subtype_side = rel.related(rows[:, None], free)
     names = table.class_names
+    atoms = set(_atoms(table, rel).values())
     for r, k in np.argwhere(erasure_side != subtype_side):
-        term = rel.universe[rows[r]]
-        sink = report.cofree_violations if isinstance(term, Cofree) else report.violations
+        i = int(rows[r])
+        sink = report.cofree_violations if i in atoms else report.violations
         direction = LEFT_TO_RIGHT if erasure_side[r, k] else RIGHT_TO_LEFT
-        sink.append(GaloisViolation(term, names[k], direction))
+        sink.append(GaloisViolation(rel, i, names[k], direction))
     return report
 
 
@@ -112,9 +123,10 @@ def closure_class(table: ClassTable, cls: str) -> tuple[str, bool]:
 
 def closed_types(rel: SubtypeRelation, table: ClassTable) -> frozenset[TypeTerm]:
     """Syntactic fixed points of the closure operator; exactly the free
-    types (which for non-generic classes are the classes' sole types)."""
-    free = (free_type(table, c) for c in table.class_names)
-    return frozenset(ft for ft in free if ft in rel)
+    types (which for non-generic classes are the classes' sole types) that
+    lie in the universe, found as _free_columns finds them."""
+    free = _free_columns(table, rel, needed=())
+    return frozenset(free_type(table, c) for c, i in zip(table.class_names, free) if i >= 0)
 
 
 @dataclass
@@ -151,10 +163,23 @@ def check_monotonicity(table: ClassTable, rel: SubtypeRelation) -> MonotonicityR
 
 
 def _class_positions(table: ClassTable, rel: SubtypeRelation) -> np.ndarray:
-    """Each term's class as a position in `table.class_names`; -1 for bottom."""
+    """Each term's class as a position in `table.class_names`; -1 for bottom.
+    A built relation's ground terms are its Chains' members, and its atoms
+    are found by label."""
     position = {c: k for k, c in enumerate(table.class_names)}
-    return np.array([-1 if isinstance(t, BottomType) else position[t.cls]
-                     for t in rel.universe], dtype=np.intp)
+    if not rel._built:
+        return np.array([-1 if isinstance(t, BottomType) else position[t.cls]
+                         for t in rel.universe], dtype=np.intp)
+    classes = np.full(len(rel), -1)
+    for c, at in [*chains(table, rel).members.items(), *_atoms(table, rel).items()]:
+        classes[at] = position[c]
+    return classes
+
+
+def _atoms(table: ClassTable, rel: SubtypeRelation) -> dict[str, int]:
+    """Each co-free atom's universe index, by class, found by its label."""
+    return {d.name: i for d in table.decls.values() if d.is_generic
+            if (i := label_index(table, rel, format_type(Cofree(d.name)))) >= 0}
 
 
 def _subclass_matrix(table: ClassTable) -> np.ndarray:
@@ -166,11 +191,13 @@ def _subclass_matrix(table: ClassTable) -> np.ndarray:
 def _free_columns(table: ClassTable, rel: SubtypeRelation,
                   needed: np.ndarray | None = None) -> np.ndarray:
     """Universe index of each class's free type, by class position (-1 where
-    absent).  Raises if the free type of a `needed` class (by default every
-    class) lies outside the universe."""
+    absent), found by its label.  Raises if the free type of a `needed`
+    class (by default every class) lies outside the universe."""
     names = table.class_names
-    columns = np.array([rel.index(ft) if (ft := free_type(table, c)) in rel else -1
-                        for c in names], dtype=np.intp)
+    wild = format_interval(format_type(BOTTOM), table.root, table.root)
+    free = [f"{d.name}<{', '.join([wild] * d.arity)}>" if d.arity else d.name
+            for d in table.decls.values()]  # in class_names order
+    columns = np.array([label_index(table, rel, label) for label in free], dtype=np.intp)
     missing = [names[k] for k in (range(len(names)) if needed is None else needed)
                if columns[k] < 0]
     if missing:

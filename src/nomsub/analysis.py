@@ -38,7 +38,7 @@ def analyze(table: ClassTable, rel: SubtypeRelation,
     validity["agree"] = validity["inductive"]["valid"] == validity["coinductive"]["valid"]
     return {
         "depth": rel.depth,
-        "universe_size": len(rel.universe),
+        "universe_size": len(rel),
         "iterations": rel.iterations,
         "include_cofree": rel.include_cofree,
         "galois": galois_doc(rel, galois),
@@ -63,7 +63,7 @@ def labels(rel: SubtypeRelation, terms) -> list[str]:
 
 def galois_doc(rel: SubtypeRelation, report: adjunction.AdjunctionReport) -> dict:
     def violations(vs):
-        return [{"type": rel.label(v.term), "class": v.cls, "direction": v.direction}
+        return [{"type": rel.labels[v.at], "class": v.cls, "direction": v.direction}
                 for v in vs]
 
     return {
@@ -77,8 +77,8 @@ def galois_doc(rel: SubtypeRelation, report: adjunction.AdjunctionReport) -> dic
 
 def closure_doc(table: ClassTable, rel: SubtypeRelation) -> dict:
     """Unit and idempotence violations over the universe (bottom excluded),
-    counit violations over the classes, and the closed types.  A term breaks
-    idempotence exactly when its class breaks the counit law, since
+    counit violations over the classes, and the closed types, by label.  A
+    term breaks idempotence exactly when its class breaks the counit law, since
     free_type(erase(free_type(c))) is free_type(c) exactly when it holds."""
     classes = adjunction._class_positions(table, rel)
     rows = np.flatnonzero(classes >= 0)
@@ -91,7 +91,7 @@ def closure_doc(table: ClassTable, rel: SubtypeRelation) -> dict:
         "unit_violations": [rel.labels[i] for i in unit],
         "counit_violations": [c for c, ok in zip(names, counit_ok) if not ok],
         "idempotence_violations": [rel.labels[i] for i in idem],
-        "closed_types": sorted(labels(rel, adjunction.closed_types(rel, table))),
+        "closed_types": sorted(rel.labels[i] for i in free if i >= 0),
     }
 
 

@@ -84,12 +84,12 @@ class ClassTable:
     one root class.  Instances are safe to share across threads.
 
     The table also holds the pool of type terms made against it, a plain
-    dict from each term to itself (see `intern`), and the texts parsed
-    against it, a plain dict from each text to its term (see
-    `terms.parse_type`), which also holds the labels of every relation
-    built against it (see `relation.build_relation`).  Neither is part of
-    the table's value: equality, hashing and pickling ignore them, and an
-    unpickled table starts with both empty.
+    dict from each term to itself (see `intern`), the texts parsed against
+    it, a plain dict from each text to its term (see `terms.parse_type`),
+    and weak references to the relations built against it, whose labels
+    parse_type finds there (see `relation.build_relation`).  None of them
+    is part of the table's value: equality, hashing and pickling ignore
+    them, and an unpickled table starts with all three empty.
     """
 
     def __init__(self, decls: Iterable[ClassDecl]):
@@ -108,6 +108,7 @@ class ClassTable:
         self.root = self._validate()
         self._terms: dict = {}  # see intern
         self._parsed: dict = {}  # see terms.parse_type
+        self._built: list = []  # see relation.build_relation
 
     # -- validation -------------------------------------------------------
 

@@ -37,7 +37,7 @@ modes from one pass of bound checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .relation import (
     decider,
     instantiated,
     is_subtype,
+    label_index,
 )
 from .terms import (
     BOTTOM,
@@ -291,7 +292,7 @@ def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> tuple[np.ndarray, 
     ok, outside = checked.copy(), np.zeros(len(rel), dtype=bool)
     needs: list[tuple[np.ndarray, np.ndarray]] = []
     rows = chains_stay_in_universe(table, rel.depth)
-    by_term = []
+    by_term, at = [], partial(label_index, table, rel)
     for cls, members in layout.members.items():
         decl = table.decl(cls)
         bounds = _bounds(decl)
@@ -306,7 +307,7 @@ def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> tuple[np.ndarray, 
         for q, use, side in bounds:
             # upper bounds take the upper endpoints, lower bounds the lower ones
             env = {p.name: layout.ends[cls][:, j, side] for j, p in enumerate(decl.params)}
-            bound = np.broadcast_to(instantiated(table, rel._index, layout, use, env),
+            bound = np.broadcast_to(instantiated(at, layout, use, env),
                                     members.shape)
             own = layout.ends[cls][:, q, side]
             far |= bound < 0

@@ -19,21 +19,19 @@ label-sorted universe once, with a generic class's endpoint indices into
 the stratum below; from that one layout, containment is read off the
 depth-(d-1) relation, and each row is its containment row OR-ed with the
 final row of its chain parent, the nearest superclass-chain member in the
-universe.  The relation keeps that layout, with its endpoints as indices
-into its own universe, as its Chains, which construction_step and the
-analyses read.  A chain parent is one superclass step by universe index,
-the index twin of terms.super_instantiation: member_at finds a class's
-member by its endpoint indices, and instantiated gives a declared type
-under endpoint arrays.  The build, chains for any other relation, and the
-analyses' bound checks all take that one step.  Nothing is cached between
-builds: a build leaves only its labels in the table's parse cache, which
-parse_type reads and no build does.  The only resource limit is a fixed
-4 GiB budget for a stratum's packed rows, checked from its exact term
-count before any of its terms is built.  decider answers a pair of the
-depth-d relation by the same rules without building it;
-chains_stay_in_universe states when the depth-d rows answer the
-depth-(d+1) questions about their own terms instead; universe_faults says
-why a term lies outside U_d, judging each interval by the decider at d-1.
+universe, found by universe index (member_at, instantiated) as the index
+twin of terms.super_instantiation.  The relation keeps that layout as its
+Chains, which construction_step and the analyses read.  A stratum makes
+no term: its universe is made on first read from its labels and layout,
+and analyses that read only indices and labels never make it.  Nothing is
+cached between builds.  The only resource limit is a fixed 4 GiB budget
+for a stratum's packed rows, checked from its exact term count before
+any label is printed.
+decider answers a pair of the depth-d relation by the same rules without
+building it; chains_stay_in_universe states when the depth-d rows answer
+the depth-(d+1) questions about their own terms instead; universe_faults
+says why a term lies outside U_d, judging each interval by the decider at
+d-1.
 
 Edges live in packed bit rows (``np.packbits`` along each row, n x
 ceil(n/8) bytes) with an index map, from the build to every query, every
@@ -47,13 +45,16 @@ from __future__ import annotations
 import base64
 import itertools
 import json
+import threading
+import weakref
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
-from .class_table import ClassTable, TypeUse, subclass_of
+from .class_table import ClassDecl, ClassTable, TypeUse, format_typeuse, subclass_of
 from .errors import (
     EndpointOutsideUniverse,
     InvalidRelationDocument,
@@ -79,6 +80,9 @@ from .terms import (
 _ROW_BUDGET = 1 << 32  # bytes of packed rows per stratum; fixed, not read from the host
 # rows per band keep a band's temporaries near 16 MiB
 _BAND_BYTES = 1 << 24
+# held while a built relation makes its universe (and again for the stratum
+# below), or is added to its table's relations
+_MAKING = threading.RLock()
 
 
 class SubtypeRelation:
@@ -91,16 +95,20 @@ class SubtypeRelation:
     all zero, so equal relations have equal bytes; the constructor raises
     ValueError on any other dtype, shape or padding.
 
+    `universe` is a tuple of terms, or for a built relation the function
+    that makes them on first read, once (see _terms).  A built relation's
+    labels are canonical and strictly sorted, so it finds one by bisection.
+
     Frozen after construction: the rows are read-only and every query is
     safe to run concurrently.  Equality compares depth, universe, edges and
     the include_cofree flag; iteration provenance is excluded, since it
     records how the relation was built, not what it is.
     """
 
-    def __init__(self, universe: tuple[TypeTerm, ...], labels: tuple[str, ...],
-                 bits: np.ndarray, iterations: int, depth: int,
+    def __init__(self, universe: tuple[TypeTerm, ...] | Callable[[], tuple[TypeTerm, ...]],
+                 labels: tuple[str, ...], bits: np.ndarray, iterations: int, depth: int,
                  include_cofree: bool = True):
-        n = len(universe)
+        n = len(labels)
         if bits.dtype != np.uint8:
             raise ValueError(f"packed rows must be uint8, not {bits.dtype}")
         if bits.shape != (n, (n + 7) // 8):
@@ -108,7 +116,11 @@ class SubtypeRelation:
                              f"{(n, (n + 7) // 8)}, not {bits.shape}")
         if n % 8 and (bits[:, -1] & (0xFF >> n % 8)).any():
             raise ValueError("packed rows have a padding bit set")
-        self.universe = universe
+        self._built = callable(universe)
+        if self._built:
+            self._make = universe  # see universe
+        else:
+            self.universe = universe
         self.labels = labels
         bits.setflags(write=False)
         self.bits = bits
@@ -117,10 +129,26 @@ class SubtypeRelation:
         self.include_cofree = include_cofree
         self._chains: dict[ClassTable, Chains] = {}  # see chains()
 
+    @cached_property
+    def universe(self) -> tuple[TypeTerm, ...]:
+        # a built relation's, made under a lock (cached_property takes none
+        # from Python 3.12), so that threads reading at once get one universe
+        made = vars(self)
+        with _MAKING:
+            if "universe" not in made:
+                made["universe"] = self._make()
+                del self._make
+        return made["universe"]
+
+    def _printed(self, label: str) -> TypeTerm | None:
+        """A built relation's term printed as `label`, or None."""
+        k = _label_at(self.labels, label)
+        return None if k < 0 else self.universe[k]
+
     @property
     def edges(self) -> np.ndarray:
         """The dense n x n boolean matrix, unpacked afresh on each access."""
-        edges = _unpack(self.bits, len(self.universe))
+        edges = _unpack(self.bits, len(self))
         edges.setflags(write=False)
         return edges
 
@@ -134,7 +162,7 @@ class SubtypeRelation:
         return {t: i for i, t in enumerate(self.universe)}
 
     def __len__(self) -> int:
-        return len(self.universe)
+        return len(self.labels)
 
     def __contains__(self, term: TypeTerm) -> bool:
         return term in self._index
@@ -159,8 +187,21 @@ class SubtypeRelation:
 
     def __repr__(self) -> str:
         edges = _edge_count(self.bits)
-        return (f"SubtypeRelation(depth={self.depth}, terms={len(self.universe)}, "
+        return (f"SubtypeRelation(depth={self.depth}, terms={len(self)}, "
                 f"edges={edges}, iterations={self.iterations})")
+
+
+def _label_at(labels: tuple[str, ...], label: str) -> int:
+    """The position of `label` in the strictly sorted `labels`, or -1."""
+    k = bisect_left(labels, label)
+    return k if k < len(labels) and labels[k] == label else -1
+
+
+def label_index(table: ClassTable, rel: SubtypeRelation, label: str) -> int:
+    """The index in `rel` of the term printed `label`, -1 if none: found by
+    bisection in a built relation, so no term is made, else by its term."""
+    return (_label_at(rel.labels, label) if rel._built
+            else rel._index.get(parse_type(table, label), -1))
 
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -341,7 +382,7 @@ def chains(table: ClassTable, rel: SubtypeRelation) -> Chains:
             if isinstance(term, Ground):
                 grouped.setdefault(term.cls, []).append(i)
         found = rel._chains[table] = _layout(
-            table, rel.universe, rel._index,
+            table, len(rel), partial(label_index, table, rel),
             {cls: np.array(run, dtype=np.intp) for cls, run in grouped.items()},
             {cls: np.array([_endpoints(table, rel, i) for i in run], dtype=np.intp)
              for cls, run in grouped.items() if table.arity(cls)})
@@ -357,61 +398,66 @@ def _endpoints(table: ClassTable, rel: SubtypeRelation, i: int) -> list[tuple[in
             f"'{format_type(e.args[0], table)}' outside the universe") from None
 
 
-def _layout(table: ClassTable, universe: tuple[TypeTerm, ...], index: dict[TypeTerm, int],
+def _layout(table: ClassTable, n: int, at: Callable[[str], int],
             members: dict[str, np.ndarray], ends: dict[str, np.ndarray]) -> Chains:
-    """The Chains of `universe` from each class's members and endpoint
-    indices.  A term's parent is its super-instantiation, found for a whole
-    class by index as terms.super_instantiation builds it: a parameter at a
-    direct position passes its (lo, hi) columns through, and any other
-    argument is the point that `instantiated` gives over the low endpoints.
-    Where a nested parameter meets a non-point interval (no step), or the
-    class is the root, the term is its own parent.  A member's own chain is
-    a suffix of the term's, so the parent's final row covers every member
-    the term reaches.  Only a term whose step lands outside the universe
-    walks its super_chain for the first member inside: a depth-0 term whose
-    superclass takes a closed type nested deeper (``Enum<Weekday>``), or one
-    whose superclass argument nests a parameter past the depth bound."""
-    parent = np.arange(len(universe))
+    """The Chains of a universe of `n` terms from each class's members and
+    endpoint indices, `at` giving a label's index (see label_index).
+    A term's parent is the first member of its superclass chain in the
+    universe, found for a whole class by index, one step at a time as
+    terms.super_instantiation takes it: a parameter at a direct position
+    passes its (lo, hi) columns through, and any other argument is the
+    point that `instantiated` gives over the low endpoints (-1 outside the
+    universe, as is every term holding it).  Only a term whose step lands
+    outside takes the next: a depth-0 term whose superclass takes a closed
+    type nested deeper (``Enum<Weekday>``), or one whose superclass argument
+    nests a parameter past the depth bound.  Where a nested parameter meets
+    a non-point interval (no step), or no member is in the universe, the
+    term is its own parent.  A member's own chain is a suffix of the
+    term's, so the parent's final row covers every member the term reaches."""
+    parent = np.arange(n)
     layout = Chains(members, ends, parent)
     for cls, own in members.items():
-        decl = table.decl(cls)
-        sup = decl.superclass
-        if sup is None:
-            continue
-        mine = ends.get(cls)  # None for a plain class, which has no parameter
-        position = {p.name: q for q, p in enumerate(decl.params)}
-        env = {name: mine[:, q, 0] for name, q in position.items()}
-        stuck = False
-        rows = np.empty((len(own), len(sup.args), 2), dtype=np.intp)
-        for p, arg in enumerate(sup.args):
-            if not arg.args and arg.name in position:
-                rows[:, p] = mine[:, position[arg.name]]
-                continue
-            nested = [position[name] for name in arg.mentioned_names() if name in position]
-            if nested:
-                stuck |= (mine[:, nested, 0] != mine[:, nested, 1]).any(axis=1)
-            rows[:, p, 0] = rows[:, p, 1] = instantiated(table, index, layout, arg, env)
-        step = np.where(stuck, own, member_at(layout, sup.name, rows))
-        parent[own] = step
-        for i in own[step < 0].tolist():
-            parent[i] = next((index[m] for m in super_chain(table, universe[i]) if m in index), i)
+        # the terms still climbing, and the endpoints of their chain member
+        # of class `decl` (None for a plain class, which has none)
+        here, decl, mine = own, table.decl(cls), ends.get(cls)
+        while decl.superclass is not None:
+            sup = decl.superclass
+            position = {p.name: q for q, p in enumerate(decl.params)}
+            env = {name: mine[:, q, 0] for name, q in position.items()}
+            stuck = False
+            rows = np.empty((len(here), len(sup.args), 2), dtype=np.intp)
+            for p, arg in enumerate(sup.args):
+                if not arg.args and arg.name in position:
+                    rows[:, p] = mine[:, position[arg.name]]
+                    continue
+                nested = [position[name] for name in arg.mentioned_names() if name in position]
+                if nested:
+                    stuck |= (mine[:, nested, 0] != mine[:, nested, 1]).any(axis=1)
+                rows[:, p, 0] = rows[:, p, 1] = instantiated(at, layout, arg, env)
+            parent[here] = step = np.where(stuck, here, member_at(layout, sup.name, rows))
+            climbing = step < 0
+            if not climbing.any():
+                break
+            here, decl, mine = here[climbing], table.decl(sup.name), rows[climbing]
+            parent[here] = here
     return layout
 
 
-def instantiated(table: ClassTable, index: dict[TypeTerm, int], layout: Chains,
-                 use: TypeUse, env: dict[str, np.ndarray]):
+def instantiated(at: Callable[[str], int], layout: Chains, use: TypeUse,
+                 env: dict[str, np.ndarray]):
     """Universe indices of the type `use` with each parameter replaced by
     its `env` array of endpoint indices, as term_from_typeuse instantiates
-    it: a parameter is its array, a closed type its one index, and a
-    compound type the member of its class on the point intervals of its
-    arguments (see member_at); -1 where the term lies outside the universe."""
+    it: a parameter is its array, a closed type the index `at` gives its
+    label, and a compound type the member of its class on the point
+    intervals of its arguments (see member_at); -1 where the term lies
+    outside the universe."""
     if use.name in env:
         return env[use.name]
     if not any(name in env for name in use.mentioned_names()):
-        return index.get(term_from_typeuse(table, use), -1)
-    at = np.stack(np.broadcast_arrays(
-        *(instantiated(table, index, layout, a, env) for a in use.args)), axis=1)
-    return member_at(layout, use.name, np.stack([at, at], axis=-1))
+        return at(format_typeuse(use))
+    args = np.stack(np.broadcast_arrays(
+        *(instantiated(at, layout, a, env) for a in use.args)), axis=1)
+    return member_at(layout, use.name, np.stack([args, args], axis=-1))
 
 
 def member_at(layout: Chains, cls: str, ends: np.ndarray) -> np.ndarray:
@@ -510,26 +556,21 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
            include_cofree: bool) -> SubtypeRelation:
     """The relation at `depth`, over its universe: the depth-0 terms plus,
     per generic class, every product of the intervals (edges ``lo <: hi``)
-    of the stratum `below` (None at depth 0), kept as endpoint indices into
-    that stratum.  Edges only grow from one stratum to the next, so the
-    products re-generate every instantiation below and the universe's size
-    is known, and checked against the row budget, before any term is built.
-    Terms and intervals are made through the table's pool, so each
-    re-generated instantiation is the very object of the stratum below.
-    A class's instantiations are sorted within the class; their labels all
-    begin ``C<``, so merging the classes and the depth-0 terms by leading
-    label gives the label order.
+    of the stratum `below` (None at depth 0).  Edges only grow from one
+    stratum to the next, so the products re-generate every instantiation
+    below and the universe's size is known, and checked against the row
+    budget, before any label is printed.  A class's labels are sorted
+    within the class and all begin ``C<``, so merging the classes and the
+    depth-0 terms by leading label gives the label order.
 
     Every class with ground terms is then one run of that order, recorded
     once as ``(start, stop, ends)``: a plain class's one term, with `ends`
     None, or a generic class's block, with its terms' endpoint indices into
     the stratum below.  This is the index part of the stratum as a partial
-    product over the one below; every row writer reads it.
-
-    Without the co-free axioms the atoms they define are dropped from the
-    universe as well: the extension-free model contains only ordinary terms,
-    which makes it directly comparable with the full model on its Ground
-    fragment.
+    product over the one below; every row writer reads it, and _terms makes
+    the terms from it on first read.  Without the co-free axioms the atoms
+    are dropped from the universe too, so the model is directly comparable
+    with the full one on its Ground fragment.
     """
     intern = table.intern
     singles = [BOTTOM]
@@ -546,33 +587,61 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
         raise UniverseCapExceeded(
             f"universe at depth {depth} has {n} terms, whose packed rows need "
             f"{need} bytes, over the budget of {_ROW_BUDGET} bytes")
-    # (labels, terms, endpoint indices), each unit in label order; the
-    # endpoints are None for a depth-0 term
-    units = [([format_type(t, table)], [t], None) for t in singles]
+    # (labels, a depth-0 term or a generic class, endpoint indices, product
+    # positions), each unit in label order
+    units = [([format_type(t, table)], t, None, None) for t in singles]
     if generics:
         pairs = np.stack(_set_bits(below.bits), axis=1)
-        listed = pairs.tolist()
-        intervals = [intern(Interval(below.universe[i], below.universe[j])) for i, j in listed]
         arguments = [format_interval(below.labels[i], below.labels[j], table.root)
-                     for i, j in listed]
+                     for i, j in pairs.tolist()]
+    blocks = {}  # per arity, shared by its classes: label tails, endpoints, order
     for decl in generics:
-        block = [intern(Ground(decl.name, args))
-                 for args in itertools.product(intervals, repeat=decl.arity)]
-        # ends[k, p] = (lo, hi) of argument p of block[k], in product order
-        ends = pairs[np.indices((len(pairs),) * decl.arity).reshape(decl.arity, -1).T]
-        names = [f"{decl.name}<{', '.join(args)}>"
-                 for args in itertools.product(arguments, repeat=decl.arity)]
-        order = sorted(range(len(block)), key=names.__getitem__)
-        units.append(([names[k] for k in order], [block[k] for k in order], ends[order]))
+        if decl.arity not in blocks:
+            # ends[k, p] = (lo, hi) of argument p of product k, in product order
+            ends = pairs[np.indices((len(pairs),) * decl.arity).reshape(decl.arity, -1).T]
+            tails = [f"{', '.join(args)}>"
+                     for args in itertools.product(arguments, repeat=decl.arity)]
+            order = sorted(range(len(tails)), key=tails.__getitem__)
+            blocks[decl.arity] = ([tails[k] for k in order], ends[order],
+                                  np.array(order, dtype=np.intp))
+        tails, ends, order = blocks[decl.arity]
+        units.append(([f"{decl.name}<{tail}" for tail in tails], decl, ends, order))
     units.sort(key=lambda unit: unit[0][0])
     runs, start = {}, 0
-    for _labels, terms, ends in units:
-        if isinstance(terms[0], Ground):
-            runs[terms[0].cls] = (start, start + len(terms), ends)
-        start += len(terms)
-    return _stratum(table, tuple(t for unit in units for t in unit[1]),
-                    tuple(s for unit in units for s in unit[0]), runs, depth,
-                    include_cofree, below)
+    for unit_labels, made, ends, _order in units:
+        stop = start + len(unit_labels)
+        if isinstance(made, ClassDecl):
+            runs[made.name] = (start, stop, ends)
+        elif isinstance(made, Ground):
+            runs[made.cls] = (start, stop, None)
+        start = stop
+    labels = tuple(s for unit in units for s in unit[0])
+    make = partial(_terms, table, labels, below, pairs if generics else None,
+                   [(made, order) for _labels, made, _ends, order in units])
+    return _stratum(table, labels, runs, depth, include_cofree, below, make)
+
+
+def _terms(table: ClassTable, labels: tuple[str, ...], below: SubtypeRelation | None,
+           pairs: np.ndarray | None, parts: list) -> tuple[TypeTerm, ...]:
+    """A built stratum's universe: each depth-0 term of `parts`, and each
+    generic class's block at its product positions, the product of the
+    intervals `pairs` of the stratum below, made through the pool after that
+    stratum's terms, so a re-generated instantiation is its very object.
+    Each label goes into the parse cache with its term."""
+    intern = table.intern
+    if pairs is not None:
+        under = below.universe
+        intervals = [intern(Interval(under[i], under[j])) for i, j in pairs.tolist()]
+    universe = []
+    for made, order in parts:
+        if order is None:
+            universe.append(made)
+            continue
+        block = [intern(Ground(made.name, args))
+                 for args in itertools.product(intervals, repeat=made.arity)]
+        universe += map(block.__getitem__, order.tolist())
+    table._parsed.update(zip(labels, universe))
+    return tuple(universe)
 
 
 # -- construction ------------------------------------------------------------
@@ -608,18 +677,16 @@ def build_relation(table: ClassTable, depth: int,
     construction_step over it, in one loop over the strata: each pass builds
     stratum d directly from stratum d-1, after checking the row budget
     against the exact size of stratum d.  A table with no generic class has
-    the depth-0 terms at every depth, so its one stratum is built once, at
-    `depth`.
-
+    the depth-0 terms at every depth, so its one stratum is built once.
     `iterations` is the number of construction_step passes that stepping
     from initial_relation takes to reach the same relation, confirming pass
     included: 2 plus the deepest nesting in the universe.
 
-    Each label goes into the table's parse cache with its term (the top
-    stratum holds every stratum's), so parse_type of a label the build
-    printed, as in relation_from_json with this table, lexes nothing.  That
-    is exact: the label is the printed form parse_type inverts, and the
-    term is the pool's own object.
+    The build makes no instantiation: the universe is made on first read
+    (see _terms), which check_galois, closure_doc and export_json never do.
+    The table holds the relation weakly, so parse_type of a label it
+    printed, as in relation_from_json with this table, makes that universe,
+    filling the parse cache, and lexes nothing.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -627,28 +694,27 @@ def build_relation(table: ClassTable, depth: int,
     rel = _stage(table, None, first, include_cofree)
     for d in range(first + 1, depth + 1):
         rel = _stage(table, rel, d, include_cofree)
-    table._parsed.update(zip(rel.labels, rel.universe))
+    with _MAKING:
+        table._built = [ref for ref in table._built if ref() is not None] + [weakref.ref(rel)]
     return rel
 
 
-def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...], labels: tuple[str, ...],
-             runs: dict, depth: int, include_cofree: bool,
-             below: SubtypeRelation | None) -> SubtypeRelation:
-    """The fixpoint of construction_step over `universe`, built row by row
-    from the relation `below` it (None at depth 0, where no term has
-    arguments).
+def _stratum(table: ClassTable, labels: tuple[str, ...], runs: dict, depth: int,
+             include_cofree: bool, below: SubtypeRelation | None,
+             make: Callable[[], tuple[TypeTerm, ...]]) -> SubtypeRelation:
+    """The fixpoint of construction_step over the universe printed as the
+    sorted `labels` (whose terms `make` makes on first read), built row by
+    row from the relation `below` it (None at depth 0); a term of the
+    stratum below, a closed type, an atom and bottom are found by label.
 
     `runs` maps each class with ground terms to its run ``(start, stop,
-    ends)`` of the universe (see _stage).  A generic class's `ends` are its
-    instantiations' endpoint indices into the universe below, where
-    containment is read off the small relation.  The runs, with their
-    endpoints as indices into this universe, give the relation's Chains
-    (see _layout), which the analyses read too.  A ground term's row is its
-    containment row OR-ed with the final row of its chain parent, the
-    nearest member of its superclass chain in the universe: the runs are
-    OR-ed in superclass-depth order, so each parent row is final before it
-    is read, a band of rows at a time.  A co-free atom's row is set from
-    class runs (see _cofree_rows); bottom's row holds every term.
+    ends)`` (see _stage); containment is read off the small relation below
+    at the `ends`.  The runs, with their endpoints as indices into this
+    universe, give the relation's Chains (see _layout).  A ground term's row
+    is its containment row OR-ed with the final row of its chain parent:
+    the runs are OR-ed in superclass-depth order, a band of rows at a time,
+    so each parent row is final before it is read.  A co-free atom's row is
+    set from class runs (see _cofree_rows); bottom's row holds every term.
 
     The new stratum may relate old terms that the relation below did not,
     for one cause: a term reaches its superclass-chain members only where
@@ -662,25 +728,24 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...], labels: tuple[st
     Stepping needs one construction_step pass per nesting level, one for the
     static edges and a confirming one; `iterations` records that count.
     """
-    n = len(universe)
+    n = len(labels)
     width = (n + 7) // 8
     band = max(1, _BAND_BYTES // width)
-    index = {t: i for i, t in enumerate(universe)}
+    at = partial(_label_at, labels)
     if below is not None:
         # the stratum below is read densely: with a generic class it holds under
         # a third of this one's terms, and without one only the depth-0 terms
         below_edges = _unpack(below.bits, len(below))
-        old = np.fromiter((index[t] for t in below.universe), dtype=np.intp,
-                          count=len(below))
-    layout = _layout(table, universe, index,
+        old = np.fromiter(map(at, below.labels), dtype=np.intp, count=len(below))
+    layout = _layout(table, n, at,
                      {cls: np.arange(start, stop) for cls, (start, stop, _ends) in runs.items()},
                      {cls: old[ends] for cls, (_start, _stop, ends) in runs.items()
                       if ends is not None})
     parent = layout.parent
     order = sorted(runs, key=lambda cls: len(table.ancestors(cls)))
-    cofree_rows = list(_cofree_rows(table, n, index, runs)) if include_cofree else []
+    cofree_rows = list(_cofree_rows(table, n, at, runs)) if include_cofree else []
     diagonal = np.arange(n)
-    bottom = index[BOTTOM]
+    bottom = at(format_type(BOTTOM))
     packed = np.zeros((n, width), dtype=np.uint8)
     while True:
         for start, _stop, ends in runs.values():
@@ -704,8 +769,7 @@ def _stratum(table: ClassTable, universe: tuple[TypeTerm, ...], labels: tuple[st
         packed.fill(0)
     # with a generic class, some instantiation is nested `depth` deep
     nesting = depth if any(decl.is_generic for decl in table.decls.values()) else 0
-    rel = SubtypeRelation(universe, labels, packed, 2 + nesting, depth, include_cofree)
-    rel._index = index
+    rel = SubtypeRelation(make, labels, packed, 2 + nesting, depth, include_cofree)
     rel._chains[table] = layout
     return rel
 
@@ -764,18 +828,20 @@ def _packed_columns(matrix: np.ndarray, picks: np.ndarray, offset: int) -> np.nd
     return np.ascontiguousarray(out.T)
 
 
-def _cofree_rows(table: ClassTable, n: int, index: dict[TypeTerm, int], runs: dict):
+def _cofree_rows(table: ClassTable, n: int, at: Callable[[str], int], runs: dict):
     """Yield each co-free atom ``C<!>``'s index and packed row: the atom
     lies below every term of every class C subclasses, C included, at every
     depth.  Each class's terms are one contiguous run of the label-sorted
-    universe: a generic class's atom, just before its block (if it has
-    one); a plain class's one term."""
-    for atom in (d for d in table.decls.values() if d.is_generic):
+    universe: a generic class's atom, found `at` its label, just before its
+    block (if it has one); a plain class's one term."""
+    atom_at = {d.name: at(format_type(Cofree(d.name)))
+               for d in table.decls.values() if d.is_generic}
+    for cls, i in atom_at.items():
         row = np.zeros(n, dtype=bool)
-        for name in table.ancestors(atom.name):
-            first = index[Cofree(name) if table.decl(name).is_generic else Ground(name)]
+        for name in table.ancestors(cls):
+            first = atom_at[name] if name in atom_at else runs[name][0]
             row[first:runs[name][1] if name in runs else first + 1] = True
-        yield index[Cofree(atom.name)], np.packbits(row)
+        yield i, np.packbits(row)
 
 
 def _static_edges(table: ClassTable, universe, index):
@@ -913,7 +979,7 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
 def export_dot(rel: SubtypeRelation) -> str:
     """Hasse diagram (transitive reduction) in DOT form, edges pointing from
     subtype to supertype; deterministic."""
-    n = len(rel.universe)
+    n = len(rel)
     strict = rel.bits.copy()
     diagonal = np.arange(n)
     strict[diagonal, diagonal >> 3] &= ~_column_bits(diagonal)

@@ -5,6 +5,8 @@ import gc
 import json
 import pickle
 import re
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -20,6 +22,7 @@ from nomsub import (
     SubtypeRelation,
     TermOutsideUniverse,
     build_relation,
+    check_galois,
     check_validity,
     construction_step,
     enumerate_universe,
@@ -29,11 +32,13 @@ from nomsub import (
     f_supertypes,
     format_class_table,
     format_type,
+    free_type,
     initial_relation,
     interval_contains,
     is_subtype,
     minimal_f_supertypes,
     mutual_pairs,
+    nesting_depth,
     parse_class_table,
     parse_type,
     point,
@@ -44,8 +49,10 @@ from nomsub import (
     super_instantiation,
     wildcard,
 )
+from nomsub import cli
 from nomsub import relation as relation_module
 from nomsub import terms as terms_module
+from nomsub.analysis import closure_doc, galois_doc
 from nomsub.random_tables import random_table
 from nomsub.relation import _transitive_closure
 
@@ -828,3 +835,90 @@ class TestSharedTerms:
         assert rows() is None
         # the table, and its shared terms, live on
         assert parse_type(sample_table, format_type(term, sample_table)) is term
+
+
+class TestTermsOnFirstRead:
+    """A build makes no instantiation: its relation makes its universe on
+    first read, through the table's pool, as the build once did."""
+
+    @staticmethod
+    def made(rel):
+        return "universe" in vars(rel)
+
+    @staticmethod
+    def deep(table, depth):
+        # the pooled instantiations a build at `depth` would make first
+        return [format_type(t) for t in list(table._terms)
+                if isinstance(t, Ground) and nesting_depth(t) >= depth]
+
+    @pytest.mark.parametrize("name, depth", [("sample", 2), ("reduced", 2)]
+                             + [(name, 1) for name in (*NESTED_TABLES, *INDEX_TABLES)])
+    def test_index_and_label_readers_make_no_term(self, name, depth, request, monkeypatch):
+        # the galois grid (violations included, on the nested and closed
+        # tables), the JSON export, the closure laws and the universe command
+        # read indices and labels only; the closure laws' counit check,
+        # erase(free_type(c)), makes each class's free type and nothing else
+        table = parse_class_table(format_class_table(named_table(name, request)))
+        rel = build_relation(table, depth)
+        assert not self.made(rel) and self.deep(table, depth) == []
+        galois_doc(rel, check_galois(table, rel))
+        export_json(rel)
+        assert not self.made(rel) and self.deep(table, depth) == []
+        closure_doc(table, rel)
+        free = sorted(format_type(free_type(table, c)) for c in table.class_names
+                      if nesting_depth(free_type(table, c)) >= depth)
+        assert not self.made(rel) and sorted(self.deep(table, depth)) == free
+        built = []
+
+        def build(*args, **kwargs):
+            built.append(build_relation(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_load_table", lambda path: table)
+        monkeypatch.setattr(cli, "build_relation", build)
+        assert cli.main(["universe", name, "--depth", str(depth)]) == 0
+        assert list(built[0].labels) == list(rel.labels)
+        assert not self.made(built[0]) and not self.made(rel)
+        assert sorted(self.deep(table, depth)) == free
+
+    @pytest.mark.parametrize("include_cofree", [True, False])
+    @pytest.mark.parametrize("name, depth", [(name, depth) for name in ("sample", "reduced")
+                                             for depth in range(3)]
+                             + [(f"seed{seed}", depth) for seed in range(20)
+                                for depth in range(3)]
+                             # classes of arity 2, whose blocks share one product
+                             + [(name, 1) for name in INDEX_TABLES])
+    def test_the_made_universe_is_what_its_labels_parse_to(self, name, depth,
+                                                           include_cofree, request):
+        table = parse_class_table(format_class_table(named_table(name, request)))
+        rel = build_relation(table, depth, include_cofree=include_cofree)
+        assert list(rel.labels) == sorted(set(rel.labels))  # strictly sorted
+        universe = rel.universe
+        assert all(universe[k] is parse_type(table, label) for k, label in enumerate(rel.labels))
+        fresh = parse_class_table(format_class_table(table))
+        assert universe == tuple(parse_type(fresh, label) for label in rel.labels)
+
+    def test_threads_reading_a_fresh_universe_get_one_set_of_objects(self, sample_table):
+        # four threads read the universe of one relation for the first time at
+        # once, switching often; each must get the very same terms
+        table = parse_class_table(format_class_table(sample_table))
+        rel = build_relation(table, 2)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        start, got = threading.Barrier(4), [None] * 4
+
+        def read(k):
+            start.wait()
+            got[k] = rel.universe
+
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(universe is got[0] for universe in got)
+        assert all(parse_type(table, label) is term for label, term in zip(rel.labels, got[0]))
