@@ -25,9 +25,8 @@ import numpy as np
 from .class_table import ClassTable, subclass_of
 from .errors import FreeTypeOutsideUniverse
 from .fixpoints import check_validity
-from .relation import SubtypeRelation, chains, is_subtype, label_index
-from .terms import (BOTTOM, BottomType, Cofree, Ground, TypeTerm, erase, format_interval,
-                    format_type, free_type)
+from .relation import SubtypeRelation, is_subtype
+from .terms import Ground, TypeTerm, erase, free_type
 
 LEFT_TO_RIGHT = "left-to-right"   # erasure side holds, subtype side fails
 RIGHT_TO_LEFT = "right-to-left"   # subtype side holds, erasure side fails
@@ -83,7 +82,7 @@ def check_galois(table: ClassTable, rel: SubtypeRelation,
     if quantify not in ("admittable", "valid"):
         raise ValueError("quantify must be 'admittable' or 'valid'")
     free = _free_columns(table, rel)
-    classes = _class_positions(table, rel)
+    classes = rel.space.classes
     domain = classes >= 0
     if quantify == "valid":
         valid = check_validity(table, rel)[0].valid
@@ -96,7 +95,7 @@ def check_galois(table: ClassTable, rel: SubtypeRelation,
     erasure_side = _subclass_matrix(table)[classes[rows]]
     subtype_side = rel.related(rows[:, None], free)
     names = table.class_names
-    atoms = set(_atoms(table, rel).values())
+    atoms = set(rel.space.atoms.values())
     for r, k in np.argwhere(erasure_side != subtype_side):
         i = int(rows[r])
         sink = report.cofree_violations if i in atoms else report.violations
@@ -148,7 +147,7 @@ def check_monotonicity(table: ClassTable, rel: SubtypeRelation) -> MonotonicityR
     erase(t2), and c subclasses d implies free_type(c) <: free_type(d)."""
     free = _free_columns(table, rel)
     sub = _subclass_matrix(table)
-    classes = _class_positions(table, rel)
+    classes = rel.space.classes
     # unreachable[k]: packed row of the erasable terms whose class is no superclass of k
     unreachable = np.packbits(~sub[:, classes] & (classes >= 0), axis=1)
     u, names, n = rel.universe, table.class_names, len(rel)
@@ -162,26 +161,6 @@ def check_monotonicity(table: ClassTable, rel: SubtypeRelation) -> MonotonicityR
         [(names[a], names[b]) for a, b in np.argwhere(sub & ~rel.related(free[:, None], free))])
 
 
-def _class_positions(table: ClassTable, rel: SubtypeRelation) -> np.ndarray:
-    """Each term's class as a position in `table.class_names`; -1 for bottom.
-    A built relation's ground terms are its Chains' members, and its atoms
-    are found by label."""
-    position = {c: k for k, c in enumerate(table.class_names)}
-    if not rel._built:
-        return np.array([-1 if isinstance(t, BottomType) else position[t.cls]
-                         for t in rel.universe], dtype=np.intp)
-    classes = np.full(len(rel), -1)
-    for c, at in [*chains(table, rel).members.items(), *_atoms(table, rel).items()]:
-        classes[at] = position[c]
-    return classes
-
-
-def _atoms(table: ClassTable, rel: SubtypeRelation) -> dict[str, int]:
-    """Each co-free atom's universe index, by class, found by its label."""
-    return {d.name: i for d in table.decls.values() if d.is_generic
-            if (i := label_index(table, rel, format_type(Cofree(d.name)))) >= 0}
-
-
 def _subclass_matrix(table: ClassTable) -> np.ndarray:
     """sub[a, b]: class a subclasses class b, by position in `table.class_names`."""
     names = table.class_names
@@ -191,13 +170,11 @@ def _subclass_matrix(table: ClassTable) -> np.ndarray:
 def _free_columns(table: ClassTable, rel: SubtypeRelation,
                   needed: np.ndarray | None = None) -> np.ndarray:
     """Universe index of each class's free type, by class position (-1 where
-    absent), found by its label.  Raises if the free type of a `needed`
-    class (by default every class) lies outside the universe."""
+    absent), found once per universe (Universe.free).  Raises if the free
+    type of a `needed` class (by default every class) lies outside the
+    universe."""
     names = table.class_names
-    wild = format_interval(format_type(BOTTOM), table.root, table.root)
-    free = [f"{d.name}<{', '.join([wild] * d.arity)}>" if d.arity else d.name
-            for d in table.decls.values()]  # in class_names order
-    columns = np.array([label_index(table, rel, label) for label in free], dtype=np.intp)
+    columns = rel.space.free
     missing = [names[k] for k in (range(len(names)) if needed is None else needed)
                if columns[k] < 0]
     if missing:

@@ -80,7 +80,7 @@ def closure_doc(table: ClassTable, rel: SubtypeRelation) -> dict:
     counit violations over the classes, and the closed types, by label.  A
     term breaks idempotence exactly when its class breaks the counit law, since
     free_type(erase(free_type(c))) is free_type(c) exactly when it holds."""
-    classes = adjunction._class_positions(table, rel)
+    classes = rel.space.classes
     rows = np.flatnonzero(classes >= 0)
     free = adjunction._free_columns(table, rel, needed=np.unique(classes[rows]))
     names = table.class_names

@@ -85,11 +85,9 @@ class ClassTable:
 
     The table also holds the pool of type terms made against it, a plain
     dict from each term to itself (see `intern`), the texts parsed against
-    it, a plain dict from each text to its term (see `terms.parse_type`),
-    and weak references to the relations built against it, whose labels
-    parse_type finds there (see `relation.build_relation`).  None of them
-    is part of the table's value: equality, hashing and pickling ignore
-    them, and an unpickled table starts with all three empty.
+    it, a plain dict from each text to its term (see `terms.parse_type`).
+    Neither is part of the table's value: equality, hashing and pickling
+    ignore them, and an unpickled table starts with both empty.
     """
 
     def __init__(self, decls: Iterable[ClassDecl]):
@@ -108,7 +106,6 @@ class ClassTable:
         self.root = self._validate()
         self._terms: dict = {}  # see intern
         self._parsed: dict = {}  # see terms.parse_type
-        self._built: list = []  # see relation.build_relation
 
     # -- validation -------------------------------------------------------
 

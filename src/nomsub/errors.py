@@ -53,8 +53,8 @@ class TermOutsideUniverse(NomsubError):
 
 
 class InvalidRelationDocument(NomsubError):
-    """A relation document is malformed, repeats a term, holds edges that
-    are not its packed rows, or holds a term its depth or flag excludes."""
+    """A relation document is malformed, holds edges that are not its packed
+    rows, or lists a universe other than the one its depth and flag name."""
 
 
 class FreeTypeOutsideUniverse(NomsubError):

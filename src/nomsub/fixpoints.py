@@ -81,7 +81,7 @@ def f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeT
     if not chains_stay_in_universe(table, rel.depth):
         deeper = decider(table, rel.depth + 1)
         return tuple(t for t in rel.universe if deeper(t, _applied(table, cls, t)))
-    layout = chains(table, rel)
+    layout = chains(rel)
     found = np.zeros(len(rel), dtype=bool)
     for c, members in layout.members.items():
         ancestry = table.ancestors(c)
@@ -106,7 +106,7 @@ def f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[Typ
     if not chains_stay_in_universe(table, rel.depth):
         deeper = decider(table, rel.depth + 1)
         return tuple(t for t in rel.universe if deeper(_applied(table, cls, t), t))
-    layout = chains(table, rel)
+    layout = chains(rel)
     found = np.zeros(len(rel), dtype=bool)
     # F<Null>'s chain stands for F<Ty>'s, its point [Null..Null] for Ty: Null
     # is reserved, so no declared type contains it, and where chains stay in
@@ -285,14 +285,14 @@ def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> tuple[np.ndarray, 
     reads; a term with an instantiated bound outside the universe, and every
     term of a table where chains leave it, is checked term by term (see
     _bound_check)."""
-    layout = chains(table, rel)
+    layout = chains(rel)
     checked = np.zeros(len(rel), dtype=bool)
     for members in layout.members.values():
         checked[members] = True
     ok, outside = checked.copy(), np.zeros(len(rel), dtype=bool)
     needs: list[tuple[np.ndarray, np.ndarray]] = []
     rows = chains_stay_in_universe(table, rel.depth)
-    by_term, at = [], partial(label_index, table, rel)
+    by_term, at = [], partial(label_index, rel.labels)
     for cls, members in layout.members.items():
         decl = table.decl(cls)
         bounds = _bounds(decl)

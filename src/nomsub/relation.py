@@ -20,13 +20,17 @@ the stratum below; from that one layout, containment is read off the
 depth-(d-1) relation, and each row is its containment row OR-ed with the
 final row of its chain parent, the nearest superclass-chain member in the
 universe, found by universe index (member_at, instantiated) as the index
-twin of terms.super_instantiation.  The relation keeps that layout as its
-Chains, which construction_step and the analyses read.  A stratum makes
-no term: its universe is made on first read from its labels and layout,
-and analyses that read only indices and labels never make it.  Nothing is
+twin of terms.super_instantiation.
+
+Every relation is a Universe plus rows: a stratum's labels and runs, as
+_stage enumerates them for (table, depth, include_cofree), with its
+Chains and its terms made on first use.  The build, initial_relation,
+construction_step and relation_from_json (which compares a document's
+labels with an enumeration, parsing none) all share one lookup path.
+Analyses that read only indices and labels make no term.  Nothing is
 cached between builds.  The only resource limit is a fixed 4 GiB budget
 for a stratum's packed rows, checked from its exact term count before
-any label is printed.
+any label is printed; a document read back is held to its own size.
 decider answers a pair of the depth-d relation by the same rules without
 building it; chains_stay_in_universe states when the depth-d rows answer
 the depth-(d+1) questions about their own terms instead; universe_faults
@@ -46,7 +50,6 @@ import base64
 import itertools
 import json
 import threading
-import weakref
 from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -69,9 +72,7 @@ from .terms import (
     TypeTerm,
     format_interval,
     format_type,
-    has_cofree,
     nesting_depth,
-    parse_type,
     super_chain,
     super_instantiation,
     term_from_typeuse,
@@ -80,70 +81,130 @@ from .terms import (
 _ROW_BUDGET = 1 << 32  # bytes of packed rows per stratum; fixed, not read from the host
 # rows per band keep a band's temporaries near 16 MiB
 _BAND_BYTES = 1 << 24
-# held while a built relation makes its universe (and again for the stratum
-# below), or is added to its table's relations
+# held while a universe makes its terms (and again for the stratum below)
 _MAKING = threading.RLock()
+
+
+class Universe:
+    """The terms of one stratum, as _stage enumerates them for `table`,
+    `depth` and `include_cofree`.  Every relation over these terms shares
+    this one value: the build's, the relations stepped or doctored from it,
+    and a document read back, which must list exactly its labels.
+
+    `labels` are canonical and strictly sorted, so a label is found by
+    bisection (label_index).  `runs` maps each class with ground terms to its
+    run ``(start, stop, ends)`` of the label order (see _stage).  The terms,
+    their index, the Chains layout, each term's class, each co-free atom and
+    each free type are derived on first use, once; analyses that read only
+    indices and labels never make a term.
+    """
+
+    def __init__(self, table: ClassTable, depth: int, include_cofree: bool,
+                 labels: tuple[str, ...], runs: dict, below: Universe | None,
+                 make: Callable[[], tuple[TypeTerm, ...]]):
+        self.table = table
+        self.depth = depth
+        self.include_cofree = include_cofree
+        self.labels = labels
+        self.runs = runs
+        self._below = below
+        self._make = make  # see terms
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @cached_property
+    def terms(self) -> tuple[TypeTerm, ...]:
+        # made under a lock (cached_property takes none from Python 3.12), so
+        # that threads reading at once get one set of terms (see _terms)
+        made = vars(self)
+        with _MAKING:
+            if "terms" not in made:
+                made["terms"] = self._make()
+                del self._make
+        return made["terms"]
+
+    @cached_property
+    def index(self) -> dict[TypeTerm, int]:
+        return {t: i for i, t in enumerate(self.terms)}
+
+    @cached_property
+    def _from_below(self) -> np.ndarray:
+        """Each term of the stratum below at its index in this one."""
+        return np.fromiter(map(partial(label_index, self.labels), self._below.labels),
+                           dtype=np.intp, count=len(self._below))
+
+    @cached_property
+    def chains(self) -> Chains:
+        return _layout(self.table, len(self), partial(label_index, self.labels),
+                       {cls: np.arange(start, stop)
+                        for cls, (start, stop, _ends) in self.runs.items()},
+                       {cls: self._from_below[ends]
+                        for cls, (_start, _stop, ends) in self.runs.items() if ends is not None})
+
+    @cached_property
+    def atoms(self) -> dict[str, int]:
+        """Each co-free atom's index, by class, found by its label."""
+        return {d.name: i for d in self.table.decls.values() if d.is_generic
+                if (i := label_index(self.labels, format_type(Cofree(d.name)))) >= 0}
+
+    @cached_property
+    def classes(self) -> np.ndarray:
+        """Each term's class as a position in `table.class_names`; -1 for
+        bottom.  A class's ground terms are its run, and its atom is found
+        by label."""
+        position = {c: k for k, c in enumerate(self.table.class_names)}
+        classes = np.full(len(self), -1)
+        for c, (start, stop, _ends) in self.runs.items():
+            classes[start:stop] = position[c]
+        for c, i in self.atoms.items():
+            classes[i] = position[c]
+        return classes
+
+    @cached_property
+    def free(self) -> np.ndarray:
+        """The index of each class's free type, by position in
+        `table.class_names`; -1 where it is outside the universe."""
+        root = self.table.root
+        wild = format_interval(format_type(BOTTOM), root, root)
+        return np.array([label_index(self.labels, f"{d.name}<{', '.join([wild] * d.arity)}>"
+                                     if d.arity else d.name)
+                         for d in self.table.decls.values()], dtype=np.intp)
 
 
 class SubtypeRelation:
     """Constructed subtyping preorder over an enumerated universe.
 
-    `bits` holds the edges as packed rows: bit j of row i (byte ``j >> 3``,
-    most significant bit first, as ``np.packbits`` lays it out) is set when
-    term i is a subtype of term j.  It is an n x ceil(n/8) ``uint8`` array
-    whose padding bits, past column n-1 in the last byte of each row, are
-    all zero, so equal relations have equal bytes; the constructor raises
-    ValueError on any other dtype, shape or padding.
-
-    `universe` is a tuple of terms, or for a built relation the function
-    that makes them on first read, once (see _terms).  A built relation's
-    labels are canonical and strictly sorted, so it finds one by bisection.
+    `space` is the Universe the relation is over; `labels`, `depth` and
+    `include_cofree` are its, and `universe` is its terms, made on first
+    read.  `bits` holds the edges as packed rows: bit j of row i (byte
+    ``j >> 3``, most significant bit first, as ``np.packbits`` lays it out)
+    is set when term i is a subtype of term j.  It is an n x ceil(n/8)
+    ``uint8`` array whose padding bits, past column n-1 in the last byte of
+    each row, are all zero, so equal relations have equal bytes; the
+    constructor raises ValueError on any other dtype, shape or padding.
 
     Frozen after construction: the rows are read-only and every query is
-    safe to run concurrently.  Equality compares depth, universe, edges and
-    the include_cofree flag; iteration provenance is excluded, since it
-    records how the relation was built, not what it is.
+    safe to run concurrently.  Equality compares depth, the include_cofree
+    flag, labels and edges, and makes no term: equal labels mean equal
+    terms, since each universe holds the root's label and format_interval
+    prints injectively given the root.  Iteration provenance is excluded,
+    since it records how the relation was built, not what it is.
     """
 
-    def __init__(self, universe: tuple[TypeTerm, ...] | Callable[[], tuple[TypeTerm, ...]],
-                 labels: tuple[str, ...], bits: np.ndarray, iterations: int, depth: int,
-                 include_cofree: bool = True):
-        n = len(labels)
-        if bits.dtype != np.uint8:
-            raise ValueError(f"packed rows must be uint8, not {bits.dtype}")
-        if bits.shape != (n, (n + 7) // 8):
-            raise ValueError(f"packed rows of {n} terms must have shape "
-                             f"{(n, (n + 7) // 8)}, not {bits.shape}")
-        if n % 8 and (bits[:, -1] & (0xFF >> n % 8)).any():
-            raise ValueError("packed rows have a padding bit set")
-        self._built = callable(universe)
-        if self._built:
-            self._make = universe  # see universe
-        else:
-            self.universe = universe
-        self.labels = labels
+    def __init__(self, space: Universe, bits: np.ndarray, iterations: int):
+        _check_rows(bits, len(space))
+        self.space = space
+        self.labels = space.labels
+        self.depth = space.depth
+        self.include_cofree = space.include_cofree
         bits.setflags(write=False)
         self.bits = bits
         self.iterations = iterations
-        self.depth = depth
-        self.include_cofree = include_cofree
-        self._chains: dict[ClassTable, Chains] = {}  # see chains()
 
-    @cached_property
+    @property
     def universe(self) -> tuple[TypeTerm, ...]:
-        # a built relation's, made under a lock (cached_property takes none
-        # from Python 3.12), so that threads reading at once get one universe
-        made = vars(self)
-        with _MAKING:
-            if "universe" not in made:
-                made["universe"] = self._make()
-                del self._make
-        return made["universe"]
-
-    def _printed(self, label: str) -> TypeTerm | None:
-        """A built relation's term printed as `label`, or None."""
-        k = _label_at(self.labels, label)
-        return None if k < 0 else self.universe[k]
+        return self.space.terms
 
     @property
     def edges(self) -> np.ndarray:
@@ -157,19 +218,15 @@ class SubtypeRelation:
         packed rows without unpacking them."""
         return _bits_at(self.bits, rows, cols)
 
-    @cached_property
-    def _index(self) -> dict[TypeTerm, int]:
-        return {t: i for i, t in enumerate(self.universe)}
-
     def __len__(self) -> int:
         return len(self.labels)
 
     def __contains__(self, term: TypeTerm) -> bool:
-        return term in self._index
+        return term in self.space.index
 
     def index(self, term: TypeTerm) -> int:
         try:
-            return self._index[term]
+            return self.space.index[term]
         except KeyError:
             raise TermOutsideUniverse(
                 f"term '{format_type(term)}' is outside the depth-{self.depth} "
@@ -182,7 +239,7 @@ class SubtypeRelation:
         return (isinstance(other, SubtypeRelation)
                 and self.depth == other.depth
                 and self.include_cofree == other.include_cofree
-                and self.universe == other.universe
+                and self.labels == other.labels
                 and bool(np.array_equal(self.bits, other.bits)))
 
     def __repr__(self) -> str:
@@ -191,17 +248,21 @@ class SubtypeRelation:
                 f"edges={edges}, iterations={self.iterations})")
 
 
-def _label_at(labels: tuple[str, ...], label: str) -> int:
-    """The position of `label` in the strictly sorted `labels`, or -1."""
+def _check_rows(bits: np.ndarray, n: int) -> None:
+    """Raise ValueError unless `bits` are packed rows of `n` terms."""
+    if bits.dtype != np.uint8:
+        raise ValueError(f"packed rows must be uint8, not {bits.dtype}")
+    if bits.shape != (n, (n + 7) // 8):
+        raise ValueError(f"packed rows of {n} terms must have shape "
+                         f"{(n, (n + 7) // 8)}, not {bits.shape}")
+    if n % 8 and (bits[:, -1] & (0xFF >> n % 8)).any():
+        raise ValueError("packed rows have a padding bit set")
+
+
+def label_index(labels: tuple[str, ...], label: str) -> int:
+    """The position of `label` in a universe's strictly sorted `labels`, or -1."""
     k = bisect_left(labels, label)
     return k if k < len(labels) and labels[k] == label else -1
-
-
-def label_index(table: ClassTable, rel: SubtypeRelation, label: str) -> int:
-    """The index in `rel` of the term printed `label`, -1 if none: found by
-    bisection in a built relation, so no term is made, else by its term."""
-    return (_label_at(rel.labels, label) if rel._built
-            else rel._index.get(parse_type(table, label), -1))
 
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -353,14 +414,13 @@ def universe_faults(table: ClassTable, term: TypeTerm, depth: int,
 
 @dataclass(frozen=True)
 class Chains:
-    """A relation's terms by universe index, for one table: each class's
-    ground terms in universe order (`members`); a generic class's endpoint
-    indices, aligned with its members (``ends[cls][k, p]`` is the (lo, hi)
-    of argument p of member k); and each term's chain parent (`parent`),
-    the first member of its superclass chain in the universe, or the term
-    itself where none is.  The parents follow from the members and ends
-    alone (see _layout), for the build and for any other relation alike.
-    Each generic class's rows are ranked once, on their first lookup by
+    """A universe's terms by index: each class's ground terms in universe
+    order (`members`); a generic class's endpoint indices, aligned with its
+    members (``ends[cls][k, p]`` is the (lo, hi) of argument p of member k);
+    and each term's chain parent (`parent`), the first member of its
+    superclass chain in the universe, or the term itself where none is.  The
+    parents follow from the members and ends alone (see _layout).  Each
+    generic class's rows are ranked once, on their first lookup by
     member_at, and kept in `_ranked`."""
 
     members: dict[str, np.ndarray]
@@ -369,33 +429,11 @@ class Chains:
     _ranked: dict[str, tuple] = field(default_factory=dict, compare=False, repr=False)
 
 
-def chains(table: ClassTable, rel: SubtypeRelation) -> Chains:
-    """`rel`'s Chains for `table`: recorded by the build, and derived once
-    for any other relation (one read by relation_from_json, say) from its
-    terms' classes and endpoint indices, by the build's own superclass step.
-    EndpointOutsideUniverse names a term with an endpoint outside the
-    universe."""
-    found = rel._chains.get(table)
-    if found is None:
-        grouped: dict[str, list[int]] = {}
-        for i, term in enumerate(rel.universe):
-            if isinstance(term, Ground):
-                grouped.setdefault(term.cls, []).append(i)
-        found = rel._chains[table] = _layout(
-            table, len(rel), partial(label_index, table, rel),
-            {cls: np.array(run, dtype=np.intp) for cls, run in grouped.items()},
-            {cls: np.array([_endpoints(table, rel, i) for i in run], dtype=np.intp)
-             for cls, run in grouped.items() if table.arity(cls)})
-    return found
-
-
-def _endpoints(table: ClassTable, rel: SubtypeRelation, i: int) -> list[tuple[int, int]]:
-    try:
-        return [(rel._index[iv.lo], rel._index[iv.hi]) for iv in rel.universe[i].args]
-    except KeyError as e:
-        raise EndpointOutsideUniverse(
-            f"universe entry {i} '{rel.labels[i]}' has endpoint "
-            f"'{format_type(e.args[0], table)}' outside the universe") from None
+def chains(rel: SubtypeRelation) -> Chains:
+    """`rel`'s Chains: its universe's layout, made from the runs the
+    enumeration recorded, once per universe, for a built relation and a
+    relation read by relation_from_json alike."""
+    return rel.space.chains
 
 
 def _layout(table: ClassTable, n: int, at: Callable[[str], int],
@@ -549,19 +587,36 @@ def enumerate_universe(table: ClassTable, depth: int) -> tuple[TypeTerm, ...]:
     relation built at the previous depth; declared parameter bounds are
     ignored (admittability, not validity).
     """
-    return build_relation(table, depth).universe
+    return _universe(table, depth, True, _ROW_BUDGET)[0].terms
+
+
+def _universe(table: ClassTable, depth: int, include_cofree: bool,
+              budget: int) -> tuple[Universe, SubtypeRelation | None]:
+    """The depth-`depth` universe, with the relation of the stratum below it
+    (None for the first): each stratum below is built, and the top one only
+    staged, so it gets its labels and runs but no rows.  A table with no
+    generic class has the depth-0 terms at every depth, so its one stratum
+    is staged once, at `depth`.  Each stratum's packed rows are checked
+    against `budget` bytes before its labels are printed."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    first = 0 if any(decl.is_generic for decl in table.decls.values()) else depth
+    below = None
+    for d in range(first, depth):
+        below = _stratum(_stage(table, below, d, include_cofree, budget), below)
+    return _stage(table, below, depth, include_cofree, budget), below
 
 
 def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
-           include_cofree: bool) -> SubtypeRelation:
-    """The relation at `depth`, over its universe: the depth-0 terms plus,
-    per generic class, every product of the intervals (edges ``lo <: hi``)
-    of the stratum `below` (None at depth 0).  Edges only grow from one
-    stratum to the next, so the products re-generate every instantiation
-    below and the universe's size is known, and checked against the row
-    budget, before any label is printed.  A class's labels are sorted
-    within the class and all begin ``C<``, so merging the classes and the
-    depth-0 terms by leading label gives the label order.
+           include_cofree: bool, budget: int) -> Universe:
+    """The universe at `depth`: the depth-0 terms plus, per generic class,
+    every product of the intervals (edges ``lo <: hi``) of the stratum
+    `below` (None at depth 0).  Edges only grow from one stratum to the
+    next, so the products re-generate every instantiation below and the
+    universe's size is known, and its packed rows checked against `budget`
+    bytes, before any label is printed.  A class's labels are sorted within
+    the class and all begin ``C<``, so merging the classes and the depth-0
+    terms by leading label gives the label order.
 
     Every class with ground terms is then one run of that order, recorded
     once as ``(start, stop, ends)``: a plain class's one term, with `ends`
@@ -583,10 +638,10 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
     m = _edge_count(below.bits) if generics else 0
     n = len(singles) + sum(m ** decl.arity for decl in generics)
     need = n * ((n + 7) // 8)
-    if need > _ROW_BUDGET:
+    if need > budget:
         raise UniverseCapExceeded(
             f"universe at depth {depth} has {n} terms, whose packed rows need "
-            f"{need} bytes, over the budget of {_ROW_BUDGET} bytes")
+            f"{need} bytes, over the budget of {budget} bytes")
     # (labels, a depth-0 term or a generic class, endpoint indices, product
     # positions), each unit in label order
     units = [([format_type(t, table)], t, None, None) for t in singles]
@@ -616,12 +671,13 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
             runs[made.cls] = (start, stop, None)
         start = stop
     labels = tuple(s for unit in units for s in unit[0])
-    make = partial(_terms, table, labels, below, pairs if generics else None,
+    under = None if below is None else below.space
+    make = partial(_terms, table, labels, under, pairs if generics else None,
                    [(made, order) for _labels, made, _ends, order in units])
-    return _stratum(table, labels, runs, depth, include_cofree, below, make)
+    return Universe(table, depth, include_cofree, labels, runs, under, make)
 
 
-def _terms(table: ClassTable, labels: tuple[str, ...], below: SubtypeRelation | None,
+def _terms(table: ClassTable, labels: tuple[str, ...], below: Universe | None,
            pairs: np.ndarray | None, parts: list) -> tuple[TypeTerm, ...]:
     """A built stratum's universe: each depth-0 term of `parts`, and each
     generic class's block at its product positions, the product of the
@@ -630,7 +686,7 @@ def _terms(table: ClassTable, labels: tuple[str, ...], below: SubtypeRelation | 
     Each label goes into the parse cache with its term."""
     intern = table.intern
     if pairs is not None:
-        under = below.universe
+        under = below.terms
         intervals = [intern(Interval(under[i], under[j])) for i, j in pairs.tolist()]
     universe = []
     for made, order in parts:
@@ -651,24 +707,19 @@ def initial_relation(table: ClassTable, depth: int,
                      include_cofree: bool = True) -> SubtypeRelation:
     """The reflexive relation over the enumerated universe; the starting
     point for construction_step."""
-    rel = build_relation(table, depth, include_cofree)
-    eye = np.packbits(np.eye(len(rel), dtype=bool), axis=1)
-    return SubtypeRelation(rel.universe, rel.labels, eye, 0, depth, include_cofree)
+    space = _universe(table, depth, include_cofree, _ROW_BUDGET)[0]
+    return SubtypeRelation(space, np.packbits(np.eye(len(space), dtype=bool), axis=1), 0)
 
 
 def construction_step(table: ClassTable, rel: SubtypeRelation) -> SubtypeRelation:
     """One composable pass of rules (a)-(d).  Never removes edges; applying
     the step to a fixpoint returns an equal relation."""
-    static = _static_edges(table, rel.universe, rel._index)
-    layout = chains(table, rel)
-    groups = [(layout.members[cls], ends[..., 0], ends[..., 1])
-              for cls, ends in layout.ends.items()]
-    bottom = rel._index.get(BOTTOM)
-    new = np.packbits(_apply_step(rel.edges, static, groups, bottom), axis=1)
-    stepped = SubtypeRelation(rel.universe, rel.labels, new, rel.iterations + 1,
-                              rel.depth, rel.include_cofree)
-    stepped._chains = rel._chains  # the same universe
-    return stepped
+    index = rel.space.index
+    static = _static_edges(table, rel.universe, index)
+    groups = [(rel.space.chains.members[cls], ends[..., 0], ends[..., 1])
+              for cls, ends in rel.space.chains.ends.items()]
+    new = np.packbits(_apply_step(rel.edges, static, groups, index[BOTTOM]), axis=1)
+    return SubtypeRelation(rel.space, new, rel.iterations + 1)
 
 
 def build_relation(table: ClassTable, depth: int,
@@ -684,37 +735,24 @@ def build_relation(table: ClassTable, depth: int,
 
     The build makes no instantiation: the universe is made on first read
     (see _terms), which check_galois, closure_doc and export_json never do.
-    The table holds the relation weakly, so parse_type of a label it
-    printed, as in relation_from_json with this table, makes that universe,
-    filling the parse cache, and lexes nothing.
+    Once made, it records each label in the table's parse cache, so
+    parse_type of a label then lexes nothing.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    first = 0 if any(decl.is_generic for decl in table.decls.values()) else depth
-    rel = _stage(table, None, first, include_cofree)
-    for d in range(first + 1, depth + 1):
-        rel = _stage(table, rel, d, include_cofree)
-    with _MAKING:
-        table._built = [ref for ref in table._built if ref() is not None] + [weakref.ref(rel)]
-    return rel
+    return _stratum(*_universe(table, depth, include_cofree, _ROW_BUDGET))
 
 
-def _stratum(table: ClassTable, labels: tuple[str, ...], runs: dict, depth: int,
-             include_cofree: bool, below: SubtypeRelation | None,
-             make: Callable[[], tuple[TypeTerm, ...]]) -> SubtypeRelation:
-    """The fixpoint of construction_step over the universe printed as the
-    sorted `labels` (whose terms `make` makes on first read), built row by
-    row from the relation `below` it (None at depth 0); a term of the
-    stratum below, a closed type, an atom and bottom are found by label.
+def _stratum(space: Universe, below: SubtypeRelation | None) -> SubtypeRelation:
+    """The fixpoint of construction_step over `space`, built row by row from
+    the relation `below` it (None at depth 0); a term of the stratum below,
+    a closed type, an atom and bottom are found by label.
 
-    `runs` maps each class with ground terms to its run ``(start, stop,
-    ends)`` (see _stage); containment is read off the small relation below
-    at the `ends`.  The runs, with their endpoints as indices into this
-    universe, give the relation's Chains (see _layout).  A ground term's row
-    is its containment row OR-ed with the final row of its chain parent:
-    the runs are OR-ed in superclass-depth order, a band of rows at a time,
-    so each parent row is final before it is read.  A co-free atom's row is
-    set from class runs (see _cofree_rows); bottom's row holds every term.
+    Containment is read off the small relation below at each generic run's
+    `ends` (see _stage), and the universe's Chains give each term's chain
+    parent.  A ground term's row is its containment row OR-ed with the final
+    row of its chain parent: the runs are OR-ed in superclass-depth order, a
+    band of rows at a time, so each parent row is final before it is read.
+    A co-free atom's row is set from class runs (see _cofree_rows); bottom's
+    row holds every term.
 
     The new stratum may relate old terms that the relation below did not,
     for one cause: a term reaches its superclass-chain members only where
@@ -728,24 +766,19 @@ def _stratum(table: ClassTable, labels: tuple[str, ...], runs: dict, depth: int,
     Stepping needs one construction_step pass per nesting level, one for the
     static edges and a confirming one; `iterations` records that count.
     """
-    n = len(labels)
+    table, runs, n = space.table, space.runs, len(space)
     width = (n + 7) // 8
     band = max(1, _BAND_BYTES // width)
-    at = partial(_label_at, labels)
     if below is not None:
         # the stratum below is read densely: with a generic class it holds under
         # a third of this one's terms, and without one only the depth-0 terms
         below_edges = _unpack(below.bits, len(below))
-        old = np.fromiter(map(at, below.labels), dtype=np.intp, count=len(below))
-    layout = _layout(table, n, at,
-                     {cls: np.arange(start, stop) for cls, (start, stop, _ends) in runs.items()},
-                     {cls: old[ends] for cls, (_start, _stop, ends) in runs.items()
-                      if ends is not None})
-    parent = layout.parent
+        old = space._from_below
+    parent = space.chains.parent
     order = sorted(runs, key=lambda cls: len(table.ancestors(cls)))
-    cofree_rows = list(_cofree_rows(table, n, at, runs)) if include_cofree else []
+    cofree_rows = list(_cofree_rows(space)) if space.include_cofree else []
     diagonal = np.arange(n)
-    bottom = at(format_type(BOTTOM))
+    bottom = label_index(space.labels, format_type(BOTTOM))
     packed = np.zeros((n, width), dtype=np.uint8)
     while True:
         for start, _stop, ends in runs.values():
@@ -768,10 +801,8 @@ def _stratum(table: ClassTable, labels: tuple[str, ...], runs: dict, depth: int,
         below_edges = lifted
         packed.fill(0)
     # with a generic class, some instantiation is nested `depth` deep
-    nesting = depth if any(decl.is_generic for decl in table.decls.values()) else 0
-    rel = SubtypeRelation(make, labels, packed, 2 + nesting, depth, include_cofree)
-    rel._chains[table] = layout
-    return rel
+    nesting = space.depth if any(decl.is_generic for decl in table.decls.values()) else 0
+    return SubtypeRelation(space, packed, 2 + nesting)
 
 
 def _write_containment(packed: np.ndarray, start: int, ends: np.ndarray,
@@ -828,18 +859,17 @@ def _packed_columns(matrix: np.ndarray, picks: np.ndarray, offset: int) -> np.nd
     return np.ascontiguousarray(out.T)
 
 
-def _cofree_rows(table: ClassTable, n: int, at: Callable[[str], int], runs: dict):
+def _cofree_rows(space: Universe):
     """Yield each co-free atom ``C<!>``'s index and packed row: the atom
     lies below every term of every class C subclasses, C included, at every
     depth.  Each class's terms are one contiguous run of the label-sorted
-    universe: a generic class's atom, found `at` its label, just before its
-    block (if it has one); a plain class's one term."""
-    atom_at = {d.name: at(format_type(Cofree(d.name)))
-               for d in table.decls.values() if d.is_generic}
-    for cls, i in atom_at.items():
-        row = np.zeros(n, dtype=bool)
-        for name in table.ancestors(cls):
-            first = atom_at[name] if name in atom_at else runs[name][0]
+    universe: a generic class's atom just before its block (if it has one);
+    a plain class's one term."""
+    runs, atoms = space.runs, space.atoms
+    for cls, i in atoms.items():
+        row = np.zeros(len(space), dtype=bool)
+        for name in space.table.ancestors(cls):
+            first = atoms[name] if name in atoms else runs[name][0]
             row[first:runs[name][1] if name in runs else first + 1] = True
         yield i, np.packbits(row)
 
@@ -870,7 +900,7 @@ def _static_edges(table: ClassTable, universe, index):
     return np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
 
 
-def _apply_step(edges: np.ndarray, static, groups, bottom: int | None) -> np.ndarray:
+def _apply_step(edges: np.ndarray, static, groups, bottom: int) -> np.ndarray:
     new = edges.copy()
     for rows, los, his in groups:
         k, arity = los.shape
@@ -884,8 +914,7 @@ def _apply_step(edges: np.ndarray, static, groups, bottom: int | None) -> np.nda
     srows, scols = static
     if srows.size:
         new[srows, scols] = True
-    if bottom is not None:
-        new[bottom, :] = True
+    new[bottom, :] = True
     return _transitive_closure(new)
 
 
@@ -917,16 +946,22 @@ def export_json(rel: SubtypeRelation) -> str:
 
 
 def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
-    """Rebuild a relation exported by export_json, using the table to parse
-    the printed terms; a document without include_cofree gets the
-    build_relation default, and a `cap` key (written by older versions) is
-    ignored.  InvalidRelationDocument is raised for a document that is not
-    an object with depth, universe and edges, a malformed value, a universe
-    entry that repeats an earlier term, is nested deeper than the depth, or
-    holds a co-free atom when include_cofree is false, and for edges that
-    are not the universe's packed rows in base64 with padding bits zero.
-    That includes older documents, which list index pairs: ``build
-    --export json`` writes them again."""
+    """Rebuild a relation exported by export_json over the universe that its
+    depth and include_cofree name for `table`; a document without
+    include_cofree gets the build_relation default, and a `cap` key (written
+    by older versions) is ignored.
+
+    The universe is enumerated as the build enumerates it (the strata below
+    are built, the top one only staged), and the document must list exactly
+    its labels, so no label is parsed, and the relation shares the layout
+    and terms of an enumeration.  Each stratum must fit in the document's
+    own rows, so a forged depth fails before a stratum larger than the
+    document is staged.  InvalidRelationDocument is raised for a document
+    that is not an object with depth, universe and edges, a malformed value,
+    edges that are not packed rows of the listed entries in base64 with
+    padding bits zero (older documents list index pairs: ``build --export
+    json`` writes them again), or a universe that is not the enumeration; it
+    names the first entry that differs, or the count."""
     doc = json.loads(text)
     if not (isinstance(doc, dict) and {"depth", "universe", "edges"} <= doc.keys()):
         raise InvalidRelationDocument("not an object with depth, universe and edges")
@@ -939,21 +974,6 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
     labels = doc["universe"]
     if not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
         raise InvalidRelationDocument("universe is not a list of term labels")
-    universe = tuple(parse_type(table, s) for s in labels)
-    index: dict[TypeTerm, int] = {}
-    for k, term in enumerate(universe):
-        first = index.setdefault(term, k)
-        if first != k:
-            raise InvalidRelationDocument(
-                f"universe entry {k} '{labels[k]}' repeats entry {first} '{labels[first]}'")
-        if nesting_depth(term) > depth:
-            raise InvalidRelationDocument(
-                f"universe entry {k} '{labels[k]}' is nested {nesting_depth(term)} deep, "
-                f"deeper than depth {depth}")
-        if not include_cofree and has_cofree(term):
-            raise InvalidRelationDocument(
-                f"universe entry {k} '{labels[k]}' holds a co-free atom, "
-                "but include_cofree is false")
     if not isinstance(doc["edges"], str):
         raise InvalidRelationDocument(
             "edges must be packed rows in one base64 string; a document that lists "
@@ -962,18 +982,27 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
         packed = base64.b64decode(doc["edges"], validate=True)
     except ValueError:  # a character outside the alphabet, or wrong padding
         raise InvalidRelationDocument("edges is not valid base64") from None
-    n, width = len(universe), (len(universe) + 7) // 8
+    n, width = len(labels), (len(labels) + 7) // 8
     if len(packed) != n * width:
         raise InvalidRelationDocument(
             f"edges holds {len(packed)} bytes, not the {n * width} of {n} packed rows")
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
     try:
-        rel = SubtypeRelation(universe, tuple(labels),
-                              np.frombuffer(packed, dtype=np.uint8).reshape(n, width),
-                              0, depth, include_cofree)
+        _check_rows(bits, n)
     except ValueError as e:  # the shape is right, so a padding bit is set
         raise InvalidRelationDocument(f"edges: {e}") from None
-    rel._index = index
-    return rel
+    try:
+        space = _universe(table, depth, include_cofree, min(len(packed), _ROW_BUDGET))[0]
+    except UniverseCapExceeded as e:
+        raise InvalidRelationDocument(
+            f"universe lists {n} entries, too few for depth {depth}: {e}") from None
+    if space.labels != tuple(labels):
+        named = f"the depth-{depth} universe{'' if include_cofree else ' without co-free atoms'}"
+        k = next((k for k, (a, b) in enumerate(zip(labels, space.labels)) if a != b), None)
+        raise InvalidRelationDocument(
+            f"universe lists {n} entries, not the {len(space)} of {named}" if k is None else
+            f"universe entry {k} '{labels[k]}' is not '{space.labels[k]}', entry {k} of {named}")
+    return SubtypeRelation(space, bits, 0)
 
 
 def export_dot(rel: SubtypeRelation) -> str:

@@ -28,11 +28,10 @@ affect this desugaring; they matter only to the validity analysis.
 
 `parse_type` parses each text once per table object: the table keeps each
 text it parsed with its term, which lives and dies with the table like its
-pool; errors are never kept, so a bad text raises on every call.  A label
-that a live relation built against the table printed makes that relation's
-universe, which keeps every one of its labels there with its term (see
-`relation.build_relation`), so no label lexes; any other text, such as
-another layout of a label, still lexes.
+pool; errors are never kept, so a bad text raises on every call.  A relation's
+universe, once made, keeps every one of its labels there with its term
+(see `relation.build_relation`), so such a label never lexes; any other
+text, such as another layout of a label, still lexes once.
 """
 
 from __future__ import annotations
@@ -279,10 +278,6 @@ def parse_type(table: ClassTable, text: str) -> TypeTerm:
     """Parse the type surface syntax against a class table."""
     term = table._parsed.get(text)
     if term is None:
-        for ref in table._built:
-            rel = ref()
-            if rel is not None and (term := rel._printed(text)) is not None:
-                return term
         ts = TokenStream(text)
         term = _parse_term(table, ts)
         ts.expect_end()

@@ -64,8 +64,7 @@ class TestGalois:
         i = sample_rel1.index(parse_type(sample_table, "LinkedList<String>"))
         j = sample_rel1.index(parse_type(sample_table, "List<?>"))
         edges[i, j] = False
-        doctored = SubtypeRelation(sample_rel1.universe, sample_rel1.labels,
-                                   np.packbits(edges, axis=1), 0, sample_rel1.depth)
+        doctored = SubtypeRelation(sample_rel1.space, np.packbits(edges, axis=1), 0)
         report = check_galois(sample_table, doctored)
         assert any(v.direction == "left-to-right" and v.cls == "List"
                    for v in report.violations)
@@ -164,8 +163,7 @@ class TestMonotonicity:
         i = sample_rel1.index(parse_type(sample_table, "List<String>"))
         j = sample_rel1.index(Ground("String"))
         edges[i, j] = True
-        doctored = SubtypeRelation(sample_rel1.universe, sample_rel1.labels,
-                                   np.packbits(edges, axis=1), 0, sample_rel1.depth)
+        doctored = SubtypeRelation(sample_rel1.space, np.packbits(edges, axis=1), 0)
         report = check_monotonicity(sample_table, doctored)
         assert not report.erasure_ok
 

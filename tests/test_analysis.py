@@ -1,6 +1,7 @@
 """The verification battery: `analyze` is the report document, and its
 verdict catches a relation that breaks the laws."""
 
+import functools
 import json
 import pathlib
 import sys
@@ -11,7 +12,7 @@ import pytest
 from nomsub import (analyze, build_relation, export_json, fixpoints, initial_relation,
                     relation_from_json)
 from nomsub.cli import main
-from nomsub.relation import chains
+from nomsub.relation import SubtypeRelation, Universe, chains
 
 from nested_tables import INDEX_TABLES, NESTED_TABLES, named_table
 
@@ -52,6 +53,32 @@ def test_analyze_calls_each_public_analysis_once(name, depth, request, monkeypat
     assert calls == {**dict.fromkeys(COUNTED[:4], unary), "check_validity": 1}
 
 
+@pytest.mark.parametrize("name, depth", [("sample", 1), ("nested", 1)])
+def test_analyze_finds_classes_and_free_types_once(name, depth, request, monkeypatch):
+    # check_galois, closure_doc and check_monotonicity all read each term's
+    # class and each class's free type, derived once per universe; a
+    # doctored relation over the same universe derives neither again
+    table = named_table(name, request)
+    rel = build_relation(table, depth)
+    expected = analyze(table, rel)
+    calls = dict.fromkeys(("classes", "free"), 0)
+    for attr in calls:
+        original = getattr(Universe, attr).func
+
+        def counted(space, attr=attr, original=original):
+            calls[attr] += 1
+            return original(space)
+
+        made = functools.cached_property(counted)
+        made.__set_name__(Universe, attr)
+        monkeypatch.setattr(Universe, attr, made)
+    rel = build_relation(table, depth)
+    assert analyze(table, rel) == expected
+    assert calls == {"classes": 1, "free": 1}
+    analyze(table, SubtypeRelation(rel.space, rel.bits.copy(), 0))
+    assert calls == {"classes": 1, "free": 1}
+
+
 def test_unclosed_relation_fails_verification(sample_table):
     # the reflexive start of the construction lacks the inheritance edges
     doc = analyze(sample_table, initial_relation(sample_table, 1))
@@ -73,14 +100,13 @@ READ_CASES = [("sample", 2), ("reduced", 2), *((f"seed{seed}", 1) for seed in ra
 @pytest.mark.parametrize("name, depth", READ_CASES)
 def test_a_relation_read_from_json_gives_the_same_document(name, depth, include_cofree,
                                                            request):
-    # the document holds no chain parents, which are derived on first use,
-    # and no iteration count
+    # the document holds no iteration count; the read relation's Chains
+    # come from its own enumeration, and must be the build's
     table = named_table(name, request)
     built = build_relation(table, depth, include_cofree=include_cofree)
     read = relation_from_json(table, export_json(built))
-    assert not read._chains
     assert analyze(table, read) == {**analyze(table, built), "iterations": 0}
-    derived, recorded = chains(table, read), chains(table, built)
+    derived, recorded = chains(read), chains(built)
     assert np.array_equal(derived.parent, recorded.parent)
     for mine, theirs in ((derived.members, recorded.members), (derived.ends, recorded.ends)):
         assert mine.keys() == theirs.keys()

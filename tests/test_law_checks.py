@@ -56,8 +56,7 @@ def _doctored(rel: SubtypeRelation, seed: int) -> SubtypeRelation:
     n = len(rel)
     edges = rel.edges ^ (rng.random((n, n)) < 1 / 12)
     edges[rel.index(Ground("Object"))] = True
-    return SubtypeRelation(rel.universe, rel.labels, np.packbits(edges, axis=1), 0,
-                           rel.depth, rel.include_cofree)
+    return SubtypeRelation(rel.space, np.packbits(edges, axis=1), 0)
 
 
 @pytest.fixture(scope="module", params=CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")

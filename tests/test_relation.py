@@ -7,6 +7,7 @@ import pickle
 import re
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -23,12 +24,10 @@ from nomsub import (
     TermOutsideUniverse,
     build_relation,
     check_galois,
-    check_validity,
     construction_step,
     enumerate_universe,
     export_dot,
     export_json,
-    f_subtypes,
     f_supertypes,
     format_class_table,
     format_type,
@@ -166,7 +165,7 @@ class TestStratumLoop:
             with monkeypatch.context() as patch:
                 patch.setattr(terms_module, "super_instantiation", spy)
                 text = export_json(build_relation(table, depth))
-                relation_module.chains(table, relation_from_json(table, text))
+                relation_module.chains(relation_from_json(table, text))
             assert not climbed, f"{name}@{depth} climbs {format_type(climbed[0])}"
 
     def test_a_dropped_relation_is_freed(self, sample_table):
@@ -384,7 +383,7 @@ def test_chains_follow_the_term_level_rule(name, depth, include_cofree, request)
     built = build_relation(table, depth, include_cofree=include_cofree)
     read = relation_from_json(table, export_json(built))
     for rel in (built, read):
-        layout = relation_module.chains(table, rel)
+        layout = relation_module.chains(rel)
         by_class = {}
         for i, term in enumerate(rel.universe):
             if isinstance(term, Ground):
@@ -405,7 +404,7 @@ def test_member_at_finds_exactly_the_members(name, depth, request):
     # few of them other members) and random ones, with -1 (outside) among them
     table = named_table(name, request)
     rel = build_relation(table, depth)
-    layout = relation_module.chains(table, rel)
+    layout = relation_module.chains(rel)
     rng = np.random.default_rng(0)
     for cls, ends in layout.ends.items():
         moved = ends.copy()
@@ -423,14 +422,12 @@ def test_member_at_finds_exactly_the_members(name, depth, request):
 class TestPackedRows:
     def test_wrong_dtype_is_rejected(self, sample_rel1):
         with pytest.raises(ValueError, match="must be uint8, not bool"):
-            SubtypeRelation(sample_rel1.universe, sample_rel1.labels,
-                            sample_rel1.edges.copy(), 0, sample_rel1.depth)
+            SubtypeRelation(sample_rel1.space, sample_rel1.edges.copy(), 0)
 
     def test_wrong_shape_is_rejected(self, sample_rel1):
         n = len(sample_rel1)
         with pytest.raises(ValueError, match=rf"shape \({n}, {(n + 7) // 8}\)"):
-            SubtypeRelation(sample_rel1.universe, sample_rel1.labels,
-                            np.zeros((n, n), dtype=np.uint8), 0, sample_rel1.depth)
+            SubtypeRelation(sample_rel1.space, np.zeros((n, n), dtype=np.uint8), 0)
 
     def test_padding_bit_is_rejected(self, sample_rel1):
         n = len(sample_rel1)
@@ -438,8 +435,7 @@ class TestPackedRows:
         bits = sample_rel1.bits.copy()
         bits[0, -1] |= 1
         with pytest.raises(ValueError, match="padding bit"):
-            SubtypeRelation(sample_rel1.universe, sample_rel1.labels, bits, 0,
-                            sample_rel1.depth)
+            SubtypeRelation(sample_rel1.space, bits, 0)
 
 
 class TestRelationInvariants:
@@ -462,18 +458,18 @@ class TestRelationInvariants:
         assert mutual_pairs(sample_rel1) == []
         assert mutual_pairs(reduced_rel2) == []
 
-    def test_mutual_pairs_on_single_term_relation(self):
-        one = SubtypeRelation((Ground("Object"),), ("Object",),
-                              np.packbits(np.eye(1, dtype=bool), axis=1), 0, 0)
-        assert mutual_pairs(one) == []
+    def test_mutual_pairs_on_the_smallest_universe(self):
+        # bottom and the root, in one byte of each row
+        smallest = build_relation(parse_class_table("class Object"), 0)
+        assert smallest.labels == ("Null", "Object")
+        assert mutual_pairs(smallest) == []
 
     def test_mutual_pairs_detects_injected_cycle(self, sample_rel1):
         edges = sample_rel1.edges.copy()
         i = sample_rel1.index(Ground("String"))
         j = sample_rel1.index(Ground("Number"))
         edges[i, j] = edges[j, i] = True
-        doctored = SubtypeRelation(sample_rel1.universe, sample_rel1.labels,
-                                   np.packbits(edges, axis=1), 0, sample_rel1.depth)
+        doctored = SubtypeRelation(sample_rel1.space, np.packbits(edges, axis=1), 0)
         assert (Ground("Number"), Ground("String")) in mutual_pairs(doctored)
 
 
@@ -607,13 +603,19 @@ class TestExport:
         assert relation_from_json(sample_table, json.dumps(doc)) == sample_rel1
 
     def test_equality_compares_include_cofree_not_cap(self, sample_rel1):
-        def variant(**flags):
-            return SubtypeRelation(sample_rel1.universe, sample_rel1.labels,
-                                   np.packbits(sample_rel1.edges, axis=1), 0,
-                                   sample_rel1.depth, **flags)
+        assert SubtypeRelation(sample_rel1.space, sample_rel1.bits.copy(), 0) == sample_rel1
+        # with no generic class there is no atom to drop, so both flags give
+        # the same labels and rows
+        table = parse_class_table("class Object\nclass String extends Object")
+        full, bare = (build_relation(table, 1, include_cofree=flag) for flag in (True, False))
+        assert full.labels == bare.labels and np.array_equal(full.bits, bare.bits)
+        assert full != bare
 
-        assert variant() == sample_rel1
-        assert variant(include_cofree=False) != sample_rel1
+    def test_equality_makes_no_term(self, reduced_table):
+        # labels decide it: equal labels mean equal terms
+        one, other = build_relation(reduced_table, 2), build_relation(reduced_table, 2)
+        assert one == other and one != build_relation(reduced_table, 1)
+        assert not {"terms", "index"} & (vars(one.space).keys() | vars(other.space).keys())
 
     def test_json_is_deterministic(self, sample_rel1):
         assert export_json(sample_rel1) == export_json(sample_rel1)
@@ -626,11 +628,45 @@ class TestExport:
         assert export_json(rel) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_json_repeated_universe_label_is_rejected(self, sample_table, sample_rel1):
+        # with rows for every entry, so that the count is what fails
         doc = json.loads(export_json(sample_rel1))
         doc["universe"].append(doc["universe"][3])
+        n = len(sample_rel1) + 1
+        doc["edges"] = _b64(bytes(n * ((n + 7) // 8)))
         with pytest.raises(InvalidRelationDocument,
-                           match=rf"universe entry {len(sample_rel1)} .* repeats entry 3"):
+                           match=f"^universe lists {n} entries, not the {n - 1} of "
+                                 "the depth-1 universe$"):
             relation_from_json(sample_table, json.dumps(doc))
+
+    def test_json_universe_in_another_order_is_rejected(self, sample_table, sample_rel1):
+        doc = json.loads(export_json(sample_rel1))
+        doc["universe"].reverse()
+        with pytest.raises(InvalidRelationDocument,
+                           match="^universe entry 0 'Weekday' is not 'Enum<!>', "
+                                 "entry 0 of the depth-1 universe$"):
+            relation_from_json(sample_table, json.dumps(doc))
+
+    def test_json_read_with_another_table_is_rejected(self, sample_table, reduced_rel1):
+        # reduced's labels all parse against the sample table, but they are
+        # not its depth-1 universe, which has more terms than the document
+        assert len(reduced_rel1) == 31
+        with pytest.raises(InvalidRelationDocument,
+                           match="^universe lists 31 entries, too few for depth 1: "
+                                 "universe at depth 1 has 87 terms"):
+            relation_from_json(sample_table, export_json(reduced_rel1))
+
+    def test_json_forged_depth_fails_within_the_documents_size(self, sample_table,
+                                                              sample_rel1):
+        # a naive enumeration would build sample@3 (2.4 GB of rows); the
+        # reader stops at the first stratum larger than the document
+        doc = json.loads(export_json(sample_rel1))
+        doc["depth"] = 4
+        started = time.perf_counter()
+        with pytest.raises(InvalidRelationDocument,
+                           match="^universe lists 87 entries, too few for depth 4: "
+                                 "universe at depth 2 has 2019 terms"):
+            relation_from_json(sample_table, json.dumps(doc))
+        assert time.perf_counter() - started < 0.5
 
     # reduced@1 has 31 terms: 4 bytes a row, 124 in all, so its base64 ends
     # in "==" and each row has a padding bit
@@ -695,9 +731,11 @@ class TestExport:
         (lambda doc: {**doc, "universe": doc["universe"][:2] + [7] + doc["universe"][3:]},
          "universe is not a list of term labels"),
         (lambda doc: {**doc, "depth": 0},
-         r"universe entry 1 'Enum<\? extends Enum<!>>' is nested 1 deep, deeper than depth 0"),
+         r"universe entry 1 'Enum<\? extends Enum<!>>' is not 'Integer', "
+         "entry 1 of the depth-0 universe"),
         (lambda doc: {**doc, "include_cofree": False},
-         "universe entry 0 'Enum<!>' holds a co-free atom, but include_cofree is false"),
+         r"universe entry 0 'Enum<!>' is not 'Enum<\? extends Integer>', "
+         "entry 0 of the depth-1 universe without co-free atoms"),
     ], ids=["array", "no-depth", "no-universe", "no-edges", "string-universe", "number-label",
             "deeper-than-depth", "cofree-without-flag"])
     def test_json_malformed_structure_is_rejected(self, sample_table, sample_rel1,
@@ -708,22 +746,17 @@ class TestExport:
 
     def test_json_universe_without_an_endpoint_fails_on_the_endpoint(self, sample_table,
                                                                      sample_rel1):
-        # the document loads, since reading it looks no endpoint up; the
-        # Chains that the analyses derive do, and name the entry and endpoint
-        string = Ground("String")
-        keep = np.delete(np.arange(len(sample_rel1)), sample_rel1.index(string))
+        # a universe that lists a term but omits one of its endpoints is not
+        # the enumeration, so it fails at load, on the count
+        keep = np.delete(np.arange(len(sample_rel1)), sample_rel1.index(Ground("String")))
         doc = json.loads(export_json(sample_rel1))
         doc["universe"] = [doc["universe"][k] for k in keep]
         doc["edges"] = _b64(np.packbits(sample_rel1.edges[np.ix_(keep, keep)], axis=1).tobytes())
-        rel = relation_from_json(sample_table, json.dumps(doc))
-        assert "List<String>" in rel.labels and string not in rel
-        first = next(k for k, t in enumerate(rel.universe) if isinstance(t, Ground)
-                     and any(string in (iv.lo, iv.hi) for iv in t.args))
-        message = (f"^universe entry {first} '{re.escape(rel.labels[first])}' has endpoint "
-                   "'String' outside the universe$")
-        for analysis in (f_subtypes, lambda table, rel, _cls: check_validity(table, rel)):
-            with pytest.raises(EndpointOutsideUniverse, match=message):
-                analysis(sample_table, rel, "List")
+        assert "List<String>" in doc["universe"]
+        with pytest.raises(InvalidRelationDocument,
+                           match="^universe lists 86 entries, too few for depth 1: "
+                                 "universe at depth 1 has 87 terms"):
+            relation_from_json(sample_table, json.dumps(doc))
 
     def test_json_all_zero_rows_load_with_no_edges(self, sample_table, sample_rel0):
         doc = json.loads(export_json(sample_rel0))
@@ -798,17 +831,17 @@ class TestSharedTerms:
         assert all(r is b for r, b in zip(read.universe, rel.universe, strict=True))
 
     @pytest.mark.parametrize("name, depth", [("sample", 2), ("nested", 1), ("seed3", 2)])
-    def test_a_document_read_with_a_fresh_table_lexes_each_label_once(self, name, depth,
-                                                                      request, lexed):
+    def test_a_document_read_with_a_fresh_table_lexes_nothing(self, name, depth,
+                                                              request, lexed):
+        # the reader enumerates the universe and compares labels
         table = named_table(name, request)
         rel = build_relation(table, depth)
         text = export_json(rel)
         fresh = parse_class_table(format_class_table(table))
         read = relation_from_json(fresh, text)
-        assert lexed == list(rel.labels)
-        assert read == rel
+        assert read == rel and read.universe == rel.universe
         assert relation_from_json(fresh, text) == rel
-        assert lexed == list(rel.labels)
+        assert lexed == []
 
     def test_unshared_terms_index_and_answer_alike(self, sample_table, sample_rel2):
         other = parse_class_table(format_class_table(sample_table))
@@ -827,7 +860,7 @@ class TestSharedTerms:
 
     def test_the_pool_keeps_no_rows_alive(self, sample_table):
         rel = build_relation(sample_table, 2)
-        relation_module.chains(sample_table, rel)
+        relation_module.chains(rel)
         rows = weakref.ref(rel.bits)
         term = rel.universe[-1]
         del rel
@@ -843,7 +876,7 @@ class TestTermsOnFirstRead:
 
     @staticmethod
     def made(rel):
-        return "universe" in vars(rel)
+        return "terms" in vars(rel.space)
 
     @staticmethod
     def deep(table, depth):
