@@ -135,11 +135,13 @@ def _cmd_check(args, table: ClassTable) -> int:
 
 
 def _cmd_universe(args, table: ClassTable) -> int:
-    rel = _build(table, args)
+    # the labels alone: the strata below are built, the top one only staged
+    space = relation._universe(table, args.depth, args.include_cofree,
+                               relation._ROW_BUDGET)[0]
     if args.format == "json":
-        _emit_json({"depth": rel.depth, "universe": list(rel.labels)})
+        _emit_json({"depth": space.depth, "universe": list(space.labels)})
     else:
-        for label in rel.labels:
+        for label in space.labels:
             print(label)
     return 0
 

@@ -15,10 +15,11 @@ relation's rows.  ``Ty <: F<Ty>`` holds when Ty's chain member
 ``F<[a..b]>`` (found through the chain parents) has ``Ty <: a`` and
 ``b <: Ty``; ``F<Ty> <: Ty`` compares Ty's own endpoints with Ty, or with a
 closed type that F's chain puts at that position.  Each is one vectorized
-pass per class over the relation's Chains, with bottom and the co-free
-atoms decided by their rules.  A comparison or bound check whose terms both
-lie in U_d is one bit.  Tables that fail the condition, and terms outside
-U_d, go to relation.decider at depth d+1, which recurses through the
+pass per class over the runs, endpoint indices and chain parents of the
+relation's universe, with bottom and the co-free atoms decided by their
+rules.  A comparison or bound check whose terms both lie in U_d is one
+bit.  Tables that fail the condition, and terms outside U_d, go to
+relation.decider at depth d+1, which recurses through the
 construction's own rules (climb the superclass chain, then compare
 intervals endpoint by endpoint) and touches only the terms the question
 mentions; it stays the reference that the rows are tested against.
@@ -37,7 +38,7 @@ modes from one pass of bound checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -46,12 +47,10 @@ from .errors import NotUnaryGeneric
 from .relation import (
     Decider,
     SubtypeRelation,
-    chains,
     chains_stay_in_universe,
     decider,
     instantiated,
     is_subtype,
-    label_index,
 )
 from .terms import (
     BOTTOM,
@@ -81,16 +80,16 @@ def f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeT
     if not chains_stay_in_universe(table, rel.depth):
         deeper = decider(table, rel.depth + 1)
         return tuple(t for t in rel.universe if deeper(t, _applied(table, cls, t)))
-    layout = chains(rel)
+    space = rel.space
     found = np.zeros(len(rel), dtype=bool)
-    for c, members in layout.members.items():
+    for c, (start, stop, *_) in space.runs.items():
         ancestry = table.ancestors(c)
         if cls in ancestry:
             # each member's chain member of class F, F<[a..b]>: Ty <: a and b <: Ty
-            up = members
+            members = up = np.arange(start, stop)
             for _ in range(ancestry.index(cls)):
-                up = layout.parent[up]
-            ends = layout.ends[cls][np.searchsorted(layout.members[cls], up), 0]
+                up = space.parent[up]
+            ends = space.ends[cls][up - space.runs[cls][0], 0]
             found[members] = rel.related(members, ends[:, 0]) & rel.related(ends[:, 1], members)
     # bottom, and the co-free atoms of F's subclasses, lie below every F<Ty>
     for term in [BOTTOM, *(Cofree(c) for c in table.class_names if subclass_of(table, c, cls))]:
@@ -106,7 +105,7 @@ def f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[Typ
     if not chains_stay_in_universe(table, rel.depth):
         deeper = decider(table, rel.depth + 1)
         return tuple(t for t in rel.universe if deeper(_applied(table, cls, t), t))
-    layout = chains(rel)
+    space = rel.space
     found = np.zeros(len(rel), dtype=bool)
     # F<Null>'s chain stands for F<Ty>'s, its point [Null..Null] for Ty: Null
     # is reserved, so no declared type contains it, and where chains stay in
@@ -114,13 +113,13 @@ def f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[Typ
     applied = _applied(table, cls, BOTTOM)
     ty = applied.args[0]
     for member in [applied, *super_chain(table, applied)]:
-        members = layout.members.get(member.cls)
-        if members is None:
+        if member.cls not in space.runs:
             continue
+        members = np.arange(*space.runs[member.cls][:2])
         fits = np.ones(len(members), dtype=bool)
         for p, arg in enumerate(member.args):
             at = members if arg == ty else rel.index(arg.lo)
-            lo, hi = layout.ends[member.cls][:, p].T
+            lo, hi = space.ends[member.cls][:, p].T
             fits &= rel.related(lo, at) & rel.related(at, hi)
         found[members] = fits
     return _marked(rel, found)
@@ -285,15 +284,16 @@ def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> tuple[np.ndarray, 
     reads; a term with an instantiated bound outside the universe, and every
     term of a table where chains leave it, is checked term by term (see
     _bound_check)."""
-    layout = chains(rel)
+    space = rel.space
     checked = np.zeros(len(rel), dtype=bool)
-    for members in layout.members.values():
-        checked[members] = True
+    for start, stop, *_ in space.runs.values():
+        checked[start:stop] = True
     ok, outside = checked.copy(), np.zeros(len(rel), dtype=bool)
     needs: list[tuple[np.ndarray, np.ndarray]] = []
     rows = chains_stay_in_universe(table, rel.depth)
-    by_term, at = [], partial(label_index, rel.labels)
-    for cls, members in layout.members.items():
+    by_term = []
+    for cls, (start, stop, *_) in space.runs.items():
+        members = np.arange(start, stop)
         decl = table.decl(cls)
         bounds = _bounds(decl)
         if not bounds:
@@ -306,10 +306,9 @@ def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> tuple[np.ndarray, 
         found = []
         for q, use, side in bounds:
             # upper bounds take the upper endpoints, lower bounds the lower ones
-            env = {p.name: layout.ends[cls][:, j, side] for j, p in enumerate(decl.params)}
-            bound = np.broadcast_to(instantiated(at, layout, use, env),
-                                    members.shape)
-            own = layout.ends[cls][:, q, side]
+            env = {p.name: space.ends[cls][:, j, side] for j, p in enumerate(decl.params)}
+            bound = np.broadcast_to(instantiated(space, use, env), members.shape)
+            own = space.ends[cls][:, q, side]
             far |= bound < 0
             fits &= rel.related(own, bound) if side else rel.related(bound, own)
             if _mentions(use, env):

@@ -20,17 +20,19 @@ the stratum below; from that one layout, containment is read off the
 depth-(d-1) relation, and each row is its containment row OR-ed with the
 final row of its chain parent, the nearest superclass-chain member in the
 universe, found by universe index (member_at, instantiated) as the index
-twin of terms.super_instantiation.
+twin of terms.super_instantiation.  A member is found by its product
+number: a generic class's block is the product of the edges below.
 
 Every relation is a Universe plus rows: a stratum's labels and runs, as
 _stage enumerates them for (table, depth, include_cofree), with its
-Chains and its terms made on first use.  The build, initial_relation,
-construction_step and relation_from_json (which compares a document's
-labels with an enumeration, parsing none) all share one lookup path.
-Analyses that read only indices and labels make no term.  Nothing is
-cached between builds.  The only resource limit is a fixed 4 GiB budget
-for a stratum's packed rows, checked from its exact term count before
-any label is printed; a document read back is held to its own size.
+endpoint indices, chain parents and terms made on first use.  The build,
+initial_relation, construction_step and relation_from_json (which
+compares a document's labels with an enumeration, parsing none) all share
+one lookup path.  Analyses that read only indices and labels make no term.
+Nothing is cached between builds.  The only resource limit is a fixed
+4 GiB budget for a stratum's packed rows, checked from its exact term
+count before any label is printed; a document read back is held to its
+own size.
 decider answers a pair of the depth-d relation by the same rules without
 building it; chains_stay_in_universe states when the depth-d rows answer
 the depth-(d+1) questions about their own terms instead; universe_faults
@@ -52,7 +54,6 @@ import json
 import threading
 from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 
 import numpy as np
@@ -93,22 +94,25 @@ class Universe:
 
     `labels` are canonical and strictly sorted, so a label is found by
     bisection (label_index).  `runs` maps each class with ground terms to its
-    run ``(start, stop, ends)`` of the label order (see _stage).  The terms,
-    their index, the Chains layout, each term's class, each co-free atom and
-    each free type are derived on first use, once; analyses that read only
-    indices and labels never make a term.
+    run ``(start, stop, ends, position)`` of the label order, and
+    `intervals` lists the edges of the stratum below that a generic class's
+    block is the product of (see _stage).  The terms, their index, each
+    generic class's endpoint indices into this universe (`ends`), each
+    term's chain parent (`parent`), each term's class, each co-free atom
+    and each free type are derived on first use, once; analyses that read
+    only indices and labels never make a term.
     """
 
     def __init__(self, table: ClassTable, depth: int, include_cofree: bool,
                  labels: tuple[str, ...], runs: dict, below: Universe | None,
-                 make: Callable[[], tuple[TypeTerm, ...]]):
+                 intervals: np.ndarray | None):
         self.table = table
         self.depth = depth
         self.include_cofree = include_cofree
         self.labels = labels
         self.runs = runs
+        self.intervals = intervals
         self._below = below
-        self._make = make  # see terms
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -120,8 +124,7 @@ class Universe:
         made = vars(self)
         with _MAKING:
             if "terms" not in made:
-                made["terms"] = self._make()
-                del self._make
+                made["terms"] = _terms(self)
         return made["terms"]
 
     @cached_property
@@ -135,12 +138,67 @@ class Universe:
                            dtype=np.intp, count=len(self._below))
 
     @cached_property
-    def chains(self) -> Chains:
-        return _layout(self.table, len(self), partial(label_index, self.labels),
-                       {cls: np.arange(start, stop)
-                        for cls, (start, stop, _ends) in self.runs.items()},
-                       {cls: self._from_below[ends]
-                        for cls, (_start, _stop, ends) in self.runs.items() if ends is not None})
+    def _to_below(self) -> np.ndarray:
+        """Each term's index in the stratum below, len(below) where it is
+        not there, and at index -1 (outside) too."""
+        m = len(self._below)
+        to = np.full(len(self) + 1, m)
+        to[self._from_below] = np.arange(m)
+        return to
+
+    @cached_property
+    def ends(self) -> dict[str, np.ndarray]:
+        """Each generic class's endpoint indices into this universe, aligned
+        with its run: ``ends[cls][k, p]`` is the (lo, hi) of argument p of
+        the run's k-th term."""
+        return {cls: self._from_below[ends]
+                for cls, (_start, _stop, ends, _position) in self.runs.items()
+                if ends is not None}
+
+    @cached_property
+    def parent(self) -> np.ndarray:
+        """Each term's chain parent: the first member of its superclass
+        chain in the universe, or the term itself where none is.
+
+        It is found for a whole class by index, one step at a time as
+        terms.super_instantiation takes it: a parameter at a direct position
+        passes its (lo, hi) columns through, and any other argument is the
+        point that `instantiated` gives over the low endpoints (-1 outside
+        the universe, as is every term holding it).  Only a term whose step
+        lands outside takes the next: a depth-0 term whose superclass takes
+        a closed type nested deeper (``Enum<Weekday>``), or one whose
+        superclass argument nests a parameter past the depth bound.  Where a
+        nested parameter meets a non-point interval (no step), or no member
+        is in the universe, the term is its own parent.  A member's own
+        chain is a suffix of the term's, so the parent's final row covers
+        every member the term reaches."""
+        parent = np.arange(len(self))
+        for cls, (start, stop, *_) in self.runs.items():
+            # the terms still climbing, and the endpoints of their chain member
+            # of class `decl` (None for a plain class, which has none)
+            here, decl, mine = np.arange(start, stop), self.table.decl(cls), self.ends.get(cls)
+            while decl.superclass is not None:
+                sup = decl.superclass
+                position = {p.name: q for q, p in enumerate(decl.params)}
+                env = {name: mine[:, q, 0] for name, q in position.items()}
+                stuck = False
+                rows = np.empty((len(here), len(sup.args), 2), dtype=np.intp)
+                for p, arg in enumerate(sup.args):
+                    if not arg.args and arg.name in position:
+                        rows[:, p] = mine[:, position[arg.name]]
+                        continue
+                    nested = [position[name] for name in arg.mentioned_names()
+                              if name in position]
+                    if nested:
+                        stuck |= (mine[:, nested, 0] != mine[:, nested, 1]).any(axis=1)
+                    rows[:, p, 0] = rows[:, p, 1] = instantiated(self, arg, env)
+                parent[here] = step = np.where(stuck, here, member_at(self, sup.name, rows))
+                climbing = step < 0
+                if not climbing.any():
+                    break
+                here, decl, mine = here[climbing], self.table.decl(sup.name), rows[climbing]
+                parent[here] = here
+        return parent
 
     @cached_property
     def atoms(self) -> dict[str, int]:
@@ -155,7 +213,7 @@ class Universe:
         by label."""
         position = {c: k for k, c in enumerate(self.table.class_names)}
         classes = np.full(len(self), -1)
-        for c, (start, stop, _ends) in self.runs.items():
+        for c, (start, stop, *_) in self.runs.items():
             classes[start:stop] = position[c]
         for c, i in self.atoms.items():
             classes[i] = position[c]
@@ -412,139 +470,51 @@ def universe_faults(table: ClassTable, term: TypeTerm, depth: int,
     return list(walk(term, depth))
 
 
-@dataclass(frozen=True)
-class Chains:
-    """A universe's terms by index: each class's ground terms in universe
-    order (`members`); a generic class's endpoint indices, aligned with its
-    members (``ends[cls][k, p]`` is the (lo, hi) of argument p of member k);
-    and each term's chain parent (`parent`), the first member of its
-    superclass chain in the universe, or the term itself where none is.  The
-    parents follow from the members and ends alone (see _layout).  Each
-    generic class's rows are ranked once, on their first lookup by
-    member_at, and kept in `_ranked`."""
-
-    members: dict[str, np.ndarray]
-    ends: dict[str, np.ndarray]
-    parent: np.ndarray
-    _ranked: dict[str, tuple] = field(default_factory=dict, compare=False, repr=False)
-
-
-def chains(rel: SubtypeRelation) -> Chains:
-    """`rel`'s Chains: its universe's layout, made from the runs the
-    enumeration recorded, once per universe, for a built relation and a
-    relation read by relation_from_json alike."""
-    return rel.space.chains
-
-
-def _layout(table: ClassTable, n: int, at: Callable[[str], int],
-            members: dict[str, np.ndarray], ends: dict[str, np.ndarray]) -> Chains:
-    """The Chains of a universe of `n` terms from each class's members and
-    endpoint indices, `at` giving a label's index (see label_index).
-    A term's parent is the first member of its superclass chain in the
-    universe, found for a whole class by index, one step at a time as
-    terms.super_instantiation takes it: a parameter at a direct position
-    passes its (lo, hi) columns through, and any other argument is the
-    point that `instantiated` gives over the low endpoints (-1 outside the
-    universe, as is every term holding it).  Only a term whose step lands
-    outside takes the next: a depth-0 term whose superclass takes a closed
-    type nested deeper (``Enum<Weekday>``), or one whose superclass argument
-    nests a parameter past the depth bound.  Where a nested parameter meets
-    a non-point interval (no step), or no member is in the universe, the
-    term is its own parent.  A member's own chain is a suffix of the
-    term's, so the parent's final row covers every member the term reaches."""
-    parent = np.arange(n)
-    layout = Chains(members, ends, parent)
-    for cls, own in members.items():
-        # the terms still climbing, and the endpoints of their chain member
-        # of class `decl` (None for a plain class, which has none)
-        here, decl, mine = own, table.decl(cls), ends.get(cls)
-        while decl.superclass is not None:
-            sup = decl.superclass
-            position = {p.name: q for q, p in enumerate(decl.params)}
-            env = {name: mine[:, q, 0] for name, q in position.items()}
-            stuck = False
-            rows = np.empty((len(here), len(sup.args), 2), dtype=np.intp)
-            for p, arg in enumerate(sup.args):
-                if not arg.args and arg.name in position:
-                    rows[:, p] = mine[:, position[arg.name]]
-                    continue
-                nested = [position[name] for name in arg.mentioned_names() if name in position]
-                if nested:
-                    stuck |= (mine[:, nested, 0] != mine[:, nested, 1]).any(axis=1)
-                rows[:, p, 0] = rows[:, p, 1] = instantiated(at, layout, arg, env)
-            parent[here] = step = np.where(stuck, here, member_at(layout, sup.name, rows))
-            climbing = step < 0
-            if not climbing.any():
-                break
-            here, decl, mine = here[climbing], table.decl(sup.name), rows[climbing]
-            parent[here] = here
-    return layout
-
-
-def instantiated(at: Callable[[str], int], layout: Chains, use: TypeUse,
-                 env: dict[str, np.ndarray]):
-    """Universe indices of the type `use` with each parameter replaced by
-    its `env` array of endpoint indices, as term_from_typeuse instantiates
-    it: a parameter is its array, a closed type the index `at` gives its
-    label, and a compound type the member of its class on the point
+def instantiated(space: Universe, use: TypeUse, env: dict[str, np.ndarray]):
+    """Indices into `space` of the type `use` with each parameter replaced
+    by its `env` array of endpoint indices, as term_from_typeuse
+    instantiates it: a parameter is its array, a closed type the index of
+    its label, and a compound type the member of its class on the point
     intervals of its arguments (see member_at); -1 where the term lies
     outside the universe."""
     if use.name in env:
         return env[use.name]
     if not any(name in env for name in use.mentioned_names()):
-        return at(format_typeuse(use))
+        return label_index(space.labels, format_typeuse(use))
     args = np.stack(np.broadcast_arrays(
-        *(instantiated(at, layout, a, env) for a in use.args)), axis=1)
-    return member_at(layout, use.name, np.stack([args, args], axis=-1))
+        *(instantiated(space, a, env) for a in use.args)), axis=1)
+    return member_at(space, use.name, np.stack([args, args], axis=-1))
 
 
-def member_at(layout: Chains, cls: str, ends: np.ndarray) -> np.ndarray:
+def member_at(space: Universe, cls: str, ends: np.ndarray) -> np.ndarray:
     """For each row of endpoint indices in `ends` (k x arity x 2, laid out
-    as in Chains.ends), the universe index of the member of `cls` with those
-    endpoints, or -1 where the universe holds none.  The class's rows are
-    numbered once per Chains (see _rank); an asked row follows the same
-    numbers by binary search, one argument position at a time, and misses
-    at the first position where no member shares its number."""
-    found = layout.members.get(cls)
-    if found is None:
+    as in Universe.ends), the index into `space` of the member of `cls` with
+    those endpoints, or -1 where the universe holds none.
+
+    A generic class's block is the product of the edges of the stratum
+    below (see _stage), so a member is found by its product number: each
+    endpoint is mapped to its index below, each (lo, hi) pair to its edge
+    number among the edges listed row-major, the row's edge numbers read
+    mixed-radix give its product number, and the run gives that product's
+    position.  An endpoint outside the stratum below, or a pair that is
+    not an edge there, misses."""
+    run = space.runs.get(cls)
+    if run is None:
         return np.full(len(ends), -1)
-    if cls not in layout.ends:  # a plain class: its one term
-        return np.full(len(ends), found[0])
-    ranked = layout._ranked.get(cls)
-    if ranked is None:
-        ranked = layout._ranked[cls] = _rank(layout, cls)
-    levels, slot = ranked
-    n = len(layout.parent)
-    codes = _pair_codes(ends, n)
-    hit, key = True, 0
-    for p, numbers in enumerate(levels):
-        number = key * (n + 1) ** 2 + codes[:, p]
-        key = numbers.searchsorted(number)
-        hit &= numbers.take(key, mode="clip") == number
-    return np.where(hit, slot.take(key, mode="clip"), -1)
-
-
-def _pair_codes(ends: np.ndarray, n: int) -> np.ndarray:
-    """Each (lo, hi) pair of universe indices in -1..n-1 as one number below
-    (n + 1) ** 2; -1 (outside) gives a code that no member has."""
-    return (ends[..., 0].astype(np.int64) + 1) * (n + 1) + ends[..., 1] + 1
-
-
-def _rank(layout: Chains, cls: str) -> tuple[list[np.ndarray], np.ndarray]:
-    """A generic class's rows numbered for member_at: at each argument
-    position, the sorted distinct (number so far, pair code) values, a row's
-    number being its rank among them, and the member at each final number.
-    A number stays below (n + 1) ** 3 (a member count times the codes'
-    range), so int64 holds it for any universe under two million terms."""
-    n = len(layout.parent)
-    codes = _pair_codes(layout.ends[cls], n)
-    levels, key = [], 0
-    for p in range(codes.shape[1]):
-        numbers, key = np.unique(key * (n + 1) ** 2 + codes[:, p], return_inverse=True)
-        levels.append(numbers)
-    slot = np.full(len(codes), -1)
-    slot[key] = layout.members[cls]
-    return levels, slot
+    start, _stop, _ends, position = run
+    if position is None:  # a plain class: its one term
+        return np.full(len(ends), start)
+    # indices below run to len(below), which stands for a term not there
+    m = len(space._below) + 1
+    lo, hi = np.moveaxis(space._to_below[ends], -1, 0)
+    keys = space.intervals[:, 0] * m + space.intervals[:, 1]
+    asked = lo * m + hi
+    edge = keys.searchsorted(asked)
+    hit = (keys.take(edge, mode="clip") == asked).all(axis=1)
+    number = 0
+    for p in range(edge.shape[1]):
+        number = number * len(keys) + edge[:, p]
+    return np.where(hit, start + position.take(number, mode="clip"), -1)
 
 
 def interval_contains(rel: SubtypeRelation, inner: Interval, outer: Interval) -> bool:
@@ -619,21 +589,23 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
     terms by leading label gives the label order.
 
     Every class with ground terms is then one run of that order, recorded
-    once as ``(start, stop, ends)``: a plain class's one term, with `ends`
-    None, or a generic class's block, with its terms' endpoint indices into
-    the stratum below.  This is the index part of the stratum as a partial
-    product over the one below; every row writer reads it, and _terms makes
-    the terms from it on first read.  Without the co-free axioms the atoms
-    are dropped from the universe too, so the model is directly comparable
-    with the full one on its Ground fragment.
+    once as ``(start, stop, ends, position)``: a plain class's one term,
+    with `ends` and `position` None, or a generic class's block, with its
+    terms' endpoint indices into the stratum below and each product's
+    position in the run, products numbered in itertools.product order over
+    the edges listed row-major (the universe's `intervals`).  This is the
+    index part of the stratum as a partial product over the one below;
+    every row writer reads it, member_at finds a member by it, and _terms
+    makes the terms from it on first read.  Without the co-free axioms the
+    atoms are dropped from the universe too, so the model is directly
+    comparable with the full one on its Ground fragment.
     """
-    intern = table.intern
     singles = [BOTTOM]
     for decl in table.decls.values():
         if not decl.is_generic:
-            singles.append(intern(Ground(decl.name)))
+            singles.append(Ground(decl.name))
         elif include_cofree:
-            singles.append(intern(Cofree(decl.name)))
+            singles.append(Cofree(decl.name))
     generics = [] if below is None else [d for d in table.decls.values() if d.is_generic]
     m = _edge_count(below.bits) if generics else 0
     n = len(singles) + sum(m ** decl.arity for decl in generics)
@@ -649,7 +621,7 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
         pairs = np.stack(_set_bits(below.bits), axis=1)
         arguments = [format_interval(below.labels[i], below.labels[j], table.root)
                      for i, j in pairs.tolist()]
-    blocks = {}  # per arity, shared by its classes: label tails, endpoints, order
+    blocks = {}  # per arity, shared by its classes: label tails, endpoints, positions
     for decl in generics:
         if decl.arity not in blocks:
             # ends[k, p] = (lo, hi) of argument p of product k, in product order
@@ -657,46 +629,46 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
             tails = [f"{', '.join(args)}>"
                      for args in itertools.product(arguments, repeat=decl.arity)]
             order = sorted(range(len(tails)), key=tails.__getitem__)
-            blocks[decl.arity] = ([tails[k] for k in order], ends[order],
-                                  np.array(order, dtype=np.intp))
-        tails, ends, order = blocks[decl.arity]
-        units.append(([f"{decl.name}<{tail}" for tail in tails], decl, ends, order))
+            blocks[decl.arity] = ([tails[k] for k in order], ends[order], np.argsort(order))
+        tails, ends, position = blocks[decl.arity]
+        units.append(([f"{decl.name}<{tail}" for tail in tails], decl, ends, position))
     units.sort(key=lambda unit: unit[0][0])
     runs, start = {}, 0
-    for unit_labels, made, ends, _order in units:
+    for unit_labels, made, ends, position in units:
         stop = start + len(unit_labels)
         if isinstance(made, ClassDecl):
-            runs[made.name] = (start, stop, ends)
+            runs[made.name] = (start, stop, ends, position)
         elif isinstance(made, Ground):
-            runs[made.cls] = (start, stop, None)
+            runs[made.cls] = (start, stop, None, None)
         start = stop
     labels = tuple(s for unit in units for s in unit[0])
-    under = None if below is None else below.space
-    make = partial(_terms, table, labels, under, pairs if generics else None,
-                   [(made, order) for _labels, made, _ends, order in units])
-    return Universe(table, depth, include_cofree, labels, runs, under, make)
+    return Universe(table, depth, include_cofree, labels, runs,
+                    None if below is None else below.space, pairs if generics else None)
 
 
-def _terms(table: ClassTable, labels: tuple[str, ...], below: Universe | None,
-           pairs: np.ndarray | None, parts: list) -> tuple[TypeTerm, ...]:
-    """A built stratum's universe: each depth-0 term of `parts`, and each
-    generic class's block at its product positions, the product of the
-    intervals `pairs` of the stratum below, made through the pool after that
-    stratum's terms, so a re-generated instantiation is its very object.
-    Each label goes into the parse cache with its term."""
-    intern = table.intern
-    if pairs is not None:
-        under = below.terms
-        intervals = [intern(Interval(under[i], under[j])) for i, j in pairs.tolist()]
-    universe = []
-    for made, order in parts:
-        if order is None:
-            universe.append(made)
+def _terms(space: Universe) -> tuple[TypeTerm, ...]:
+    """A stratum's terms in label order, made through the table's pool after
+    the stratum below's, so a re-generated instantiation is its very object:
+    bottom, each co-free atom and each plain class at its index, and each
+    generic class's block, the product of the `intervals` of the stratum
+    below, each product at its position in the run.  Each label goes into
+    the parse cache with its term."""
+    table, intern = space.table, space.table.intern
+    universe = [None] * len(space)
+    universe[label_index(space.labels, format_type(BOTTOM))] = BOTTOM
+    for cls, i in space.atoms.items():
+        universe[i] = intern(Cofree(cls))
+    if space.intervals is not None:
+        under = space._below.terms
+        intervals = [intern(Interval(under[i], under[j])) for i, j in space.intervals.tolist()]
+    for cls, (start, stop, ends, position) in space.runs.items():
+        if position is None:
+            universe[start] = intern(Ground(cls))
             continue
-        block = [intern(Ground(made.name, args))
-                 for args in itertools.product(intervals, repeat=made.arity)]
-        universe += map(block.__getitem__, order.tolist())
-    table._parsed.update(zip(labels, universe))
+        block = [intern(Ground(cls, args))
+                 for args in itertools.product(intervals, repeat=ends.shape[1])]
+        universe[start:stop] = map(block.__getitem__, np.argsort(position).tolist())
+    table._parsed.update(zip(space.labels, universe))
     return tuple(universe)
 
 
@@ -714,11 +686,11 @@ def initial_relation(table: ClassTable, depth: int,
 def construction_step(table: ClassTable, rel: SubtypeRelation) -> SubtypeRelation:
     """One composable pass of rules (a)-(d).  Never removes edges; applying
     the step to a fixpoint returns an equal relation."""
-    index = rel.space.index
-    static = _static_edges(table, rel.universe, index)
-    groups = [(rel.space.chains.members[cls], ends[..., 0], ends[..., 1])
-              for cls, ends in rel.space.chains.ends.items()]
-    new = np.packbits(_apply_step(rel.edges, static, groups, index[BOTTOM]), axis=1)
+    space = rel.space
+    static = _static_edges(table, rel.universe, space.index)
+    groups = [(slice(*space.runs[cls][:2]), ends[..., 0], ends[..., 1])
+              for cls, ends in space.ends.items()]
+    new = np.packbits(_apply_step(rel.edges, static, groups, space.index[BOTTOM]), axis=1)
     return SubtypeRelation(rel.space, new, rel.iterations + 1)
 
 
@@ -747,10 +719,10 @@ def _stratum(space: Universe, below: SubtypeRelation | None) -> SubtypeRelation:
     a closed type, an atom and bottom are found by label.
 
     Containment is read off the small relation below at each generic run's
-    `ends` (see _stage), and the universe's Chains give each term's chain
-    parent.  A ground term's row is its containment row OR-ed with the final
-    row of its chain parent: the runs are OR-ed in superclass-depth order, a
-    band of rows at a time, so each parent row is final before it is read.
+    `ends` (see _stage), and the universe gives each term's chain parent.
+    A ground term's row is its containment row OR-ed with the final row of
+    its chain parent: the runs are OR-ed in superclass-depth order, a band
+    of rows at a time, so each parent row is final before it is read.
     A co-free atom's row is set from class runs (see _cofree_rows); bottom's
     row holds every term.
 
@@ -774,14 +746,14 @@ def _stratum(space: Universe, below: SubtypeRelation | None) -> SubtypeRelation:
         # a third of this one's terms, and without one only the depth-0 terms
         below_edges = _unpack(below.bits, len(below))
         old = space._from_below
-    parent = space.chains.parent
+    parent = space.parent
     order = sorted(runs, key=lambda cls: len(table.ancestors(cls)))
     cofree_rows = list(_cofree_rows(space)) if space.include_cofree else []
     diagonal = np.arange(n)
     bottom = label_index(space.labels, format_type(BOTTOM))
     packed = np.zeros((n, width), dtype=np.uint8)
     while True:
-        for start, _stop, ends in runs.values():
+        for start, _stop, ends, _position in runs.values():
             if ends is not None:
                 _write_containment(packed, start, ends, below_edges, band)
         packed[diagonal, diagonal >> 3] |= _column_bits(diagonal)
@@ -910,7 +882,7 @@ def _apply_step(edges: np.ndarray, static, groups, bottom: int) -> np.ndarray:
             hi = his[:, p]
             # cont[i, j]: argument p of instantiation i fits inside that of j
             cont &= edges[np.ix_(lo, lo)].T & edges[np.ix_(hi, hi)]
-        new[np.ix_(rows, rows)] |= cont
+        new[rows, rows] |= cont
     srows, scols = static
     if srows.size:
         new[srows, scols] = True

@@ -7,7 +7,8 @@ import pathlib
 import jsonschema
 import pytest
 
-from nomsub import relation_from_json
+from nomsub import build_relation, parse_class_table, relation_from_json
+from nomsub import relation
 from nomsub.cli import main
 
 from nested_tables import INDEX_TABLES, NESTED_TABLES
@@ -167,6 +168,25 @@ def test_universe_listing_is_sorted_and_deterministic(capsys):
     assert "List<?>" in lines and "List<!>" in lines
     code, second, _ = run(capsys, "universe", SAMPLE, "--depth", "1")
     assert second == first
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-cofree"]])
+def test_universe_never_builds_its_top_stratum(capsys, monkeypatch, flags):
+    # the labels come from the enumeration: only the strata below get rows
+    built, stratum = [], relation._stratum
+
+    def spy(space, below):
+        built.append(space.depth)
+        return stratum(space, below)
+
+    table = parse_class_table(pathlib.Path(SAMPLE).read_text())
+    labels = build_relation(table, 2, include_cofree=not flags).labels
+    monkeypatch.setattr(relation, "_stratum", spy)
+    code, out, _ = run(capsys, "universe", SAMPLE, "--depth", "2", *flags)
+    assert code == 0 and out == "".join(f"{label}\n" for label in labels)
+    code, out, _ = run(capsys, "universe", SAMPLE, "--depth", "2", "--format", "json", *flags)
+    assert code == 0 and json.loads(out) == {"depth": 2, "universe": list(labels)}
+    assert built == [0, 1, 0, 1]
 
 
 def test_galois_text_output(capsys):

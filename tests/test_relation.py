@@ -153,7 +153,7 @@ class TestStratumLoop:
         # direct parameters (LinkedList<T> extends List<T>), permuted ones
         # (P<K, V> extends Q<V, K>) and closed types (A<T> extends B<Str>):
         # every chain parent is one index step, so no term climbs its chain,
-        # neither in the build nor in the Chains of the relation read back
+        # neither in the build nor for the relation read back
         climbed = []
 
         def spy(table, term):
@@ -165,7 +165,7 @@ class TestStratumLoop:
             with monkeypatch.context() as patch:
                 patch.setattr(terms_module, "super_instantiation", spy)
                 text = export_json(build_relation(table, depth))
-                relation_module.chains(relation_from_json(table, text))
+                relation_from_json(table, text).space.parent
             assert not climbed, f"{name}@{depth} climbs {format_type(climbed[0])}"
 
     def test_a_dropped_relation_is_freed(self, sample_table):
@@ -365,8 +365,8 @@ def test_universe_walk_accepts_exactly_the_built_universe(name, depth, include_c
         assert any(isinstance(f, Cofree) for f in faults) == excluded, format_type(term)
 
 
-# every field of Chains against the term-level rule, for the Chains the
-# build records and those derived for the relation read back from JSON;
+# a universe's runs, endpoint indices and chain parents against the
+# term-level rule, for the build and for the relation read back from JSON;
 # permuted and mixed exceed the row budget at depth 2
 CHAINS_CASES = ([(name, depth) for name in ("sample", "reduced", *NESTED_TABLES, *INDEX_TABLES)
                  for depth in range(3) if (name, depth) not in {("permuted", 2), ("mixed", 2)}]
@@ -376,24 +376,25 @@ CHAINS_CASES = ([(name, depth) for name in ("sample", "reduced", *NESTED_TABLES,
 @pytest.mark.parametrize("include_cofree", [True, False])
 @pytest.mark.parametrize("name, depth", CHAINS_CASES)
 def test_chains_follow_the_term_level_rule(name, depth, include_cofree, request):
-    # members group the ground terms by class, ends are each interval's
+    # runs group the ground terms by class, ends are each interval's
     # endpoint indices, and a term's parent is the first member of its
     # super_chain in the universe, or the term itself
     table = named_table(name, request)
     built = build_relation(table, depth, include_cofree=include_cofree)
     read = relation_from_json(table, export_json(built))
     for rel in (built, read):
-        layout = relation_module.chains(rel)
+        space = rel.space
         by_class = {}
         for i, term in enumerate(rel.universe):
             if isinstance(term, Ground):
                 by_class.setdefault(term.cls, []).append(i)
-        assert {cls: m.tolist() for cls, m in layout.members.items()} == by_class
-        assert {cls: e.tolist() for cls, e in layout.ends.items()} == {
+        assert {cls: list(range(start, stop))
+                for cls, (start, stop, *_) in space.runs.items()} == by_class
+        assert {cls: e.tolist() for cls, e in space.ends.items()} == {
             cls: [[[rel.index(iv.lo), rel.index(iv.hi)] for iv in rel.universe[i].args]
                   for i in found]
             for cls, found in by_class.items() if table.arity(cls)}
-        assert layout.parent.tolist() == [
+        assert space.parent.tolist() == [
             next((rel.index(m) for m in super_chain(table, term) if m in rel), i)
             for i, term in enumerate(rel.universe)]
 
@@ -401,22 +402,33 @@ def test_chains_follow_the_term_level_rule(name, depth, include_cofree, request)
 @pytest.mark.parametrize("name, depth", [("sample", 2), ("permuted", 1), ("mixed", 1)])
 def test_member_at_finds_exactly_the_members(name, depth, request):
     # asked rows: every member's own, the same with one endpoint moved (a
-    # few of them other members) and random ones, with -1 (outside) among them
+    # few of them other members), with one endpoint a term of the top
+    # stratum alone, with one argument an ordered pair below that is no edge
+    # there, and random ones, with -1 (outside) among them
     table = named_table(name, request)
-    rel = build_relation(table, depth)
-    layout = relation_module.chains(rel)
+    rel, below = build_relation(table, depth), build_relation(table, depth - 1)
+    space = rel.space
+    top = [i for i, label in enumerate(rel.labels) if label not in below.labels]
+    at = np.array([rel.labels.index(label) for label in below.labels])
+    gaps = at[np.stack(np.nonzero(~below.edges), axis=1)]
     rng = np.random.default_rng(0)
-    for cls, ends in layout.ends.items():
-        moved = ends.copy()
-        moved[np.arange(len(ends)), rng.integers(ends.shape[1], size=len(ends)),
-              rng.integers(2, size=len(ends))] = rng.integers(-1, len(rel), size=len(ends))
-        asked = np.concatenate([ends, moved,
-                                rng.integers(-1, len(rel), size=(50, *ends.shape[1:]))])
-        members = dict(zip(map(tuple, ends.reshape(len(ends), -1).tolist()),
-                           layout.members[cls].tolist()))
+    for cls, ends in space.ends.items():
+        k, arity = ends.shape[:2]
+        moved, upper, unrelated = ends.copy(), ends.copy(), ends.copy()
+        moved[np.arange(k), rng.integers(arity, size=k),
+              rng.integers(2, size=k)] = rng.integers(-1, len(rel), size=k)
+        upper[np.arange(k), rng.integers(arity, size=k),
+              rng.integers(2, size=k)] = rng.choice(top, size=k)
+        unrelated[np.arange(k), rng.integers(arity, size=k)] = gaps[
+            rng.integers(len(gaps), size=k)]
+        asked = np.concatenate([ends, moved, upper, unrelated,
+                                rng.integers(-1, len(rel), size=(50, arity, 2))])
+        members = dict(zip(map(tuple, ends.reshape(k, -1).tolist()),
+                           range(*space.runs[cls][:2])))
         expected = [members.get(tuple(row), -1) for row in asked.reshape(len(asked), -1).tolist()]
-        for _ in range(2):  # ranked on the first call, then reused
-            assert relation_module.member_at(layout, cls, asked).tolist() == expected
+        found = relation_module.member_at(space, cls, asked)
+        assert found.tolist() == expected
+        assert (found[2 * k:4 * k] == -1).all()
 
 
 class TestPackedRows:
@@ -454,7 +466,9 @@ class TestRelationInvariants:
                            (reduced_table, reduced_rel2)):
             assert bool(rel.edges[:, rel.index(root_term(table))].all())
 
-    def test_mutual_pairs_empty_on_shipped_tables(self, sample_rel1, reduced_rel2):
+    def test_mutual_pairs_empty_on_shipped_tables(self, sample_table, sample_rel1,
+                                                  reduced_rel2):
+        assert mutual_pairs(build_relation(sample_table, 0)) == []
         assert mutual_pairs(sample_rel1) == []
         assert mutual_pairs(reduced_rel2) == []
 
@@ -794,12 +808,6 @@ class TestExport:
         assert '"Integer" -> "Object";' not in dot
 
 
-def test_queries_tolerate_no_bottom_universe(sample_table):
-    # a relation restricted by hand may omit bottom; mutual_pairs still works
-    rel = build_relation(sample_table, 0)
-    assert (BOTTOM, Ground("Object")) not in mutual_pairs(rel)
-
-
 class TestSharedTerms:
     """The build and the document reader make terms through the table's pool,
     so a table's relations share their terms; a term made any other way
@@ -860,7 +868,7 @@ class TestSharedTerms:
 
     def test_the_pool_keeps_no_rows_alive(self, sample_table):
         rel = build_relation(sample_table, 2)
-        relation_module.chains(rel)
+        rel.space.parent
         rows = weakref.ref(rel.bits)
         term = rel.universe[-1]
         del rel
@@ -901,17 +909,18 @@ class TestTermsOnFirstRead:
         free = sorted(format_type(free_type(table, c)) for c in table.class_names
                       if nesting_depth(free_type(table, c)) >= depth)
         assert not self.made(rel) and sorted(self.deep(table, depth)) == free
-        built = []
+        enumerated, universe = [], relation_module._universe
 
-        def build(*args, **kwargs):
-            built.append(build_relation(*args, **kwargs))
-            return built[-1]
+        def enumerate_(*args, **kwargs):
+            enumerated.append(universe(*args, **kwargs))
+            return enumerated[-1]
 
         monkeypatch.setattr(cli, "_load_table", lambda path: table)
-        monkeypatch.setattr(cli, "build_relation", build)
+        monkeypatch.setattr(relation_module, "_universe", enumerate_)
         assert cli.main(["universe", name, "--depth", str(depth)]) == 0
-        assert list(built[0].labels) == list(rel.labels)
-        assert not self.made(built[0]) and not self.made(rel)
+        space = enumerated[0][0]
+        assert space.labels == rel.labels
+        assert "terms" not in vars(space) and not self.made(rel)
         assert sorted(self.deep(table, depth)) == free
 
     @pytest.mark.parametrize("include_cofree", [True, False])
