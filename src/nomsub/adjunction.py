@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import relation
 from .class_table import ClassTable, subclass_of
 from .errors import FreeTypeOutsideUniverse
 from .fixpoints import check_validity
@@ -148,16 +149,19 @@ def check_monotonicity(table: ClassTable, rel: SubtypeRelation) -> MonotonicityR
     free = _free_columns(table, rel)
     sub = _subclass_matrix(table)
     classes = rel.space.classes
-    # unreachable[k]: packed row of the erasable terms whose class is no superclass of k
-    unreachable = np.packbits(~sub[:, classes] & (classes >= 0), axis=1)
-    u, names, n = rel.universe, table.class_names, len(rel)
-    erasure = []
-    for i in np.flatnonzero(classes >= 0):
-        hits = rel.bits[i] & unreachable[classes[i]]
-        if hits.any():
-            erasure += [(u[i], u[j]) for j in np.flatnonzero(np.unpackbits(hits, count=n))]
+    # unreachable[k]: erasable terms whose class is no superclass of k; row -1 (bottom's) is empty
+    unreachable = np.packbits(np.vstack([~sub[:, classes] & (classes >= 0),
+                                         np.zeros(len(rel), dtype=bool)]), axis=1)
+    band, found = max(1, relation._BAND_BYTES // rel.bits.shape[1]), []
+    for start in range(0, len(rel), band):
+        rows = slice(start, start + band)
+        hits = rel.bits[rows] & unreachable[classes[rows]]
+        if hits.any():  # a band without a witness skips the slower listing of set bits
+            subs, sups = relation._set_bits(hits)
+            found += zip((subs + start).tolist(), sups.tolist())
+    u, names = (rel.universe if found else ()), table.class_names  # terms only for a witness
     return MonotonicityReport(
-        erasure,
+        [(u[i], u[j]) for i, j in found],
         [(names[a], names[b]) for a, b in np.argwhere(sub & ~rel.related(free[:, None], free))])
 
 

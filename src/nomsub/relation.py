@@ -80,8 +80,8 @@ from .terms import (
 )
 
 _ROW_BUDGET = 1 << 32  # bytes of packed rows per stratum; fixed, not read from the host
-# rows per band keep a band's temporaries near 16 MiB
-_BAND_BYTES = 1 << 24
+# rows per band keep a band's temporaries near 256 KiB, within a core's cache
+_BAND_BYTES = 1 << 18
 # held while a universe makes its terms (and again for the stratum below)
 _MAKING = threading.RLock()
 
@@ -718,11 +718,15 @@ def _stratum(space: Universe, below: SubtypeRelation | None) -> SubtypeRelation:
     the relation `below` it (None at depth 0); a term of the stratum below,
     a closed type, an atom and bottom are found by label.
 
-    Containment is read off the small relation below at each generic run's
-    `ends` (see _stage), and the universe gives each term's chain parent.
-    A ground term's row is its containment row OR-ed with the final row of
-    its chain parent: the runs are OR-ed in superclass-depth order, a band
-    of rows at a time, so each parent row is final before it is read.
+    Containment is read off the small relation below at the generic runs'
+    `ends` (see _stage), once per block shape (the classes of one arity share
+    one `ends`).  A ground term's row is its containment row OR-ed with the
+    final row of its chain parent: the runs are OR-ed in superclass-depth
+    order, a band of rows at a time, so each parent row is final before it
+    is read.  A parent's class is a strict ancestor of the term's, and a
+    ground row of class P sets bits only in the runs of P's ancestors, so
+    the OR spans only the bytes of the runs of the class's strict ancestors
+    (a class with none in the universe skips it).
     A co-free atom's row is set from class runs (see _cofree_rows); bottom's
     row holds every term.
 
@@ -739,29 +743,31 @@ def _stratum(space: Universe, below: SubtypeRelation | None) -> SubtypeRelation:
     static edges and a confirming one; `iterations` records that count.
     """
     table, runs, n = space.table, space.runs, len(space)
-    width = (n + 7) // 8
-    band = max(1, _BAND_BYTES // width)
     if below is not None:
         # the stratum below is read densely: with a generic class it holds under
         # a third of this one's terms, and without one only the depth-0 terms
         below_edges = _unpack(below.bits, len(below))
         old = space._from_below
-    parent = space.parent
-    order = sorted(runs, key=lambda cls: len(table.ancestors(cls)))
+    shapes = {id(run[2]): run[2] for run in runs.values() if run[2] is not None}
+    windows = []  # (start, stop, lo, hi): a run and its strict ancestors' byte span
+    for cls in sorted(runs, key=lambda cls: len(table.ancestors(cls))):
+        spans = [runs[a][:2] for a in table.ancestors(cls)[1:] if a in runs]
+        if spans:
+            windows.append((*runs[cls][:2], min(spans)[0] >> 3, (max(spans)[1] + 7) >> 3))
     cofree_rows = list(_cofree_rows(space)) if space.include_cofree else []
     diagonal = np.arange(n)
     bottom = label_index(space.labels, format_type(BOTTOM))
-    packed = np.zeros((n, width), dtype=np.uint8)
+    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
     while True:
-        for start, _stop, ends, _position in runs.values():
-            if ends is not None:
-                _write_containment(packed, start, ends, below_edges, band)
+        for ends in shapes.values():
+            _write_containment(packed, [run[0] for run in runs.values() if run[2] is ends],
+                               ends, below_edges)
         packed[diagonal, diagonal >> 3] |= _column_bits(diagonal)
-        for cls in order:
-            start, stop = runs[cls][:2]
+        for start, stop, lo, hi in windows:
+            band = max(1, _BAND_BYTES // (hi - lo))
             for first in range(start, stop, band):
                 last = min(first + band, stop)
-                packed[first:last] |= packed[parent[first:last]]
+                packed[first:last, lo:hi] |= packed[space.parent[first:last], lo:hi]
         for i, row in cofree_rows:
             packed[i] = row
         packed[bottom] = np.packbits(np.ones(n, dtype=bool))  # no padding bit
@@ -777,58 +783,68 @@ def _stratum(space: Universe, below: SubtypeRelation | None) -> SubtypeRelation:
     return SubtypeRelation(space, packed, 2 + nesting)
 
 
-def _write_containment(packed: np.ndarray, start: int, ends: np.ndarray,
-                       below: np.ndarray, band: int) -> None:
-    """OR one class's containment block into the packed rows: instantiation
+def _write_containment(packed: np.ndarray, starts: list[int], ends: np.ndarray,
+                       below: np.ndarray) -> None:
+    """Write the containment blocks of the runs at `starts`, which share the
+    block shape `ends`, into their rows, which hold nothing yet: instantiation
     i lies below j when every argument of i fits inside that of j, i.e.
     ``below[lo_j, lo_i] and below[hi_i, hi_j]`` at each position.
 
     Per argument position, two tables of packed rows over the block hold
-    one row per term e below, each packed from rows gathered contiguously
-    out of `below` or its transpose: bit j of ``fits_lo[e]`` is
-    ``below[lo_j, e]`` and bit j of ``fits_hi[e]`` is ``below[e, hi_j]``.
-    Row i of the block is then the AND over the positions of
-    ``fits_lo[lo_i] & fits_hi[hi_i]``, written a band of rows at a time.
-    Bits are laid out from byte ``start // 8`` so that the block is a plain
-    slice of the packed matrix.
+    one row per term e below: bit j of ``fits_lo[e]`` is ``below[lo_j, e]``
+    and bit j of ``fits_hi[e]`` is ``below[e, hi_j]``.  Row i of the block
+    is then the AND over the positions of ``fits_lo[lo_i] & fits_hi[hi_i]``.
+    A block's bits start at byte ``start // 8``, so that it is a plain slice
+    of the packed matrix: the tables are built once and shifted to each bit
+    offset ``start % 8`` (offset 0, which needs no copy, last), and each band
+    of rows is computed once per offset and written into every block there.
     """
-    los, his = ends[..., 0], ends[..., 1]
-    k, arity = los.shape
-    offset, first = start % 8, start // 8
-    by_row, by_col = below.view(np.uint8), np.ascontiguousarray(below.T).view(np.uint8)
-    tables = [(_packed_columns(by_row, los[:, p], offset),
-               _packed_columns(by_col, his[:, p], offset)) for p in range(arity)]
-    width = tables[0][0].shape[1]
-    for top in range(0, k, band):
-        rows = slice(top, min(top + band, k))
-        cont = None
-        for p, (fits_lo, fits_hi) in enumerate(tables):
-            part = fits_lo[los[rows, p]]
-            part &= fits_hi[his[rows, p]]
-            if cont is None:
-                cont = part
-            else:
-                cont &= part
-        packed[start + rows.start:start + rows.stop, first:first + width] |= cont
+    (k, arity), m = ends.shape[:2], len(below)
+    # below and below.T, rows padded to 64-bit words; each position's lo, then hi
+    matrices = np.zeros((2, m, (m + 7) // 8 * 8), dtype=np.uint8)
+    matrices[0, :, :m], matrices[1, :, :m] = below, below.T
+    picks = [ends[:, p, side] for p in range(arity) for side in (0, 1)]
+    tables = [_packed_columns(matrices[i % 2], chosen) for i, chosen in enumerate(picks)]
+    for offset in sorted({start % 8 for start in starts}, reverse=True):
+        width = (offset + k + 7) // 8
+        shifted = [_shifted(fits, offset, width) for fits in tables]
+        blocks = [packed[s:s + k, s // 8:s // 8 + width] for s in starts if s % 8 == offset]
+        band = max(1, _BAND_BYTES // width)
+        for top in range(0, k, band):
+            rows = slice(top, top + band)
+            cont = shifted[0][picks[0][rows]]
+            for fits, chosen in zip(shifted[1:], picks[1:]):
+                cont &= fits[chosen[rows]]
+            for block in blocks:
+                block[rows] = cont
 
 
-def _packed_columns(matrix: np.ndarray, picks: np.ndarray, offset: int) -> np.ndarray:
-    """Packed rows over `picks`, one per column e of the 0/1 byte `matrix`:
-    bit ``offset + j`` of row e is ``matrix[picks[j], e]``.
-
-    The picked rows are gathered contiguously, and each group of eight is
-    shifted into the bits of one byte, which packs them along the gathered
-    axis without a strided pass.
+def _packed_columns(matrix: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """Packed rows over `picks`, one per column e of the square 0/1 byte
+    `matrix`, whose rows are padded to whole 64-bit words: bit j of row e is
+    ``matrix[picks[j], e]``.  The picked rows are gathered contiguously, and
+    each group of eight is shifted into the bits of one byte, a word at a
+    time (a 0/1 byte shifted at most 7 places stays in its byte), which
+    packs them along the gathered axis without a strided pass.
     """
-    k, m = len(picks), matrix.shape[1]
-    nbytes = (offset + k + 7) // 8
-    gathered = np.zeros((nbytes * 8, m), dtype=np.uint8)
-    np.take(matrix, picks, axis=0, out=gathered[offset:offset + k], mode="clip")
-    lanes = gathered.reshape(nbytes, 8, m)
+    k, nbytes = len(picks), (len(picks) + 7) // 8
+    gathered = np.zeros((nbytes * 8, matrix.shape[1] // 8), dtype=np.uint64)
+    np.take(matrix.view(np.uint64), picks, axis=0, out=gathered[:k], mode="clip")
+    lanes = gathered.reshape(nbytes, 8, -1)
     out = lanes[:, 0] << 7
     for bit in range(1, 8):
         out |= lanes[:, bit] << (7 - bit)
-    return np.ascontiguousarray(out.T)
+    return np.ascontiguousarray(out.view(np.uint8)[:, :len(matrix)].T)
+
+
+def _shifted(rows: np.ndarray, offset: int, width: int) -> np.ndarray:
+    """Packed `rows` with every bit `offset` places on, over `width` bytes."""
+    if not offset:
+        return rows
+    out = np.zeros((len(rows), width), dtype=np.uint8)
+    out[:, :rows.shape[1]] = rows >> offset
+    out[:, 1:] |= rows[:, :width - 1] << (8 - offset)
+    return out
 
 
 def _cofree_rows(space: Universe):

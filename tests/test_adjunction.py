@@ -23,6 +23,7 @@ from nomsub import (
     parse_type,
     subclass_of,
 )
+from nomsub import relation as relation_module
 
 
 class TestGalois:
@@ -166,6 +167,28 @@ class TestMonotonicity:
         doctored = SubtypeRelation(sample_rel1.space, np.packbits(edges, axis=1), 0)
         report = check_monotonicity(sample_table, doctored)
         assert not report.erasure_ok
+
+    def test_witnesses_in_two_bands_come_in_row_order(self, sample_table, sample_rel1,
+                                                       monkeypatch):
+        # String <: Integer and List<String> <: String, in two bands of at
+        # most eight rows; the scan must list them as a per-row scan does
+        rel, u = sample_rel1, sample_rel1.universe
+        edges = rel.edges.copy()
+        for sub, sup in (("String", "Integer"), ("List<String>", "String")):
+            edges[rel.index(parse_type(sample_table, sub)),
+                  rel.index(parse_type(sample_table, sup))] = True
+        doctored = SubtypeRelation(rel.space, np.packbits(edges, axis=1), 0)
+        monkeypatch.setattr(relation_module, "_BAND_BYTES", 8 * rel.bits.shape[1])
+        scanned, set_bits = [], relation_module._set_bits
+        monkeypatch.setattr(relation_module, "_set_bits",
+                            lambda bits: scanned.append(len(bits)) or set_bits(bits))
+        per_row = [(u[i], u[j]) for i in range(len(u)) if u[i] != BOTTOM
+                   for j in np.flatnonzero(edges[i])
+                   if not subclass_of(sample_table, erase(u[i]), erase(u[j]))]
+        assert len({rel.index(t) // 8 for t, _ in per_row}) == 2
+        report = check_monotonicity(sample_table, doctored)
+        assert report.erasure_witnesses == per_row
+        assert len(scanned) == 2 and max(scanned) <= 8  # the two bands that hold one
 
 
 class TestAdjointUniqueness:

@@ -55,7 +55,8 @@ from nomsub.analysis import closure_doc, galois_doc
 from nomsub.random_tables import random_table
 from nomsub.relation import _transitive_closure
 
-from nested_tables import INDEX_TABLES, NESTED_TABLES, named_table
+from nested_tables import BOUND_TABLES, INDEX_TABLES, NESTED_TABLES, named_table
+from oracle import Oracle
 
 
 class TestConstructionStep:
@@ -232,6 +233,56 @@ def test_direct_build_equals_the_stepped_fixpoint(name, depth, include_cofree, r
     stepped = _stepped_to_fixpoint(table, depth, include_cofree)
     assert stepped == built
     assert stepped.iterations == built.iterations
+
+
+# each class's run offset (start % 8) in a generic block shape shared by
+# its arity: classes at one offset share each band of containment rows, and
+# tables built once are shifted to every other offset
+SHAPE_CASES = [("sample", 2, {"Enum": 1, "LinkedList": 1, "List": 0}),
+               ("reduced", 1, {"LinkedList": 1, "List": 7}),
+               ("permuted", 1, {"P": 3, "Q": 0, "R": 5})]
+
+
+@pytest.mark.parametrize("name, depth, offsets", SHAPE_CASES)
+def test_shared_block_shapes_build_the_stepped_fixpoint(name, depth, offsets, request):
+    table = named_table(name, request)
+    built = build_relation(table, depth)
+    runs = built.space.runs
+    assert {cls: runs[cls][0] % 8 for cls in built.space.ends} == offsets
+    for cls in offsets:
+        assert all(runs[cls][2] is runs[other][2] for other in offsets
+                   if table.arity(other) == table.arity(cls))
+    assert built == _stepped_to_fixpoint(table, depth, True)
+    # seeded rows of every generic run against the whole universe
+    oracle, u, rng = Oracle(table, built.universe), built.universe, np.random.default_rng(0)
+    for cls in offsets:
+        start, stop = runs[cls][:2]
+        for i in rng.choice(np.arange(start, stop), size=min(8, stop - start), replace=False):
+            assert [oracle.is_subtype(u[i], t) for t in u] == built.edges[i].tolist()
+
+
+# the chain-parent OR reads and writes only the bytes of the runs of a
+# class's strict ancestors, which holds because no ground row of class c
+# sets a bit outside the runs of c's ancestors
+WINDOW_CASES = ([(name, depth) for name in ("sample", "reduced", *NESTED_TABLES, *INDEX_TABLES,
+                                            *BOUND_TABLES)
+                 for depth in range(3) if (name, depth) not in {("permuted", 2), ("mixed", 2)}]
+                + [(f"seed{seed}", depth) for seed in range(50) for depth in (1, 2)])
+
+
+@pytest.mark.parametrize("include_cofree", [True, False])
+@pytest.mark.parametrize("name, depth", WINDOW_CASES)
+def test_ground_rows_reach_only_the_runs_of_their_ancestors(name, depth, include_cofree,
+                                                            request):
+    table = named_table(name, request)
+    rel = build_relation(table, depth, include_cofree=include_cofree)
+    runs, edges = rel.space.runs, rel.edges
+    for cls, (start, stop, *_) in runs.items():
+        reached = np.zeros(len(rel), dtype=bool)
+        for ancestor in table.ancestors(cls):
+            if ancestor in runs:
+                reached[slice(*runs[ancestor][:2])] = True
+        assert not edges[start:stop, ~reached].any(), cls
 
 
 PACKED_CASES = ([(name, depth) for name in ("sample", "reduced") for depth in range(3)]
