@@ -26,7 +26,7 @@ from . import relation
 from .class_table import ClassTable, subclass_of
 from .errors import FreeTypeOutsideUniverse
 from .fixpoints import check_validity
-from .relation import SubtypeRelation, is_subtype
+from .relation import SubtypeRelation, _bands, is_subtype
 from .terms import Ground, TypeTerm, erase, free_type
 
 LEFT_TO_RIGHT = "left-to-right"   # erasure side holds, subtype side fails
@@ -152,13 +152,12 @@ def check_monotonicity(table: ClassTable, rel: SubtypeRelation) -> MonotonicityR
     # unreachable[k]: erasable terms whose class is no superclass of k; row -1 (bottom's) is empty
     unreachable = np.packbits(np.vstack([~sub[:, classes] & (classes >= 0),
                                          np.zeros(len(rel), dtype=bool)]), axis=1)
-    band, found = max(1, relation._BAND_BYTES // rel.bits.shape[1]), []
-    for start in range(0, len(rel), band):
-        rows = slice(start, start + band)
+    found = []
+    for rows in _bands(0, len(rel), rel.bits.shape[1]):
         hits = rel.bits[rows] & unreachable[classes[rows]]
         if hits.any():  # a band without a witness skips the slower listing of set bits
             subs, sups = relation._set_bits(hits)
-            found += zip((subs + start).tolist(), sups.tolist())
+            found += zip((subs + rows.start).tolist(), sups.tolist())
     u, names = (rel.universe if found else ()), table.class_names  # terms only for a witness
     return MonotonicityReport(
         [(u[i], u[j]) for i, j in found],

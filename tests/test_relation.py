@@ -53,7 +53,7 @@ from nomsub import relation as relation_module
 from nomsub import terms as terms_module
 from nomsub.analysis import closure_doc, galois_doc
 from nomsub.random_tables import random_table
-from nomsub.relation import _transitive_closure
+from nomsub.relation import _set_bits, _transitive_closure
 
 from nested_tables import BOUND_TABLES, INDEX_TABLES, NESTED_TABLES, named_table
 from oracle import Oracle
@@ -177,6 +177,20 @@ class TestStratumLoop:
         assert ref() is None
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_set_bits_lists_the_unpacked_bits_in_row_order(seed):
+    # seeded packed rows, a column slice of them that is not contiguous (the
+    # form mutual_pairs passes) and an all-zero band
+    rng = np.random.default_rng(seed)
+    rows, n = int(rng.integers(1, 300)), int(rng.integers(16, 300))
+    bits = np.packbits(rng.random((rows, n)) < rng.uniform(0.001, 0.3), axis=1)
+    cut = bits[:, int(rng.integers(1, bits.shape[1])):]
+    assert not cut.flags.c_contiguous
+    for packed in (bits, cut, np.zeros_like(bits)):
+        expected = np.argwhere(np.unpackbits(packed, axis=1, count=packed.shape[1] * 8))
+        assert np.stack(_set_bits(packed), axis=1).tolist() == expected.tolist()
+
+
 class TestTransitiveClosure:
     def test_keeps_edges_out_of_a_term_without_a_self_loop(self):
         edges = np.array([[False, True], [False, False]])
@@ -244,7 +258,8 @@ SHAPE_CASES = [("sample", 2, {"Enum": 1, "LinkedList": 1, "List": 0}),
 
 
 @pytest.mark.parametrize("name, depth, offsets", SHAPE_CASES)
-def test_shared_block_shapes_build_the_stepped_fixpoint(name, depth, offsets, request):
+def test_shared_block_shapes_build_the_stepped_fixpoint(name, depth, offsets, request,
+                                                        monkeypatch):
     table = named_table(name, request)
     built = build_relation(table, depth)
     runs = built.space.runs
@@ -253,6 +268,11 @@ def test_shared_block_shapes_build_the_stepped_fixpoint(name, depth, offsets, re
         assert all(runs[cls][2] is runs[other][2] for other in offsets
                    if table.arity(other) == table.arity(cls))
     assert built == _stepped_to_fixpoint(table, depth, True)
+    # bands of one row each (1 byte) and of rows that split runs and blocks
+    # unevenly (100 bytes), through the chain-parent OR and containment loops
+    for band_bytes in (1, 100):
+        monkeypatch.setattr(relation_module, "_BAND_BYTES", band_bytes)
+        assert build_relation(table, depth) == built
     # seeded rows of every generic run against the whole universe
     oracle, u, rng = Oracle(table, built.universe), built.universe, np.random.default_rng(0)
     for cls in offsets:
@@ -536,6 +556,20 @@ class TestRelationInvariants:
         edges[i, j] = edges[j, i] = True
         doctored = SubtypeRelation(sample_rel1.space, np.packbits(edges, axis=1), 0)
         assert (Ground("Number"), Ground("String")) in mutual_pairs(doctored)
+
+    def test_mutual_pair_across_row_bands(self, sample_table, sample_rel2):
+        # Integer and List<String> lie in different 256-row bands of
+        # sample@2; the scan must list the pair as a per-row scan does
+        rel, u = sample_rel2, sample_rel2.universe
+        i, j = (rel.index(parse_type(sample_table, text)) for text in ("Integer", "List<String>"))
+        assert i // 256 != j // 256
+        edges = rel.edges.copy()
+        edges[i, j] = edges[j, i] = True
+        doctored = SubtypeRelation(rel.space, np.packbits(edges, axis=1), 0)
+        per_row = [(u[a], u[b]) for a in range(len(u))
+                   for b in a + 1 + np.flatnonzero(edges[a, a + 1:] & edges[a + 1:, a])]
+        assert per_row == [(u[i], u[j])]
+        assert mutual_pairs(doctored) == per_row
 
 
 class TestIntervalContains:
