@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import relation
-from .class_table import ClassTable, subclass_of
+from .class_table import ClassTable
 from .errors import FreeTypeOutsideUniverse
 from .fixpoints import check_validity
-from .relation import SubtypeRelation, _bands, is_subtype
+from .relation import SubtypeRelation, _bands, _subclass_matrix, is_subtype
 from .terms import Ground, TypeTerm, erase, free_type
 
 LEFT_TO_RIGHT = "left-to-right"   # erasure side holds, subtype side fails
@@ -162,12 +162,6 @@ def check_monotonicity(table: ClassTable, rel: SubtypeRelation) -> MonotonicityR
     return MonotonicityReport(
         [(u[i], u[j]) for i, j in found],
         [(names[a], names[b]) for a, b in np.argwhere(sub & ~rel.related(free[:, None], free))])
-
-
-def _subclass_matrix(table: ClassTable) -> np.ndarray:
-    """sub[a, b]: class a subclasses class b, by position in `table.class_names`."""
-    names = table.class_names
-    return np.array([[subclass_of(table, a, b) for b in names] for a in names])
 
 
 def _free_columns(table: ClassTable, rel: SubtypeRelation,

@@ -23,7 +23,10 @@ def analyze(table: ClassTable, rel: SubtypeRelation,
             quantify: str = "admittable") -> dict:
     """The report document for `rel`; `verification_ok` holds when the
     adjunction grid, the closure laws and monotonicity show no violation.
-    `quantify` picks the adjunction grid's term domain, as in check_galois."""
+    `quantify` picks the adjunction grid's term domain, as in check_galois.
+    Monotonicity and mutual_pairs scan whole rows, so the rows are made
+    first, and every point query below reads them too."""
+    rel.bits  # made on first read
     galois = adjunction.check_galois(table, rel, quantify=quantify)
     closures = closure_doc(table, rel)
     mono = adjunction.check_monotonicity(table, rel)
@@ -82,7 +85,7 @@ def closure_doc(table: ClassTable, rel: SubtypeRelation) -> dict:
     free_type(erase(free_type(c))) is free_type(c) exactly when it holds."""
     classes = rel.space.classes
     rows = np.flatnonzero(classes >= 0)
-    free = adjunction._free_columns(table, rel, needed=np.unique(classes[rows]))
+    free = adjunction._free_columns(table, rel, needed=np.flatnonzero(np.bincount(classes[rows])))
     names = table.class_names
     counit_ok = np.array([adjunction.closure_class(table, c)[1] for c in names])
     unit = rows[~rel.related(rows, free[classes[rows]])]

@@ -17,12 +17,14 @@ relation's rows.  ``Ty <: F<Ty>`` holds when Ty's chain member
 closed type that F's chain puts at that position.  Each is one vectorized
 pass per class over the runs, endpoint indices and chain parents of the
 relation's universe, with bottom and the co-free atoms decided by their
-rules.  A comparison or bound check whose terms both lie in U_d is one
-bit.  Tables that fail the condition, and terms outside U_d, go to
-relation.decider at depth d+1, which recurses through the
-construction's own rules (climb the superclass chain, then compare
-intervals endpoint by endpoint) and touches only the terms the question
-mentions; it stays the reference that the rows are tested against.
+rules.  A comparison or bound check whose terms all lie in U_d is one
+read of the relation (SubtypeRelation.related), for every member it
+covers at once, so none makes the relation's rows.  Tables that fail the
+condition, and terms outside U_d, go to relation.decider at depth d+1,
+which recurses through the construction's own rules (climb the superclass
+chain, then compare intervals endpoint by endpoint) and touches only the
+terms the question mentions; it stays the reference that the rows are
+tested against.
 
 Maximality/minimality diagnostics never fail a run: whether the free type
 is the greatest F-subtype (and the co-free atom the least F-supertype) is
@@ -37,6 +39,7 @@ modes from one pass of bound checks.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -45,12 +48,10 @@ import numpy as np
 from .class_table import ClassDecl, ClassTable, TypeUse, subclass_of
 from .errors import NotUnaryGeneric
 from .relation import (
-    Decider,
     SubtypeRelation,
     chains_stay_in_universe,
     decider,
     instantiated,
-    is_subtype,
 )
 from .terms import (
     BOTTOM,
@@ -62,6 +63,10 @@ from .terms import (
     super_chain,
     term_from_typeuse,
 )
+
+
+# whether each of some terms lies below each of others, one level up (_deeper)
+Deeper = Callable[[Sequence[TypeTerm], Sequence[TypeTerm]], bool]
 
 
 def _unary(table: ClassTable, cls: str) -> None:
@@ -130,17 +135,19 @@ def _marked(rel: SubtypeRelation, found: np.ndarray) -> tuple[TypeTerm, ...]:
     return tuple(rel.universe[i] for i in np.flatnonzero(found))
 
 
-def _deeper(table: ClassTable, rel: SubtypeRelation) -> Decider:
-    """Decide a pair of the depth-(d+1) relation: one bit of `rel`'s rows
-    where chains stay in the universe and both terms lie in it, otherwise
-    relation.decider at depth d+1, made on first use."""
+def _deeper(table: ClassTable, rel: SubtypeRelation) -> Deeper:
+    """Decide whether each term of `subs` lies below each of `sups` in the
+    depth-(d+1) relation: by one read of `rel` (see SubtypeRelation.related)
+    where chains stay in the universe and every term lies in it, otherwise
+    pair by pair by relation.decider at depth d+1, made on first use."""
     rows = chains_stay_in_universe(table, rel.depth)
     above = cache(lambda: decider(table, rel.depth + 1))
 
-    def deeper(t1: TypeTerm, t2: TypeTerm) -> bool:
-        if rows and t1 in rel and t2 in rel:
-            return is_subtype(rel, t1, t2)
-        return above()(t1, t2)
+    def deeper(subs: Sequence[TypeTerm], sups: Sequence[TypeTerm]) -> bool:
+        if rows and all(t in rel for t in (*subs, *sups)):
+            at = np.array([rel.index(t) for t in subs], dtype=np.intp)
+            return bool(rel.related(at[:, None], [rel.index(t) for t in sups]).all())
+        return all(above()(a, b) for a in subs for b in sups)
 
     return deeper
 
@@ -190,7 +197,7 @@ def maximal_f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str,
     deeper = _deeper(table, rel)
     comparison = FreeTypeComparison(
         is_member=ft in set(subtypes),
-        is_greatest=all(deeper(m, ft) for m in subtypes),
+        is_greatest=deeper(subtypes, [ft]),
     )
     return MaximaReport(maxima, comparison)
 
@@ -211,7 +218,7 @@ def minimal_f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str,
         deeper = _deeper(table, rel)
         comparison = CofreeComparison(
             is_member=atom in set(supertypes),
-            is_least=all(deeper(atom, m) for m in supertypes),
+            is_least=deeper([atom], supertypes),
         )
     else:
         comparison = CofreeComparison(is_member=False, is_least=False)
@@ -285,9 +292,7 @@ def _bound_checks(table: ClassTable, rel: SubtypeRelation) -> tuple[np.ndarray, 
     term of a table where chains leave it, is checked term by term (see
     _bound_check)."""
     space = rel.space
-    checked = np.zeros(len(rel), dtype=bool)
-    for start, stop, *_ in space.runs.values():
-        checked[start:stop] = True
+    checked = space.ground
     ok, outside = checked.copy(), np.zeros(len(rel), dtype=bool)
     needs: list[tuple[np.ndarray, np.ndarray]] = []
     rows = chains_stay_in_universe(table, rel.depth)
@@ -335,7 +340,7 @@ def _bounds(decl: ClassDecl) -> list[tuple[int, TypeUse, int]]:
             for use, side in ((p.upper_bound, 1), (p.lower_bound, 0)) if use is not None]
 
 
-def _bound_check(table: ClassTable, deeper: Decider,
+def _bound_check(table: ClassTable, deeper: Deeper,
                  term: Ground) -> tuple[bool, frozenset[TypeTerm]]:
     decl = table.decl(term.cls)
     names = {p.name for p in decl.params}
@@ -344,7 +349,7 @@ def _bound_check(table: ClassTable, deeper: Decider,
         # upper bounds take the upper endpoints, lower bounds the lower ones
         ends = [(iv.lo, iv.hi)[side] for iv in term.args]
         bound = term_from_typeuse(table, use, {p.name: e for p, e in zip(decl.params, ends)})
-        ok &= deeper(ends[q], bound) if side else deeper(bound, ends[q])
+        ok &= deeper([ends[q]], [bound]) if side else deeper([bound], [ends[q]])
         if _mentions(use, names) and isinstance(bound, Ground):
             used.add(bound)
     used.discard(term)

@@ -23,8 +23,8 @@ universe, found by universe index (member_at, instantiated) as the index
 twin of terms.super_instantiation.  A member is found by its product
 number: a generic class's block is the product of the edges below.
 
-Every relation is a Universe plus rows: a stratum's labels and runs, as
-_stage enumerates them for (table, depth, include_cofree), with its
+Every relation is a Universe plus its edges: a stratum's labels and runs,
+as _stage enumerates them for (table, depth, include_cofree), with its
 endpoint indices, chain parents and terms made on first use.  The build,
 initial_relation, construction_step and relation_from_json (which
 compares a document's labels with an enumeration, parsing none) all share
@@ -39,10 +39,16 @@ the depth-(d+1) questions about their own terms instead; universe_faults
 says why a term lies outside U_d, judging each interval by the decider at
 d-1.
 
-Edges live in packed bit rows (``np.packbits`` along each row, n x
-ceil(n/8) bytes) with an index map, from the build to every query, every
-analysis and the exported document, which holds the same bytes in base64;
-the dense boolean ``edges`` view is unpacked only on request.
+A built relation holds its edges in factored form: the relation over the
+stratum below (m terms, read densely), lifted, plus the layout.  A point
+query climbs the chain parents to the other term's class and reads two
+bits below per argument position (see _factored_at), so the analyses that
+ask for pairs (the adjunction grid, the closure laws, the F-(co)algebras,
+validity) need no n x n structure.  Packed bit rows (``np.packbits`` along
+each row, n x ceil(n/8) bytes) are made from the factored form once, on
+the first whole-row read or one-pair query; the row scans, equality and
+the exported document, which holds the same bytes in base64, read them,
+and the dense boolean ``edges`` view is unpacked only on request.
 Antisymmetry is not enforced — mutual_pairs exposes any collapse instead.
 """
 
@@ -76,14 +82,18 @@ from .terms import (
     nesting_depth,
     super_chain,
     super_instantiation,
-    term_from_typeuse,
 )
 
 _ROW_BUDGET = 1 << 32  # bytes of packed rows per stratum; fixed, not read from the host
 # bytes of rows per band (see _bands), so that a band's temporaries stay near
 # a core's cache; at 64 KiB the sample@3 build took 1.6-2.1 s, not 1.5-1.6 s
 _BAND_BYTES = 1 << 18
-# held while a universe makes its terms (and again for the stratum below)
+# pairs from which a grid of every row by every column is read per column class
+# (see _factored_at): on a 9 x 9 grid that took 200 us against 70 us for the
+# pairs one by one, on an 87 x 87 grid 400 us against 900 us
+_GRID = 1 << 12
+# held while a universe makes its terms (and again for the stratum below), and
+# while a built relation makes its rows
 _MAKING = threading.RLock()
 
 
@@ -99,9 +109,11 @@ class Universe:
     `intervals` lists the edges of the stratum below that a generic class's
     block is the product of (see _stage).  The terms, their index, each
     generic class's endpoint indices into this universe (`ends`), each
-    term's chain parent (`parent`), each term's class, each co-free atom
-    and each free type are derived on first use, once; analyses that read
-    only indices and labels never make a term.
+    term's chain parent (`parent`), each term's class, the members its
+    chain parents climb to (`reach`), its arguments' endpoint indices into
+    the stratum below (`arguments`), each co-free atom and each free type
+    are derived on first use, once; analyses that read only indices and
+    labels never make a term.
     """
 
     def __init__(self, table: ClassTable, depth: int, include_cofree: bool,
@@ -221,6 +233,60 @@ class Universe:
         return classes
 
     @cached_property
+    def ground(self) -> np.ndarray:
+        """Whether each term is ground: in a class's run, not bottom nor an atom."""
+        ground = np.zeros(len(self), dtype=bool)
+        for start, stop, *_ in self.runs.values():
+            ground[start:stop] = True
+        return ground
+
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """``reach[i, c]``: the member of class c (by position in
+        `table.class_names`) that ground term i's chain parents climb to, i
+        itself for its own class; -1 where the climb never gets there, for
+        every class of bottom and of an atom, and in the last column, which
+        class -1 (bottom's) reads.  A parent's class is a strict ancestor,
+        so the runs are filled in superclass-depth order from their parents'."""
+        table = self.table
+        reach = np.full((len(self), len(table.class_names) + 1), -1, dtype=np.int32)
+        for cls in sorted(self.runs, key=lambda cls: len(table.ancestors(cls))):
+            here = np.arange(*self.runs[cls][:2])
+            up = self.parent[here]
+            climbs = up != here
+            reach[here[climbs]] = reach[up[climbs]]
+            reach[here, table.class_names.index(cls)] = here
+        return reach
+
+    @cached_property
+    def arguments(self) -> np.ndarray:
+        """``arguments[i, p]``: the (lo, hi) indices into the stratum below of
+        argument p of term i, and the sentinel len(below) at every position
+        that i's class lacks (each of bottom's and an atom's), so two terms
+        of one class pair up position by position, and no ground term's
+        argument fits inside an atom's (see _stratum's sentinel)."""
+        below = 0 if self._below is None else len(self._below)
+        width = max((ends.shape[1] for *_, ends, _ in self.runs.values() if ends is not None),
+                    default=0)
+        arguments = np.full((len(self), width, 2), below, dtype=np.int32)
+        for start, stop, ends, _position in self.runs.values():
+            if ends is not None:
+                arguments[start:stop, :ends.shape[1]] = ends
+        return arguments
+
+    @cached_property
+    def _classwise(self) -> np.ndarray:
+        """``_classwise[a, b]``: a term of class a that is not ground (an
+        atom, or bottom at a = -1, the last row) lies below a term of class b
+        (bottom's at b = -1): the atom below its class's ancestors' terms,
+        bottom below everything."""
+        names = self.table.class_names
+        below = np.zeros((len(names) + 1,) * 2, dtype=bool)
+        below[:-1, :-1] = _subclass_matrix(self.table)
+        below[-1] = True
+        return below
+
+    @cached_property
     def free(self) -> np.ndarray:
         """The index of each class's free type, by position in
         `table.class_names`; -1 where it is outside the universe."""
@@ -243,23 +309,56 @@ class SubtypeRelation:
     each row, are all zero, so equal relations have equal bytes; the
     constructor raises ValueError on any other dtype, shape or padding.
 
-    Frozen after construction: the rows are read-only and every query is
-    safe to run concurrently.  Equality compares depth, the include_cofree
-    flag, labels and edges, and makes no term: equal labels mean equal
-    terms, since each universe holds the root's label and format_interval
-    prints injectively given the root.  Iteration provenance is excluded,
-    since it records how the relation was built, not what it is.
+    A built relation holds its factored form instead (see _stratum): the
+    lifted relation over the stratum below plus its universe's layout.
+    `related` answers from that form, and the rows are made from it once,
+    on first use: the first read of `bits`, `edges` or a whole-row scan,
+    or the first one-pair query (is_subtype, interval_contains).  Documents
+    read back, stepped and doctored relations are given their rows.
+
+    Frozen after construction: the rows are read-only, they are made under
+    a lock, so that threads reading at once get one array, and every query
+    is safe to run concurrently.  Equality compares depth, the
+    include_cofree flag, labels and edges, and makes no term: equal labels
+    mean equal terms, since each universe holds the root's label and
+    format_interval prints injectively given the root.  Iteration
+    provenance is excluded, since it records how the relation was built,
+    not what it is.
     """
 
     def __init__(self, space: Universe, bits: np.ndarray, iterations: int):
         _check_rows(bits, len(space))
-        self.space = space
-        self.labels = space.labels
-        self.depth = space.depth
-        self.include_cofree = space.include_cofree
         bits.setflags(write=False)
-        self.bits = bits
-        self.iterations = iterations
+        self._hold(space, iterations, bits, None)
+
+    @classmethod
+    def _factored(cls, space: Universe, restriction: np.ndarray,
+                  iterations: int) -> SubtypeRelation:
+        """The relation over `space` whose ground rows read containment off
+        `restriction` (see _factored_at), with no rows yet."""
+        rel = cls.__new__(cls)
+        rel._hold(space, iterations, None, restriction)
+        return rel
+
+    def _hold(self, space: Universe, iterations: int, packed: np.ndarray | None,
+              restriction: np.ndarray | None) -> None:
+        # every relation sets the same attributes in one order, and `_packed`
+        # is a plain attribute, so that a one-pair query reads it at full speed
+        self.space, self.labels, self.depth = space, space.labels, space.depth
+        self.include_cofree, self.iterations = space.include_cofree, iterations
+        self._packed, self._restriction = packed, restriction
+
+    @property
+    def bits(self) -> np.ndarray:
+        # made under a lock, as Universe.terms is, so that threads reading at
+        # once get one set of rows
+        if self._packed is None:
+            with _MAKING:
+                if self._packed is None:
+                    packed = _rows(self.space, self._restriction)
+                    packed.setflags(write=False)
+                    self._packed = packed
+        return self._packed
 
     @property
     def universe(self) -> tuple[TypeTerm, ...]:
@@ -274,8 +373,11 @@ class SubtypeRelation:
 
     def related(self, rows, cols) -> np.ndarray:
         """``edges[rows, cols]`` under numpy broadcasting, read from the
-        packed rows without unpacking them."""
-        return _bits_at(self.bits, rows, cols)
+        packed rows without unpacking them, or from the factored form while
+        there are none."""
+        if self._packed is None:
+            return _factored_at(self.space, self._restriction, rows, cols)
+        return _bits_at(self._packed, rows, cols)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -354,6 +456,17 @@ def _bands(start: int, stop: int, width: int):
     return (slice(first, min(first + band, stop)) for first in range(start, stop, band))
 
 
+def _subclass_matrix(table: ClassTable) -> np.ndarray:
+    """sub[a, b]: class a subclasses class b, by position in `table.class_names`:
+    b is one of a's ancestors (see subclass_of)."""
+    names = table.class_names
+    position = {c: k for k, c in enumerate(names)}
+    sub = np.zeros((len(names),) * 2, dtype=bool)
+    for a, name in enumerate(names):
+        sub[a, [position[c] for c in table.ancestors(name)]] = True
+    return sub
+
+
 def _edge_count(bits: np.ndarray) -> int:
     """The number of set bits of packed rows, counted a band of rows at a
     time so that no temporary of the rows' size is made."""
@@ -371,10 +484,13 @@ def _column_bits(cols: np.ndarray) -> np.ndarray:
 
 def is_subtype(rel: SubtypeRelation, t1: TypeTerm, t2: TypeTerm) -> bool:
     """Edge lookup; total over the relation's universe."""
-    return _bit(rel.bits, rel.index(t1), rel.index(t2))
+    return _bit(rel, rel.index(t1), rel.index(t2))
 
 
-def _bit(bits: np.ndarray, i: int, j: int) -> bool:
+def _bit(rel: SubtypeRelation, i: int, j: int) -> bool:
+    """One bit of the rows, made on first use: a numpy call per pair, as a
+    read of the factored form takes, would cost far more."""
+    bits = rel.bits if rel._packed is None else rel._packed
     return bool(bits.item(i, j >> 3) >> (~j & 7) & 1)
 
 
@@ -450,10 +566,15 @@ def chains_stay_in_universe(table: ClassTable, depth: int) -> bool:
         for arg in decl.superclass.args if decl.superclass else ():
             if arg.name in params and not arg.args:
                 continue
-            if (any(name in params for name in arg.mentioned_names())
-                    or nesting_depth(term_from_typeuse(table, arg)) >= depth):
+            if any(name in params for name in arg.mentioned_names()) or _nesting(arg) >= depth:
                 return False
     return True
+
+
+def _nesting(use: TypeUse) -> int:
+    """The nesting depth of the term that term_from_typeuse makes of the
+    closed type `use`, found without making it."""
+    return 1 + max(map(_nesting, use.args)) if use.args else 0
 
 
 def universe_faults(table: ClassTable, term: TypeTerm, depth: int,
@@ -533,7 +654,7 @@ def interval_contains(rel: SubtypeRelation, inner: Interval, outer: Interval) ->
         except TermOutsideUniverse:
             raise EndpointOutsideUniverse(
                 f"endpoint '{format_type(endpoint)}' is outside the universe") from None
-    return _bit(rel.bits, idx[0], idx[1]) and _bit(rel.bits, idx[2], idx[3])
+    return _bit(rel, idx[0], idx[1]) and _bit(rel, idx[2], idx[3])
 
 
 def mutual_pairs(rel: SubtypeRelation) -> list[tuple[TypeTerm, TypeTerm]]:
@@ -626,8 +747,8 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
     units = [([format_type(t, table)], t, None, None) for t in singles]
     if generics:
         pairs = np.stack(_set_bits(below.bits), axis=1)
-        arguments = [format_interval(below.labels[i], below.labels[j], table.root)
-                     for i, j in pairs.tolist()]
+        under = below.labels
+        arguments = [format_interval(under[i], under[j], table.root) for i, j in pairs.tolist()]
     blocks = {}  # per arity, shared by its classes: label tails, endpoints, positions
     for decl in generics:
         if decl.arity not in blocks:
@@ -715,77 +836,161 @@ def build_relation(table: ClassTable, depth: int,
     The build makes no instantiation: the universe is made on first read
     (see _terms), which check_galois, closure_doc and export_json never do.
     Once made, it records each label in the table's parse cache, so
-    parse_type of a label then lexes nothing.
+    parse_type of a label then lexes nothing.  Nor does the build make the
+    top stratum's packed rows: the relation answers `related` from its
+    factored form (see _stratum), and makes its rows once, on first use
+    (see SubtypeRelation), under a lock, so that concurrent readers share
+    one array.  check_galois, closure_doc, the F-(co)algebra analyses and
+    check_validity never need them.
     """
     return _stratum(*_universe(table, depth, include_cofree, _ROW_BUDGET))
 
 
 def _stratum(space: Universe, below: SubtypeRelation | None) -> SubtypeRelation:
-    """The fixpoint of construction_step over `space`, built row by row from
-    the relation `below` it (None at depth 0); a term of the stratum below,
-    a closed type, an atom and bottom are found by label.
-
-    Containment is read off the small relation below at the generic runs'
-    `ends` (see _stage), once per block shape (the classes of one arity share
-    one `ends`).  A ground term's row is its containment row OR-ed with the
-    final row of its chain parent: the runs are OR-ed in superclass-depth
-    order, a band of rows at a time, so each parent row is final before it
-    is read.  A parent's class is a strict ancestor of the term's, and a
-    ground row of class P sets bits only in the runs of P's ancestors, so
-    the OR spans only the bytes of the runs of the class's strict ancestors
-    (a class with none in the universe skips it).
-    A co-free atom's row is set from class runs (see _cofree_rows); bottom's
-    row holds every term.
+    """The fixpoint of construction_step over `space`, from the relation
+    `below` it (None at depth 0), in factored form: the relation below,
+    lifted, read densely (with a generic class it holds under a third of
+    this stratum's terms, and without one only the depth-0 terms), plus
+    the stratum's layout (see _factored_at, and _rows for the rows made
+    from it on first use).
 
     The new stratum may relate old terms that the relation below did not,
     for one cause: a term reaches its superclass-chain members only where
     they exist, so a chain member first enumerated here (from a superclass
     argument that nests a parameter, or a closed type deeper than the
-    stratum below) can add edges between old terms.  While the result
-    restricted to the old terms differs from the relation used for
-    containment, containment is recomputed from that restriction
-    (semi-naive evaluation); in practice this takes at most one extra pass.
+    stratum below) can add edges between old terms.  While the new
+    relation restricted to the old terms, read through the factored form,
+    differs from the relation used for containment, containment is read
+    off that restriction instead (semi-naive evaluation, on m x m bits for
+    the m old terms); in practice this takes at most one extra pass.  Where
+    chains stay in the stratum below (chains_stay_in_universe), no chain
+    member is new here, the stratum below is this one's restriction, and
+    nothing is lifted.
 
     Stepping needs one construction_step pass per nesting level, one for the
     static edges and a confirming one; `iterations` records that count.
     """
-    table, runs, n = space.table, space.runs, len(space)
+    m = 0 if below is None else len(below)
+    # one more row and column for the sentinel argument (see Universe.arguments),
+    # which fits inside itself only
+    restriction = np.zeros((m + 1, m + 1), dtype=bool)
+    restriction[m, m] = True
     if below is not None:
-        # the stratum below is read densely: with a generic class it holds under
-        # a third of this one's terms, and without one only the depth-0 terms
-        below_edges = _unpack(below.bits, len(below))
-        old = space._from_below
-    shapes = {id(run[2]): run[2] for run in runs.values() if run[2] is not None}
-    windows = []  # (start, stop, lo, hi): a run and its strict ancestors' byte span
+        restriction[:m, :m] = _unpack(below.bits, m)
+        if not chains_stay_in_universe(space.table, below.depth):
+            old = space._from_below
+            while not np.array_equal(lifted := _factored_at(space, restriction, old[:, None], old),
+                                     restriction[:m, :m]):
+                restriction[:m, :m] = lifted
+    # with a generic class, some instantiation is nested `depth` deep
+    nesting = space.depth if any(decl.is_generic for decl in space.table.decls.values()) else 0
+    return SubtypeRelation._factored(space, restriction, 2 + nesting)
+
+
+def _factored_at(space: Universe, restriction: np.ndarray, rows, cols) -> np.ndarray:
+    """``edges[rows, cols]`` under numpy broadcasting, for the relation over
+    `space` whose containment is read off `restriction`, the relation over
+    the stratum below with a sentinel row and column (see _stratum), with
+    no rows: a band of pairs at a time, so that no temporary grows with
+    the number of pairs asked, and every pair of two lists, from _GRID
+    pairs on, as a grid (see _factored_grid).
+
+    A ground row of class c sets bits only in the runs of c's ancestors, and
+    it is its containment row OR-ed with its chain parent's final row, so
+    bit (i, j) of ground terms is read at the member u of j's class that i's
+    chain parents climb to (Universe.reach): u's containment of j, two bits
+    of `restriction` per argument position, or 0 where the climb never gets
+    there (and where j is an atom, whose arguments no ground one fits).  This is the stratum as a partial product
+    over the one below, read as a point query (AbdelGawad, "Java Subtyping
+    as an Infinite Self-Similar Partial Graph Product", arXiv:1805.06893).
+    Bottom's row is full, and an atom's row follows the subclass matrix
+    (see _cofree_rows)."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if rows.ndim == 2 and rows.shape[1] == 1 and cols.ndim == 1 and rows.size * cols.size >= _GRID:
+        flipped = np.ascontiguousarray(restriction.T)
+        out = np.empty((len(rows), len(cols)), dtype=bool)
+        # 16 times the pairs of a band of pairs, as a grid's temporaries are bytes
+        for band in _bands(0, len(rows), len(cols) // 16):
+            out[band] = _factored_grid(space, restriction, flipped, rows[band, 0], cols)
+        return out
+    rows, cols = np.broadcast_arrays(rows, cols)
+    if rows.ndim == 0:
+        return _factored_pairs(space, restriction, rows, cols)
+    out = np.empty(rows.shape, dtype=bool)
+    for band in _bands(0, len(rows), rows.size // max(1, len(rows))):
+        out[band] = _factored_pairs(space, restriction, rows[band], cols[band])
+    return out
+
+
+def _factored_pairs(space: Universe, restriction: np.ndarray, rows, cols) -> np.ndarray:
+    """_factored_at of the pairs of `rows` and `cols`, of one shape."""
+    theirs = space.classes[cols]
+    member = space.reach[rows, theirs]
+    (lo_u, hi_u), (lo_j, hi_j) = (np.moveaxis(space.arguments[k], -1, 0) for k in (member, cols))
+    fits = (restriction[lo_j, lo_u] & restriction[hi_u, hi_j]).all(axis=-1)
+    return np.where(space.ground[rows], fits & (member >= 0),
+                    space._classwise[space.classes[rows], theirs])
+
+
+def _factored_grid(space: Universe, restriction: np.ndarray, flipped: np.ndarray,
+                   rows, cols) -> np.ndarray:
+    """_factored_at of every pair of a row of `rows` and a column of `cols`,
+    laid out column by column while it is made: per class of the ground
+    columns, each row's member of it is found once (none for bottom and an
+    atom), and each argument position reads two blocks of `restriction`
+    (or of `flipped`, its transpose), each gathered on its smaller side
+    first."""
+    theirs, targets, ground = space.classes[cols], space.ground[cols], space.ground[rows]
+    out = space._classwise.T.take(theirs, axis=0).take(space.classes[rows], axis=1)
+    out &= ~ground
+    for c in np.flatnonzero(np.bincount(theirs[targets])):  # np.unique imports numpy.ma
+        at = np.flatnonzero(targets & (theirs == c))
+        member = space.reach[rows, c]
+        fits = np.repeat((member >= 0)[None], len(at), axis=0)
+        for (lo_u, hi_u), (lo_j, hi_j) in zip(space.arguments[member].transpose(1, 2, 0),
+                                              space.arguments[cols[at]].transpose(1, 2, 0)):
+            # lo_j <: lo_u and hi_u <: hi_j, as blocks over (column, row)
+            for matrix, j, u in ((restriction, lo_j, lo_u), (flipped, hi_j, hi_u)):
+                fits &= (matrix.take(j, axis=0).take(u, axis=1) if len(j) <= len(u)
+                         else matrix.take(u, axis=1).take(j, axis=0))
+        out[at] |= fits
+    return out.T
+
+
+def _rows(space: Universe, restriction: np.ndarray) -> np.ndarray:
+    """The packed rows of the relation over `space` whose containment is
+    read off `restriction` (see _stratum); a term of the stratum below, a
+    closed type, an atom and bottom are found by label.
+
+    Containment is read off the relation below at the generic runs' `ends`
+    (see _stage), once per block shape (the classes of one arity share one
+    `ends`).  A ground term's row is its containment row OR-ed with the
+    final row of its chain parent: the runs are OR-ed in superclass-depth
+    order, a band of rows at a time, so each parent row is final before it
+    is read.  A parent's class is a strict ancestor of the term's, and a
+    ground row of class P sets bits only in the runs of P's ancestors, so
+    the OR spans only the bytes of the runs of the class's strict ancestors
+    (a class with none in the universe skips it).  A co-free atom's row is
+    set from class runs (see _cofree_rows); bottom's row holds every term.
+    """
+    table, runs, n = space.table, space.runs, len(space)
+    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    for ends in {id(run[2]): run[2] for run in runs.values() if run[2] is not None}.values():
+        _write_containment(packed, [run[0] for run in runs.values() if run[2] is ends],
+                           ends, restriction[:-1, :-1])
+    diagonal = np.arange(n)
+    packed[diagonal, diagonal >> 3] |= _column_bits(diagonal)
     for cls in sorted(runs, key=lambda cls: len(table.ancestors(cls))):
         spans = [runs[a][:2] for a in table.ancestors(cls)[1:] if a in runs]
         if spans:
-            windows.append((*runs[cls][:2], min(spans)[0] >> 3, (max(spans)[1] + 7) >> 3))
-    cofree_rows = list(_cofree_rows(space)) if space.include_cofree else []
-    diagonal = np.arange(n)
-    bottom = label_index(space.labels, format_type(BOTTOM))
-    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-    while True:
-        for ends in shapes.values():
-            _write_containment(packed, [run[0] for run in runs.values() if run[2] is ends],
-                               ends, below_edges)
-        packed[diagonal, diagonal >> 3] |= _column_bits(diagonal)
-        for start, stop, lo, hi in windows:
-            for rows in _bands(start, stop, hi - lo):
+            lo, hi = min(spans)[0] >> 3, (max(spans)[1] + 7) >> 3
+            for rows in _bands(*runs[cls][:2], hi - lo):
                 packed[rows, lo:hi] |= packed[space.parent[rows], lo:hi]
-        for i, row in cofree_rows:
-            packed[i] = row
-        packed[bottom] = np.packbits(np.ones(n, dtype=bool))  # no padding bit
-        if below is None:
-            break
-        lifted = _bits_at(packed, old[:, None], old)
-        if np.array_equal(lifted, below_edges):
-            break
-        below_edges = lifted
-        packed.fill(0)
-    # with a generic class, some instantiation is nested `depth` deep
-    nesting = space.depth if any(decl.is_generic for decl in table.decls.values()) else 0
-    return SubtypeRelation(space, packed, 2 + nesting)
+    for i, row in _cofree_rows(space):
+        packed[i] = row
+    bottom = label_index(space.labels, format_type(BOTTOM))
+    packed[bottom] = np.packbits(np.ones(n, dtype=bool))  # no padding bit
+    return packed
 
 
 def _write_containment(packed: np.ndarray, starts: list[int], ends: np.ndarray,

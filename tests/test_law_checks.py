@@ -28,6 +28,7 @@ from nomsub import (
     minimal_f_supertypes,
     mutual_pairs,
     parse_class_table,
+    parse_type,
     subclass_of,
 )
 from nomsub.analysis import closure_doc
@@ -162,6 +163,22 @@ def test_mutual_pairs_match_the_per_pair_scan(case):
     assert mutual_pairs(rel) == expected
 
 
+@pytest.mark.parametrize("sub, sup", [("List<String>", "Null"), ("List<String>", "List<!>")])
+def test_mutual_pairs_outside_witnesses_and_runs(sample_table, sample_rel1, sub, sup):
+    # one doctored edge closes a mutual pair that is no erasure witness and
+    # lies in no class's run: check_monotonicity skips bottom's column, and
+    # the atom List<!> has List's class but lies outside its run
+    rel, u = sample_rel1, sample_rel1.universe
+    i, j = (rel.index(parse_type(sample_table, text)) for text in (sub, sup))
+    edges = rel.edges.copy()
+    edges[i, j] = True
+    doctored = SubtypeRelation(rel.space, np.packbits(edges, axis=1), 0)
+    expected = [(u[min(i, j)], u[max(i, j)])]
+    assert mutual_by_pairs(doctored) == expected
+    assert mutual_pairs(doctored) == expected
+    assert check_monotonicity(sample_table, doctored).erasure_witnesses == []
+
+
 def test_closure_doc_matches_the_per_term_laws(case):
     table, rel = case
     assert closure_doc(table, rel) == closures_by_pairs(table, rel)
@@ -199,3 +216,25 @@ def test_checks_build_no_square_temporary(sample_table):
         tracemalloc.stop()
     n = len(rel)
     assert peak < n * n / 2
+
+
+def test_point_queries_make_no_rows(reduced_table):
+    # reduced@3's packed rows would take n * n / 8 bytes (85.5 MB); the build,
+    # the galois grid, the closure laws, validity and the F-(co)algebras with
+    # their extrema read the factored form
+    table = reduced_table
+    tracemalloc.start()
+    try:
+        rel = build_relation(table, 3)
+        check_galois(table, rel)
+        closure_doc(table, rel)
+        check_validity(table, rel)
+        for cls in ("List", "LinkedList"):
+            maximal_f_subtypes(table, rel, cls, f_subtypes(table, rel, cls))
+            minimal_f_supertypes(table, rel, cls, f_supertypes(table, rel, cls))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(rel)
+    assert rel._packed is None
+    assert peak < n * n / 32

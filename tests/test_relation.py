@@ -305,6 +305,25 @@ def test_ground_rows_reach_only_the_runs_of_their_ancestors(name, depth, include
         assert not edges[start:stop, ~reached].any(), cls
 
 
+@pytest.mark.parametrize("include_cofree", [True, False])
+@pytest.mark.parametrize("name, depth", WINDOW_CASES)
+def test_factored_answers_are_the_rows(name, depth, include_cofree, request):
+    # a built relation answers from its factored form until it has rows:
+    # every pair at once, seeded pairs, and single pairs; the rows made after
+    # hold the same bits, the nested tables' wrong ones included
+    table = named_table(name, request)
+    rel = build_relation(table, depth, include_cofree=include_cofree)
+    n, every = len(rel), np.arange(len(rel))
+    sub, sup = np.random.default_rng(depth).integers(0, n, (2, 500))
+    grid, pairs = rel.related(every[:, None], every), rel.related(sub, sup)
+    single = [bool(rel.related(i, j)) for i, j in zip(sub[:20].tolist(), sup[:20].tolist())]
+    assert rel._packed is None
+    edges = rel.edges
+    assert np.array_equal(grid, edges)
+    assert np.array_equal(pairs, edges[sub, sup])
+    assert single == edges[sub[:20], sup[:20]].tolist()
+
+
 PACKED_CASES = ([(name, depth) for name in ("sample", "reduced") for depth in range(3)]
                 + [(f"seed{seed}", depth) for seed in range(40) for depth in range(2)]
                 + [(name, depth) for name in NESTED_TABLES for depth in range(3)])
@@ -1024,6 +1043,39 @@ class TestTermsOnFirstRead:
         assert all(universe[k] is parse_type(table, label) for k, label in enumerate(rel.labels))
         fresh = parse_class_table(format_class_table(table))
         assert universe == tuple(parse_type(fresh, label) for label in rel.labels)
+
+    def test_threads_querying_a_fresh_relation_get_one_set_of_rows(self, sample_table,
+                                                                   monkeypatch):
+        # four threads ask a built relation their first one-pair query at once,
+        # switching often; its rows must be made once, and each read from them
+        rel = build_relation(sample_table, 2)
+        u, made, rows = rel.universe, [], relation_module._rows
+
+        def counted(*args):
+            made.append(args)
+            return rows(*args)
+
+        monkeypatch.setattr(relation_module, "_rows", counted)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        start, got = threading.Barrier(4), [None] * 4
+
+        def read(k):
+            start.wait()
+            got[k] = is_subtype(rel, u[k], u[-1]), rel.bits
+
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(made) == 1
+        assert all(bits is got[0][1] for _, bits in got)
+        assert [answer for answer, _ in got] == rel.edges[:4, -1].tolist()
 
     def test_threads_reading_a_fresh_universe_get_one_set_of_objects(self, sample_table):
         # four threads read the universe of one relation for the first time at
