@@ -13,7 +13,7 @@ operator (the closed types).
 
 The checks read the relation's packed rows by universe index, so no term
 is hashed per pair, and they build no n x n temporary.  The grid and the
-closed types read indices and labels only, so they make no term.
+closed types read indices only, so they make no term and no label.
 """
 
 from __future__ import annotations

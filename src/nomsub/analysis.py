@@ -24,9 +24,9 @@ def analyze(table: ClassTable, rel: SubtypeRelation,
     """The report document for `rel`; `verification_ok` holds when the
     adjunction grid, the closure laws and monotonicity show no violation.
     `quantify` picks the adjunction grid's term domain, as in check_galois.
-    Monotonicity and mutual_pairs scan whole rows, so the rows are made
-    first, and every point query below reads them too."""
-    rel.bits  # made on first read
+    The row scans read whole rows and the report prints every instantiation,
+    so rows and labels are made first, and every read below reuses them."""
+    rel.bits, rel.labels  # made on first read
     galois = adjunction.check_galois(table, rel, quantify=quantify)
     closures = closure_doc(table, rel)
     mono = adjunction.check_monotonicity(table, rel)
@@ -66,7 +66,7 @@ def labels(rel: SubtypeRelation, terms) -> list[str]:
 
 def galois_doc(rel: SubtypeRelation, report: adjunction.AdjunctionReport) -> dict:
     def violations(vs):
-        return [{"type": rel.labels[v.at], "class": v.cls, "direction": v.direction}
+        return [{"type": rel.space.label(v.at), "class": v.cls, "direction": v.direction}
                 for v in vs]
 
     return {
@@ -91,10 +91,10 @@ def closure_doc(table: ClassTable, rel: SubtypeRelation) -> dict:
     unit = rows[~rel.related(rows, free[classes[rows]])]
     idem = rows[~counit_ok[classes[rows]]]
     return {
-        "unit_violations": [rel.labels[i] for i in unit],
+        "unit_violations": [rel.space.label(i) for i in unit],
         "counit_violations": [c for c, ok in zip(names, counit_ok) if not ok],
-        "idempotence_violations": [rel.labels[i] for i in idem],
-        "closed_types": sorted(rel.labels[i] for i in free if i >= 0),
+        "idempotence_violations": [rel.space.label(i) for i in idem],
+        "closed_types": sorted(rel.space.label(i) for i in free if i >= 0),
     }
 
 

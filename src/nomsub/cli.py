@@ -188,7 +188,7 @@ def _cmd_galois(args, table: ClassTable) -> int:
               f"({len(report.cofree_violations)} co-free-isolated, "
               f"{report.bottom_skipped} bottom skipped)")
         for v in report.violations + report.cofree_violations:
-            print(f"  {rel.labels[v.at]} vs {v.cls}: {v.direction}")
+            print(f"  {rel.space.label(v.at)} vs {v.cls}: {v.direction}")
     return 0 if report.ok else 1
 
 

@@ -97,9 +97,8 @@ def f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeT
             ends = space.ends[cls][up - space.runs[cls][0], 0]
             found[members] = rel.related(members, ends[:, 0]) & rel.related(ends[:, 1], members)
     # bottom, and the co-free atoms of F's subclasses, lie below every F<Ty>
-    for term in [BOTTOM, *(Cofree(c) for c in table.class_names if subclass_of(table, c, cls))]:
-        if term in rel:
-            found[rel.index(term)] = True
+    atoms = [i for c, i in space.atoms.items() if subclass_of(table, c, cls)]
+    found[[space.bottom, *atoms]] = True
     return _marked(rel, found)
 
 

@@ -16,40 +16,34 @@ same fixpoint directly, in one forward loop over the strata that holds only
 the stratum below, with no closure (a table with no generic class has one
 stratum, built once).  Each stratum records each class's run of the
 label-sorted universe once, with a generic class's endpoint indices into
-the stratum below; from that one layout, containment is read off the
+the stratum below; from that layout, containment is read off the
 depth-(d-1) relation, and each row is its containment row OR-ed with the
 final row of its chain parent, the nearest superclass-chain member in the
-universe, found by universe index (member_at, instantiated) as the index
-twin of terms.super_instantiation.  A member is found by its product
-number: a generic class's block is the product of the edges below.
+universe, found by product number (member_at, instantiated) as the index
+twin of terms.super_instantiation.
 
-Every relation is a Universe plus its edges: a stratum's labels and runs,
-as _stage enumerates them for (table, depth, include_cofree), with its
-endpoint indices, chain parents and terms made on first use.  The build,
-initial_relation, construction_step and relation_from_json (which
-compares a document's labels with an enumeration, parsing none) all share
-one lookup path.  Analyses that read only indices and labels make no term.
-Nothing is cached between builds.  The only resource limit is a fixed
-4 GiB budget for a stratum's packed rows, checked from its exact term
-count before any label is printed; a document read back is held to its
-own size.
-decider answers a pair of the depth-d relation by the same rules without
-building it; chains_stay_in_universe states when the depth-d rows answer
-the depth-(d+1) questions about their own terms instead; universe_faults
-says why a term lies outside U_d, judging each interval by the decider at
-d-1.
+Every relation is a Universe plus its edges: a stratum's runs, as _stage
+enumerates them for (table, depth, include_cofree), with its labels,
+endpoint indices, chain parents and terms made on first use.  Analyses that
+read only indices make no label and no term.  Nothing is cached between
+builds.  The only resource limit is a fixed 4 GiB budget for a stratum's
+packed rows, checked from its exact term count before any label is
+printed; a document read back is held to its own size.  decider answers a
+pair of the depth-d relation by the same rules without building it;
+chains_stay_in_universe states when the depth-d rows answer the
+depth-(d+1) questions about their own terms instead; universe_faults says
+why a term lies outside U_d, judging each interval by the decider at d-1.
 
 A built relation holds its edges in factored form: the relation over the
-stratum below (m terms, read densely), lifted, plus the layout.  A point
-query climbs the chain parents to the other term's class and reads two
-bits below per argument position (see _factored_at), so the analyses that
-ask for pairs (the adjunction grid, the closure laws, the F-(co)algebras,
+stratum below, lifted, plus the layout.  A point query reads two bits
+below per argument position (see _factored_at), so the analyses that ask
+for pairs (the adjunction grid, the closure laws, the F-(co)algebras,
 validity) need no n x n structure.  Packed bit rows (``np.packbits`` along
-each row, n x ceil(n/8) bytes) are made from the factored form once, on
-the first whole-row read or one-pair query; the row scans, equality and
-the exported document, which holds the same bytes in base64, read them,
-and the dense boolean ``edges`` view is unpacked only on request.
-Antisymmetry is not enforced — mutual_pairs exposes any collapse instead.
+each row, n x ceil(n/8) bytes) are made from it once, on the first
+whole-row read or one-pair query, for the row scans, equality and the
+exported document; the dense boolean ``edges`` view is unpacked only on
+request.  Antisymmetry is not enforced — mutual_pairs exposes any collapse
+instead.
 """
 
 from __future__ import annotations
@@ -58,13 +52,12 @@ import base64
 import itertools
 import json
 import threading
-from bisect import bisect_left
 from collections.abc import Callable
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 import numpy as np
 
-from .class_table import ClassDecl, ClassTable, TypeUse, format_typeuse, subclass_of
+from .class_table import ClassDecl, ClassTable, TypeUse, subclass_of
 from .errors import (
     EndpointOutsideUniverse,
     InvalidRelationDocument,
@@ -92,8 +85,8 @@ _BAND_BYTES = 1 << 18
 # (see _factored_at): on a 9 x 9 grid that took 200 us against 70 us for the
 # pairs one by one, on an 87 x 87 grid 400 us against 900 us
 _GRID = 1 << 12
-# held while a universe makes its terms (and again for the stratum below), and
-# while a built relation makes its rows
+# held while a universe makes its labels or terms (again for the stratum below),
+# and while a built relation makes its rows
 _MAKING = threading.RLock()
 
 
@@ -103,42 +96,47 @@ class Universe:
     this one value: the build's, the relations stepped or doctored from it,
     and a document read back, which must list exactly its labels.
 
-    `labels` are canonical and strictly sorted, so a label is found by
-    bisection (label_index).  `runs` maps each class with ground terms to its
-    run ``(start, stop, ends, position)`` of the label order, and
-    `intervals` lists the edges of the stratum below that a generic class's
-    block is the product of (see _stage).  The terms, their index, each
-    generic class's endpoint indices into this universe (`ends`), each
-    term's chain parent (`parent`), each term's class, the members its
-    chain parents climb to (`reach`), its arguments' endpoint indices into
-    the stratum below (`arguments`), each co-free atom and each free type
-    are derived on first use, once; analyses that read only indices and
-    labels never make a term.
+    _stage gives the term count, the indices of bottom and each co-free atom
+    (`atoms`), each class's run ``(start, stop, ends, position)`` (`runs`)
+    and the edges below that its generic blocks are products of
+    (`intervals`); all else, labels and terms too, is made on first use,
+    once.  Members are found by product number (member_at), so analyses
+    reading indices make no label and no term; `label` makes one alone.
     """
 
-    def __init__(self, table: ClassTable, depth: int, include_cofree: bool,
-                 labels: tuple[str, ...], runs: dict, below: Universe | None,
+    def __init__(self, table: ClassTable, depth: int, include_cofree: bool, size: int,
+                 runs: dict, bottom: int, atoms: dict[str, int], below: Universe | None,
                  intervals: np.ndarray | None):
-        self.table = table
-        self.depth = depth
-        self.include_cofree = include_cofree
-        self.labels = labels
-        self.runs = runs
-        self.intervals = intervals
-        self._below = below
+        self.table, self.depth, self.include_cofree = table, depth, include_cofree
+        self.runs, self.bottom, self.atoms, self.intervals = runs, bottom, atoms, intervals
+        self._size, self._below = size, below
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return self._size
 
-    @cached_property
+    # plain properties: a cached_property holds its own lock while it runs
+    # (before Python 3.12), which _MAKING, taken inside, meets in both orders
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return _made(self, "labels", _labels)
+
+    @property
     def terms(self) -> tuple[TypeTerm, ...]:
-        # made under a lock (cached_property takes none from Python 3.12), so
-        # that threads reading at once get one set of terms (see _terms)
-        made = vars(self)
-        with _MAKING:
-            if "terms" not in made:
-                made["terms"] = _terms(self)
-        return made["terms"]
+        return _made(self, "terms", _terms)
+
+    def label(self, i: int) -> str:
+        """Term i's label, read off `labels` once they are made, and until
+        then formatted alone, a run member's from its endpoints' below."""
+        if "labels" in vars(self):
+            return self.labels[i]
+        i, below = range(len(self))[i], self._below
+        for cls, (start, stop, ends, _position) in self.runs.items():
+            if start <= i < stop:
+                return cls if ends is None else cls + "<" + ", ".join(
+                    format_interval(below.label(lo), below.label(hi), self.table.root)
+                    for lo, hi in ends[i - start].tolist()) + ">"
+        return format_type(BOTTOM if i == self.bottom else
+                           Cofree(next(c for c, k in self.atoms.items() if k == i)))
 
     @cached_property
     def index(self) -> dict[TypeTerm, int]:
@@ -146,9 +144,16 @@ class Universe:
 
     @cached_property
     def _from_below(self) -> np.ndarray:
-        """Each term of the stratum below at its index in this one."""
-        return np.fromiter(map(partial(label_index, self.labels), self._below.labels),
-                           dtype=np.intp, count=len(self._below))
+        """Each term of the stratum below at its index in this one: a block
+        member at its product's position in its class's block here."""
+        below = self._below
+        at = np.empty(len(below), dtype=np.intp)
+        at[[below.bottom, *below.atoms.values()]] = [self.bottom, *self.atoms.values()]
+        for cls, (start, stop, ends, _position) in below.runs.items():
+            here, *_, position = self.runs[cls]
+            at[start:stop] = here if ends is None else _members(
+                self, here, position, below.ends[cls])
+        return at
 
     @cached_property
     def _to_below(self) -> np.ndarray:
@@ -158,6 +163,10 @@ class Universe:
         to = np.full(len(self) + 1, m)
         to[self._from_below] = np.arange(m)
         return to
+
+    @cached_property
+    def _keys(self) -> np.ndarray:  # the edges below as lo * (len(below) + 1) + hi, ascending
+        return self.intervals[:, 0] * (len(self._below) + 1) + self.intervals[:, 1]
 
     @cached_property
     def ends(self) -> dict[str, np.ndarray]:
@@ -214,16 +223,9 @@ class Universe:
         return parent
 
     @cached_property
-    def atoms(self) -> dict[str, int]:
-        """Each co-free atom's index, by class, found by its label."""
-        return {d.name: i for d in self.table.decls.values() if d.is_generic
-                if (i := label_index(self.labels, format_type(Cofree(d.name)))) >= 0}
-
-    @cached_property
     def classes(self) -> np.ndarray:
         """Each term's class as a position in `table.class_names`; -1 for
-        bottom.  A class's ground terms are its run, and its atom is found
-        by label."""
+        bottom.  A class's ground terms are its run."""
         position = {c: k for k, c in enumerate(self.table.class_names)}
         classes = np.full(len(self), -1)
         for c, (start, stop, *_) in self.runs.items():
@@ -288,13 +290,19 @@ class Universe:
 
     @cached_property
     def free(self) -> np.ndarray:
-        """The index of each class's free type, by position in
-        `table.class_names`; -1 where it is outside the universe."""
-        root = self.table.root
-        wild = format_interval(format_type(BOTTOM), root, root)
-        return np.array([label_index(self.labels, f"{d.name}<{', '.join([wild] * d.arity)}>"
-                                     if d.arity else d.name)
-                         for d in self.table.decls.values()], dtype=np.intp)
+        """Each class's free type's index, by position in `table.class_names`
+        (-1 outside the universe): a generic class's is the product of the
+        edge (bottom, root) below at every position, in scalar arithmetic."""
+        below, free = self._below, []
+        if below is not None:  # the number of the edge (bottom, root) below
+            edge = int(self._keys.searchsorted(
+                below.bottom * (len(below) + 1) + below.runs[self.table.root][0]))
+        for decl in self.table.decls.values():
+            start, *_, position = self.runs.get(decl.name, (-1, None))
+            if position is not None:
+                start += position[edge * sum(len(self.intervals) ** p for p in range(decl.arity))]
+            free.append(start)
+        return np.array(free, dtype=np.intp)
 
 
 class SubtypeRelation:
@@ -309,21 +317,20 @@ class SubtypeRelation:
     each row, are all zero, so equal relations have equal bytes; the
     constructor raises ValueError on any other dtype, shape or padding.
 
-    A built relation holds its factored form instead (see _stratum): the
-    lifted relation over the stratum below plus its universe's layout.
-    `related` answers from that form, and the rows are made from it once,
-    on first use: the first read of `bits`, `edges` or a whole-row scan,
-    or the first one-pair query (is_subtype, interval_contains).  Documents
-    read back, stepped and doctored relations are given their rows.
+    A built relation holds its factored form instead (see _stratum), which
+    `related` answers from; its rows are made from it once, on the first
+    read of `bits`, `edges` or a whole-row scan, or the first one-pair query
+    (is_subtype, interval_contains).  Documents read back, stepped and
+    doctored relations are given their rows.
 
-    Frozen after construction: the rows are read-only, they are made under
-    a lock, so that threads reading at once get one array, and every query
+    Frozen after construction: the rows are read-only and made under a
+    lock, so that threads reading at once get one array, and every query
     is safe to run concurrently.  Equality compares depth, the
-    include_cofree flag, labels and edges, and makes no term: equal labels
-    mean equal terms, since each universe holds the root's label and
-    format_interval prints injectively given the root.  Iteration
-    provenance is excluded, since it records how the relation was built,
-    not what it is.
+    include_cofree flag, the universes and edges, and makes no term: equal
+    tables enumerate one universe, else labels decide (each universe holds
+    its root's label, and format_interval prints injectively given it).
+    Iteration provenance is excluded, since it records how the relation was
+    built, not what it is.
     """
 
     def __init__(self, space: Universe, bits: np.ndarray, iterations: int):
@@ -344,14 +351,13 @@ class SubtypeRelation:
               restriction: np.ndarray | None) -> None:
         # every relation sets the same attributes in one order, and `_packed`
         # is a plain attribute, so that a one-pair query reads it at full speed
-        self.space, self.labels, self.depth = space, space.labels, space.depth
+        self.space, self.depth = space, space.depth
         self.include_cofree, self.iterations = space.include_cofree, iterations
         self._packed, self._restriction = packed, restriction
 
     @property
     def bits(self) -> np.ndarray:
-        # made under a lock, as Universe.terms is, so that threads reading at
-        # once get one set of rows
+        # made under _MAKING, so that threads reading at once get one set of rows
         if self._packed is None:
             with _MAKING:
                 if self._packed is None:
@@ -359,6 +365,10 @@ class SubtypeRelation:
                     packed.setflags(write=False)
                     self._packed = packed
         return self._packed
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.space.labels
 
     @property
     def universe(self) -> tuple[TypeTerm, ...]:
@@ -380,7 +390,7 @@ class SubtypeRelation:
         return _bits_at(self._packed, rows, cols)
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.space)
 
     def __contains__(self, term: TypeTerm) -> bool:
         return term in self.space.index
@@ -394,19 +404,30 @@ class SubtypeRelation:
                 "universe (rebuild at a higher depth)") from None
 
     def label(self, term: TypeTerm) -> str:
-        return self.labels[self.index(term)]
+        # a term's index is made with the terms, which make the labels
+        return self.space.labels[self.index(term)]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SubtypeRelation)
                 and self.depth == other.depth
                 and self.include_cofree == other.include_cofree
-                and self.labels == other.labels
+                and (self.space.table == other.space.table or self.labels == other.labels)
                 and bool(np.array_equal(self.bits, other.bits)))
 
     def __repr__(self) -> str:
         edges = _edge_count(self.bits)
         return (f"SubtypeRelation(depth={self.depth}, terms={len(self)}, "
                 f"edges={edges}, iterations={self.iterations})")
+
+
+def _made(space: Universe, name: str, make: Callable):
+    """`space`'s attribute `name`, made by `make` under _MAKING on first use."""
+    made = vars(space)
+    if name not in made:
+        with _MAKING:
+            if name not in made:
+                made[name] = make(space)
+    return made[name]
 
 
 def _check_rows(bits: np.ndarray, n: int) -> None:
@@ -418,12 +439,6 @@ def _check_rows(bits: np.ndarray, n: int) -> None:
                          f"{(n, (n + 7) // 8)}, not {bits.shape}")
     if n % 8 and (bits[:, -1] & (0xFF >> n % 8)).any():
         raise ValueError("packed rows have a padding bit set")
-
-
-def label_index(labels: tuple[str, ...], label: str) -> int:
-    """The position of `label` in a universe's strictly sorted `labels`, or -1."""
-    k = bisect_left(labels, label)
-    return k if k < len(labels) and labels[k] == label else -1
 
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -601,16 +616,16 @@ def universe_faults(table: ClassTable, term: TypeTerm, depth: int,
 def instantiated(space: Universe, use: TypeUse, env: dict[str, np.ndarray]):
     """Indices into `space` of the type `use` with each parameter replaced
     by its `env` array of endpoint indices, as term_from_typeuse
-    instantiates it: a parameter is its array, a closed type the index of
-    its label, and a compound type the member of its class on the point
-    intervals of its arguments (see member_at); -1 where the term lies
-    outside the universe."""
+    instantiates it: a parameter is its array, a plain class its run's
+    start, and a compound type the member of its class on the point
+    intervals of its arguments (see member_at), one where every argument is
+    closed; -1 where the term lies outside the universe."""
     if use.name in env:
         return env[use.name]
-    if not any(name in env for name in use.mentioned_names()):
-        return label_index(space.labels, format_typeuse(use))
+    if not use.args:
+        return space.runs[use.name][0]
     args = np.stack(np.broadcast_arrays(
-        *(instantiated(space, a, env) for a in use.args)), axis=1)
+        *(np.atleast_1d(instantiated(space, a, env)) for a in use.args)), axis=1)
     return member_at(space, use.name, np.stack([args, args], axis=-1))
 
 
@@ -619,30 +634,28 @@ def member_at(space: Universe, cls: str, ends: np.ndarray) -> np.ndarray:
     as in Universe.ends), the index into `space` of the member of `cls` with
     those endpoints, or -1 where the universe holds none.
 
-    A generic class's block is the product of the edges of the stratum
-    below (see _stage), so a member is found by its product number: each
-    endpoint is mapped to its index below, each (lo, hi) pair to its edge
-    number among the edges listed row-major, the row's edge numbers read
-    mixed-radix give its product number, and the run gives that product's
-    position.  An endpoint outside the stratum below, or a pair that is
-    not an edge there, misses."""
+    A generic block is the product of the edges below (see _stage), so a
+    member is found by its product number (see _members); an endpoint
+    outside the stratum below, or a pair that is no edge there, misses."""
     run = space.runs.get(cls)
     if run is None:
         return np.full(len(ends), -1)
     start, _stop, _ends, position = run
     if position is None:  # a plain class: its one term
         return np.full(len(ends), start)
-    # indices below run to len(below), which stands for a term not there
-    m = len(space._below) + 1
-    lo, hi = np.moveaxis(space._to_below[ends], -1, 0)
-    keys = space.intervals[:, 0] * m + space.intervals[:, 1]
-    asked = lo * m + hi
+    return _members(space, start, position, space._to_below[ends])
+
+
+def _members(space: Universe, start: int, position: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """member_at on endpoint indices into the stratum below (len(below) for
+    a term not there), of the block at `start` whose products are at
+    `position`: the pairs' edge numbers, read mixed-radix, number a product."""
+    keys, m = space._keys, len(space._below) + 1
+    asked = ends[..., 0] * m + ends[..., 1]
     edge = keys.searchsorted(asked)
     hit = (keys.take(edge, mode="clip") == asked).all(axis=1)
-    number = 0
-    for p in range(edge.shape[1]):
-        number = number * len(keys) + edge[:, p]
-    return np.where(hit, start + position.take(number, mode="clip"), -1)
+    number = np.ravel_multi_index(edge.T, (len(keys),) * edge.shape[1], mode="clip")
+    return np.where(hit, start + position[number], -1)
 
 
 def interval_contains(rel: SubtypeRelation, inner: Interval, outer: Interval) -> bool:
@@ -692,10 +705,10 @@ def _universe(table: ClassTable, depth: int, include_cofree: bool,
               budget: int) -> tuple[Universe, SubtypeRelation | None]:
     """The depth-`depth` universe, with the relation of the stratum below it
     (None for the first): each stratum below is built, and the top one only
-    staged, so it gets its labels and runs but no rows.  A table with no
-    generic class has the depth-0 terms at every depth, so its one stratum
-    is staged once, at `depth`.  Each stratum's packed rows are checked
-    against `budget` bytes before its labels are printed."""
+    staged, so it gets its runs but no rows.  A table with no generic class
+    has the depth-0 terms at every depth, so its one stratum is staged once,
+    at `depth`.  Each stratum's packed rows are checked against `budget`
+    bytes before it is staged."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     first = 0 if any(decl.is_generic for decl in table.decls.values()) else depth
@@ -712,66 +725,82 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
     `below` (None at depth 0).  Edges only grow from one stratum to the
     next, so the products re-generate every instantiation below and the
     universe's size is known, and its packed rows checked against `budget`
-    bytes, before any label is printed.  A class's labels are sorted within
-    the class and all begin ``C<``, so merging the classes and the depth-0
-    terms by leading label gives the label order.
+    bytes, before any label is printed.
 
-    Every class with ground terms is then one run of that order, recorded
-    once as ``(start, stop, ends, position)``: a plain class's one term,
-    with `ends` and `position` None, or a generic class's block, with its
-    terms' endpoint indices into the stratum below and each product's
-    position in the run, products numbered in itertools.product order over
-    the edges listed row-major (the universe's `intervals`).  This is the
-    index part of the stratum as a partial product over the one below;
-    every row writer reads it, member_at finds a member by it, and _terms
-    makes the terms from it on first read.  Without the co-free axioms the
-    atoms are dropped from the universe too, so the model is directly
-    comparable with the full one on its Ground fragment.
+    Each class with ground terms is one run of the label order, recorded as
+    ``(start, stop, ends, position)``: a plain class's one term, with `ends`
+    and `position` None, or a generic class's block, with its terms'
+    endpoint indices below and each product's position in the run, products
+    numbered in itertools.product order over the edges listed row-major
+    (`intervals`).  No argument label continues another with ``,`` or
+    ``>``, so a tail ``a_1, ..., a_k>`` sorts as the tuple of the ``a_p +
+    ','``, the last ``a_k + '>'``: in label order a block is the product of
+    its positions' edges, each sorted so.  Merging the classes, whose labels
+    all begin ``C<``, and the depth-0 terms by leading label gives the label
+    order.  This is the index part of the stratum as a partial product over
+    the one below.  Without the co-free axioms the atoms are dropped too, so
+    the model is directly comparable with the full one on its Ground
+    fragment.
     """
-    singles = [BOTTOM]
-    for decl in table.decls.values():
-        if not decl.is_generic:
-            singles.append(Ground(decl.name))
-        elif include_cofree:
-            singles.append(Cofree(decl.name))
-    generics = [] if below is None else [d for d in table.decls.values() if d.is_generic]
+    decls = table.decls.values()
+    cofree = [Cofree(d.name) for d in decls if d.is_generic and include_cofree]
+    # (leading label, bottom, an atom or a class, endpoint indices, product positions)
+    units = [(format_type(t), t, None, None) for t in (BOTTOM, *cofree)]
+    units += [(d.name, d, None, None) for d in decls if not d.is_generic]
+    generics = [] if below is None else [d for d in decls if d.is_generic]
     m = _edge_count(below.bits) if generics else 0
-    n = len(singles) + sum(m ** decl.arity for decl in generics)
-    need = n * ((n + 7) // 8)
-    if need > budget:
+    n = len(units) + sum(m ** decl.arity for decl in generics)
+    if (need := n * ((n + 7) // 8)) > budget:
         raise UniverseCapExceeded(
             f"universe at depth {depth} has {n} terms, whose packed rows need "
             f"{need} bytes, over the budget of {budget} bytes")
-    # (labels, a depth-0 term or a generic class, endpoint indices, product
-    # positions), each unit in label order
-    units = [([format_type(t, table)], t, None, None) for t in singles]
     if generics:
         pairs = np.stack(_set_bits(below.bits), axis=1)
         under = below.labels
         arguments = [format_interval(under[i], under[j], table.root) for i, j in pairs.tolist()]
-    blocks = {}  # per arity, shared by its classes: label tails, endpoints, positions
+        ordered = {end: sorted(range(m), key=lambda e: arguments[e] + end)
+                   for end in (",>" if any(d.arity > 1 for d in generics) else ">")}
+    blocks = {}  # per arity, shared by its classes: leading tail, endpoints, positions
     for decl in generics:
-        if decl.arity not in blocks:
-            # ends[k, p] = (lo, hi) of argument p of product k, in product order
-            ends = pairs[np.indices((len(pairs),) * decl.arity).reshape(decl.arity, -1).T]
-            tails = [f"{', '.join(args)}>"
-                     for args in itertools.product(arguments, repeat=decl.arity)]
-            order = sorted(range(len(tails)), key=tails.__getitem__)
-            blocks[decl.arity] = ([tails[k] for k in order], ends[order], np.argsort(order))
-        tails, ends, position = blocks[decl.arity]
-        units.append(([f"{decl.name}<{tail}" for tail in tails], decl, ends, position))
-    units.sort(key=lambda unit: unit[0][0])
-    runs, start = {}, 0
-    for unit_labels, made, ends, position in units:
-        stop = start + len(unit_labels)
+        if (a := decl.arity) not in blocks:
+            # a product's position is its edges' ranks read mixed-radix
+            orders = np.array([ordered[end] for end in "," * (a - 1) + ">"])
+            axes, digits = np.arange(a)[:, None], np.indices((m,) * a).reshape(a, -1)
+            blocks[a] = (", ".join(arguments[e] for e in orders[:, 0]) + ">",
+                         pairs[orders[axes, digits].T],
+                         np.ravel_multi_index(orders.argsort(axis=1)[axes, digits], (m,) * a))
+        tail, ends, position = blocks[a]
+        units.append((f"{decl.name}<{tail}", decl, ends, position))
+    units.sort(key=lambda unit: unit[0])
+    runs, at, start = {}, {}, 0
+    for _label, made, ends, position in units:
+        stop = start + (1 if ends is None else len(ends))
         if isinstance(made, ClassDecl):
             runs[made.name] = (start, stop, ends, position)
-        elif isinstance(made, Ground):
-            runs[made.cls] = (start, stop, None, None)
+        else:
+            at[made] = start
         start = stop
-    labels = tuple(s for unit in units for s in unit[0])
-    return Universe(table, depth, include_cofree, labels, runs,
-                    None if below is None else below.space, pairs if generics else None)
+    return Universe(table, depth, include_cofree, n, runs, at[BOTTOM],
+                    {t.cls: at[t] for t in cofree}, None if below is None else below.space,
+                    pairs if generics else None)
+
+
+def _labels(space: Universe) -> tuple[str, ...]:
+    """A stratum's labels in order, a generic run's its class's name before
+    the tails of its block: the product of its positions' argument labels,
+    each position's listed in the run's order (see _stage), once per shape."""
+    pieces = {space.bottom: [format_type(BOTTOM)]}
+    pieces.update((i, [format_type(Cofree(cls))]) for cls, i in space.atoms.items())
+    tails = {}
+    for cls, (start, _stop, ends, _position) in space.runs.items():
+        if ends is not None and id(ends) not in tails:
+            m, arity, under = len(space.intervals), ends.shape[1], space._below.labels
+            columns = [[format_interval(under[lo], under[hi], space.table.root)
+                        for lo, hi in ends[::m ** (arity - 1 - p)][:m, p].tolist()]
+                       for p in range(arity)]
+            tails[id(ends)] = [", ".join(args) + ">" for args in itertools.product(*columns)]
+        pieces[start] = [cls] if ends is None else map(f"{cls}<".__add__, tails[id(ends)])
+    return tuple(itertools.chain.from_iterable(pieces[i] for i in sorted(pieces)))
 
 
 def _terms(space: Universe) -> tuple[TypeTerm, ...]:
@@ -783,7 +812,7 @@ def _terms(space: Universe) -> tuple[TypeTerm, ...]:
     the parse cache with its term."""
     table, intern = space.table, space.table.intern
     universe = [None] * len(space)
-    universe[label_index(space.labels, format_type(BOTTOM))] = BOTTOM
+    universe[space.bottom] = BOTTOM
     for cls, i in space.atoms.items():
         universe[i] = intern(Cofree(cls))
     if space.intervals is not None:
@@ -833,15 +862,10 @@ def build_relation(table: ClassTable, depth: int,
     from initial_relation takes to reach the same relation, confirming pass
     included: 2 plus the deepest nesting in the universe.
 
-    The build makes no instantiation: the universe is made on first read
-    (see _terms), which check_galois, closure_doc and export_json never do.
-    Once made, it records each label in the table's parse cache, so
-    parse_type of a label then lexes nothing.  Nor does the build make the
-    top stratum's packed rows: the relation answers `related` from its
-    factored form (see _stratum), and makes its rows once, on first use
-    (see SubtypeRelation), under a lock, so that concurrent readers share
-    one array.  check_galois, closure_doc, the F-(co)algebra analyses and
-    check_validity never need them.
+    The build makes no label, term or packed row of the top stratum: each
+    is made on first read (see _labels, _terms, SubtypeRelation), and the
+    terms put each label in the table's parse cache, so parse_type of a
+    label then lexes nothing.
     """
     return _stratum(*_universe(table, depth, include_cofree, _ROW_BUDGET))
 
@@ -865,10 +889,7 @@ def _stratum(space: Universe, below: SubtypeRelation | None) -> SubtypeRelation:
     the m old terms); in practice this takes at most one extra pass.  Where
     chains stay in the stratum below (chains_stay_in_universe), no chain
     member is new here, the stratum below is this one's restriction, and
-    nothing is lifted.
-
-    Stepping needs one construction_step pass per nesting level, one for the
-    static edges and a confirming one; `iterations` records that count.
+    nothing is lifted.  `iterations` is as build_relation states it.
     """
     m = 0 if below is None else len(below)
     # one more row and column for the sentinel argument (see Universe.arguments),
@@ -900,11 +921,12 @@ def _factored_at(space: Universe, restriction: np.ndarray, rows, cols) -> np.nda
     bit (i, j) of ground terms is read at the member u of j's class that i's
     chain parents climb to (Universe.reach): u's containment of j, two bits
     of `restriction` per argument position, or 0 where the climb never gets
-    there (and where j is an atom, whose arguments no ground one fits).  This is the stratum as a partial product
-    over the one below, read as a point query (AbdelGawad, "Java Subtyping
-    as an Infinite Self-Similar Partial Graph Product", arXiv:1805.06893).
+    there (and where j is an atom, whose arguments no ground one fits).
+    This is the stratum as a partial product over the one below, read as a
+    point query (AbdelGawad, "Java Subtyping as an Infinite Self-Similar
+    Partial Graph Product", arXiv:1805.06893).
     Bottom's row is full, and an atom's row follows the subclass matrix
-    (see _cofree_rows)."""
+    (see Universe._classwise)."""
     rows, cols = np.asarray(rows), np.asarray(cols)
     if rows.ndim == 2 and rows.shape[1] == 1 and cols.ndim == 1 and rows.size * cols.size >= _GRID:
         flipped = np.ascontiguousarray(restriction.T)
@@ -959,19 +981,17 @@ def _factored_grid(space: Universe, restriction: np.ndarray, flipped: np.ndarray
 
 def _rows(space: Universe, restriction: np.ndarray) -> np.ndarray:
     """The packed rows of the relation over `space` whose containment is
-    read off `restriction` (see _stratum); a term of the stratum below, a
-    closed type, an atom and bottom are found by label.
-
-    Containment is read off the relation below at the generic runs' `ends`
-    (see _stage), once per block shape (the classes of one arity share one
+    read off `restriction` (see _stratum), at the generic runs' `ends` (see
+    _stage), once per block shape (the classes of one arity share one
     `ends`).  A ground term's row is its containment row OR-ed with the
     final row of its chain parent: the runs are OR-ed in superclass-depth
     order, a band of rows at a time, so each parent row is final before it
     is read.  A parent's class is a strict ancestor of the term's, and a
     ground row of class P sets bits only in the runs of P's ancestors, so
     the OR spans only the bytes of the runs of the class's strict ancestors
-    (a class with none in the universe skips it).  A co-free atom's row is
-    set from class runs (see _cofree_rows); bottom's row holds every term.
+    (a class with none in the universe skips it).  A co-free atom lies below
+    the runs of its class's ancestors and their atoms, each just before its
+    class's block; bottom's row holds every term.
     """
     table, runs, n = space.table, space.runs, len(space)
     packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
@@ -986,10 +1006,13 @@ def _rows(space: Universe, restriction: np.ndarray) -> np.ndarray:
             lo, hi = min(spans)[0] >> 3, (max(spans)[1] + 7) >> 3
             for rows in _bands(*runs[cls][:2], hi - lo):
                 packed[rows, lo:hi] |= packed[space.parent[rows], lo:hi]
-    for i, row in _cofree_rows(space):
-        packed[i] = row
-    bottom = label_index(space.labels, format_type(BOTTOM))
-    packed[bottom] = np.packbits(np.ones(n, dtype=bool))  # no padding bit
+    for cls, i in space.atoms.items():
+        row = np.zeros(n, dtype=bool)
+        for name in table.ancestors(cls):
+            first = space.atoms[name] if name in space.atoms else runs[name][0]
+            row[first:runs[name][1] if name in runs else first + 1] = True
+        packed[i] = np.packbits(row)
+    packed[space.bottom] = np.packbits(np.ones(n, dtype=bool))  # no padding bit
     return packed
 
 
@@ -1053,21 +1076,6 @@ def _shifted(rows: np.ndarray, offset: int, width: int) -> np.ndarray:
     out[:, :rows.shape[1]] = rows >> offset
     out[:, 1:] |= rows[:, :width - 1] << (8 - offset)
     return out
-
-
-def _cofree_rows(space: Universe):
-    """Yield each co-free atom ``C<!>``'s index and packed row: the atom
-    lies below every term of every class C subclasses, C included, at every
-    depth.  Each class's terms are one contiguous run of the label-sorted
-    universe: a generic class's atom just before its block (if it has one);
-    a plain class's one term."""
-    runs, atoms = space.runs, space.atoms
-    for cls, i in atoms.items():
-        row = np.zeros(len(space), dtype=bool)
-        for name in space.table.ancestors(cls):
-            first = atoms[name] if name in atoms else runs[name][0]
-            row[first:runs[name][1] if name in runs else first + 1] = True
-        yield i, np.packbits(row)
 
 
 def _static_edges(table: ClassTable, universe, index):

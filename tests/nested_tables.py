@@ -39,10 +39,22 @@ BOUND_TABLES = {
 }
 
 
+# labels that are prefixes of one another: ``Foo`` sorts before ``Foo2``,
+# and ``Foo, `` before ``Foo2, ``, yet ``Foo>`` after ``Foo2>``, so a label's
+# last argument sorts by another key than the ones before it (Map's two)
+PREFIX_TABLES = {
+    "prefixed": ("class Object\nclass Foo extends Object\nclass Foo2 extends Foo\n"
+                 "class Box<T> extends Object\nclass Box2<T> extends Box<T>"),
+    "map": ("class Object\nclass Foo extends Object\nclass Foo2 extends Foo\n"
+            "class Map<K, V> extends Object"),
+}
+
+
 def named_table(name, request):
-    """A table of NESTED_TABLES, INDEX_TABLES or BOUND_TABLES, ``seedN`` for
-    ``random_table(N)``, or a shipped table by its fixture's prefix."""
-    for texts in (NESTED_TABLES, INDEX_TABLES, BOUND_TABLES):
+    """A table of NESTED_TABLES, INDEX_TABLES, BOUND_TABLES or PREFIX_TABLES,
+    ``seedN`` for ``random_table(N)``, or a shipped table by its fixture's
+    prefix."""
+    for texts in (NESTED_TABLES, INDEX_TABLES, BOUND_TABLES, PREFIX_TABLES):
         if name in texts:
             return parse_class_table(texts[name])
     if name.startswith("seed"):

@@ -2,13 +2,16 @@
 
 import base64
 import gc
+import itertools
 import json
 import pickle
 import re
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -52,10 +55,12 @@ from nomsub import cli
 from nomsub import relation as relation_module
 from nomsub import terms as terms_module
 from nomsub.analysis import closure_doc, galois_doc
+from nomsub.class_table import format_typeuse
 from nomsub.random_tables import random_table
 from nomsub.relation import _set_bits, _transitive_closure
+from nomsub.terms import format_interval
 
-from nested_tables import BOUND_TABLES, INDEX_TABLES, NESTED_TABLES, named_table
+from nested_tables import BOUND_TABLES, INDEX_TABLES, NESTED_TABLES, PREFIX_TABLES, named_table
 from oracle import Oracle
 
 
@@ -730,10 +735,22 @@ class TestExport:
         assert full != bare
 
     def test_equality_makes_no_term(self, reduced_table):
-        # labels decide it: equal labels mean equal terms
-        one, other = build_relation(reduced_table, 2), build_relation(reduced_table, 2)
+        # equal tables enumerate one universe, so neither terms nor labels are
+        # made, even for an equal table parsed afresh
+        fresh = parse_class_table(format_class_table(reduced_table))
+        one, other = build_relation(reduced_table, 2), build_relation(fresh, 2)
         assert one == other and one != build_relation(reduced_table, 1)
-        assert not {"terms", "index"} & (vars(one.space).keys() | vars(other.space).keys())
+        made = vars(one.space).keys() | vars(other.space).keys()
+        assert not {"terms", "index", "labels"} & made
+
+    def test_equality_over_unequal_tables_compares_labels(self):
+        # the same classes declared in another order: unequal tables, whose
+        # universes print alike, so their relations are equal
+        one, other = (build_relation(parse_class_table(text), 1) for text in (
+            "class Object\nclass A extends Object\nclass B<T> extends A",
+            "class Object\nclass B<T> extends A\nclass A extends Object"))
+        assert one.space.table != other.space.table
+        assert one == other and "labels" in vars(one.space)
 
     def test_json_is_deterministic(self, sample_rel1):
         assert export_json(sample_rel1) == export_json(sample_rel1)
@@ -1101,3 +1118,182 @@ class TestTermsOnFirstRead:
         assert not any(thread.is_alive() for thread in threads)
         assert all(universe is got[0] for universe in got)
         assert all(parse_type(table, label) is term for label, term in zip(rel.labels, got[0]))
+
+
+def _printed_in_order(table, depth, include_cofree):
+    """The depth-`depth` labels as the printer gives them, each printed
+    whole and all sorted: bottom, the plain classes, the atoms, and every
+    product of the printed intervals of the stratum below."""
+    decls = table.decls.values()
+    generic = [d for d in decls if d.is_generic]
+    labels = ["Null", *(d.name for d in decls if not d.is_generic),
+              *(f"{d.name}<!>" for d in generic if include_cofree)]
+    if depth and generic:
+        below = build_relation(table, depth - 1, include_cofree=include_cofree)
+        under = below.labels
+        arguments = [format_interval(under[i], under[j], table.root)
+                     for i, j in zip(*np.nonzero(below.edges))]
+        labels += [f"{d.name}<{', '.join(args)}>" for d in generic
+                   for args in itertools.product(arguments, repeat=d.arity)]
+    return sorted(labels)
+
+
+def _closed_uses(table):
+    """Every type use in a superclass argument or a bound that names no
+    parameter of its class, nested ones included."""
+    for decl in table.decls.values():
+        params = {p.name for p in decl.params}
+        uses = [*(decl.superclass.args if decl.superclass else ()),
+                *(b for p in decl.params for b in (p.upper_bound, p.lower_bound) if b)]
+        while uses:
+            use = uses.pop()
+            uses += use.args
+            if not params & set(use.mentioned_names()):
+                yield use
+
+
+SMALL_TABLES = [*NESTED_TABLES, *INDEX_TABLES, *BOUND_TABLES]
+
+
+class TestLabelsOnFirstRead:
+    """A stratum is staged without printing its labels: its members are
+    found by index, and its labels are made on first read, all at once or
+    one alone."""
+
+    @pytest.mark.parametrize("include_cofree", [True, False])
+    @pytest.mark.parametrize("name, depth", [(name, depth) for name in ("sample", "reduced")
+                                             for depth in range(3)]
+                             + [(name, depth) for name in SMALL_TABLES for depth in range(2)]
+                             + [("prefixed", depth) for depth in range(3)]
+                             + [("map", depth) for depth in range(2)]
+                             + [(f"seed{seed}", depth) for seed in range(50)
+                                for depth in range(3)])
+    def test_the_staged_order_is_every_label_sorted(self, name, depth, include_cofree,
+                                                     request):
+        # one label alone (the last one first, by index -1), the whole tuple
+        # and the printed terms all follow the order of the labels printed
+        # whole and sorted, strictly
+        table = named_table(name, request)
+        rel = build_relation(table, depth, include_cofree=include_cofree)
+        last, *alone = (rel.space.label(i) for i in range(-1, len(rel)))
+        assert "labels" not in vars(rel.space)
+        expected = _printed_in_order(table, depth, include_cofree)
+        assert len(set(expected)) == len(expected)
+        assert list(rel.labels) == alone == expected and last == expected[-1]
+        assert [format_type(t, table) for t in rel.universe] == expected
+
+    @pytest.mark.parametrize("include_cofree", [True, False])
+    @pytest.mark.parametrize("name, depth", [(name, depth) for name in ("sample", "reduced")
+                                             for depth in range(3)]
+                             + [(name, depth) for name in (*SMALL_TABLES, *PREFIX_TABLES)
+                                for depth in range(2)]
+                             + [(f"seed{seed}", depth) for seed in range(20)
+                                for depth in range(3)])
+    def test_index_lookups_are_the_label_bisections(self, name, depth, include_cofree,
+                                                    request):
+        # bottom, the atoms, the free types, the closed types and the terms
+        # below, each found by index, are where bisection on the labels finds
+        # their labels (-1 where there is none)
+        table = named_table(name, request)
+        space = build_relation(table, depth, include_cofree=include_cofree).space
+        bottom, atoms, free = space.bottom, dict(space.atoms), space.free.tolist()
+        closed = {format_typeuse(use): int(np.ravel(relation_module.instantiated(space, use, {}))[0])
+                  for use in _closed_uses(table)}
+        labels = space.labels
+
+        def find(label):
+            k = bisect_left(labels, label)
+            return k if k < len(labels) and labels[k] == label else -1
+
+        generic = [d.name for d in table.decls.values() if d.is_generic]
+        wild = format_interval("Null", table.root, table.root)
+        assert bottom == find("Null")
+        assert atoms == ({c: find(f"{c}<!>") for c in generic} if include_cofree else {})
+        assert free == [find(f"{d.name}<{', '.join([wild] * d.arity)}>" if d.arity else d.name)
+                        for d in table.decls.values()]
+        assert closed == {text: find(text) for text in closed}
+        if space._below is not None:
+            assert space._from_below.tolist() == list(map(find, space._below.labels))
+
+    def test_threads_reading_fresh_labels_get_one_tuple(self, sample_table, monkeypatch):
+        # four threads read the labels of one relation for the first time at
+        # once, switching often; they are made once, and each gets that tuple
+        rel = build_relation(sample_table, 2)
+        made, labels = [], relation_module._labels
+
+        def counted(space):
+            made.append(space)
+            return labels(space)
+
+        monkeypatch.setattr(relation_module, "_labels", counted)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        start, got = threading.Barrier(4), [None] * 4
+
+        def read(k):
+            start.wait()
+            got[k] = rel.labels
+
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert made == [rel.space]
+        assert all(labels is got[0] for labels in got)
+
+    def test_threads_reading_fresh_labels_and_terms_at_once_both_finish(self, sample_table,
+                                                                         monkeypatch):
+        # one thread makes the terms, which read the labels, while another asks
+        # for the labels first: the one lock the two take must not be held in
+        # two orders, on any Python that locks a cached_property as it runs
+        table = parse_class_table(format_class_table(sample_table))
+        rel = build_relation(table, 2)
+        terms, asking = relation_module._terms, threading.Event()
+
+        def slow(space):  # holds the lock until the labels reader is waiting
+            asking.wait(timeout=10)
+            time.sleep(0.2)
+            return terms(space)
+
+        monkeypatch.setattr(relation_module, "_terms", slow)
+        got = {}
+
+        def ask_labels():
+            asking.set()
+            got["labels"] = rel.labels
+
+        threads = [threading.Thread(target=lambda: got.setdefault("terms", rel.universe),
+                                    daemon=True),
+                   threading.Thread(target=ask_labels, daemon=True)]
+        threads[0].start()
+        time.sleep(0.05)
+        threads[1].start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got["labels"] is rel.labels
+        assert all(parse_type(table, label) is term
+                   for label, term in zip(got["labels"], got["terms"]))
+
+    def test_the_laws_at_reduced3_print_no_label_of_the_top_stratum(self, reduced_table):
+        # the build, the galois grid and the closure laws print only the
+        # violators and closed types they report; a build that printed and
+        # sorted all 26,147 labels peaked at 8.5 MiB here
+        table = parse_class_table(format_class_table(reduced_table))
+        tracemalloc.start()
+        try:
+            rel = build_relation(table, 3)
+            galois = galois_doc(rel, check_galois(table, rel))
+            closures = closure_doc(table, rel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not {"labels", "terms"} & vars(rel.space).keys()
+        assert peak < 6 * 2**20
+        assert galois["violations"] == galois["cofree_violations"] == []
+        assert closures["closed_types"] == ["LinkedList<?>", "List<?>", "Object", "String"]
