@@ -6,7 +6,8 @@ valid-set sizes, and where the modes part ways.  Two hand-written mutually
 bounded tables follow the random ones, since random_table draws none on
 which the modes differ.  The subset inclusion (inductive inside
 coinductive) is asserted throughout, and the script exits 1 when no table
-separates the modes, as the inclusion is then never tested on a gap.
+separates the modes, as the inclusion is then never tested on a gap, and 2
+when --max-classes lies outside the 2..6 that random_table draws.
 """
 
 from __future__ import annotations
@@ -43,8 +44,12 @@ def main() -> int:
     parser.add_argument("--depth", type=int, default=1)
     args = parser.parse_args()
 
-    tables = [(str(seed), random_table(seed, max_classes=args.max_classes))
-              for seed in range(args.tables)]
+    try:
+        tables = [(str(seed), random_table(seed, max_classes=args.max_classes))
+                  for seed in range(args.tables)]
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     tables += [(name, parse_class_table(text)) for name, text in FIXED_TABLES.items()]
     disagreements = 0
     print(f"{'seed':>4}  {'classes':>7}  {'f-bounds':>8}  {'ind':>5}  {'coind':>5}  gap")

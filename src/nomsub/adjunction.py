@@ -26,7 +26,7 @@ from . import relation
 from .class_table import ClassTable
 from .errors import FreeTypeOutsideUniverse
 from .fixpoints import check_validity
-from .relation import SubtypeRelation, _bands, _subclass_matrix, is_subtype
+from .relation import SubtypeRelation, _bands, is_subtype
 from .terms import Ground, TypeTerm, erase, free_type
 
 LEFT_TO_RIGHT = "left-to-right"   # erasure side holds, subtype side fails
@@ -93,7 +93,7 @@ def check_galois(table: ClassTable, rel: SubtypeRelation,
     report = AdjunctionReport(checked_pairs=rows.size * len(free),
                               bottom_skipped=int((classes < 0).sum()),
                               quantified_over=quantify)
-    erasure_side = _subclass_matrix(table)[classes[rows]]
+    erasure_side = rel.space.classwise[classes[rows], :-1]
     subtype_side = rel.related(rows[:, None], free)
     names = table.class_names
     atoms = set(rel.space.atoms.values())
@@ -147,11 +147,9 @@ def check_monotonicity(table: ClassTable, rel: SubtypeRelation) -> MonotonicityR
     """Both maps must be monotone: t1 <: t2 implies erase(t1) subclasses
     erase(t2), and c subclasses d implies free_type(c) <: free_type(d)."""
     free = _free_columns(table, rel)
-    sub = _subclass_matrix(table)
-    classes = rel.space.classes
+    sub, classes = rel.space.classwise, rel.space.classes
     # unreachable[k]: erasable terms whose class is no superclass of k; row -1 (bottom's) is empty
-    unreachable = np.packbits(np.vstack([~sub[:, classes] & (classes >= 0),
-                                         np.zeros(len(rel), dtype=bool)]), axis=1)
+    unreachable = np.packbits(~sub[:, classes] & (classes >= 0), axis=1)
     found = []
     for rows in _bands(0, len(rel), rel.bits.shape[1]):
         hits = rel.bits[rows] & unreachable[classes[rows]]
@@ -161,7 +159,8 @@ def check_monotonicity(table: ClassTable, rel: SubtypeRelation) -> MonotonicityR
     u, names = (rel.universe if found else ()), table.class_names  # terms only for a witness
     return MonotonicityReport(
         [(u[i], u[j]) for i, j in found],
-        [(names[a], names[b]) for a, b in np.argwhere(sub & ~rel.related(free[:, None], free))])
+        [(names[a], names[b])
+         for a, b in np.argwhere(sub[:-1, :-1] & ~rel.related(free[:, None], free))])
 
 
 def _free_columns(table: ClassTable, rel: SubtypeRelation,

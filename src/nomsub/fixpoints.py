@@ -12,14 +12,15 @@ is a parameter at a direct position or a closed type nested less than d
 deep), every chain member of a term of U_d lies in U_d and the depth-(d+1)
 relation restricted to U_d is the built one, so the answers come from the
 relation's rows.  ``Ty <: F<Ty>`` holds when Ty's chain member
-``F<[a..b]>`` (found through the chain parents) has ``Ty <: a`` and
-``b <: Ty``; ``F<Ty> <: Ty`` compares Ty's own endpoints with Ty, or with a
-closed type that F's chain puts at that position.  Each is one vectorized
-pass per class over the runs, endpoint indices and chain parents of the
-relation's universe, with bottom and the co-free atoms decided by their
-rules.  A comparison or bound check whose terms all lie in U_d is one
-read of the relation (SubtypeRelation.related), for every member it
-covers at once, so none makes the relation's rows.  Tables that fail the
+``F<[a..b]>`` (Universe.reach) has ``Ty <: a`` and ``b <: Ty``, one
+vectorized pass over the ground terms; ``F<Ty> <: Ty`` compares Ty's own
+endpoints with Ty, or with a closed type that F's chain puts at that
+position, one pass per class over the runs and endpoint indices of the
+relation's universe.  Bottom and the co-free atoms are F-subtypes by the
+class matrix (Universe.classwise).  A comparison or bound check whose
+terms all lie in U_d is one read of the relation
+(SubtypeRelation.related), for every member it covers at once, so none
+makes the relation's rows.  Tables that fail the
 condition, and terms outside U_d, go to relation.decider at depth d+1,
 which recurses through the construction's own rules (climb the superclass
 chain, then compare intervals endpoint by endpoint) and touches only the
@@ -45,7 +46,7 @@ from functools import cache
 
 import numpy as np
 
-from .class_table import ClassDecl, ClassTable, TypeUse, subclass_of
+from .class_table import ClassDecl, ClassTable, TypeUse
 from .errors import NotUnaryGeneric
 from .relation import (
     SubtypeRelation,
@@ -85,20 +86,15 @@ def f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeT
     if not chains_stay_in_universe(table, rel.depth):
         deeper = decider(table, rel.depth + 1)
         return tuple(t for t in rel.universe if deeper(t, _applied(table, cls, t)))
-    space = rel.space
-    found = np.zeros(len(rel), dtype=bool)
-    for c, (start, stop, *_) in space.runs.items():
-        ancestry = table.ancestors(c)
-        if cls in ancestry:
-            # each member's chain member of class F, F<[a..b]>: Ty <: a and b <: Ty
-            members = up = np.arange(start, stop)
-            for _ in range(ancestry.index(cls)):
-                up = space.parent[up]
-            ends = space.ends[cls][up - space.runs[cls][0], 0]
-            found[members] = rel.related(members, ends[:, 0]) & rel.related(ends[:, 1], members)
+    space, f = rel.space, table.class_names.index(cls)
     # bottom, and the co-free atoms of F's subclasses, lie below every F<Ty>
-    atoms = [i for c, i in space.atoms.items() if subclass_of(table, c, cls)]
-    found[[space.bottom, *atoms]] = True
+    found = ~space.ground & space.classwise[space.classes, f]
+    member = space.reach[:, f]
+    members = np.flatnonzero(member >= 0)
+    if members.size:  # at depth 0 F has no run
+        # each ground term's chain member of class F, F<[a..b]>: Ty <: a and b <: Ty
+        ends = space.ends[cls][member[members] - space.runs[cls][0], 0]
+        found[members] = rel.related(members, ends[:, 0]) & rel.related(ends[:, 1], members)
     return _marked(rel, found)
 
 

@@ -16,6 +16,10 @@ _NAMES = ["Alpha", "Beta", "Gamma", "Delta", "Epsilon"]
 
 
 def random_table(seed: int, max_classes: int = 6) -> ClassTable:
+    """The table of `seed`: Object and 1 to `max_classes` - 1 classes
+    named from `_NAMES` in order, so `max_classes` must lie in 2..6."""
+    if not 2 <= max_classes <= len(_NAMES) + 1:
+        raise ValueError(f"max_classes must lie in 2..{len(_NAMES) + 1}, not {max_classes}")
     rng = random.Random(seed)
     count = rng.randint(2, max_classes)
     decls: list[ClassDecl] = [ClassDecl("Object")]

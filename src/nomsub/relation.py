@@ -18,13 +18,13 @@ stratum, built once).  Each stratum records each class's run of the
 label-sorted universe once, with a generic class's endpoint indices into
 the stratum below; from that layout, containment is read off the
 depth-(d-1) relation, and each row is its containment row OR-ed with the
-final row of its chain parent, the nearest superclass-chain member in the
-universe, found by product number (member_at, instantiated) as the index
-twin of terms.super_instantiation.
+containment rows of its superclass-chain members in the universe
+(Universe.reach), found by product number (member_at, instantiated) as
+the index twin of terms.super_instantiation.
 
 Every relation is a Universe plus its edges: a stratum's runs, as _stage
 enumerates them for (table, depth, include_cofree), with its labels,
-endpoint indices, chain parents and terms made on first use.  Analyses that
+endpoint indices, chain members and terms made on first use.  Analyses that
 read only indices make no label and no term.  Nothing is cached between
 builds.  The only resource limit is a fixed 4 GiB budget for a stratum's
 packed rows, checked from its exact term count before any label is
@@ -178,51 +178,6 @@ class Universe:
                 if ends is not None}
 
     @cached_property
-    def parent(self) -> np.ndarray:
-        """Each term's chain parent: the first member of its superclass
-        chain in the universe, or the term itself where none is.
-
-        It is found for a whole class by index, one step at a time as
-        terms.super_instantiation takes it: a parameter at a direct position
-        passes its (lo, hi) columns through, and any other argument is the
-        point that `instantiated` gives over the low endpoints (-1 outside
-        the universe, as is every term holding it).  Only a term whose step
-        lands outside takes the next: a depth-0 term whose superclass takes
-        a closed type nested deeper (``Enum<Weekday>``), or one whose
-        superclass argument nests a parameter past the depth bound.  Where a
-        nested parameter meets a non-point interval (no step), or no member
-        is in the universe, the term is its own parent.  A member's own
-        chain is a suffix of the term's, so the parent's final row covers
-        every member the term reaches."""
-        parent = np.arange(len(self))
-        for cls, (start, stop, *_) in self.runs.items():
-            # the terms still climbing, and the endpoints of their chain member
-            # of class `decl` (None for a plain class, which has none)
-            here, decl, mine = np.arange(start, stop), self.table.decl(cls), self.ends.get(cls)
-            while decl.superclass is not None:
-                sup = decl.superclass
-                position = {p.name: q for q, p in enumerate(decl.params)}
-                env = {name: mine[:, q, 0] for name, q in position.items()}
-                stuck = False
-                rows = np.empty((len(here), len(sup.args), 2), dtype=np.intp)
-                for p, arg in enumerate(sup.args):
-                    if not arg.args and arg.name in position:
-                        rows[:, p] = mine[:, position[arg.name]]
-                        continue
-                    nested = [position[name] for name in arg.mentioned_names()
-                              if name in position]
-                    if nested:
-                        stuck |= (mine[:, nested, 0] != mine[:, nested, 1]).any(axis=1)
-                    rows[:, p, 0] = rows[:, p, 1] = instantiated(self, arg, env)
-                parent[here] = step = np.where(stuck, here, member_at(self, sup.name, rows))
-                climbing = step < 0
-                if not climbing.any():
-                    break
-                here, decl, mine = here[climbing], self.table.decl(sup.name), rows[climbing]
-                parent[here] = here
-        return parent
-
-    @cached_property
     def classes(self) -> np.ndarray:
         """Each term's class as a position in `table.class_names`; -1 for
         bottom.  A class's ground terms are its run."""
@@ -245,19 +200,48 @@ class Universe:
     @cached_property
     def reach(self) -> np.ndarray:
         """``reach[i, c]``: the member of class c (by position in
-        `table.class_names`) that ground term i's chain parents climb to, i
-        itself for its own class; -1 where the climb never gets there, for
+        `table.class_names`) of ground term i's superclass chain, i itself at
+        its own class; -1 where the chain has none in the universe (c is no
+        ancestor, its member lies outside, or the climb stops before it), for
         every class of bottom and of an atom, and in the last column, which
-        class -1 (bottom's) reads.  A parent's class is a strict ancestor,
-        so the runs are filled in superclass-depth order from their parents'."""
+        class -1 (bottom's) reads.
+
+        It is found for a whole class by index, one step at a time as
+        terms.super_instantiation takes it: a parameter at a direct position
+        passes its (lo, hi) columns through, and any other argument is the
+        point that `instantiated` gives over the low endpoints (-1 outside
+        the universe, as is every term holding it).  Each step goes on from
+        the endpoints it reached, in the universe or not, so a member outside
+        does not end the climb: a depth-0 term whose superclass takes a
+        closed type nested deeper (``Enum<Weekday>``), or one whose
+        superclass argument nests a parameter past the depth bound, still
+        reaches the members above.  A term whose nested parameter meets a
+        non-point interval has no step, and stops climbing."""
         table = self.table
         reach = np.full((len(self), len(table.class_names) + 1), -1, dtype=np.int32)
-        for cls in sorted(self.runs, key=lambda cls: len(table.ancestors(cls))):
-            here = np.arange(*self.runs[cls][:2])
-            up = self.parent[here]
-            climbs = up != here
-            reach[here[climbs]] = reach[up[climbs]]
+        for cls, (start, stop, *_) in self.runs.items():
+            # the terms still climbing, and the endpoints of their chain member
+            # of class `decl` (None for a plain class, which has none)
+            here, decl, mine = np.arange(start, stop), table.decl(cls), self.ends.get(cls)
             reach[here, table.class_names.index(cls)] = here
+            while decl.superclass is not None and len(here):
+                sup = decl.superclass
+                position = {p.name: q for q, p in enumerate(decl.params)}
+                env = {name: mine[:, q, 0] for name, q in position.items()}
+                stuck = np.zeros(len(here), dtype=bool)
+                rows = np.empty((len(here), len(sup.args), 2), dtype=np.intp)
+                for p, arg in enumerate(sup.args):
+                    if not arg.args and arg.name in position:
+                        rows[:, p] = mine[:, position[arg.name]]
+                        continue
+                    nested = [position[name] for name in arg.mentioned_names()
+                              if name in position]
+                    if nested:
+                        stuck |= (mine[:, nested, 0] != mine[:, nested, 1]).any(axis=1)
+                    rows[:, p, 0] = rows[:, p, 1] = instantiated(self, arg, env)
+                reach[here, table.class_names.index(sup.name)] = np.where(
+                    stuck, -1, member_at(self, sup.name, rows))
+                here, decl, mine = here[~stuck], table.decl(sup.name), rows[~stuck]
         return reach
 
     @cached_property
@@ -277,14 +261,16 @@ class Universe:
         return arguments
 
     @cached_property
-    def _classwise(self) -> np.ndarray:
-        """``_classwise[a, b]``: a term of class a that is not ground (an
-        atom, or bottom at a = -1, the last row) lies below a term of class b
-        (bottom's at b = -1): the atom below its class's ancestors' terms,
-        bottom below everything."""
+    def classwise(self) -> np.ndarray:
+        """``classwise[a, b]``: class a subclasses class b, by position in
+        `table.class_names` (b is one of a's ancestors, see subclass_of); so
+        a term of class a that is not ground (an atom, or bottom at a = -1,
+        the last row) lies below a term of class b (bottom's at b = -1): the
+        atom below its class's ancestors' terms, bottom below everything."""
         names = self.table.class_names
         below = np.zeros((len(names) + 1,) * 2, dtype=bool)
-        below[:-1, :-1] = _subclass_matrix(self.table)
+        for a, name in enumerate(names):
+            below[a, [names.index(c) for c in self.table.ancestors(name)]] = True
         below[-1] = True
         return below
 
@@ -469,17 +455,6 @@ def _bands(start: int, stop: int, width: int):
     """Slices of rows start..stop, `width` bytes each: _BAND_BYTES a slice, or one row."""
     band = max(1, _BAND_BYTES // max(1, width))
     return (slice(first, min(first + band, stop)) for first in range(start, stop, band))
-
-
-def _subclass_matrix(table: ClassTable) -> np.ndarray:
-    """sub[a, b]: class a subclasses class b, by position in `table.class_names`:
-    b is one of a's ancestors (see subclass_of)."""
-    names = table.class_names
-    position = {c: k for k, c in enumerate(names)}
-    sub = np.zeros((len(names),) * 2, dtype=bool)
-    for a, name in enumerate(names):
-        sub[a, [position[c] for c in table.ancestors(name)]] = True
-    return sub
 
 
 def _edge_count(bits: np.ndarray) -> int:
@@ -916,17 +891,16 @@ def _factored_at(space: Universe, restriction: np.ndarray, rows, cols) -> np.nda
     the number of pairs asked, and every pair of two lists, from _GRID
     pairs on, as a grid (see _factored_grid).
 
-    A ground row of class c sets bits only in the runs of c's ancestors, and
-    it is its containment row OR-ed with its chain parent's final row, so
-    bit (i, j) of ground terms is read at the member u of j's class that i's
-    chain parents climb to (Universe.reach): u's containment of j, two bits
-    of `restriction` per argument position, or 0 where the climb never gets
-    there (and where j is an atom, whose arguments no ground one fits).
+    A ground row of class c sets bits only in the runs of c's ancestors,
+    each from the containment row of its chain member of that class (see
+    _rows), so bit (i, j) of ground terms is read at i's chain member u of
+    j's class (Universe.reach): u's containment of j, two bits of
+    `restriction` per argument position, or 0 where there is no such member
+    (and where j is an atom, whose arguments no ground one fits).
     This is the stratum as a partial product over the one below, read as a
     point query (AbdelGawad, "Java Subtyping as an Infinite Self-Similar
     Partial Graph Product", arXiv:1805.06893).
-    Bottom's row is full, and an atom's row follows the subclass matrix
-    (see Universe._classwise)."""
+    Bottom's row and an atom's follow the class matrix (Universe.classwise)."""
     rows, cols = np.asarray(rows), np.asarray(cols)
     if rows.ndim == 2 and rows.shape[1] == 1 and cols.ndim == 1 and rows.size * cols.size >= _GRID:
         flipped = np.ascontiguousarray(restriction.T)
@@ -951,7 +925,7 @@ def _factored_pairs(space: Universe, restriction: np.ndarray, rows, cols) -> np.
     (lo_u, hi_u), (lo_j, hi_j) = (np.moveaxis(space.arguments[k], -1, 0) for k in (member, cols))
     fits = (restriction[lo_j, lo_u] & restriction[hi_u, hi_j]).all(axis=-1)
     return np.where(space.ground[rows], fits & (member >= 0),
-                    space._classwise[space.classes[rows], theirs])
+                    space.classwise[space.classes[rows], theirs])
 
 
 def _factored_grid(space: Universe, restriction: np.ndarray, flipped: np.ndarray,
@@ -963,7 +937,7 @@ def _factored_grid(space: Universe, restriction: np.ndarray, flipped: np.ndarray
     (or of `flipped`, its transpose), each gathered on its smaller side
     first."""
     theirs, targets, ground = space.classes[cols], space.ground[cols], space.ground[rows]
-    out = space._classwise.T.take(theirs, axis=0).take(space.classes[rows], axis=1)
+    out = space.classwise.T.take(theirs, axis=0).take(space.classes[rows], axis=1)
     out &= ~ground
     for c in np.flatnonzero(np.bincount(theirs[targets])):  # np.unique imports numpy.ma
         at = np.flatnonzero(targets & (theirs == c))
@@ -983,15 +957,13 @@ def _rows(space: Universe, restriction: np.ndarray) -> np.ndarray:
     """The packed rows of the relation over `space` whose containment is
     read off `restriction` (see _stratum), at the generic runs' `ends` (see
     _stage), once per block shape (the classes of one arity share one
-    `ends`).  A ground term's row is its containment row OR-ed with the
-    final row of its chain parent: the runs are OR-ed in superclass-depth
-    order, a band of rows at a time, so each parent row is final before it
-    is read.  A parent's class is a strict ancestor of the term's, and a
-    ground row of class P sets bits only in the runs of P's ancestors, so
-    the OR spans only the bytes of the runs of the class's strict ancestors
-    (a class with none in the universe skips it).  A co-free atom lies below
-    the runs of its class's ancestors and their atoms, each just before its
-    class's block; bottom's row holds every term.
+    `ends`).  A ground term's row is its containment row OR-ed, in the run
+    of each strict ancestor A, with the containment row of its chain member
+    of class A (Universe.reach), none where that member is outside.  Every
+    bit of a row of class A is in the runs of A's ancestors and holds for
+    each term below it, so the bytes of A's run are read from that member's
+    row in any order, final or not.  Bottom's row and each atom's follow
+    the class matrix (Universe.classwise).
     """
     table, runs, n = space.table, space.runs, len(space)
     packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
@@ -1000,19 +972,16 @@ def _rows(space: Universe, restriction: np.ndarray) -> np.ndarray:
                            ends, restriction[:-1, :-1])
     diagonal = np.arange(n)
     packed[diagonal, diagonal >> 3] |= _column_bits(diagonal)
-    for cls in sorted(runs, key=lambda cls: len(table.ancestors(cls))):
-        spans = [runs[a][:2] for a in table.ancestors(cls)[1:] if a in runs]
-        if spans:
-            lo, hi = min(spans)[0] >> 3, (max(spans)[1] + 7) >> 3
-            for rows in _bands(*runs[cls][:2], hi - lo):
-                packed[rows, lo:hi] |= packed[space.parent[rows], lo:hi]
-    for cls, i in space.atoms.items():
-        row = np.zeros(n, dtype=bool)
-        for name in table.ancestors(cls):
-            first = space.atoms[name] if name in space.atoms else runs[name][0]
-            row[first:runs[name][1] if name in runs else first + 1] = True
-        packed[i] = np.packbits(row)
-    packed[space.bottom] = np.packbits(np.ones(n, dtype=bool))  # no padding bit
+    for cls, (start, stop, *_) in runs.items():
+        for a in table.ancestors(cls)[1:]:
+            if a in runs:
+                lo, hi = runs[a][0] >> 3, (runs[a][1] + 7) >> 3
+                for rows in _bands(start, stop, hi - lo):
+                    up = space.reach[rows, table.class_names.index(a)]
+                    packed[rows, lo:hi] |= packed[np.where(up < 0, diagonal[rows], up), lo:hi]
+    classes = space.classes
+    for i in [space.bottom, *space.atoms.values()]:
+        packed[i] = np.packbits(space.classwise[classes[i], classes])
     return packed
 
 

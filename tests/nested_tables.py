@@ -14,7 +14,7 @@ NESTED_TABLES = {
                      "class A<T> extends B<C<T>>"),
 }
 
-# superclass arguments for the chain parents, each one superclass step by
+# superclass arguments for the chain members, each one superclass step by
 # universe index: parameters permuted across positions and closed types
 # (whose step lands in the universe), a parameter passed through beside one
 # nested in a compound argument, and closed types deeper than the stratum

@@ -1,5 +1,9 @@
 """Class-table parsing, validation, and the subclassing relation."""
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -182,6 +186,25 @@ def test_print_parse_roundtrip(sample_table, reduced_table):
 def test_print_parse_roundtrip_on_generated_tables(seed):
     table = random_table(seed)
     assert parse_class_table(format_class_table(table)) == table
+
+
+@pytest.mark.parametrize("max_classes", [1, 7, 8])
+def test_random_table_rejects_class_counts_outside_its_names(max_classes):
+    with pytest.raises(ValueError, match=r"max_classes must lie in 2\.\.6, not "):
+        random_table(0, max_classes=max_classes)
+
+
+def test_random_table_draws_at_both_ends_of_its_range():
+    assert {len(random_table(seed, max_classes=2).decls) for seed in range(50)} == {2}
+    assert {len(random_table(seed, max_classes=6).decls) for seed in range(50)} == {2, 3, 4, 5, 6}
+
+
+def test_the_validity_survey_rejects_a_class_count_outside_the_range():
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "fbounded_modes.py"
+    done = subprocess.run([sys.executable, script, "--max-classes", "8"],
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: max_classes must lie in 2..6, not 8\n"
 
 
 def test_hash_is_structural_and_stable():

@@ -154,12 +154,13 @@ class TestStratumLoop:
         with pytest.raises(ValueError, match="depth must be >= 0"):
             build(sample_table, -1)
 
-    def test_pass_through_classes_find_parents_without_walking_chains(
+    def test_pass_through_classes_find_chain_members_without_walking_chains(
             self, monkeypatch, request):
         # direct parameters (LinkedList<T> extends List<T>), permuted ones
         # (P<K, V> extends Q<V, K>) and closed types (A<T> extends B<Str>):
-        # every chain parent is one index step, so no term climbs its chain,
-        # neither in the build nor for the relation read back
+        # every chain member is one index step from the one before, so no
+        # term walks its chain, neither in the build nor for the relation
+        # read back
         climbed = []
 
         def spy(table, term):
@@ -171,7 +172,7 @@ class TestStratumLoop:
             with monkeypatch.context() as patch:
                 patch.setattr(terms_module, "super_instantiation", spy)
                 text = export_json(build_relation(table, depth))
-                relation_from_json(table, text).space.parent
+                relation_from_json(table, text).space.reach
             assert not climbed, f"{name}@{depth} climbs {format_type(climbed[0])}"
 
     def test_a_dropped_relation_is_freed(self, sample_table):
@@ -245,8 +246,8 @@ def test_direct_build_equals_the_stepped_fixpoint(name, depth, include_cofree, r
     # seed 102 has a generic class below a plain class other than the root
     # (Beta<!> <: Alpha at every depth); seed 7 has no generic class; the
     # nested tables push superclass arguments one level deeper; the index
-    # tables and the other seeds check the parents the build finds by index
-    # arithmetic
+    # tables and the other seeds check the chain members the build finds by
+    # index arithmetic
     table = named_table(name, request)
     built = build_relation(table, depth, include_cofree=include_cofree)
     stepped = _stepped_to_fixpoint(table, depth, include_cofree)
@@ -274,7 +275,7 @@ def test_shared_block_shapes_build_the_stepped_fixpoint(name, depth, offsets, re
                    if table.arity(other) == table.arity(cls))
     assert built == _stepped_to_fixpoint(table, depth, True)
     # bands of one row each (1 byte) and of rows that split runs and blocks
-    # unevenly (100 bytes), through the chain-parent OR and containment loops
+    # unevenly (100 bytes), through the chain-member OR and containment loops
     for band_bytes in (1, 100):
         monkeypatch.setattr(relation_module, "_BAND_BYTES", band_bytes)
         assert build_relation(table, depth) == built
@@ -286,9 +287,9 @@ def test_shared_block_shapes_build_the_stepped_fixpoint(name, depth, offsets, re
             assert [oracle.is_subtype(u[i], t) for t in u] == built.edges[i].tolist()
 
 
-# the chain-parent OR reads and writes only the bytes of the runs of a
-# class's strict ancestors, which holds because no ground row of class c
-# sets a bit outside the runs of c's ancestors
+# no ground row of class c sets a bit outside the runs of c's ancestors, so
+# the chain-member OR reads an ancestor's run from a member's row in any
+# order, whether that row is final or not
 WINDOW_CASES = ([(name, depth) for name in ("sample", "reduced", *NESTED_TABLES, *INDEX_TABLES,
                                             *BOUND_TABLES)
                  for depth in range(3) if (name, depth) not in {("permuted", 2), ("mixed", 2)}]
@@ -460,7 +461,7 @@ def test_universe_walk_accepts_exactly_the_built_universe(name, depth, include_c
         assert any(isinstance(f, Cofree) for f in faults) == excluded, format_type(term)
 
 
-# a universe's runs, endpoint indices and chain parents against the
+# a universe's runs, endpoint indices and chain members against the
 # term-level rule, for the build and for the relation read back from JSON;
 # permuted and mixed exceed the row budget at depth 2
 CHAINS_CASES = ([(name, depth) for name in ("sample", "reduced", *NESTED_TABLES, *INDEX_TABLES)
@@ -472,8 +473,9 @@ CHAINS_CASES = ([(name, depth) for name in ("sample", "reduced", *NESTED_TABLES,
 @pytest.mark.parametrize("name, depth", CHAINS_CASES)
 def test_chains_follow_the_term_level_rule(name, depth, include_cofree, request):
     # runs group the ground terms by class, ends are each interval's
-    # endpoint indices, and a term's parent is the first member of its
-    # super_chain in the universe, or the term itself
+    # endpoint indices, and a ground term reaches itself at its class and
+    # each member of its super_chain in the universe at the member's class,
+    # and nothing else (bottom and the atoms reach nothing)
     table = named_table(name, request)
     built = build_relation(table, depth, include_cofree=include_cofree)
     read = relation_from_json(table, export_json(built))
@@ -489,9 +491,14 @@ def test_chains_follow_the_term_level_rule(name, depth, include_cofree, request)
             cls: [[[rel.index(iv.lo), rel.index(iv.hi)] for iv in rel.universe[i].args]
                   for i in found]
             for cls, found in by_class.items() if table.arity(cls)}
-        assert space.parent.tolist() == [
-            next((rel.index(m) for m in super_chain(table, term) if m in rel), i)
-            for i, term in enumerate(rel.universe)]
+        names, reach = table.class_names, np.full(space.reach.shape, -1)
+        for i, term in enumerate(rel.universe):
+            if isinstance(term, Ground):
+                reach[i, names.index(term.cls)] = i
+                for m in super_chain(table, term):
+                    if m in rel:
+                        reach[i, names.index(m.cls)] = rel.index(m)
+        assert space.reach.tolist() == reach.tolist()
 
 
 @pytest.mark.parametrize("name, depth", [("sample", 2), ("permuted", 1), ("mixed", 1)])
@@ -989,7 +996,7 @@ class TestSharedTerms:
 
     def test_the_pool_keeps_no_rows_alive(self, sample_table):
         rel = build_relation(sample_table, 2)
-        rel.space.parent
+        rel.space.reach
         rows = weakref.ref(rel.bits)
         term = rel.universe[-1]
         del rel
