@@ -18,11 +18,12 @@ tests/test_output_pins.py recomputes every digest in the tier-1 suite.  A
 change that alters output on purpose regenerates the file with this script
 and lists the digests that moved in CHANGES.md, since it changes a check.
 
-Four commands too slow for the tier-1 suite, `galois --format json` and
-`report` at reduced@3 and at sample@3, are pinned apart, in
+Five commands too slow for the tier-1 suite, `galois --format json` and
+`report` at reduced@3 and at sample@3, and `validity --format json` at
+sample@3, are pinned apart, in
 tests/ci_output_pins.json, which no tier-1 test reads: CI's memory steps run
 them from the repository root, as `--ci` does here, and compare each run's
-digest (see `pin`) with that file.  `--ci` takes about 25 s and peaks near
+digest (see `pin`) with that file.  `--ci` takes about 10-25 s and peaks near
 2.5 GiB, the sample@3 build's rows.
 
     python scripts/pin_outputs.py --ci           # rewrite tests/ci_output_pins.json
@@ -81,6 +82,7 @@ QUERIES = (
 CI_CASES = (["galois", "--format", "json", "tables/reduced.table", "--depth", "3"],
             ["report", "tables/reduced.table", "--depth", "3"],
             ["galois", "--format", "json", "tables/sample.table", "--depth", "3"],
+            ["validity", "--format", "json", "tables/sample.table", "--depth", "3"],
             ["report", "tables/sample.table", "--depth", "3"])
 
 

@@ -56,6 +56,7 @@ from .fixpoints import (
     minimal_f_supertypes,
 )
 from .relation import (
+    Entries,
     SubtypeRelation,
     build_relation,
     construction_step,

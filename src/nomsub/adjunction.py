@@ -11,9 +11,12 @@ which is verified here exhaustively, together with the unit law
 monotonicity of both maps, and the fixed points of the induced closure
 operator (the closed types).
 
-The checks read the relation's packed rows by universe index, so no term
-is hashed per pair, and they build no n x n temporary.  The grid and the
-closed types read indices only, so they make no term and no label.
+The checks read the relation by universe index, so no term is hashed per
+pair, and they build no n x n temporary.  They answer in indices too: a
+violation holds its term's index, and the erasure witnesses are index pairs
+(relation.Entries), so neither check_galois nor check_monotonicity makes a
+term of the universe or a label; a caller that reads one as a term gets it
+made then.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from . import relation
 from .class_table import ClassTable
 from .errors import FreeTypeOutsideUniverse
 from .fixpoints import check_validity
-from .relation import SubtypeRelation, _bands, is_subtype
-from .terms import Ground, TypeTerm, erase, free_type
+from .relation import Entries, SubtypeRelation, _bands, is_subtype
+from .terms import TypeTerm, erase, free_type
 
 LEFT_TO_RIGHT = "left-to-right"   # erasure side holds, subtype side fails
 RIGHT_TO_LEFT = "right-to-left"   # subtype side holds, erasure side fails
@@ -85,9 +88,10 @@ def check_galois(table: ClassTable, rel: SubtypeRelation,
     free = _free_columns(table, rel)
     classes = rel.space.classes
     domain = classes >= 0
-    if quantify == "valid":
-        valid = check_validity(table, rel)[0].valid
-        domain &= [not isinstance(t, Ground) or t in valid for t in rel.universe]
+    if quantify == "valid":  # bottom and the atoms are never checked, so stay
+        valid = ~rel.space.ground
+        valid[check_validity(table, rel)[0].valid_entries.at] = True
+        domain &= valid
     rows = np.flatnonzero(domain)
 
     report = AdjunctionReport(checked_pairs=rows.size * len(free),
@@ -131,7 +135,7 @@ def closed_types(rel: SubtypeRelation, table: ClassTable) -> frozenset[TypeTerm]
 
 @dataclass
 class MonotonicityReport:
-    erasure_witnesses: list[tuple[TypeTerm, TypeTerm]] = field(default_factory=list)
+    erasure_witnesses: Entries  # index pairs (t1, t2), made terms when read
     free_type_witnesses: list[tuple[str, str]] = field(default_factory=list)
 
     @property
@@ -156,9 +160,9 @@ def check_monotonicity(table: ClassTable, rel: SubtypeRelation) -> MonotonicityR
         if hits.any():  # a band without a witness skips the slower listing of set bits
             subs, sups = relation._set_bits(hits)
             found += zip((subs + rows.start).tolist(), sups.tolist())
-    u, names = (rel.universe if found else ()), table.class_names  # terms only for a witness
+    names = table.class_names
     return MonotonicityReport(
-        [(u[i], u[j]) for i, j in found],
+        Entries(rel, np.array(found, dtype=np.intp).reshape(-1, 2)),
         [(names[a], names[b])
          for a, b in np.argwhere(sub[:-1, :-1] & ~rel.related(free[:, None], free))])
 

@@ -7,7 +7,9 @@ report document of `schema/report.schema.json`, minus the `table` field
 that names the input file.  Each analysis is reached through its public
 function, the one the single-analysis CLI subcommands call, and each member
 set and the bound checks are computed once.  The `*_doc` helpers render one
-analysis each and are shared with those subcommands.
+analysis each and are shared with those subcommands.  The analyses answer
+in universe indices, and the helpers read each label by index (`labels`),
+so a report makes no term.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ def analyze(table: ClassTable, rel: SubtypeRelation,
     adjunction grid, the closure laws and monotonicity show no violation.
     `quantify` picks the adjunction grid's term domain, as in check_galois.
     The row scans read whole rows and the report prints every instantiation,
-    so rows and labels are made first, and every read below reuses them."""
+    so rows and labels are made first, and every read below reuses them;
+    no term is made."""
     rel.bits, rel.labels  # made on first read
     galois = adjunction.check_galois(table, rel, quantify=quantify)
     closures = closure_doc(table, rel)
@@ -49,10 +52,10 @@ def analyze(table: ClassTable, rel: SubtypeRelation,
         "monotonicity": {
             "erasure_ok": mono.erasure_ok,
             "free_type_ok": mono.free_type_ok,
-            "erasure_witnesses": [labels(rel, w) for w in mono.erasure_witnesses],
+            "erasure_witnesses": [labels(rel, w) for w in mono.erasure_witnesses.at],
             "free_type_witnesses": [list(w) for w in mono.free_type_witnesses],
         },
-        "mutual_pairs": [labels(rel, p) for p in pairs],
+        "mutual_pairs": [labels(rel, p) for p in pairs.at],
         "fixpoints": analyses,
         "validity": validity,
         "verification_ok": (galois.ok and closure_laws_hold(closures)
@@ -60,8 +63,11 @@ def analyze(table: ClassTable, rel: SubtypeRelation,
     }
 
 
-def labels(rel: SubtypeRelation, terms) -> list[str]:
-    return [rel.label(t) for t in terms]
+def labels(rel: SubtypeRelation, at: np.ndarray) -> list[str]:
+    """The labels at indices `at`: in universe order, which is label order
+    (see relation._stage), when `at` ascends."""
+    made = rel.labels
+    return [made[i] for i in at.tolist()]
 
 
 def galois_doc(rel: SubtypeRelation, report: adjunction.AdjunctionReport) -> dict:
@@ -104,13 +110,13 @@ def closure_laws_hold(doc: dict) -> bool:
 
 
 def maxima_doc(rel: SubtypeRelation, report: fixpoints.MaximaReport) -> dict:
-    return {"maxima": labels(rel, report.maxima),
+    return {"maxima": labels(rel, report.maxima.at),
             "free_type": {"is_member": report.free_type.is_member,
                           "is_greatest": report.free_type.is_greatest}}
 
 
 def minima_doc(rel: SubtypeRelation, report: fixpoints.MinimaReport) -> dict:
-    return {"minima": labels(rel, report.minima),
+    return {"minima": labels(rel, report.minima.at),
             "cofree": {"is_member": report.cofree.is_member,
                        "is_least": report.cofree.is_least}}
 
@@ -118,8 +124,8 @@ def minima_doc(rel: SubtypeRelation, report: fixpoints.MinimaReport) -> dict:
 def validity_doc(rel: SubtypeRelation, assignment: fixpoints.ValidityAssignment) -> dict:
     return {
         "mode": assignment.mode,
-        "valid": sorted(labels(rel, assignment.valid)),
-        "invalid": sorted(labels(rel, assignment.invalid)),
+        "valid": labels(rel, assignment.valid_entries.at),
+        "invalid": labels(rel, assignment.invalid_entries.at),
     }
 
 
@@ -127,11 +133,11 @@ def _fixpoint_doc(table: ClassTable, rel: SubtypeRelation, cls: str) -> dict:
     # each member set is decided once and shared by the derived fields
     subs = fixpoints.f_subtypes(table, rel, cls)
     sups = fixpoints.f_supertypes(table, rel, cls)
-    algebras = set(sups)
     return {
-        "f_subtypes": labels(rel, subs),
-        "f_supertypes": labels(rel, sups),
-        "exact_fixed_points": labels(rel, [t for t in subs if t in algebras]),
+        "f_subtypes": labels(rel, subs.at),
+        "f_supertypes": labels(rel, sups.at),
+        "exact_fixed_points": labels(rel, np.intersect1d(subs.at, sups.at,
+                                                         assume_unique=True)),
         **maxima_doc(rel, fixpoints.maximal_f_subtypes(table, rel, cls, subs)),
         **minima_doc(rel, fixpoints.minimal_f_supertypes(table, rel, cls, sups)),
     }

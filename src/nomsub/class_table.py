@@ -100,6 +100,7 @@ class ClassTable:
                 raise ValidationError(f"duplicate class '{decl.name}'")
             by_name[decl.name] = decl
         self._ordered = ordered
+        self.class_names = tuple(by_name)  # in declaration order
         self._hash = hash(ordered)
         self._by_name = by_name
         self._decls_view: Mapping[str, ClassDecl] = MappingProxyType(by_name)
@@ -178,10 +179,6 @@ class ClassTable:
     @property
     def decls(self) -> Mapping[str, ClassDecl]:
         return self._decls_view
-
-    @property
-    def class_names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self._ordered)
 
     def decl(self, name: str) -> ClassDecl:
         try:

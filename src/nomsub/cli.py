@@ -210,7 +210,7 @@ def _cmd_closures(args, table: ClassTable) -> int:
 def _cmd_members(args, table: ClassTable) -> int:
     rel = _build(table, args)
     find = fixpoints.f_subtypes if args.kind == "f-subtypes" else fixpoints.f_supertypes
-    names = labels(rel, find(table, rel, args.cls))
+    names = labels(rel, find(table, rel, args.cls).at)
     key = f"{args.kind} of {args.cls}"
     if args.format == "json":
         _emit_json({key: names, "count": len(names)})

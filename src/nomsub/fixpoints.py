@@ -15,10 +15,10 @@ relation's rows.  ``Ty <: F<Ty>`` holds when Ty's chain member
 ``F<[a..b]>`` (Universe.reach) has ``Ty <: a`` and ``b <: Ty``, one
 vectorized pass over the ground terms; ``F<Ty> <: Ty`` compares Ty's own
 endpoints with Ty, or with a closed type that F's chain puts at that
-position, one pass per class over the runs and endpoint indices of the
-relation's universe.  Bottom and the co-free atoms are F-subtypes by the
-class matrix (Universe.classwise).  A comparison or bound check whose
-terms all lie in U_d is one read of the relation
+position (relation.instantiated), one pass per class over the runs and
+endpoint indices of the relation's universe.  Bottom and the co-free atoms
+are F-subtypes by the class matrix (Universe.classwise).  A comparison or
+bound check whose terms all lie in U_d is one read of the relation
 (SubtypeRelation.related), for every member it covers at once, so none
 makes the relation's rows.  Tables that fail the
 condition, and terms outside U_d, go to relation.decider at depth d+1,
@@ -26,6 +26,12 @@ which recurses through the construction's own rules (climb the superclass
 chain, then compare intervals endpoint by endpoint) and touches only the
 terms the question mentions; it stays the reference that the rows are
 tested against.
+
+Every answer is in universe indices (relation.Entries), in universe order,
+which is label order; the free type is Universe.free's entry and the
+co-free atom Universe.atoms'.  Only the decider's paths ask by term, so
+only they make the universe's terms; a caller that reads an answer as
+terms gets them made then.
 
 Maximality/minimality diagnostics never fail a run: whether the free type
 is the greatest F-subtype (and the co-free atom the least F-supertype) is
@@ -49,25 +55,19 @@ import numpy as np
 from .class_table import ClassDecl, ClassTable, TypeUse
 from .errors import NotUnaryGeneric
 from .relation import (
+    Entries,
     SubtypeRelation,
     chains_stay_in_universe,
     decider,
     instantiated,
 )
 from .terms import (
-    BOTTOM,
-    Cofree,
     Ground,
     TypeTerm,
     free_type,
     point,
-    super_chain,
     term_from_typeuse,
 )
-
-
-# whether each of some terms lies below each of others, one level up (_deeper)
-Deeper = Callable[[Sequence[TypeTerm], Sequence[TypeTerm]], bool]
 
 
 def _unary(table: ClassTable, cls: str) -> None:
@@ -79,13 +79,14 @@ def _applied(table: ClassTable, cls: str, term: TypeTerm) -> Ground:
     return table.intern(Ground(cls, (table.intern(point(term)),)))
 
 
-def f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeTerm, ...]:
-    """Terms Ty of the universe with Ty <: F<Ty> (coalgebras of F), in
-    universe order."""
+def f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> Entries:
+    """Terms Ty of the universe with Ty <: F<Ty> (coalgebras of F), as
+    Entries in universe order."""
     _unary(table, cls)
     if not chains_stay_in_universe(table, rel.depth):
         deeper = decider(table, rel.depth + 1)
-        return tuple(t for t in rel.universe if deeper(t, _applied(table, cls, t)))
+        return Entries(rel, [i for i, t in enumerate(rel.universe)
+                             if deeper(t, _applied(table, cls, t))])
     space, f = rel.space, table.class_names.index(cls)
     # bottom, and the co-free atoms of F's subclasses, lie below every F<Ty>
     found = ~space.ground & space.classwise[space.classes, f]
@@ -95,62 +96,63 @@ def f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeT
         # each ground term's chain member of class F, F<[a..b]>: Ty <: a and b <: Ty
         ends = space.ends[cls][member[members] - space.runs[cls][0], 0]
         found[members] = rel.related(members, ends[:, 0]) & rel.related(ends[:, 1], members)
-    return _marked(rel, found)
+    return Entries(rel, np.flatnonzero(found))
 
 
-def f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeTerm, ...]:
-    """Terms Ty of the universe with F<Ty> <: Ty (algebras of F), in
-    universe order."""
+def f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str) -> Entries:
+    """Terms Ty of the universe with F<Ty> <: Ty (algebras of F), as
+    Entries in universe order."""
     _unary(table, cls)
     if not chains_stay_in_universe(table, rel.depth):
         deeper = decider(table, rel.depth + 1)
-        return tuple(t for t in rel.universe if deeper(_applied(table, cls, t), t))
+        return Entries(rel, [i for i, t in enumerate(rel.universe)
+                             if deeper(_applied(table, cls, t), t)])
     space = rel.space
     found = np.zeros(len(rel), dtype=bool)
-    # F<Null>'s chain stands for F<Ty>'s, its point [Null..Null] for Ty: Null
-    # is reserved, so no declared type contains it, and where chains stay in
-    # the universe every other argument of the chain is a closed type
-    applied = _applied(table, cls, BOTTOM)
-    ty = applied.args[0]
-    for member in [applied, *super_chain(table, applied)]:
-        if member.cls not in space.runs:
-            continue
-        members = np.arange(*space.runs[member.cls][:2])
-        fits = np.ones(len(members), dtype=bool)
-        for p, arg in enumerate(member.args):
-            at = members if arg == ty else rel.index(arg.lo)
-            lo, hi = space.ends[member.cls][:, p].T
-            fits &= rel.related(lo, at) & rel.related(at, hi)
-        found[members] = fits
-    return _marked(rel, found)
+    # F<Ty>'s chain, each member's arguments as Ty (None) or the index of a
+    # closed type: where chains stay in the universe every argument of the
+    # chain is one or the other
+    decl, args = table.decl(cls), [None]
+    while True:
+        if decl.name in space.runs:
+            members = np.arange(*space.runs[decl.name][:2])
+            fits = np.ones(len(members), dtype=bool)
+            for p, at in enumerate(args):
+                at = members if at is None else at
+                lo, hi = space.ends[decl.name][:, p].T
+                fits &= rel.related(lo, at) & rel.related(at, hi)
+            found[members] = fits
+        if decl.superclass is None:
+            return Entries(rel, np.flatnonzero(found))
+        env = dict(zip((p.name for p in decl.params), args))
+        args = [env[arg.name] if arg.name in env else instantiated(space, arg, {})
+                for arg in decl.superclass.args]
+        decl = table.decl(decl.superclass.name)
 
 
-def _marked(rel: SubtypeRelation, found: np.ndarray) -> tuple[TypeTerm, ...]:
-    """The terms `found` marks, in universe order."""
-    return tuple(rel.universe[i] for i in np.flatnonzero(found))
-
-
-def _deeper(table: ClassTable, rel: SubtypeRelation) -> Deeper:
-    """Decide whether each term of `subs` lies below each of `sups` in the
+def _deeper(table: ClassTable, rel: SubtypeRelation) -> Callable[..., bool]:
+    """Decide whether each of `subs` lies below each of `sups` in the
     depth-(d+1) relation: by one read of `rel` (see SubtypeRelation.related)
-    where chains stay in the universe and every term lies in it, otherwise
-    pair by pair by relation.decider at depth d+1, made on first use."""
+    where chains stay in the universe and both are universe indices,
+    otherwise pair by pair, on terms, by relation.decider at depth d+1, made
+    on first use."""
     rows = chains_stay_in_universe(table, rel.depth)
     above = cache(lambda: decider(table, rel.depth + 1))
 
-    def deeper(subs: Sequence[TypeTerm], sups: Sequence[TypeTerm]) -> bool:
-        if rows and all(t in rel for t in (*subs, *sups)):
-            at = np.array([rel.index(t) for t in subs], dtype=np.intp)
-            return bool(rel.related(at[:, None], [rel.index(t) for t in sups]).all())
-        return all(above()(a, b) for a in subs for b in sups)
+    def deeper(subs, sups) -> bool:
+        if rows and isinstance(subs, np.ndarray) and isinstance(sups, np.ndarray):
+            return bool(rel.related(subs[:, None], sups).all())
+        subs, sups = (Entries(rel, ts) if isinstance(ts, np.ndarray) else ts
+                      for ts in (subs, sups))
+        return all(above()(t1, t2) for t1 in subs for t2 in sups)
 
     return deeper
 
 
-def exact_fixed_points(table: ClassTable, rel: SubtypeRelation, cls: str) -> tuple[TypeTerm, ...]:
+def exact_fixed_points(table: ClassTable, rel: SubtypeRelation, cls: str) -> Entries:
     """Terms mutually related with their own F-application."""
-    supers = set(f_supertypes(table, rel, cls))
-    return tuple(t for t in f_subtypes(table, rel, cls) if t in supers)
+    return Entries(rel, np.intersect1d(f_subtypes(table, rel, cls).at,
+                                       f_supertypes(table, rel, cls).at, assume_unique=True))
 
 
 @dataclass(frozen=True)
@@ -167,18 +169,18 @@ class CofreeComparison:
 
 @dataclass(frozen=True)
 class MaximaReport:
-    maxima: tuple[TypeTerm, ...]
+    maxima: Entries
     free_type: FreeTypeComparison
 
 
 @dataclass(frozen=True)
 class MinimaReport:
-    minima: tuple[TypeTerm, ...]
+    minima: Entries
     cofree: CofreeComparison
 
 
 def maximal_f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str,
-                       subtypes: tuple[TypeTerm, ...]) -> MaximaReport:
+                       subtypes: Sequence[TypeTerm]) -> MaximaReport:
     """Maxima of the F-subtypes `subtypes` (as f_subtypes gives them) under
     the relation, with a diagnostic comparison against the free type
     (reported, not asserted).
@@ -186,19 +188,18 @@ def maximal_f_subtypes(table: ClassTable, rel: SubtypeRelation, cls: str,
     The comparison is judged one depth up, where the free type always
     exists even when the base universe is too shallow for it.
     """
-    maxima = tuple(m for m, up in zip(subtypes, _strictly_below(rel, subtypes))
-                   if not up.any())
-    ft = free_type(table, cls)
-    deeper = _deeper(table, rel)
+    at = _at(rel, subtypes)
+    ft = rel.space.free[table.class_names.index(cls)]
     comparison = FreeTypeComparison(
-        is_member=ft in set(subtypes),
-        is_greatest=deeper(subtypes, [ft]),
+        is_member=bool((at == ft).any()),
+        is_greatest=_deeper(table, rel)(at, np.array([ft]) if ft >= 0
+                                        else [free_type(table, cls)]),
     )
-    return MaximaReport(maxima, comparison)
+    return MaximaReport(Entries(rel, at[~_strictly_below(rel, at).any(axis=1)]), comparison)
 
 
 def minimal_f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str,
-                         supertypes: tuple[TypeTerm, ...]) -> MinimaReport:
+                         supertypes: Sequence[TypeTerm]) -> MinimaReport:
     """Minima of the F-supertypes `supertypes` (as f_supertypes gives them)
     under the relation, with a diagnostic comparison against the co-free
     atom (reported, not asserted).
@@ -206,24 +207,27 @@ def minimal_f_supertypes(table: ClassTable, rel: SubtypeRelation, cls: str,
     In an extension-free build the atom does not exist, so both comparison
     flags come back False.
     """
-    minima = tuple(m for m, down in zip(supertypes, _strictly_below(rel, supertypes).T)
-                   if not down.any())
-    atom = Cofree(cls)
+    at = _at(rel, supertypes)
     if rel.include_cofree:
-        deeper = _deeper(table, rel)
+        atom = rel.space.atoms[cls]
         comparison = CofreeComparison(
-            is_member=atom in set(supertypes),
-            is_least=deeper([atom], supertypes),
+            is_member=bool((at == atom).any()),
+            is_least=_deeper(table, rel)(np.array([atom]), at),
         )
     else:
         comparison = CofreeComparison(is_member=False, is_least=False)
-    return MinimaReport(minima, comparison)
+    return MinimaReport(Entries(rel, at[~_strictly_below(rel, at).any(axis=0)]), comparison)
 
 
-def _strictly_below(rel: SubtypeRelation, members) -> np.ndarray:
-    """below[a, b]: member a is a strict subtype of member b."""
-    idx = np.array([rel.index(m) for m in members], dtype=np.intp)
-    sub = rel.related(idx[:, None], idx)
+def _at(rel: SubtypeRelation, members: Sequence[TypeTerm]) -> np.ndarray:
+    """The universe indices of `members`: Entries', or each term's, looked up."""
+    return members.at if isinstance(members, Entries) else np.array(
+        [rel.index(t) for t in members], dtype=np.intp)
+
+
+def _strictly_below(rel: SubtypeRelation, at: np.ndarray) -> np.ndarray:
+    """below[a, b]: the entry at[a] is a strict subtype of the entry at[b]."""
+    sub = rel.related(at[:, None], at)
     return sub & ~sub.T
 
 
@@ -234,11 +238,20 @@ def _strictly_below(rel: SubtypeRelation, members) -> np.ndarray:
 class ValidityAssignment:
     """Partition of the universe's instantiations into bound-satisfying
     (valid) and not, for one mode; inductive valid sets are always contained
-    in coinductive ones."""
+    in coinductive ones.  Each side is held by universe index (`*_entries`),
+    and `valid` and `invalid` give its terms, made when read."""
 
     mode: str
-    valid: frozenset[TypeTerm]
-    invalid: frozenset[TypeTerm]
+    valid_entries: Entries
+    invalid_entries: Entries
+
+    @property
+    def valid(self) -> frozenset[TypeTerm]:
+        return frozenset(self.valid_entries)
+
+    @property
+    def invalid(self) -> frozenset[TypeTerm]:
+        return frozenset(self.invalid_entries)
 
 
 def check_validity(table: ClassTable, rel: SubtypeRelation
@@ -271,8 +284,8 @@ def check_validity(table: ClassTable, rel: SubtypeRelation
             if np.array_equal(step, valid):
                 break
             valid = step
-        assignments.append(ValidityAssignment(mode, frozenset(_marked(rel, valid)),
-                                              frozenset(_marked(rel, checked & ~valid))))
+        assignments.append(ValidityAssignment(mode, Entries(rel, np.flatnonzero(valid)),
+                                              Entries(rel, np.flatnonzero(checked & ~valid))))
     return tuple(assignments)
 
 
@@ -335,7 +348,7 @@ def _bounds(decl: ClassDecl) -> list[tuple[int, TypeUse, int]]:
             for use, side in ((p.upper_bound, 1), (p.lower_bound, 0)) if use is not None]
 
 
-def _bound_check(table: ClassTable, deeper: Deeper,
+def _bound_check(table: ClassTable, deeper: Callable[..., bool],
                  term: Ground) -> tuple[bool, frozenset[TypeTerm]]:
     decl = table.decl(term.cls)
     names = {p.name for p in decl.params}

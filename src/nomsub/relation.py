@@ -52,7 +52,7 @@ import base64
 import itertools
 import json
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from functools import cache, cached_property
 
 import numpy as np
@@ -389,10 +389,6 @@ class SubtypeRelation:
                 f"term '{format_type(term)}' is outside the depth-{self.depth} "
                 "universe (rebuild at a higher depth)") from None
 
-    def label(self, term: TypeTerm) -> str:
-        # a term's index is made with the terms, which make the labels
-        return self.space.labels[self.index(term)]
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SubtypeRelation)
                 and self.depth == other.depth
@@ -401,9 +397,35 @@ class SubtypeRelation:
                 and bool(np.array_equal(self.bits, other.bits)))
 
     def __repr__(self) -> str:
-        edges = _edge_count(self.bits)
-        return (f"SubtypeRelation(depth={self.depth}, terms={len(self)}, "
-                f"edges={edges}, iterations={self.iterations})")
+        # the edge count only where rows exist: making them is no debug print's job
+        edges = "" if self._packed is None else f", edges={_edge_count(self._packed)}"
+        return (f"SubtypeRelation(depth={self.depth}, terms={len(self)}"
+                f"{edges}, iterations={self.iterations})")
+
+
+class Entries(Sequence):
+    """Entries of `rel`'s universe by index: `at` holds k indices, or k
+    pairs of them.  Entry k reads as the term (or pair of terms) at `at[k]`,
+    made, with the universe's terms, only when read.  Equal to Entries over
+    the same universe with equal indices, and to any sequence of its terms."""
+
+    def __init__(self, rel: SubtypeRelation, at):
+        self.rel, self.at = rel, np.asarray(at, dtype=np.intp)
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def __getitem__(self, k):
+        universe, at = self.rel.universe, self.at[k]
+        return universe[at] if at.ndim == 0 else tuple(universe[i] for i in at.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Entries) and other.rel.space is self.rel.space:
+            return bool(np.array_equal(self.at, other.at))
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Entries({list(self)!r})"
 
 
 def _made(space: Universe, name: str, make: Callable):
@@ -645,9 +667,10 @@ def interval_contains(rel: SubtypeRelation, inner: Interval, outer: Interval) ->
     return _bit(rel, idx[0], idx[1]) and _bit(rel, idx[2], idx[3])
 
 
-def mutual_pairs(rel: SubtypeRelation) -> list[tuple[TypeTerm, TypeTerm]]:
-    """Distinct term pairs related in both directions; the antisymmetry
-    diagnostic, expected empty on well-behaved tables."""
+def mutual_pairs(rel: SubtypeRelation) -> Entries:
+    """Distinct term pairs related in both directions, as index pairs
+    (i, j), i < j, in row-major order; the antisymmetry diagnostic,
+    expected empty on well-behaved tables."""
     found = []
     # 256 rows at a time, from the band's diagonal byte on, bound the edge lists
     # held at once.  Bands of _BAND_BYTES were 14 rows at sample@3 (1.65 s, not
@@ -659,7 +682,7 @@ def mutual_pairs(rel: SubtypeRelation) -> list[tuple[TypeTerm, TypeTerm]]:
         sub, sup = sub[ahead], sup[ahead]
         mutual = rel.related(sup, sub)
         found += zip(sub[mutual].tolist(), sup[mutual].tolist())
-    return [(rel.universe[i], rel.universe[j]) for i, j in found]
+    return Entries(rel, np.array(found, dtype=np.intp).reshape(-1, 2))
 
 
 # -- universe enumeration ----------------------------------------------------
@@ -959,11 +982,12 @@ def _rows(space: Universe, restriction: np.ndarray) -> np.ndarray:
     _stage), once per block shape (the classes of one arity share one
     `ends`).  A ground term's row is its containment row OR-ed, in the run
     of each strict ancestor A, with the containment row of its chain member
-    of class A (Universe.reach), none where that member is outside.  Every
-    bit of a row of class A is in the runs of A's ancestors and holds for
-    each term below it, so the bytes of A's run are read from that member's
-    row in any order, final or not.  Bottom's row and each atom's follow
-    the class matrix (Universe.classwise).
+    of class A (Universe.reach), none where that member is outside: one OR
+    per class A with a run, over every ground row outside the run that
+    reaches a member of A.  Every bit of a row of class A is in the runs of
+    A's ancestors and holds for each term below it, so the bytes of A's run
+    are read from that member's row in any order, final or not.  Bottom's
+    row and each atom's follow the class matrix (Universe.classwise).
     """
     table, runs, n = space.table, space.runs, len(space)
     packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
@@ -972,13 +996,15 @@ def _rows(space: Universe, restriction: np.ndarray) -> np.ndarray:
                            ends, restriction[:-1, :-1])
     diagonal = np.arange(n)
     packed[diagonal, diagonal >> 3] |= _column_bits(diagonal)
-    for cls, (start, stop, *_) in runs.items():
-        for a in table.ancestors(cls)[1:]:
-            if a in runs:
-                lo, hi = runs[a][0] >> 3, (runs[a][1] + 7) >> 3
-                for rows in _bands(start, stop, hi - lo):
-                    up = space.reach[rows, table.class_names.index(a)]
-                    packed[rows, lo:hi] |= packed[np.where(up < 0, diagonal[rows], up), lo:hi]
+    for a, (start, stop, *_) in runs.items():
+        # every ground row outside A's run (where a row is its own member) that
+        # has a chain member of class A
+        up = space.reach[:, table.class_names.index(a)]
+        below = np.flatnonzero((up >= 0) & (up != diagonal))
+        lo, hi = start >> 3, (stop + 7) >> 3
+        for band in _bands(0, len(below), hi - lo):
+            rows = below[band]
+            packed[rows, lo:hi] |= packed[up[rows], lo:hi]
     classes = space.classes
     for i in [space.bottom, *space.atoms.values()]:
         packed[i] = np.packbits(space.classwise[classes[i], classes])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nomsub import (analyze, build_relation, export_json, fixpoints, initial_relation,
-                    relation_from_json)
+                    relation, relation_from_json)
 from nomsub.cli import main
 from nomsub.relation import SubtypeRelation, Universe
 
@@ -81,6 +81,27 @@ def test_analyze_finds_classes_and_free_types_once(name, depth, request, monkeyp
     derived = dict(calls)
     analyze(table, SubtypeRelation(rel.space, rel.bits.copy(), 0))
     assert calls == derived
+
+
+# the analyses answer in universe indices and the report reads each label by
+# index, so no term is made; where chains stay in the universe (every case
+# here) the decider, which asks by term, is never reached
+NO_TERM_CASES = [("reduced", 3), ("sample", 2), *((f"seed{seed}", 1) for seed in range(50))]
+
+
+@pytest.mark.parametrize("include_cofree", [True, False])
+@pytest.mark.parametrize("name, depth", NO_TERM_CASES)
+def test_analyze_makes_no_term(name, depth, include_cofree, request, monkeypatch):
+    table, made = named_table(name, request), []
+    make = relation._terms
+    monkeypatch.setattr(relation, "_terms", lambda space: made.append(space) or make(space))
+    rel = build_relation(table, depth, include_cofree=include_cofree)
+    analyze(table, rel)
+    analyze(table, rel, quantify="valid")
+    assert made == []
+    # universe order is label order, so the report lists indices in order
+    # and sorts no label
+    assert list(rel.labels) == sorted(rel.labels)
 
 
 def test_unclosed_relation_fails_verification(sample_table):

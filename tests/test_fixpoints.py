@@ -6,6 +6,7 @@ import pytest
 from nomsub import (
     BOTTOM,
     Cofree,
+    Entries,
     Ground,
     NotUnaryGeneric,
     build_relation,
@@ -44,6 +45,18 @@ class TestFSubtypes:
         members = set(f_supertypes(sample_table, sample_rel1, "List"))
         assert Ground("Object") in members
         assert Ground("String") not in members
+
+    def test_members_are_indices_read_as_terms(self, sample_table, sample_rel1):
+        # the analyses answer in universe indices, ascending; an entry reads
+        # as the universe's term at its index
+        rel = sample_rel1
+        members = f_subtypes(sample_table, rel, "Enum")
+        assert isinstance(members, Entries) and (np.diff(members.at) > 0).all()
+        terms = [rel.universe[i] for i in members.at]
+        assert list(members) == terms and members == tuple(terms)
+        assert members[0] is terms[0] and len(members) == len(terms)
+        assert members == Entries(rel, members.at.copy())
+        assert members != Entries(rel, members.at[1:])
 
     def test_requires_unary_generic(self, sample_table, sample_rel1):
         with pytest.raises(NotUnaryGeneric):

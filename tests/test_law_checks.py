@@ -31,6 +31,7 @@ from nomsub import (
     parse_type,
     subclass_of,
 )
+from nomsub import relation
 from nomsub.analysis import closure_doc
 from nomsub.random_tables import random_table
 
@@ -115,11 +116,11 @@ def closures_by_pairs(table, rel):
             continue
         once, holds = closure_type(table, rel, term)
         if not holds:
-            unit.append(rel.label(term))
+            unit.append(rel.labels[rel.index(term)])
         if closure_type(table, rel, once)[0] != once:
-            idem.append(rel.label(term))
+            idem.append(rel.labels[rel.index(term)])
         if once == term:
-            closed.append(rel.label(term))
+            closed.append(rel.labels[rel.index(term)])
     counit = [c for c in table.class_names if not closure_class(table, c)[1]]
     return {"unit_violations": unit, "counit_violations": counit,
             "idempotence_violations": idem, "closed_types": sorted(closed)}
@@ -218,11 +219,14 @@ def test_checks_build_no_square_temporary(sample_table):
     assert peak < n * n / 2
 
 
-def test_point_queries_make_no_rows(reduced_table):
+def test_point_queries_make_no_rows(reduced_table, monkeypatch):
     # reduced@3's packed rows would take n * n / 8 bytes (85.5 MB); the build,
     # the galois grid, the closure laws, validity and the F-(co)algebras with
-    # their extrema read the factored form
-    table = reduced_table
+    # their extrema read the factored form, and answer in universe indices,
+    # so they make no term either
+    table, made = reduced_table, []
+    make = relation._terms
+    monkeypatch.setattr(relation, "_terms", lambda space: made.append(space) or make(space))
     tracemalloc.start()
     try:
         rel = build_relation(table, 3)
@@ -236,5 +240,5 @@ def test_point_queries_make_no_rows(reduced_table):
     finally:
         tracemalloc.stop()
     n = len(rel)
-    assert rel._packed is None
+    assert rel._packed is None and made == []
     assert peak < n * n / 32

@@ -100,6 +100,16 @@ def test_sampled_agreement_at_reduced_depth_three(reduced_table, include_cofree)
     assert _factored_is_the_rows(reduced_table, rel, 40, 3000, 5000)
 
 
+@pytest.mark.parametrize("include_cofree", [True, False])
+def test_sampled_agreement_at_sample_depth_three(sample_table, include_cofree):
+    # the next rung (140,463 terms, 50,010 without co-free atoms), answered
+    # from the factored form alone: its rows would take 2.47 GB
+    rel = build_relation(sample_table, 3, include_cofree=include_cofree)
+    assert len(rel) == (140463 if include_cofree else 50010)
+    assert _sampled_disagreements(sample_table, rel, 40, 3000, 5000) == []
+    assert rel._packed is None
+
+
 # seeds 0-9 only: seeds 0-19 take about 6 s, too long for the tier-1 suite
 @pytest.mark.parametrize("include_cofree", [True, False])
 @pytest.mark.parametrize("seed", range(10))

@@ -552,6 +552,17 @@ class TestPackedRows:
             SubtypeRelation(sample_rel1.space, bits, 0)
 
 
+    def test_repr_of_a_fresh_build_makes_no_rows(self, sample_table):
+        # the edge count is printed only once rows exist: at sample@3 they
+        # would take 2.47 GB for a debug print
+        rel = build_relation(sample_table, 1)
+        n = len(rel)
+        assert repr(rel) == f"SubtypeRelation(depth=1, terms={n}, iterations=3)"
+        assert rel._packed is None
+        edges = int(rel.edges.sum())
+        assert repr(rel) == f"SubtypeRelation(depth=1, terms={n}, edges={edges}, iterations=3)"
+
+
 class TestRelationInvariants:
     def test_transitive_exhaustively(self, sample_rel1, reduced_rel2):
         for rel in (sample_rel1, reduced_rel2):
