@@ -82,6 +82,7 @@ QUERIES = (
 CI_CASES = (["galois", "--format", "json", "tables/reduced.table", "--depth", "3"],
             ["report", "tables/reduced.table", "--depth", "3"],
             ["galois", "--format", "json", "tables/sample.table", "--depth", "3"],
+            ["minima", "--format", "json", "tables/sample.table", "--depth", "3", "List"],
             ["validity", "--format", "json", "tables/sample.table", "--depth", "3"],
             ["report", "tables/sample.table", "--depth", "3"])
 

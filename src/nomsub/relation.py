@@ -81,10 +81,6 @@ _ROW_BUDGET = 1 << 32  # bytes of packed rows per stratum; fixed, not read from 
 # bytes of rows per band (see _bands), so that a band's temporaries stay near
 # a core's cache; at 64 KiB the sample@3 build took 1.6-2.1 s, not 1.5-1.6 s
 _BAND_BYTES = 1 << 18
-# pairs from which a grid of every row by every column is read per column class
-# (see _factored_at): on a 9 x 9 grid that took 200 us against 70 us for the
-# pairs one by one, on an 87 x 87 grid 400 us against 900 us
-_GRID = 1 << 12
 # held while a universe makes its labels or terms (again for the stratum below),
 # and while a built relation makes its rows
 _MAKING = threading.RLock()
@@ -416,6 +412,8 @@ class Entries(Sequence):
         return len(self.at)
 
     def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Entries(self.rel, self.at[k])
         universe, at = self.rel.universe, self.at[k]
         return universe[at] if at.ndim == 0 else tuple(universe[i] for i in at.tolist())
 
@@ -896,7 +894,9 @@ def _stratum(space: Universe, below: SubtypeRelation | None) -> SubtypeRelation:
     restriction[m, m] = True
     if below is not None:
         restriction[:m, :m] = _unpack(below.bits, m)
-        if not chains_stay_in_universe(space.table, below.depth):
+        # the depth-0 stratum holds no ground term of a generic class, so no
+        # chain member new at depth 1 can relate two of its terms
+        if below.depth and not chains_stay_in_universe(space.table, below.depth):
             old = space._from_below
             while not np.array_equal(lifted := _factored_at(space, restriction, old[:, None], old),
                                      restriction[:m, :m]):
@@ -911,8 +911,8 @@ def _factored_at(space: Universe, restriction: np.ndarray, rows, cols) -> np.nda
     `space` whose containment is read off `restriction`, the relation over
     the stratum below with a sentinel row and column (see _stratum), with
     no rows: a band of pairs at a time, so that no temporary grows with
-    the number of pairs asked, and every pair of two lists, from _GRID
-    pairs on, as a grid (see _factored_grid).
+    the number of pairs asked, and every pair of two lists as a grid (see
+    _factored_grid).
 
     A ground row of class c sets bits only in the runs of c's ancestors,
     each from the containment row of its chain member of that class (see
@@ -925,12 +925,11 @@ def _factored_at(space: Universe, restriction: np.ndarray, rows, cols) -> np.nda
     Partial Graph Product", arXiv:1805.06893).
     Bottom's row and an atom's follow the class matrix (Universe.classwise)."""
     rows, cols = np.asarray(rows), np.asarray(cols)
-    if rows.ndim == 2 and rows.shape[1] == 1 and cols.ndim == 1 and rows.size * cols.size >= _GRID:
-        flipped = np.ascontiguousarray(restriction.T)
+    if rows.ndim == 2 and rows.shape[1] == 1 and cols.ndim == 1:
         out = np.empty((len(rows), len(cols)), dtype=bool)
         # 16 times the pairs of a band of pairs, as a grid's temporaries are bytes
         for band in _bands(0, len(rows), len(cols) // 16):
-            out[band] = _factored_grid(space, restriction, flipped, rows[band, 0], cols)
+            out[band] = _factored_grid(space, restriction, rows[band, 0], cols)
         return out
     rows, cols = np.broadcast_arrays(rows, cols)
     if rows.ndim == 0:
@@ -951,14 +950,12 @@ def _factored_pairs(space: Universe, restriction: np.ndarray, rows, cols) -> np.
                     space.classwise[space.classes[rows], theirs])
 
 
-def _factored_grid(space: Universe, restriction: np.ndarray, flipped: np.ndarray,
-                   rows, cols) -> np.ndarray:
+def _factored_grid(space: Universe, restriction: np.ndarray, rows, cols) -> np.ndarray:
     """_factored_at of every pair of a row of `rows` and a column of `cols`,
     laid out column by column while it is made: per class of the ground
     columns, each row's member of it is found once (none for bottom and an
-    atom), and each argument position reads two blocks of `restriction`
-    (or of `flipped`, its transpose), each gathered on its smaller side
-    first."""
+    atom), and each argument position reads two blocks of `restriction`,
+    each gathered on its smaller side first."""
     theirs, targets, ground = space.classes[cols], space.ground[cols], space.ground[rows]
     out = space.classwise.T.take(theirs, axis=0).take(space.classes[rows], axis=1)
     out &= ~ground
@@ -966,12 +963,15 @@ def _factored_grid(space: Universe, restriction: np.ndarray, flipped: np.ndarray
         at = np.flatnonzero(targets & (theirs == c))
         member = space.reach[rows, c]
         fits = np.repeat((member >= 0)[None], len(at), axis=0)
+        first = len(at) <= len(rows)
         for (lo_u, hi_u), (lo_j, hi_j) in zip(space.arguments[member].transpose(1, 2, 0),
                                               space.arguments[cols[at]].transpose(1, 2, 0)):
-            # lo_j <: lo_u and hi_u <: hi_j, as blocks over (column, row)
-            for matrix, j, u in ((restriction, lo_j, lo_u), (flipped, hi_j, hi_u)):
-                fits &= (matrix.take(j, axis=0).take(u, axis=1) if len(j) <= len(u)
-                         else matrix.take(u, axis=1).take(j, axis=0))
+            # lo_j <: lo_u and hi_u <: hi_j, as blocks over (column, row); the hi
+            # block is a view of its transpose, as take would copy a view whole
+            fits &= (restriction.take(lo_j, axis=0).take(lo_u, axis=1) if first
+                     else restriction.take(lo_u, axis=1).take(lo_j, axis=0))
+            fits &= (restriction.take(hi_j, axis=1).take(hi_u, axis=0) if first
+                     else restriction.take(hi_u, axis=0).take(hi_j, axis=1)).T
         out[at] |= fits
     return out.T
 

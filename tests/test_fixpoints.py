@@ -57,6 +57,9 @@ class TestFSubtypes:
         assert members[0] is terms[0] and len(members) == len(terms)
         assert members == Entries(rel, members.at.copy())
         assert members != Entries(rel, members.at[1:])
+        # a slice is Entries again, over the same universe
+        assert members[1:3] == Entries(rel, members.at[1:3]) == terms[1:3]
+        assert isinstance(members[:0], Entries) and len(members[:0]) == 0
 
     def test_requires_unary_generic(self, sample_table, sample_rel1):
         with pytest.raises(NotUnaryGeneric):

@@ -154,6 +154,8 @@ def test_monotonicity_matches_the_per_pair_law(case):
     erasure, free = monotonicity_by_pairs(table, rel)
     assert erasure, "the doctored relation should break erasure monotonicity"
     assert report.erasure_witnesses == erasure
+    # pair entries slice as entries of pairs
+    assert report.erasure_witnesses[:1] == erasure[:1]
     assert report.free_type_witnesses == free
 
 
@@ -162,6 +164,7 @@ def test_mutual_pairs_match_the_per_pair_scan(case):
     expected = mutual_by_pairs(rel)
     assert expected, "the doctored relation should relate some pair both ways"
     assert mutual_pairs(rel) == expected
+    assert mutual_pairs(rel)[:2] == expected[:2]
 
 
 @pytest.mark.parametrize("sub, sup", [("List<String>", "Null"), ("List<String>", "List<!>")])

@@ -323,11 +323,17 @@ def test_factored_answers_are_the_rows(name, depth, include_cofree, request):
     sub, sup = np.random.default_rng(depth).integers(0, n, (2, 500))
     grid, pairs = rel.related(every[:, None], every), rel.related(sub, sup)
     single = [bool(rel.related(i, j)) for i, j in zip(sub[:20].tolist(), sup[:20].tolist())]
+    # seeded sub-grids of 1 to 80 rows and columns, each read as a grid
+    rng = np.random.default_rng(n)
+    picks = [[rng.choice(n, rng.integers(1, min(n, 80) + 1), replace=False)
+              for _ in "rc"] for _ in range(6)]
+    blocks = [rel.related(r[:, None], c) for r, c in picks]
     assert rel._packed is None
     edges = rel.edges
     assert np.array_equal(grid, edges)
     assert np.array_equal(pairs, edges[sub, sup])
     assert single == edges[sub[:20], sup[:20]].tolist()
+    assert all(np.array_equal(block, edges[np.ix_(r, c)]) for block, (r, c) in zip(blocks, picks))
 
 
 PACKED_CASES = ([(name, depth) for name in ("sample", "reduced") for depth in range(3)]
@@ -381,6 +387,35 @@ def test_each_stratum_embeds_in_the_next(name, top, include_cofree, request):
               for d in range(top + 1)]
     for below, above in zip(strata, strata[1:]):
         assert _restricts_to(above, below), f"depth {below.depth} -> {above.depth}"
+
+
+def test_depth_one_builds_without_a_lift_check(sample_table, monkeypatch):
+    # sample's closed superclass arguments fail chains_stay_in_universe at 0,
+    # but the depth-0 stratum has no ground term of a generic class for a new
+    # chain member to relate, so the 0 -> 1 step reads nothing back
+    calls = []
+    read = relation_module._factored_at
+    monkeypatch.setattr(relation_module, "_factored_at",
+                        lambda *args: calls.append(args) or read(*args))
+    assert not relation_module.chains_stay_in_universe(sample_table, 0)
+    build_relation(sample_table, 1)
+    assert calls == []
+
+
+def test_a_grid_read_copies_no_restriction(reduced_table):
+    # the restriction below takes (m + 1)^2 bytes at reduced@3; a grid read
+    # gathers blocks of it, and reads its transpose as a view
+    table = reduced_table
+    rel = build_relation(table, 3)
+    sups = f_supertypes(table, rel, "LinkedList").at
+    tracemalloc.start()
+    try:
+        grid = rel.related(sups[:, None], sups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (len(sups), len(sups)) and grid.diagonal().all()
+    assert peak < rel._restriction.nbytes
 
 
 # the analyses read their depth+1 answers off the rows where chains stay in
