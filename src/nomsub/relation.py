@@ -52,6 +52,7 @@ import base64
 import itertools
 import json
 import threading
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from functools import cache, cached_property
 
@@ -731,12 +732,21 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
     (`intervals`).  No argument label continues another with ``,`` or
     ``>``, so a tail ``a_1, ..., a_k>`` sorts as the tuple of the ``a_p +
     ','``, the last ``a_k + '>'``: in label order a block is the product of
-    its positions' edges, each sorted so.  Merging the classes, whose labels
-    all begin ``C<``, and the depth-0 terms by leading label gives the label
-    order.  This is the index part of the stratum as a partial product over
-    the one below.  Without the co-free axioms the atoms are dropped too, so
-    the model is directly comparable with the full one on its Ground
-    fragment.
+    its positions' edges, each sorted so, by integer keys (_orders): the
+    interval's first character (``?``, ``[`` for ``[L..U]``, or a point's
+    own, so a point in lower case sorts after ``[``); the wildcard form
+    (``? extends U``, ``? super L``, ``?``, as a space sorts before ``,``
+    and ``>``); then the rank below of the deciding label with what follows
+    it: the end after a point or a wildcard bound, ``..`` after L, then
+    ``]`` after U.  ``,`` and ``.`` sort below every character that
+    continues a label (``<``, digits, letters, ``_``), so their ranks are
+    the indices below; ``>`` and ``]`` take one sort of the labels below
+    each.  Merging the classes, whose labels all begin ``C<``, and the
+    depth-0 terms by leading label, the one tail printed per arity, gives
+    the label order.  This is the index part of the stratum as a partial
+    product over the one below.  Without the co-free axioms the atoms are
+    dropped too, so the model is directly comparable with the full one on
+    its Ground fragment.
     """
     decls = table.decls.values()
     cofree = [Cofree(d.name) for d in decls if d.is_generic and include_cofree]
@@ -753,16 +763,15 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
     if generics:
         pairs = np.stack(_set_bits(below.bits), axis=1)
         under = below.labels
-        arguments = [format_interval(under[i], under[j], table.root) for i, j in pairs.tolist()]
-        ordered = {end: sorted(range(m), key=lambda e: arguments[e] + end)
-                   for end in (",>" if any(d.arity > 1 for d in generics) else ">")}
+        ordered = _orders(below.space, pairs, ",>" if any(d.arity > 1 for d in generics) else ">")
     blocks = {}  # per arity, shared by its classes: leading tail, endpoints, positions
     for decl in generics:
         if (a := decl.arity) not in blocks:
             # a product's position is its edges' ranks read mixed-radix
             orders = np.array([ordered[end] for end in "," * (a - 1) + ">"])
             axes, digits = np.arange(a)[:, None], np.indices((m,) * a).reshape(a, -1)
-            blocks[a] = (", ".join(arguments[e] for e in orders[:, 0]) + ">",
+            blocks[a] = (", ".join(format_interval(under[i], under[j], table.root)
+                                   for i, j in pairs[orders[:, 0]].tolist()) + ">",
                          pairs[orders[axes, digits].T],
                          np.ravel_multi_index(orders.argsort(axis=1)[axes, digits], (m,) * a))
         tail, ends, position = blocks[a]
@@ -779,6 +788,29 @@ def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
     return Universe(table, depth, include_cofree, n, runs, at[BOTTOM],
                     {t.cls: at[t] for t in cofree}, None if below is None else below.space,
                     pairs if generics else None)
+
+
+def _orders(below: Universe, pairs: np.ndarray, ends: str) -> dict[str, np.ndarray]:
+    """For each of `ends`, the edges `pairs` of the stratum `below` (its
+    endpoint indices) in the order of their printed intervals with that end
+    appended, by the integer keys of _stage, printing none."""
+    under, bottom, root = below.labels, below.bottom, below.runs[below.table.root][0]
+    lo, hi = pairs.T
+    point, sink, top = lo == hi, lo == bottom, hi == root
+    closed = ~(point | sink | top)
+    # the printed form's lead: `? extends U`, `? super L`, `?`, a point
+    # before `[`, `[L..U]`, a point after
+    lead = np.where(point, 3 + 2 * (lo >= bisect_left(under, "[")),
+                    np.where(closed, 4, 2 * top - ~sink))
+    deciding = np.where(sink, hi, lo)
+
+    def ranked(end):  # each label's rank among them all with `end` appended
+        return np.argsort(sorted(range(len(under)), key=[s + end for s in under].__getitem__))
+
+    # `[L..U]` is decided by L's rank with `..`, then U's with `]`
+    tight = [np.where(closed, ranked("]")[hi], 0)] if closed.any() else []
+    rank = {",": deciding, ">": np.where(closed, deciding, ranked(">")[deciding])}
+    return {end: np.lexsort([*tight, rank[end], lead]) for end in ends}
 
 
 def _labels(space: Universe) -> tuple[str, ...]:
@@ -893,7 +925,8 @@ def _stratum(space: Universe, below: SubtypeRelation | None) -> SubtypeRelation:
     restriction = np.zeros((m + 1, m + 1), dtype=bool)
     restriction[m, m] = True
     if below is not None:
-        restriction[:m, :m] = _unpack(below.bits, m)
+        for rows in _bands(0, m, m):  # no unpacked temporary of the restriction's size
+            restriction[rows, :m] = _unpack(below.bits[rows], m)
         # the depth-0 stratum holds no ground term of a generic class, so no
         # chain member new at depth 1 can relate two of its terms
         if below.depth and not chains_stay_in_universe(space.table, below.depth):

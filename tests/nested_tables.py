@@ -47,6 +47,12 @@ PREFIX_TABLES = {
                  "class Box<T> extends Object\nclass Box2<T> extends Box<T>"),
     "map": ("class Object\nclass Foo extends Object\nclass Foo2 extends Foo\n"
             "class Map<K, V> extends Object"),
+    # ``A`` continued by a digit, ``_`` and a letter (``A1>`` sorts before
+    # ``A>``, and ``A1]`` before ``A]``, but ``A_`` and ``Ab`` after both),
+    # ``Null`` continued, and a point in lower case, which sorts after ``[``
+    "cased": ("class Object\nclass A extends Object\nclass A1 extends A\nclass a extends Object\n"
+              "class Ab<T> extends Object\nclass A_<T> extends Ab<T>\nclass Z9 extends A1\n"
+              "class Nullable extends Object"),
 }
 
 

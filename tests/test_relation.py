@@ -418,6 +418,20 @@ def test_a_grid_read_copies_no_restriction(reduced_table):
     assert peak < rel._restriction.nbytes
 
 
+def test_the_restriction_is_filled_band_by_band(sample_table):
+    # the restriction below takes (m + 1)^2 bytes at sample@3 (3.89 MiB);
+    # filling it from the rows below unpacked whole peaked at twice that
+    space, below = relation_module._universe(sample_table, 3, True, relation_module._ROW_BUDGET)
+    tracemalloc.start()
+    try:
+        rel = relation_module._stratum(space, below)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rel._restriction.nbytes == (len(below) + 1) ** 2
+    assert peak < 1.25 * rel._restriction.nbytes
+
+
 # the analyses read their depth+1 answers off the rows where chains stay in
 # the universe: a nested superclass argument never lets them, a closed one
 # from one level deeper than its nesting
@@ -1219,6 +1233,7 @@ class TestLabelsOnFirstRead:
                              + [(name, depth) for name in SMALL_TABLES for depth in range(2)]
                              + [("prefixed", depth) for depth in range(3)]
                              + [("map", depth) for depth in range(2)]
+                             + [("cased", depth) for depth in range(3)]
                              + [(f"seed{seed}", depth) for seed in range(50)
                                 for depth in range(3)])
     def test_the_staged_order_is_every_label_sorted(self, name, depth, include_cofree,
@@ -1350,3 +1365,35 @@ class TestLabelsOnFirstRead:
         assert peak < 6 * 2**20
         assert galois["violations"] == galois["cofree_violations"] == []
         assert closures["closed_types"] == ["LinkedList<?>", "List<?>", "Object", "String"]
+
+    @staticmethod
+    def _reduced_below_three(reduced_table):
+        """A fresh reduced table and its depth-2 relation, rows and labels made."""
+        table = parse_class_table(format_class_table(reduced_table))
+        below = build_relation(table, 2)
+        assert below.bits.size and below.labels
+        return table, below
+
+    def test_staging_reduced3_prints_one_leading_tail_per_arity(self, reduced_table,
+                                                                 monkeypatch):
+        # the 13,071 edges below are ranked by integer keys: only the tail
+        # that leads each arity's block is printed, one interval a position
+        table, below = self._reduced_below_three(reduced_table)
+        printed = []
+        monkeypatch.setattr(relation_module, "format_interval",
+                            lambda *args: printed.append(args) or format_interval(*args))
+        space = relation_module._stage(table, below, 3, True, relation_module._ROW_BUDGET)
+        assert len(space) == 26147 and "labels" not in vars(space)
+        assert 0 < len(printed) <= sum({d.arity for d in table.decls.values() if d.is_generic})
+
+    def test_staging_reduced3_peaks_under_one_and_a_half_mib(self, reduced_table):
+        # the keys, their sorts and the blocks of the 13,071 edges below;
+        # printing and sorting those edges as interval labels peaked at 4.17 MiB
+        table, below = self._reduced_below_three(reduced_table)
+        tracemalloc.start()
+        try:
+            relation_module._stage(table, below, 3, True, relation_module._ROW_BUDGET)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
