@@ -136,8 +136,7 @@ def _cmd_check(args, table: ClassTable) -> int:
 
 def _cmd_universe(args, table: ClassTable) -> int:
     # the labels alone: the strata below are built, the top one only staged
-    space = relation._universe(table, args.depth, args.include_cofree,
-                               relation._ROW_BUDGET)[0]
+    space = relation._universe(table, args.depth, args.include_cofree, relation._ROW_BUDGET)
     if args.format == "json":
         _emit_json({"depth": space.depth, "universe": list(space.labels)})
     else:

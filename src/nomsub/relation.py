@@ -16,11 +16,11 @@ same fixpoint directly, in one forward loop over the strata that holds only
 the stratum below, with no closure (a table with no generic class has one
 stratum, built once).  Each stratum records each class's run of the
 label-sorted universe once, with a generic class's endpoint indices into
-the stratum below; from that layout, containment is read off the
-depth-(d-1) relation, and each row is its containment row OR-ed with the
-containment rows of its superclass-chain members in the universe
-(Universe.reach), found by product number (member_at, instantiated) as
-the index twin of terms.super_instantiation.
+the stratum below; from that layout every bit follows one product rule
+(see _factored_at): in the run of class A, a ground term's bits are the
+containment, read off the depth-(d-1) relation, of its superclass-chain
+member of class A (Universe.reach), found by product number (member_at,
+instantiated) as the index twin of terms.super_instantiation.
 
 Every relation is a Universe plus its edges: a stratum's runs, as _stage
 enumerates them for (table, depth, include_cofree), with its labels,
@@ -274,16 +274,14 @@ class Universe:
     @cached_property
     def free(self) -> np.ndarray:
         """Each class's free type's index, by position in `table.class_names`
-        (-1 outside the universe): a generic class's is the product of the
-        edge (bottom, root) below at every position, in scalar arithmetic."""
+        (-1 outside the universe): a generic class's is its member at the
+        edge (bottom, root) below at every position (see _members)."""
         below, free = self._below, []
-        if below is not None:  # the number of the edge (bottom, root) below
-            edge = int(self._keys.searchsorted(
-                below.bottom * (len(below) + 1) + below.runs[self.table.root][0]))
         for decl in self.table.decls.values():
             start, *_, position = self.runs.get(decl.name, (-1, None))
             if position is not None:
-                start += position[edge * sum(len(self.intervals) ** p for p in range(decl.arity))]
+                edge = [below.bottom, below.runs[self.table.root][0]]
+                start = _members(self, start, position, np.array([[edge] * decl.arity]))[0]
             free.append(start)
         return np.array(free, dtype=np.intp)
 
@@ -483,11 +481,6 @@ def _edge_count(bits: np.ndarray) -> int:
     time so that no temporary of the rows' size is made."""
     return sum(int(_POPCOUNT[bits[rows]].sum(dtype=np.int64))
                for rows in _bands(0, len(bits), bits.shape[1]))
-
-
-def _column_bits(cols: np.ndarray) -> np.ndarray:
-    """The bit of each column within its byte of an `np.packbits` row."""
-    return (0x80 >> (cols & 7)).astype(np.uint8)
 
 
 # -- queries ---------------------------------------------------------------
@@ -695,24 +688,22 @@ def enumerate_universe(table: ClassTable, depth: int) -> tuple[TypeTerm, ...]:
     relation built at the previous depth; declared parameter bounds are
     ignored (admittability, not validity).
     """
-    return _universe(table, depth, True, _ROW_BUDGET)[0].terms
+    return _universe(table, depth, True, _ROW_BUDGET).terms
 
 
-def _universe(table: ClassTable, depth: int, include_cofree: bool,
-              budget: int) -> tuple[Universe, SubtypeRelation | None]:
-    """The depth-`depth` universe, with the relation of the stratum below it
-    (None for the first): each stratum below is built, and the top one only
-    staged, so it gets its runs but no rows.  A table with no generic class
-    has the depth-0 terms at every depth, so its one stratum is staged once,
-    at `depth`.  Each stratum's packed rows are checked against `budget`
-    bytes before it is staged."""
+def _universe(table: ClassTable, depth: int, include_cofree: bool, budget: int) -> Universe:
+    """The depth-`depth` universe: each stratum below is built, and the top
+    one only staged, so it gets its runs but no rows.  A table with no
+    generic class has the depth-0 terms at every depth, so its one stratum
+    is staged once, at `depth`.  Each stratum's packed rows are checked
+    against `budget` bytes before it is staged."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     first = 0 if any(decl.is_generic for decl in table.decls.values()) else depth
     below = None
     for d in range(first, depth):
-        below = _stratum(_stage(table, below, d, include_cofree, budget), below)
-    return _stage(table, below, depth, include_cofree, budget), below
+        below = _stratum(_stage(table, below, d, include_cofree, budget))
+    return _stage(table, below, depth, include_cofree, budget)
 
 
 def _stage(table: ClassTable, below: SubtypeRelation | None, depth: int,
@@ -864,7 +855,7 @@ def initial_relation(table: ClassTable, depth: int,
                      include_cofree: bool = True) -> SubtypeRelation:
     """The reflexive relation over the enumerated universe; the starting
     point for construction_step."""
-    space = _universe(table, depth, include_cofree, _ROW_BUDGET)[0]
+    space = _universe(table, depth, include_cofree, _ROW_BUDGET)
     return SubtypeRelation(space, np.packbits(np.eye(len(space), dtype=bool), axis=1), 0)
 
 
@@ -895,16 +886,15 @@ def build_relation(table: ClassTable, depth: int,
     terms put each label in the table's parse cache, so parse_type of a
     label then lexes nothing.
     """
-    return _stratum(*_universe(table, depth, include_cofree, _ROW_BUDGET))
+    return _stratum(_universe(table, depth, include_cofree, _ROW_BUDGET))
 
 
-def _stratum(space: Universe, below: SubtypeRelation | None) -> SubtypeRelation:
-    """The fixpoint of construction_step over `space`, from the relation
-    `below` it (None at depth 0), in factored form: the relation below,
-    lifted, read densely (with a generic class it holds under a third of
-    this stratum's terms, and without one only the depth-0 terms), plus
-    the stratum's layout (see _factored_at, and _rows for the rows made
-    from it on first use).
+def _stratum(space: Universe) -> SubtypeRelation:
+    """The fixpoint of construction_step over `space`, in factored form: the
+    relation over the stratum below (none at depth 0), lifted, read densely
+    (with a generic class it holds under a third of this stratum's terms,
+    and without one only the depth-0 terms), plus the stratum's layout (see
+    _factored_at, and _rows for the rows made from it on first use).
 
     The new stratum may relate old terms that the relation below did not,
     for one cause: a term reaches its superclass-chain members only where
@@ -919,14 +909,14 @@ def _stratum(space: Universe, below: SubtypeRelation | None) -> SubtypeRelation:
     member is new here, the stratum below is this one's restriction, and
     nothing is lifted.  `iterations` is as build_relation states it.
     """
+    below = space._below
     m = 0 if below is None else len(below)
     # one more row and column for the sentinel argument (see Universe.arguments),
     # which fits inside itself only
     restriction = np.zeros((m + 1, m + 1), dtype=bool)
     restriction[m, m] = True
     if below is not None:
-        for rows in _bands(0, m, m):  # no unpacked temporary of the restriction's size
-            restriction[rows, :m] = _unpack(below.bits[rows], m)
+        restriction[tuple(space.intervals.T)] = True  # the edges below, as _stage listed them
         # the depth-0 stratum holds no ground term of a generic class, so no
         # chain member new at depth 1 can relate two of its terms
         if below.depth and not chains_stay_in_universe(space.table, below.depth):
@@ -947,16 +937,16 @@ def _factored_at(space: Universe, restriction: np.ndarray, rows, cols) -> np.nda
     the number of pairs asked, and every pair of two lists as a grid (see
     _factored_grid).
 
-    A ground row of class c sets bits only in the runs of c's ancestors,
-    each from the containment row of its chain member of that class (see
-    _rows), so bit (i, j) of ground terms is read at i's chain member u of
-    j's class (Universe.reach): u's containment of j, two bits of
-    `restriction` per argument position, or 0 where there is no such member
-    (and where j is an atom, whose arguments no ground one fits).
-    This is the stratum as a partial product over the one below, read as a
-    point query (AbdelGawad, "Java Subtyping as an Infinite Self-Similar
-    Partial Graph Product", arXiv:1805.06893).
-    Bottom's row and an atom's follow the class matrix (Universe.classwise)."""
+    Every bit follows one rule, which _rows writes whole rows by too.  Bit
+    (i, j) of ground terms is read at i's chain member u of j's class
+    (Universe.reach): u's containment of j, two bits of `restriction` per
+    argument position, or 0 where there is no such member (and where j is
+    an atom, whose arguments no ground one fits); so a ground row of class
+    c sets bits only in the runs of c's ancestors.  This is the stratum as
+    a partial product over the one below, read as a point query
+    (AbdelGawad, "Java Subtyping as an Infinite Self-Similar Partial Graph
+    Product", arXiv:1805.06893).  Bottom's row and an atom's follow the
+    class matrix (Universe.classwise)."""
     rows, cols = np.asarray(rows), np.asarray(cols)
     if rows.ndim == 2 and rows.shape[1] == 1 and cols.ndim == 1:
         out = np.empty((len(rows), len(cols)), dtype=bool)
@@ -1011,71 +1001,63 @@ def _factored_grid(space: Universe, restriction: np.ndarray, rows, cols) -> np.n
 
 def _rows(space: Universe, restriction: np.ndarray) -> np.ndarray:
     """The packed rows of the relation over `space` whose containment is
-    read off `restriction` (see _stratum), at the generic runs' `ends` (see
-    _stage), once per block shape (the classes of one arity share one
-    `ends`).  A ground term's row is its containment row OR-ed, in the run
-    of each strict ancestor A, with the containment row of its chain member
-    of class A (Universe.reach), none where that member is outside: one OR
-    per class A with a run, over every ground row outside the run that
-    reaches a member of A.  Every bit of a row of class A is in the runs of
-    A's ancestors and holds for each term below it, so the bytes of A's run
-    are read from that member's row in any order, final or not.  Bottom's
-    row and each atom's follow the class matrix (Universe.classwise).
+    read off `restriction` (see _stratum), by _factored_at's rule, one run
+    at a time: every ground row i with a chain member u of the run's class
+    (Universe.reach, i itself in its own run) gets u's containment row
+    over the run.  A plain class's is its one bit; a generic block's is the
+    AND over argument positions of two packed tables (see _containment)
+    at u's endpoints, built once per block shape (the classes of one arity
+    share one `ends`) and shifted to the run's bit offset, so that the run
+    is a plain slice of bytes.  No row reads another.  Bottom's row and
+    each atom's follow the class matrix (Universe.classwise).
     """
-    table, runs, n = space.table, space.runs, len(space)
+    table, n = space.table, len(space)
     packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-    for ends in {id(run[2]): run[2] for run in runs.values() if run[2] is not None}.values():
-        _write_containment(packed, [run[0] for run in runs.values() if run[2] is ends],
-                           ends, restriction[:-1, :-1])
-    diagonal = np.arange(n)
-    packed[diagonal, diagonal >> 3] |= _column_bits(diagonal)
-    for a, (start, stop, *_) in runs.items():
-        # every ground row outside A's run (where a row is its own member) that
-        # has a chain member of class A
-        up = space.reach[:, table.class_names.index(a)]
-        below = np.flatnonzero((up >= 0) & (up != diagonal))
-        lo, hi = start >> 3, (stop + 7) >> 3
-        for band in _bands(0, len(below), hi - lo):
-            rows = below[band]
-            packed[rows, lo:hi] |= packed[up[rows], lo:hi]
+    tables = {}  # per block shape
+    for a, (start, stop, ends, _position) in space.runs.items():
+        member = space.reach[:, table.class_names.index(a)]
+        first, offset = start >> 3, start & 7
+        if ends is None:
+            packed[member >= 0, first] |= 0x80 >> offset
+            continue
+        if id(ends) not in tables:
+            tables[id(ends)] = _containment(ends, restriction[:-1, :-1])
+        width = (offset + stop - start + 7) >> 3
+        shifted = [_shifted(fits, offset, width) for fits in tables[id(ends)]]
+        # the rows that reach a member, by stretches of consecutive ones, so
+        # that each band is a slice of the rows
+        reached = np.concatenate(([False], member >= 0, [False]))
+        for begin, end in np.flatnonzero(reached[1:] != reached[:-1]).reshape(-1, 2).tolist():
+            # the members' endpoints, in the tables' order: each position's lo, then hi
+            picks = ends[member[begin:end] - start].reshape(end - begin, -1).T
+            for band in _bands(0, end - begin, width):
+                cont = shifted[0][picks[0, band]]
+                for fits, chosen in zip(shifted[1:], picks[1:, band]):
+                    cont &= fits[chosen]
+                packed[begin + band.start:begin + band.stop, first:first + width] |= cont
     classes = space.classes
     for i in [space.bottom, *space.atoms.values()]:
         packed[i] = np.packbits(space.classwise[classes[i], classes])
     return packed
 
 
-def _write_containment(packed: np.ndarray, starts: list[int], ends: np.ndarray,
-                       below: np.ndarray) -> None:
-    """Write the containment blocks of the runs at `starts`, which share the
-    block shape `ends`, into their rows, which hold nothing yet: instantiation
-    i lies below j when every argument of i fits inside that of j, i.e.
+def _containment(ends: np.ndarray, below: np.ndarray) -> list[np.ndarray]:
+    """The packed tables of the block shape `ends` over the relation
+    `below`, each position's lo table, then its hi one: instantiation i
+    lies below j when every argument of i fits inside that of j, i.e.
     ``below[lo_j, lo_i] and below[hi_i, hi_j]`` at each position.
 
-    Per argument position, two tables of packed rows over the block hold
-    one row per term e below: bit j of ``fits_lo[e]`` is ``below[lo_j, e]``
-    and bit j of ``fits_hi[e]`` is ``below[e, hi_j]``.  Row i of the block
-    is then the AND over the positions of ``fits_lo[lo_i] & fits_hi[hi_i]``.
-    A block's bits start at byte ``start // 8``, so that it is a plain slice
-    of the packed matrix: the tables are built once and shifted to each bit
-    offset ``start % 8`` (offset 0, which needs no copy, last), and each band
-    of rows is computed once per offset and written into every block there.
+    Each table holds one packed row over the block per term e below: bit j
+    of ``fits_lo[e]`` is ``below[lo_j, e]`` and bit j of ``fits_hi[e]`` is
+    ``below[e, hi_j]``.  Row i of the block is then the AND over the
+    positions of ``fits_lo[lo_i] & fits_hi[hi_i]``.
     """
-    (k, arity), m = ends.shape[:2], len(below)
-    # below and below.T, rows padded to 64-bit words; each position's lo, then hi
+    m = len(below)
+    # below and below.T, rows padded to 64-bit words
     matrices = np.zeros((2, m, (m + 7) // 8 * 8), dtype=np.uint8)
     matrices[0, :, :m], matrices[1, :, :m] = below, below.T
-    picks = [ends[:, p, side] for p in range(arity) for side in (0, 1)]
-    tables = [_packed_columns(matrices[i % 2], chosen) for i, chosen in enumerate(picks)]
-    for offset in sorted({start % 8 for start in starts}, reverse=True):
-        width = (offset + k + 7) // 8
-        shifted = [_shifted(fits, offset, width) for fits in tables]
-        blocks = [packed[s:s + k, s // 8:s // 8 + width] for s in starts if s % 8 == offset]
-        for rows in _bands(0, k, width):
-            cont = shifted[0][picks[0][rows]]
-            for fits, chosen in zip(shifted[1:], picks[1:]):
-                cont &= fits[chosen[rows]]
-            for block in blocks:
-                block[rows] = cont
+    return [_packed_columns(matrices[side], ends[:, p, side])
+            for p in range(ends.shape[1]) for side in (0, 1)]
 
 
 def _packed_columns(matrix: np.ndarray, picks: np.ndarray) -> np.ndarray:
@@ -1224,7 +1206,7 @@ def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:
     except ValueError as e:  # the shape is right, so a padding bit is set
         raise InvalidRelationDocument(f"edges: {e}") from None
     try:
-        space = _universe(table, depth, include_cofree, min(len(packed), _ROW_BUDGET))[0]
+        space = _universe(table, depth, include_cofree, min(len(packed), _ROW_BUDGET))
     except UniverseCapExceeded as e:
         raise InvalidRelationDocument(
             f"universe lists {n} entries, too few for depth {depth}: {e}") from None
@@ -1243,7 +1225,7 @@ def export_dot(rel: SubtypeRelation) -> str:
     n = len(rel)
     strict = rel.bits.copy()
     diagonal = np.arange(n)
-    strict[diagonal, diagonal >> 3] &= ~_column_bits(diagonal)
+    strict[diagonal, diagonal >> 3] &= ~(0x80 >> (diagonal & 7)).astype(np.uint8)
     lines = ["digraph subtyping {", "  rankdir=BT;", *(f'  "{label}";' for label in rel.labels)]
     for i in range(n):
         # an edge is kept unless it is also a path of two strict edges

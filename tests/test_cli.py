@@ -175,9 +175,9 @@ def test_universe_never_builds_its_top_stratum(capsys, monkeypatch, flags):
     # the labels come from the enumeration: only the strata below get rows
     built, stratum = [], relation._stratum
 
-    def spy(space, below):
+    def spy(space):
         built.append(space.depth)
-        return stratum(space, below)
+        return stratum(space)
 
     table = parse_class_table(pathlib.Path(SAMPLE).read_text())
     labels = build_relation(table, 2, include_cofree=not flags).labels

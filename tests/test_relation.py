@@ -256,8 +256,8 @@ def test_direct_build_equals_the_stepped_fixpoint(name, depth, include_cofree, r
 
 
 # each class's run offset (start % 8) in a generic block shape shared by
-# its arity: classes at one offset share each band of containment rows, and
-# tables built once are shifted to every other offset
+# its arity: the containment tables, built once per shape, are shifted to
+# each run's offset
 SHAPE_CASES = [("sample", 2, {"Enum": 1, "LinkedList": 1, "List": 0}),
                ("reduced", 1, {"LinkedList": 1, "List": 7}),
                ("permuted", 1, {"P": 3, "Q": 0, "R": 5})]
@@ -274,8 +274,8 @@ def test_shared_block_shapes_build_the_stepped_fixpoint(name, depth, offsets, re
         assert all(runs[cls][2] is runs[other][2] for other in offsets
                    if table.arity(other) == table.arity(cls))
     assert built == _stepped_to_fixpoint(table, depth, True)
-    # bands of one row each (1 byte) and of rows that split runs and blocks
-    # unevenly (100 bytes), through the chain-member OR and containment loops
+    # bands of one row each (1 byte) and of rows that split the rows reaching
+    # a run unevenly (100 bytes), through the row writer's loop over the runs
     for band_bytes in (1, 100):
         monkeypatch.setattr(relation_module, "_BAND_BYTES", band_bytes)
         assert build_relation(table, depth) == built
@@ -287,9 +287,26 @@ def test_shared_block_shapes_build_the_stepped_fixpoint(name, depth, offsets, re
             assert [oracle.is_subtype(u[i], t) for t in u] == built.edges[i].tolist()
 
 
-# no ground row of class c sets a bit outside the runs of c's ancestors, so
-# the chain-member OR reads an ancestor's run from a member's row in any
-# order, whether that row is final or not
+# the tables whose chain members can lie outside the universe (Universe.reach
+# holds -1 there), so some ground rows reach no member of a run; mixed at
+# depth 2 is a 2 GB build without co-free atoms and over the budget with them
+@pytest.mark.parametrize("include_cofree", [True, False])
+@pytest.mark.parametrize("name, depth", [(name, depth) for name in ("nested", "nested_plain",
+                                                                    "closed_nested")
+                                         for depth in (1, 2)] + [("mixed", 1)])
+def test_rows_leaving_the_universe_are_the_same_in_any_bands(name, depth, include_cofree,
+                                                              request, monkeypatch):
+    table = named_table(name, request)
+    built = build_relation(table, depth, include_cofree=include_cofree)
+    assert (built.space.reach[built.space.ground] < 0).any()
+    built.bits  # made with the default bands
+    for band_bytes in (1, 100):
+        monkeypatch.setattr(relation_module, "_BAND_BYTES", band_bytes)
+        assert build_relation(table, depth, include_cofree=include_cofree) == built
+
+
+# no ground row of class c sets a bit outside the runs of c's ancestors, as
+# the one rule of the rows (see relation._factored_at) has it
 WINDOW_CASES = ([(name, depth) for name in ("sample", "reduced", *NESTED_TABLES, *INDEX_TABLES,
                                             *BOUND_TABLES)
                  for depth in range(3) if (name, depth) not in {("permuted", 2), ("mixed", 2)}]
@@ -418,18 +435,34 @@ def test_a_grid_read_copies_no_restriction(reduced_table):
     assert peak < rel._restriction.nbytes
 
 
-def test_the_restriction_is_filled_band_by_band(sample_table):
-    # the restriction below takes (m + 1)^2 bytes at sample@3 (3.89 MiB);
-    # filling it from the rows below unpacked whole peaked at twice that
-    space, below = relation_module._universe(sample_table, 3, True, relation_module._ROW_BUDGET)
+def test_the_restriction_is_filled_in_place(sample_table):
+    # the restriction below takes (m + 1)^2 bytes at sample@3 (3.89 MiB) and
+    # is filled in place from the edges below; filling it from the rows below
+    # unpacked whole peaked at twice that
+    space = relation_module._universe(sample_table, 3, True, relation_module._ROW_BUDGET)
     tracemalloc.start()
     try:
-        rel = relation_module._stratum(space, below)
+        rel = relation_module._stratum(space)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rel._restriction.nbytes == (len(below) + 1) ** 2
+    assert rel._restriction.nbytes == (len(space._below) + 1) ** 2
     assert peak < 1.25 * rel._restriction.nbytes
+
+
+def test_the_rows_at_reduced3_take_few_temporaries(reduced_table):
+    # the rows take 81.5 MiB at reduced@3; the writer's tables, shifted
+    # copies and bands, with the chain members (Universe.reach) made on the
+    # way, add about 10 MiB
+    rel = build_relation(reduced_table, 3)
+    tracemalloc.start()
+    try:
+        rows = relation_module._rows(rel.space, rel._restriction)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.nbytes == len(rel) * ((len(rel) + 7) // 8)
+    assert peak - rows.nbytes < 12 * 2 ** 20
 
 
 # the analyses read their depth+1 answers off the rows where chains stay in
@@ -1106,7 +1139,7 @@ class TestTermsOnFirstRead:
         monkeypatch.setattr(cli, "_load_table", lambda path: table)
         monkeypatch.setattr(relation_module, "_universe", enumerate_)
         assert cli.main(["universe", name, "--depth", str(depth)]) == 0
-        space = enumerated[0][0]
+        space = enumerated[0]
         assert space.labels == rel.labels
         assert "terms" not in vars(space) and not self.made(rel)
         assert sorted(self.deep(table, depth)) == free
