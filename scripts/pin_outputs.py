@@ -18,8 +18,9 @@ tests/test_output_pins.py recomputes every digest in the tier-1 suite.  A
 change that alters output on purpose regenerates the file with this script
 and lists the digests that moved in CHANGES.md, since it changes a check.
 
-Five commands too slow for the tier-1 suite, `galois --format json` and
-`report` at reduced@3 and at sample@3, and `validity --format json` at
+Seven commands too slow for the tier-1 suite, `galois --format json` and
+`report` at reduced@3 and at sample@3, `build --export json` at reduced@3,
+and `minima --format json ... List` and `validity --format json` at
 sample@3, are pinned apart, in
 tests/ci_output_pins.json, which no tier-1 test reads: CI's memory steps run
 them from the repository root, as `--ci` does here, and compare each run's
@@ -84,7 +85,8 @@ CI_CASES = (["galois", "--format", "json", "tables/reduced.table", "--depth", "3
             ["galois", "--format", "json", "tables/sample.table", "--depth", "3"],
             ["minima", "--format", "json", "tables/sample.table", "--depth", "3", "List"],
             ["validity", "--format", "json", "tables/sample.table", "--depth", "3"],
-            ["report", "tables/sample.table", "--depth", "3"])
+            ["report", "tables/sample.table", "--depth", "3"],
+            ["build", "--export", "json", "tables/reduced.table", "--depth", "3"])
 
 
 def tables() -> dict[str, str]:

@@ -55,6 +55,7 @@ import threading
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -488,14 +489,23 @@ def _edge_count(bits: np.ndarray) -> int:
 
 def is_subtype(rel: SubtypeRelation, t1: TypeTerm, t2: TypeTerm) -> bool:
     """Edge lookup; total over the relation's universe."""
-    return _bit(rel, rel.index(t1), rel.index(t2))
+    # _bit's read, in this frame: each Python call is a large share of a query
+    index = rel.space.index
+    try:
+        i, j = index[t1], index[t2]
+    except KeyError:
+        i, j = rel.index(t1), rel.index(t2)  # raises TermOutsideUniverse, naming the term
+    bits = rel._packed
+    if bits is None:
+        bits = rel.bits
+    return bits.item(i, j >> 3) & (0x80 >> (j & 7)) != 0
 
 
 def _bit(rel: SubtypeRelation, i: int, j: int) -> bool:
     """One bit of the rows, made on first use: a numpy call per pair, as a
     read of the factored form takes, would cost far more."""
     bits = rel.bits if rel._packed is None else rel._packed
-    return bool(bits.item(i, j >> 3) >> (~j & 7) & 1)
+    return bits.item(i, j >> 3) & (0x80 >> (j & 7)) != 0
 
 
 Decider = Callable[[TypeTerm, TypeTerm], bool]
@@ -1153,10 +1163,14 @@ def export_json(rel: SubtypeRelation) -> str:
     n x ceil(n/8) bytes, bit j of row i at byte ``j >> 3`` of the row, most
     significant bit first, padding bits zero.
     """
+    # written directly: json.dumps with an indent runs the pure-Python
+    # encoder, which also copies the base64 text (whose alphabet needs no
+    # escape) while escaping it; the universe is never empty, as it holds root
     edges = base64.b64encode(np.ascontiguousarray(rel.bits)).decode("ascii")
-    doc = {"depth": rel.depth, "edges": edges, "include_cofree": rel.include_cofree,
-           "universe": list(rel.labels)}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    universe = ",\n    ".join(map(encode_basestring_ascii, rel.labels))
+    return (f'{{\n  "depth": {rel.depth},\n  "edges": "{edges}",\n'
+            f'  "include_cofree": {json.dumps(rel.include_cofree)},\n'
+            f'  "universe": [\n    {universe}\n  ]\n}}\n')
 
 
 def relation_from_json(table: ClassTable, text: str) -> SubtypeRelation:

@@ -129,6 +129,36 @@ class TestBuildRelation:
         with pytest.raises(TermOutsideUniverse):
             is_subtype(sample_rel1, deep, deep)
 
+    @pytest.mark.parametrize("first, second, named", [
+        ("List<List<String>>", "List<String>", "List<List<String>>"),
+        ("List<String>", "List<List<String>>", "List<List<String>>"),
+        ("List<List<String>>", "List<List<Integer>>", "List<List<String>>")])
+    def test_the_term_outside_is_named(self, sample_rel1, sample_table, first, second, named):
+        t1, t2 = parse_type(sample_table, first), parse_type(sample_table, second)
+        with pytest.raises(TermOutsideUniverse) as raised:
+            is_subtype(sample_rel1, t1, t2)
+        assert str(raised.value) == (f"term '{format_type(parse_type(sample_table, named))}' "
+                                     "is outside the depth-1 universe (rebuild at a higher depth)")
+
+    def test_a_term_made_outside_the_pool_answers_as_the_pooled_one(self, sample_table,
+                                                                     sample_rel2):
+        string = Ground("String")
+        made = Ground("LinkedList", (Interval(string, string),))
+        pooled = parse_type(sample_table, "LinkedList<String>")
+        assert made == pooled and made is not pooled
+        for other in sample_rel2.universe[::7]:
+            assert is_subtype(sample_rel2, made, other) == is_subtype(sample_rel2, pooled, other)
+            assert is_subtype(sample_rel2, other, made) == is_subtype(sample_rel2, other, pooled)
+
+    def test_the_first_query_makes_the_rows_once(self, sample_table, monkeypatch):
+        rel = build_relation(sample_table, 2)
+        u, made, rows = rel.universe, [], relation_module._rows
+        monkeypatch.setattr(relation_module, "_rows",
+                            lambda *args: made.append(args) or rows(*args))
+        answers = [is_subtype(rel, t, u[-1]) for t in u[:3]]
+        assert len(made) == 1 and rel._packed is not None
+        assert answers == rel.edges[:3, -1].tolist()
+
     def test_iteration_count_is_bounded(self, sample_rel1, reduced_rel2):
         assert sample_rel1.iterations <= len(sample_rel1) ** 2
         assert reduced_rel2.iterations <= len(reduced_rel2) ** 2
@@ -463,6 +493,21 @@ def test_the_rows_at_reduced3_take_few_temporaries(reduced_table):
         tracemalloc.stop()
     assert rows.nbytes == len(rel) * ((len(rel) + 7) // 8)
     assert peak - rows.nbytes < 12 * 2 ** 20
+
+
+def test_the_document_at_reduced3_takes_few_temporaries(reduced_table):
+    # the document is 116.6 MB at reduced@3, most of it the base64 text of the
+    # rows; written directly, the peak is that text and the document (2.0x),
+    # where json.dumps with an indent peaked at 3.0x
+    rel = build_relation(reduced_table, 3)
+    rel.bits
+    tracemalloc.start()
+    try:
+        text = export_json(rel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
 
 
 # the analyses read their depth+1 answers off the rows where chains stay in
@@ -855,12 +900,27 @@ class TestExport:
     def test_json_is_deterministic(self, sample_rel1):
         assert export_json(sample_rel1) == export_json(sample_rel1)
 
-    @pytest.mark.parametrize("depth, include_cofree", [(1, True), (2, True), (2, False)])
-    def test_json_text_is_that_of_the_json_encoder(self, sample_table, depth, include_cofree):
-        rel = build_relation(sample_table, depth, include_cofree=include_cofree)
-        doc = {"depth": rel.depth, "include_cofree": rel.include_cofree,
-               "universe": list(rel.labels), "edges": _b64(rel.bits.tobytes())}
-        assert export_json(rel) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    @staticmethod
+    def encoded_alike(table, depth, include_cofree):
+        # export_json writes its document itself; the encoder is the reference,
+        # for a built relation, one stepped once and one read back
+        built = build_relation(table, depth, include_cofree=include_cofree)
+        stepped = construction_step(table, initial_relation(table, depth,
+                                                            include_cofree=include_cofree))
+        for rel in (built, stepped, relation_from_json(table, export_json(built))):
+            doc = {"depth": rel.depth, "include_cofree": rel.include_cofree,
+                   "universe": list(rel.labels), "edges": _b64(rel.bits.tobytes())}
+            assert export_json(rel) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("include_cofree", [True, False])
+    @pytest.mark.parametrize("name, depth", [(name, depth) for name in ("sample", "reduced")
+                                             for depth in range(3)])
+    def test_json_text_is_that_of_the_json_encoder(self, name, depth, include_cofree, request):
+        self.encoded_alike(named_table(name, request), depth, include_cofree)
+
+    def test_json_text_of_random_tables_is_that_of_the_json_encoder(self):
+        for seed, depth, include_cofree in itertools.product(range(30), (1, 2), (True, False)):
+            self.encoded_alike(random_table(seed), depth, include_cofree)
 
     def test_json_repeated_universe_label_is_rejected(self, sample_table, sample_rel1):
         # with rows for every entry, so that the count is what fails
